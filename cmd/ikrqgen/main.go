@@ -40,7 +40,6 @@ func run() int {
 		snapPath = flag.String("snapshot", "", "bake the engine to this snapshot file")
 		matrix   = flag.Bool("matrix", false, "precompute the dense KoE* all-pairs matrix into the snapshot")
 		oracle   = flag.Bool("oracle", false, "precompute the hierarchical KoE* distance oracle into the snapshot (the large-venue backend)")
-		snapV2   = flag.Bool("snapshot-v2", false, "bake the sequential v2 snapshot format for pre-v3 readers (no zero-copy mmap serving)")
 	)
 	flag.Parse()
 	if *asJSON && *snapPath != "" {
@@ -54,10 +53,6 @@ func run() int {
 	if *real && *shops > 0 {
 		return cli.Fail(os.Stderr, "ikrqgen",
 			cli.Usagef("-shops-per-floor shapes the synthetic grid; drop -real to use it"))
-	}
-	if *snapV2 && *snapPath == "" {
-		return cli.Fail(os.Stderr, "ikrqgen",
-			cli.Usagef("-snapshot-v2 selects a bake format; pass -snapshot too"))
 	}
 
 	mall, voc, idx, err := cli.Mall(*real, *floors, *shops, *seed)
@@ -80,7 +75,7 @@ func run() int {
 		} else if *oracle {
 			backend = "oracle"
 		}
-		if err := bake(*snapPath, backend, *snapV2, mall, idx); err != nil {
+		if err := bake(*snapPath, backend, mall, idx); err != nil {
 			return cli.Fail(os.Stderr, "ikrqgen", err)
 		}
 		return cli.ExitOK
@@ -102,10 +97,9 @@ func run() int {
 }
 
 // bake builds the engine (optionally forcing a KoE* distance backend,
-// "matrix" or "oracle") and writes the snapshot — the mmap-servable v3
-// format by default, sequential v2 when legacy is set — reporting what each
-// stage cost so operators can see what a load will save.
-func bake(path, backend string, legacy bool, mall *ikrq.Mall, idx *ikrq.KeywordIndex) error {
+// "matrix" or "oracle") and writes the mmap-servable snapshot, reporting
+// what each stage cost so operators can see what a load will save.
+func bake(path, backend string, mall *ikrq.Mall, idx *ikrq.KeywordIndex) error {
 	t0 := time.Now()
 	engine := ikrq.NewEngine(mall.Space, idx)
 	build := time.Since(t0)
@@ -134,11 +128,7 @@ func bake(path, backend string, legacy bool, mall *ikrq.Mall, idx *ikrq.KeywordI
 	tmp := f.Name()
 	defer os.Remove(tmp) // no-op after a successful rename
 	t2 := time.Now()
-	save := ikrq.SaveSnapshot
-	if legacy {
-		save = ikrq.SaveSnapshotV2
-	}
-	if err := save(f, engine); err != nil {
+	if err := ikrq.SaveSnapshot(f, engine); err != nil {
 		f.Close()
 		return err
 	}

@@ -334,29 +334,24 @@ func NewEngine(s *Space, x *KeywordIndex) *Engine { return search.NewEngine(s, x
 // zero-copy over an mmap (see internal/snapshot and DESIGN.md §6, §13).
 func SaveSnapshot(w io.Writer, e *Engine) error { return snapshot.SaveEngine(w, e) }
 
-// SaveSnapshotV2 writes the engine's index layer in the sequential v2
-// snapshot format for interop with pre-v3 readers (`ikrqgen -snapshot-v2`).
-// v2 snapshots always decode onto the heap.
-//
-// Deprecated: bake with SaveSnapshot unless a pre-v3 reader must consume
-// the file — v3 snapshots load strictly faster (OpenEngine serves them
-// zero-copy over an mmap) and every current reader accepts them. The v2
-// writer remains only for that interop window.
-func SaveSnapshotV2(w io.Writer, e *Engine) error { return snapshot.SaveEngineV2(w, e) }
-
 // LoadEngine assembles a ready-to-serve engine from a snapshot written by
-// SaveSnapshot, skipping all index derivation. The decoder rejects corrupt,
-// truncated or newer-versioned input with an error. A loaded engine
-// returns results identical to one freshly built over the same space and
-// keyword index.
+// SaveSnapshot, skipping all index derivation. It reads the whole stream
+// onto the heap and checks everything: every section checksum, every
+// table value, and the space topology replayed through the model builder,
+// so it doubles as the bit-rot check for a bake. Corrupt, truncated, older
+// (pre-v3, which must be re-baked) or newer-versioned input is rejected
+// with an error. A loaded engine returns results identical to one freshly
+// built over the same space and keyword index.
 func LoadEngine(r io.Reader) (*Engine, error) { return snapshot.LoadEngine(r) }
 
-// OpenEngine assembles a serving engine from a snapshot file, serving v3
-// snapshots as views over an mmap where the platform supports it: cold
-// start touches only the pages actually read, and concurrent processes
-// serving the same bake share one page-cache copy. The engine owns the
-// mapping; call Engine.Close when it stops serving. v1/v2 files (and
-// big-endian hosts) transparently fall back to the heap decode.
+// OpenEngine assembles a serving engine from a snapshot file, serving it as
+// views over an mmap where the platform supports it: cold start touches
+// only the pages actually read, and concurrent processes serving the same
+// bake share one page-cache copy. The mapped load is trusted — it keeps
+// every structural check but skips the checksums and value scans of the
+// bulk tables (see DESIGN.md §13); where mmap is unavailable, and on
+// big-endian hosts, it loads with LoadEngine's full checks instead. The
+// engine owns the mapping; call Engine.Close when it stops serving.
 func OpenEngine(path string) (*Engine, error) { return snapshot.OpenEngine(path) }
 
 // OptionsFor returns the Options for a Table III variant name such as

@@ -55,16 +55,16 @@ type ScalePoint struct {
 	DenseKoEStarExpansions  int64 `json:"dense_koestar_expansions,omitempty"`
 
 	// Snapshot cold start at this scale: the oracle engine is baked to a
-	// temp file in both container formats and each is timed from file to
-	// first answered probe query (best of three) — SnapshotColdV3Ms opens
-	// the flat bake zero-copy over an mmap, SnapshotColdV2Ms pays the
-	// sequential full decode. The probe is a cheap ToE query: it proves the
-	// engine serves, while keeping the metric about load cost rather than
-	// the KoE* query cost measured separately above. SnapshotMappedBytes is
-	// the mmap-served residency of the opened v3 engine (0 on platforms
-	// without mmap); SnapshotBytes the v3 file size.
+	// temp file and SnapshotColdV3Ms times snapshot.OpenEngine (zero-copy
+	// over an mmap) from file to first answered probe query, best of three.
+	// The probe is a cheap ToE query: it proves the engine serves, while
+	// keeping the metric about load cost rather than the KoE* query cost
+	// measured separately above. SnapshotMappedBytes is the mmap-served
+	// residency of the opened engine (0 on platforms without mmap);
+	// SnapshotBytes the file size. The committed BENCH_SCALE.json also
+	// carries a snapshot_cold_v2_ms column from builds that still wrote the
+	// sequential v2 format; it is frozen history and no longer produced.
 	SnapshotBytes       int64   `json:"snapshot_bytes,omitempty"`
-	SnapshotColdV2Ms    float64 `json:"snapshot_cold_v2_ms,omitempty"`
 	SnapshotColdV3Ms    float64 `json:"snapshot_cold_v3_ms,omitempty"`
 	SnapshotMappedBytes int64   `json:"snapshot_mapped_bytes,omitempty"`
 }
@@ -150,8 +150,7 @@ func RunScale(cfg Config, quick bool) (*ScaleReport, error) {
 			return nil, fmt.Errorf("bench: mega venue %d×%d oracle KoE*: %w", floors, shops, err)
 		}
 
-		pt.SnapshotColdV3Ms, pt.SnapshotColdV2Ms, pt.SnapshotMappedBytes, pt.SnapshotBytes, err =
-			snapshotColdStart(engO, reqs[0])
+		pt.SnapshotColdV3Ms, pt.SnapshotMappedBytes, pt.SnapshotBytes, err = snapshotColdStart(engO, reqs[0])
 		if err != nil {
 			return nil, fmt.Errorf("bench: mega venue %d×%d snapshot cold start: %w", floors, shops, err)
 		}
@@ -171,95 +170,60 @@ func RunScale(cfg Config, quick bool) (*ScaleReport, error) {
 	return rep, nil
 }
 
-// snapshotColdStart bakes eng to a temp file in both container formats and
-// times each from file to first answered probe query, best of three: the v3
-// bake through snapshot.OpenEngine (zero-copy over an mmap where supported),
-// the v2 bake through the sequential full decode. The probe runs the cheap
-// ToE variant so the measurement is dominated by load cost, not by the KoE*
-// query cost the sweep records separately. Returned alongside are the opened
-// v3 engine's mmap-served bytes and the v3 file size.
-func snapshotColdStart(eng *search.Engine, req search.Request) (v3Ms, v2Ms float64, mappedBytes, snapBytes int64, err error) {
+// snapshotColdStart bakes eng to a temp file and times snapshot.OpenEngine
+// (zero-copy over an mmap where supported) from file to first answered
+// probe query, best of three. The probe runs the cheap ToE variant so the
+// measurement is dominated by load cost, not by the KoE* query cost the
+// sweep records separately. Returned alongside are the opened engine's
+// mmap-served bytes and the file size.
+func snapshotColdStart(eng *search.Engine, req search.Request) (coldMs float64, mappedBytes, snapBytes int64, err error) {
 	opt, err := search.OptionsFor(search.VariantToE)
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return 0, 0, 0, err
 	}
 	dir, err := os.MkdirTemp("", "ikrq-scale-")
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return 0, 0, 0, err
 	}
 	defer os.RemoveAll(dir)
-	p3 := filepath.Join(dir, "bake-v3.ikrq")
-	p2 := filepath.Join(dir, "bake-v2.ikrq")
-	if err := writeSnapshot(p3, eng, snapshot.SaveEngine); err != nil {
-		return 0, 0, 0, 0, err
+	path := filepath.Join(dir, "bake.ikrq")
+	if err := writeSnapshot(path, eng); err != nil {
+		return 0, 0, 0, err
 	}
-	if err := writeSnapshot(p2, eng, snapshot.SaveEngineV2); err != nil {
-		return 0, 0, 0, 0, err
-	}
-	info, err := os.Stat(p3)
+	info, err := os.Stat(path)
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return 0, 0, 0, err
 	}
 	snapBytes = info.Size()
 
-	best := func(load func() (*search.Engine, error)) (time.Duration, *search.Engine, error) {
-		var (
-			bestD time.Duration = 1<<63 - 1
-			bestE *search.Engine
-		)
-		for i := 0; i < 3; i++ {
-			// Settle the collector so neither decoder is billed for GC debt
-			// accumulated by the sweep's own precompute allocations.
-			runtime.GC()
-			t0 := time.Now()
-			e, err := load()
-			if err != nil {
-				return 0, nil, err
-			}
-			if _, err := e.Search(req, opt); err != nil {
-				return 0, nil, err
-			}
-			if d := time.Since(t0); d < bestD {
-				bestD = d
-				if bestE != nil {
-					_ = bestE.Close()
-				}
-				bestE = e
-			} else {
-				_ = e.Close()
-			}
-		}
-		return bestD, bestE, nil
-	}
-
-	d3, e3, err := best(func() (*search.Engine, error) { return snapshot.OpenEngine(p3) })
-	if err != nil {
-		return 0, 0, 0, 0, fmt.Errorf("v3 cold start: %w", err)
-	}
-	mappedBytes = e3.MemStats().MappedBytes
-	_ = e3.Close()
-	d2, e2, err := best(func() (*search.Engine, error) {
-		f, err := os.Open(p2)
+	best := time.Duration(1<<63 - 1)
+	for i := 0; i < 3; i++ {
+		// Settle the collector so the open is not billed for GC debt
+		// accumulated by the sweep's own precompute allocations.
+		runtime.GC()
+		t0 := time.Now()
+		e, err := snapshot.OpenEngine(path)
 		if err != nil {
-			return nil, err
+			return 0, 0, 0, fmt.Errorf("cold start: %w", err)
 		}
-		defer f.Close()
-		return snapshot.LoadEngine(f)
-	})
-	if err != nil {
-		return 0, 0, 0, 0, fmt.Errorf("v2 cold start: %w", err)
+		_, err = e.Search(req, opt)
+		best = min(best, time.Since(t0))
+		mappedBytes = e.MemStats().MappedBytes
+		_ = e.Close()
+		if err != nil {
+			return 0, 0, 0, fmt.Errorf("cold start: %w", err)
+		}
 	}
-	_ = e2.Close()
-	return ms(d3), ms(d2), mappedBytes, snapBytes, nil
+	return ms(best), mappedBytes, snapBytes, nil
 }
 
-// writeSnapshot bakes eng to path with the given encoder.
-func writeSnapshot(path string, eng *search.Engine, save func(io.Writer, *search.Engine) error) error {
+// writeSnapshot bakes eng to path.
+func writeSnapshot(path string, eng *search.Engine) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := save(f, eng); err != nil {
+	if err := snapshot.SaveEngine(f, eng); err != nil {
 		f.Close()
 		return err
 	}
@@ -329,17 +293,17 @@ func (r *ScaleReport) WriteJSON(w io.Writer) error {
 func (r *ScaleReport) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "scale suite %s (GOMAXPROCS=%d, %s, %d queries × %d runs per point, dense cap %d states)\n",
 		r.Suite, r.GoMaxProcs, r.GoVersion, r.Queries, r.Runs, r.DenseCap)
-	fmt.Fprintf(w, "%7s %6s %7s %7s %6s %12s %12s %12s %12s %10s %10s %10s %10s %10s %10s %10s %10s\n",
+	fmt.Fprintf(w, "%7s %6s %7s %7s %6s %12s %12s %12s %12s %10s %10s %10s %10s %10s %10s %10s\n",
 		"floors", "shops", "parts", "states", "hubs",
 		"orc build ms", "orc bytes", "dense bytes", "dense bld ms", "orc p50ms", "dense p50ms", "orc exps", "dense exps",
-		"snap bytes", "v2 cold ms", "v3 cold ms", "mapped B")
+		"snap bytes", "v3 cold ms", "mapped B")
 	for _, p := range r.Points {
-		fmt.Fprintf(w, "%7d %6d %7d %7d %6d %12.1f %12d %12d %12.1f %10.2f %10.2f %10d %10d %10d %10.2f %10.2f %10d\n",
+		fmt.Fprintf(w, "%7d %6d %7d %7d %6d %12.1f %12d %12d %12.1f %10.2f %10.2f %10d %10d %10d %10.2f %10d\n",
 			p.Floors, p.ShopsPerFloor, p.Partitions, p.States, p.Hubs,
 			p.OracleBuildMs, p.OracleBytes, p.DenseBytes, p.DenseBuildMs,
 			p.OracleKoEStarP50Ms, p.DenseKoEStarP50Ms,
 			p.OracleKoEStarExpansions, p.DenseKoEStarExpansions,
-			p.SnapshotBytes, p.SnapshotColdV2Ms, p.SnapshotColdV3Ms, p.SnapshotMappedBytes)
+			p.SnapshotBytes, p.SnapshotColdV3Ms, p.SnapshotMappedBytes)
 	}
 }
 

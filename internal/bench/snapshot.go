@@ -21,17 +21,17 @@ type SnapshotReport struct {
 	HasMatrix bool
 
 	// OpenTime is the cold start through snapshot.OpenEngine — the serving
-	// path, zero-copy over an mmap for v3 bakes; LoadTime is the full heap
-	// decode of the same file; RebuildTime derives the same index layer
-	// (state graph, skeleton, and — when the snapshot carries one — the
-	// KoE* matrix) from scratch.
+	// path, trusted and zero-copy over an mmap; LoadTime is the untrusted
+	// heap load of the same file through snapshot.LoadEngine (every CRC,
+	// every value scan, the space rebuilt from its record); RebuildTime
+	// derives the same index layer (state graph, skeleton, and — when the
+	// snapshot carries one — the KoE* matrix) from scratch.
 	OpenTime    time.Duration
 	LoadTime    time.Duration
 	RebuildTime time.Duration
 
 	// MappedBytes and HeapBytes split the opened engine's residency (see
-	// search.MemStats); MappedBytes is 0 for v1/v2 bakes and on platforms
-	// without mmap.
+	// search.MemStats); MappedBytes is 0 on platforms without mmap.
 	MappedBytes int64
 	HeapBytes   int64
 
@@ -62,8 +62,8 @@ func RunSnapshot(path string, cfg Config, cond *model.Conditions) (*SnapshotRepo
 	ems := eng.MemStats()
 	rep.MappedBytes, rep.HeapBytes = ems.MappedBytes, ems.HeapBytes
 
-	// The same file through the full heap decode, for the open-vs-decode
-	// comparison the flat format exists to win.
+	// The same file through the untrusted heap load, for the open-vs-load
+	// comparison the trusted mode exists to win.
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -148,7 +148,7 @@ func (r *SnapshotReport) Fprint(w io.Writer) {
 		float64(r.HeapBytes)/(1<<20), float64(r.MappedBytes)/(1<<20))
 	speedup := float64(r.RebuildTime) / float64(r.LoadTime)
 	openSpeedup := float64(r.RebuildTime) / float64(r.OpenTime)
-	fmt.Fprintf(w, "cold start: open %v / decode %v vs rebuild %v (%.1fx / %.1fx)\n\n",
+	fmt.Fprintf(w, "cold start: open %v / heap load %v vs rebuild %v (%.1fx / %.1fx)\n\n",
 		r.OpenTime.Round(time.Millisecond), r.LoadTime.Round(time.Millisecond),
 		r.RebuildTime.Round(time.Millisecond), openSpeedup, speedup)
 	r.Fig.Fprint(w)

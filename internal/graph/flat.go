@@ -7,28 +7,28 @@ import (
 	"ikrq/internal/model"
 )
 
-// This file is the graph layer's zero-copy half of the snapshot seam: the
-// FromFlat constructors adopt the caller's slices directly — when the caller
-// hands views over an mmap'd snapshot (see internal/snapshot/mapping), the
-// big distance tables are served straight from the page cache and never
-// copied onto the heap. The FromState constructors in record.go remain the
-// fully-copying, fully-validating path for decoded records.
+// This file is the restore half of the graph layer's snapshot seam (the
+// records in record.go are the export half): the FromFlat constructors
+// adopt the caller's slices directly — when the caller hands views over an
+// mmap'd snapshot (see internal/snapshot/mapping), the big distance tables
+// are served straight from the page cache and never copied onto the heap.
+// They are the only way back from a snapshot.
 //
 // Validation contract: structural properties that memory safety depends on
 // (table lengths, every stored index that is later used to address a slice)
 // are checked unconditionally. Per-element value scans over the bulk float
-// tables (non-negative, non-NaN) run only when trusted is false — they would
-// touch every page of an otherwise lazily-faulted mapping, and a bad value
-// can only skew a result, never fault. Mapped loads pass trusted=true and
-// keep cold start O(pages actually touched); heap loads pass trusted=false
-// and keep the v1/v2 validation guarantees.
+// tables (non-negative, non-NaN, zero diagonal) run only when trusted is
+// false — they would touch every page of an otherwise lazily-faulted
+// mapping, and a bad value can only skew a result, never fault. Mapped
+// loads pass trusted=true and keep cold start O(pages actually touched);
+// every other load passes trusted=false and gets the full value checks.
 
 // PathFinderFromFlat restores a PathFinder from columnar state and arc
 // tables: states holds (door, part) int32 pairs interleaved, arcTo/arcW the
 // arc targets and weights grouped by source state with per-state counts.
 // The adjacency lists are always materialized on the heap (the in-memory
-// arc layout is padded and cannot alias disk), so this path validates
-// everything, like PathFinderFromState.
+// arc layout is padded and cannot alias disk), so it validates everything
+// in both trust modes, arc weights included.
 func PathFinderFromFlat(s *model.Space, states []int32, arcCounts []int32, arcTo []int32, arcW []float64) (*PathFinder, error) {
 	if len(states)%2 != 0 {
 		return nil, fmt.Errorf("graph: flat state table has odd length %d", len(states))

@@ -418,13 +418,6 @@ func (pf *PathFinder) AppendSeedsFromPointIn(dst []Seed, p geom.Point, host mode
 	return dst
 }
 
-// SeedFromState builds the single seed for routes continuing from a stamp
-// that entered partition v through door d. Self-loops out of v are ordinary
-// arcs of the state graph, so no extra seeds are needed.
-func (pf *PathFinder) SeedFromState(d model.DoorID, v model.PartitionID) []Seed {
-	return []Seed{{State: pf.StateOf(d, v)}}
-}
-
 // Tree is the result of a single-source (multi-seed) shortest-path
 // computation: distances and parents for every state, from which paths to
 // any number of targets can be read without re-running Dijkstra. KoE uses

@@ -86,8 +86,9 @@ func TestSelfLoopExitsDeadEnd(t *testing.T) {
 	d2 := doors[2]
 
 	// From inside the shop (entered via d2) to a point in h2: the only way
-	// out is the self-loop (d2, d2), an ordinary arc of the state graph.
-	seeds := pf.SeedFromState(d2, shop)
+	// out is the self-loop (d2, d2), an ordinary arc of the state graph, so
+	// the lone seed at the entry state needs no extra self-loop seeds.
+	seeds := []Seed{{State: pf.StateOf(d2, shop)}}
 	pt := geom.Pt(25, 5, 0)
 	path, ok := pf.ShortestToPoint(seeds, pt, parts[2], Costs{})
 	if !ok {

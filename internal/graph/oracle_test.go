@@ -184,27 +184,67 @@ func TestNewOracleParallelDeterministic(t *testing.T) {
 	}
 }
 
-// TestOracleRecordRoundTrip: Export → OracleFromState reproduces the oracle
-// bit-for-bit, and a record from a different space is rejected.
+func oracleFromRecord(pf *PathFinder, rec *OracleRecord, trusted bool) (*Oracle, error) {
+	return OracleFromFlat(pf, rec.Hubs, rec.HubOff, rec.ToHub, rec.FromHub, rec.HubDist, trusted)
+}
+
+// TestOracleRecordRoundTrip: Export → OracleFromFlat reproduces the oracle
+// bit-for-bit, and a record from a different space is rejected in both
+// trust modes (the hub enumeration is recomputed and compared either way).
 func TestOracleRecordRoundTrip(t *testing.T) {
 	s := randomMall(t, 5)
 	pf := NewPathFinder(s)
 	o := NewOracle(pf)
 	rec := o.Export()
-	got, err := OracleFromState(pf, rec)
-	if err != nil {
-		t.Fatalf("OracleFromState: %v", err)
-	}
-	if !reflect.DeepEqual(got.Export(), rec) {
-		t.Fatal("round-tripped oracle differs")
-	}
 	other := NewPathFinder(randomMall(t, 6))
-	if _, err := OracleFromState(other, rec); err == nil {
-		t.Fatal("record from a different space accepted")
+	trustModes(t, func(t *testing.T, trusted bool) {
+		got, err := oracleFromRecord(pf, rec, trusted)
+		if err != nil {
+			t.Fatalf("OracleFromFlat: %v", err)
+		}
+		if !reflect.DeepEqual(got.Export(), rec) {
+			t.Fatal("round-tripped oracle differs")
+		}
+		if _, err := oracleFromRecord(other, rec, trusted); err == nil {
+			t.Fatal("record from a different space accepted")
+		}
+	})
+}
+
+// TestOracleFromFlatRejectsBadInput: hub enumeration and table lengths are
+// structural and checked in both modes; the distance values feed bounds,
+// never indexing, so their scans run only untrusted.
+func TestOracleFromFlatRejectsBadInput(t *testing.T) {
+	s := randomMall(t, 5)
+	pf := NewPathFinder(s)
+	o := NewOracle(pf)
+	if o.NumHubs() < 2 {
+		t.Fatalf("venue has %d hubs; the cases below need two", o.NumHubs())
 	}
-	if _, err := OracleFromState(pf, nil); err == nil {
-		t.Fatal("nil record accepted")
+	cases := []struct {
+		name      string
+		valueOnly bool
+		mutate    func(*OracleRecord)
+	}{
+		{"missing hub", false, func(r *OracleRecord) { r.Hubs = r.Hubs[:len(r.Hubs)-1] }},
+		{"wrong hub", false, func(r *OracleRecord) { r.Hubs[0] = r.Hubs[1] }},
+		{"wrong floor offset", false, func(r *OracleRecord) { r.HubOff[1]++ }},
+		{"short toHub table", false, func(r *OracleRecord) { r.ToHub = r.ToHub[:len(r.ToHub)-1] }},
+		{"short hubDist table", false, func(r *OracleRecord) { r.HubDist = r.HubDist[1:] }},
+		{"negative toHub", true, func(r *OracleRecord) { r.ToHub[0] = -1 }},
+		{"NaN fromHub", true, func(r *OracleRecord) { r.FromHub[0] = math.NaN() }},
+		{"nonzero hubDist diagonal", true, func(r *OracleRecord) { r.HubDist[0] = 2 }},
 	}
+	trustModes(t, func(t *testing.T, trusted bool) {
+		for _, tc := range cases {
+			rec := o.Export()
+			tc.mutate(rec)
+			_, err := oracleFromRecord(pf, rec, trusted)
+			if accept := trusted && tc.valueOnly; accept != (err == nil) {
+				t.Errorf("%s: accepted=%v, want %v (err %v)", tc.name, err == nil, accept, err)
+			}
+		}
+	})
 }
 
 // TestOracleSingleFloor: with no stairways there are no hubs; every

@@ -1,19 +1,15 @@
 package graph
 
-import (
-	"fmt"
-	"math"
+import "ikrq/internal/model"
 
-	"ikrq/internal/model"
-)
-
-// This file is the graph layer's half of the snapshot seam (see
-// internal/snapshot): the three precomputed distance structures — the state
-// graph, the skeleton closure and the KoE* all-pairs matrix — each export a
-// flat record and restore from one without repeating their construction
-// work. The state enumeration is cheap, but arc weights, the Floyd–Warshall
-// closure and the n×n all-pairs Dijkstra sweep dominate engine build time,
-// which is exactly what loading a snapshot skips.
+// This file is the export half of the graph layer's snapshot seam (see
+// internal/snapshot): the precomputed distance structures — the state
+// graph, the skeleton closure and the KoE* backends — each export a record
+// that the snapshot writer lays out flat, and the FromFlat constructors in
+// flat.go restore them without repeating their construction work. The
+// state enumeration is cheap, but arc weights, the Floyd–Warshall closure
+// and the n×n all-pairs Dijkstra sweep dominate engine build time, which is
+// exactly what loading a snapshot skips.
 
 // StateRecord is one (door, entered-partition) state; its position in
 // PathFinderRecord.States is its StateID.
@@ -59,59 +55,6 @@ func (pf *PathFinder) Export() *PathFinderRecord {
 	return rec
 }
 
-// PathFinderFromState restores a PathFinder for s from a record: states and
-// arcs are adopted as-is (no re-enumeration, no weight recomputation) after
-// validating every ID against the space, and the per-door state index is
-// rebuilt.
-func PathFinderFromState(s *model.Space, rec *PathFinderRecord) (*PathFinder, error) {
-	if rec == nil {
-		return nil, fmt.Errorf("graph: nil pathfinder record")
-	}
-	if len(rec.ArcCounts) != len(rec.States) {
-		return nil, fmt.Errorf("graph: pathfinder record has %d states but %d arc counts",
-			len(rec.States), len(rec.ArcCounts))
-	}
-	pf := &PathFinder{
-		s:          s,
-		states:     make([]state, len(rec.States)),
-		doorStates: make([][]StateID, s.NumDoors()),
-		adj:        make([][]arc, len(rec.States)),
-	}
-	for i, st := range rec.States {
-		if int(st.Door) < 0 || int(st.Door) >= s.NumDoors() {
-			return nil, fmt.Errorf("graph: state %d references missing door %d", i, st.Door)
-		}
-		if int(st.Part) < 0 || int(st.Part) >= s.NumPartitions() {
-			return nil, fmt.Errorf("graph: state %d references missing partition %d", i, st.Part)
-		}
-		pf.states[i] = state{door: st.Door, part: st.Part}
-		pf.doorStates[st.Door] = append(pf.doorStates[st.Door], StateID(i))
-	}
-	off := 0
-	for i, n := range rec.ArcCounts {
-		if n < 0 || off+int(n) > len(rec.Arcs) {
-			return nil, fmt.Errorf("graph: pathfinder record arc counts overflow the arc table")
-		}
-		as := make([]arc, n)
-		for j := 0; j < int(n); j++ {
-			a := rec.Arcs[off+j]
-			if int(a.To) < 0 || int(a.To) >= len(rec.States) {
-				return nil, fmt.Errorf("graph: arc from state %d targets missing state %d", i, a.To)
-			}
-			if a.W < 0 || math.IsNaN(a.W) || math.IsInf(a.W, 0) {
-				return nil, fmt.Errorf("graph: arc from state %d has invalid weight %v", i, a.W)
-			}
-			as[j] = arc{to: a.To, w: a.W}
-		}
-		pf.adj[i] = as
-		off += int(n)
-	}
-	if off != len(rec.Arcs) {
-		return nil, fmt.Errorf("graph: pathfinder record has %d unclaimed arcs", len(rec.Arcs)-off)
-	}
-	return pf, nil
-}
-
 // SkeletonRecord is the serializable form of a Skeleton: the staircase-door
 // order and the Floyd–Warshall-closed δs2s matrix, row-major. +Inf entries
 // (disconnected skeleton components) are preserved.
@@ -127,42 +70,6 @@ func (sk *Skeleton) Export() *SkeletonRecord {
 		Doors: append([]model.DoorID(nil), sk.doors...),
 		Dist:  append([]float64(nil), sk.d...),
 	}
-}
-
-// SkeletonFromState restores a Skeleton for s from a record, adopting the
-// closed δs2s matrix instead of re-running Floyd–Warshall.
-func SkeletonFromState(s *model.Space, rec *SkeletonRecord) (*Skeleton, error) {
-	if rec == nil {
-		return nil, fmt.Errorf("graph: nil skeleton record")
-	}
-	n := len(rec.Doors)
-	if len(rec.Dist) != n*n {
-		return nil, fmt.Errorf("graph: skeleton record has %d doors but %d distances (want %d)",
-			n, len(rec.Dist), n*n)
-	}
-	sk := &Skeleton{s: s, idx: make(map[model.DoorID]int, n)}
-	for i, d := range rec.Doors {
-		if int(d) < 0 || int(d) >= s.NumDoors() {
-			return nil, fmt.Errorf("graph: skeleton record references missing door %d", d)
-		}
-		if !s.Door(d).Stair {
-			return nil, fmt.Errorf("graph: skeleton record lists non-stair door %d", d)
-		}
-		if _, dup := sk.idx[d]; dup {
-			return nil, fmt.Errorf("graph: skeleton record lists door %d twice", d)
-		}
-		sk.idx[d] = i
-		sk.doors = append(sk.doors, d)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if v := rec.Dist[i*n+j]; v < 0 || math.IsNaN(v) || (i == j && v != 0) {
-				return nil, fmt.Errorf("graph: skeleton record δs2s[%d][%d] is invalid: %v", i, j, v)
-			}
-		}
-	}
-	sk.d = append([]float64(nil), rec.Dist...)
-	return sk, nil
 }
 
 // MatrixRecord is the serializable form of the KoE* all-pairs Matrix: the
@@ -184,40 +91,6 @@ func (m *Matrix) Export() *MatrixRecord {
 		Dist: append([]float64(nil), m.dist...),
 		Prev: append([]StateID(nil), m.prev...),
 	}
-}
-
-// MatrixFromState restores a Matrix over pf from a record, adopting the
-// precomputed tables instead of re-running the n-source Dijkstra sweep. The
-// record's dimension must match the finder's state count.
-func MatrixFromState(pf *PathFinder, rec *MatrixRecord) (*Matrix, error) {
-	if rec == nil {
-		return nil, fmt.Errorf("graph: nil matrix record")
-	}
-	n := int(rec.N)
-	if n != pf.NumStates() {
-		return nil, fmt.Errorf("graph: matrix record is %d×%d but the state graph has %d states",
-			n, n, pf.NumStates())
-	}
-	if len(rec.Dist) != n*n || len(rec.Prev) != n*n {
-		return nil, fmt.Errorf("graph: matrix record tables have %d/%d entries (want %d)",
-			len(rec.Dist), len(rec.Prev), n*n)
-	}
-	for i, pv := range rec.Prev {
-		if pv != NoState && (int(pv) < 0 || int(pv) >= n) {
-			return nil, fmt.Errorf("graph: matrix record prev[%d] references missing state %d", i, pv)
-		}
-	}
-	for i, d := range rec.Dist {
-		if d < 0 || math.IsNaN(d) {
-			return nil, fmt.Errorf("graph: matrix record dist[%d] is invalid: %v", i, d)
-		}
-	}
-	return &Matrix{
-		pf:   pf,
-		n:    n,
-		dist: append([]float64(nil), rec.Dist...),
-		prev: append([]StateID(nil), rec.Prev...),
-	}, nil
 }
 
 // Finder returns the PathFinder the matrix was computed over.
@@ -245,74 +118,4 @@ func (o *Oracle) Export() *OracleRecord {
 		FromHub: append([]float64(nil), o.fromHub...),
 		HubDist: append([]float64(nil), o.hubDist...),
 	}
-}
-
-// OracleFromState restores an Oracle over pf from a record, adopting the
-// distance tables instead of re-running the hub sweep. The hub enumeration
-// is recomputed from the finder and must match the record exactly — a
-// mismatch means the record belongs to a different space.
-func OracleFromState(pf *PathFinder, rec *OracleRecord) (*Oracle, error) {
-	if rec == nil {
-		return nil, fmt.Errorf("graph: nil oracle record")
-	}
-	o := &Oracle{pf: pf, floors: pf.s.Floors()}
-	n := pf.NumStates()
-	o.floorOf = make([]int32, n)
-	for i := 0; i < n; i++ {
-		o.floorOf[i] = int32(pf.s.Door(pf.states[i].door).Pos.Floor)
-	}
-	o.hubOff = make([]int32, o.floors+1)
-	for f := 0; f < o.floors; f++ {
-		o.hubOff[f] = int32(len(o.hubs))
-		for _, d := range pf.s.StairDoorsOnFloor(f) {
-			o.hubs = append(o.hubs, pf.doorStates[d]...)
-		}
-	}
-	o.hubOff[o.floors] = int32(len(o.hubs))
-	if len(rec.Hubs) != len(o.hubs) || len(rec.HubOff) != len(o.hubOff) {
-		return nil, fmt.Errorf("graph: oracle record has %d hubs over %d floors, the space has %d over %d",
-			len(rec.Hubs), len(rec.HubOff)-1, len(o.hubs), o.floors)
-	}
-	for i, hs := range rec.Hubs {
-		if hs != o.hubs[i] {
-			return nil, fmt.Errorf("graph: oracle record hub %d is state %d, the space enumerates %d", i, hs, o.hubs[i])
-		}
-	}
-	for i, off := range rec.HubOff {
-		if off != o.hubOff[i] {
-			return nil, fmt.Errorf("graph: oracle record floor offset %d is %d, the space has %d", i, off, o.hubOff[i])
-		}
-	}
-	o.stateOff = make([]int32, n+1)
-	off := int32(0)
-	for i := 0; i < n; i++ {
-		o.stateOff[i] = off
-		f := o.floorOf[i]
-		off += o.hubOff[f+1] - o.hubOff[f]
-	}
-	o.stateOff[n] = off
-	h := len(o.hubs)
-	if len(rec.ToHub) != int(off) || len(rec.FromHub) != int(off) || len(rec.HubDist) != h*h {
-		return nil, fmt.Errorf("graph: oracle record tables have %d/%d/%d entries (want %d/%d/%d)",
-			len(rec.ToHub), len(rec.FromHub), len(rec.HubDist), off, off, h*h)
-	}
-	for i, d := range rec.ToHub {
-		if d < 0 || math.IsNaN(d) {
-			return nil, fmt.Errorf("graph: oracle record toHub[%d] is invalid: %v", i, d)
-		}
-	}
-	for i, d := range rec.FromHub {
-		if d < 0 || math.IsNaN(d) {
-			return nil, fmt.Errorf("graph: oracle record fromHub[%d] is invalid: %v", i, d)
-		}
-	}
-	for i, d := range rec.HubDist {
-		if d < 0 || math.IsNaN(d) || (i/h == i%h && d != 0) {
-			return nil, fmt.Errorf("graph: oracle record hubDist[%d] is invalid: %v", i, d)
-		}
-	}
-	o.toHub = append([]float64(nil), rec.ToHub...)
-	o.fromHub = append([]float64(nil), rec.FromHub...)
-	o.hubDist = append([]float64(nil), rec.HubDist...)
-	return o, nil
 }

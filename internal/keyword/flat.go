@@ -10,10 +10,11 @@ import (
 // the I2T mapping in CSR form (i2tOff row offsets into i2tVals) and the P2I
 // assignment. The i2t rows and p2i are adopted by reference — when the
 // caller hands views over an mmap'd snapshot, the match lists serve straight
-// from the page cache. Every stored ID is validated regardless (the tables
-// are O(words + edges + partitions), far from the bulk float tables the
-// trusted fast path exists for), and the derived mappings (T2I, I2P, name
-// lookups) are rebuilt in the same deterministic order as IndexFromRecord.
+// from the page cache. Every stored ID is validated in every load (the
+// tables are O(words + edges + partitions), far from the bulk float tables
+// the trusted fast path exists for), and the derived mappings (T2I, I2P,
+// name lookups) are rebuilt in deterministic order: t2i rows by ascending
+// i-word, i2p rows by ascending partition.
 func IndexFromFlat(iwords, twords []string, i2tOff []int32, i2tVals []TWordID, p2i []IWordID) (*Index, error) {
 	if len(i2tOff) != len(iwords)+1 {
 		return nil, fmt.Errorf("keyword: flat index has %d i-words but %d I2T row offsets",

@@ -1,16 +1,12 @@
 package keyword
 
-import (
-	"fmt"
-
-	"ikrq/internal/model"
-)
-
 // IndexRecord is the flat, serializable form of an Index: the i-word and
 // t-word tables (IDs implied by position), the I2T edges and the P2I
-// assignment. The inverse mappings (T2I, I2P) and the name lookups are
-// derived deterministically on import, so a restored index is structurally
-// identical to the original — same IDs, same sorted mapping slices.
+// assignment. It is the snapshot writer's input; IndexFromFlat restores
+// from the same tables laid out flat, deriving the inverse mappings (T2I,
+// I2P) and the name lookups deterministically, so a restored index is
+// structurally identical to the original — same IDs, same sorted mapping
+// slices.
 type IndexRecord struct {
 	IWords []string
 	TWords []string
@@ -37,65 +33,3 @@ func (x *Index) Export() *IndexRecord {
 // NumPartitions returns the number of partitions the index was built for
 // (the domain of P2I).
 func (x *Index) NumPartitions() int { return len(x.p2i) }
-
-// IndexFromRecord restores an Index from a record, validating every ID and
-// the Wi/Wt disjointness invariant, and rebuilding the derived mappings
-// (T2I, I2P, name lookups) in deterministic order.
-func IndexFromRecord(rec *IndexRecord) (*Index, error) {
-	if rec == nil {
-		return nil, fmt.Errorf("keyword: nil index record")
-	}
-	if len(rec.I2T) != len(rec.IWords) {
-		return nil, fmt.Errorf("keyword: record has %d i-words but %d I2T rows",
-			len(rec.IWords), len(rec.I2T))
-	}
-	x := &Index{
-		iwords:      append([]string(nil), rec.IWords...),
-		twords:      append([]string(nil), rec.TWords...),
-		iwordByName: make(map[string]IWordID, len(rec.IWords)),
-		twordByName: make(map[string]TWordID, len(rec.TWords)),
-		p2i:         append([]IWordID(nil), rec.P2I...),
-		i2p:         make([][]model.PartitionID, len(rec.IWords)),
-		i2t:         make([][]TWordID, len(rec.IWords)),
-		t2i:         make([][]IWordID, len(rec.TWords)),
-	}
-	for i, w := range x.iwords {
-		if _, dup := x.iwordByName[w]; dup {
-			return nil, fmt.Errorf("keyword: duplicate i-word %q in record", w)
-		}
-		x.iwordByName[w] = IWordID(i)
-	}
-	for i, w := range x.twords {
-		if _, dup := x.twordByName[w]; dup {
-			return nil, fmt.Errorf("keyword: duplicate t-word %q in record", w)
-		}
-		if _, clash := x.iwordByName[w]; clash {
-			return nil, fmt.Errorf("keyword: word %q is both an i-word and a t-word in record", w)
-		}
-		x.twordByName[w] = TWordID(i)
-	}
-	for i, row := range rec.I2T {
-		for j, t := range row {
-			if int(t) < 0 || int(t) >= len(x.twords) {
-				return nil, fmt.Errorf("keyword: I2T[%d] references missing t-word %d", i, t)
-			}
-			if j > 0 && row[j-1] >= t {
-				return nil, fmt.Errorf("keyword: I2T[%d] is not strictly sorted", i)
-			}
-			x.i2t[i] = append(x.i2t[i], t)
-			// i ascends across the outer loop, so t2i rows come out sorted.
-			x.t2i[t] = append(x.t2i[t], IWordID(i))
-		}
-	}
-	for v, w := range x.p2i {
-		if w == NoIWord {
-			continue
-		}
-		if int(w) < 0 || int(w) >= len(x.iwords) {
-			return nil, fmt.Errorf("keyword: P2I[%d] references missing i-word %d", v, w)
-		}
-		// v ascends, so i2p rows come out sorted.
-		x.i2p[w] = append(x.i2p[w], model.PartitionID(v))
-	}
-	return x, nil
-}

@@ -1,7 +1,7 @@
 package keyword
 
 import (
-	"reflect"
+	"slices"
 	"testing"
 
 	"ikrq/internal/model"
@@ -24,11 +24,32 @@ func recordIndex(t *testing.T) *Index {
 	return x
 }
 
+// i2tCSR lays a record's I2T rows out as the CSR tables the snapshot
+// reader hands IndexFromFlat.
+type i2tCSR struct {
+	off  []int32
+	vals []TWordID
+}
+
+func csrOf(rec *IndexRecord) *i2tCSR {
+	c := &i2tCSR{off: []int32{0}}
+	for _, row := range rec.I2T {
+		c.vals = append(c.vals, row...)
+		c.off = append(c.off, int32(len(c.vals)))
+	}
+	return c
+}
+
+func indexFromRecord(rec *IndexRecord) (*Index, error) {
+	c := csrOf(rec)
+	return IndexFromFlat(rec.IWords, rec.TWords, c.off, c.vals, rec.P2I)
+}
+
 func TestIndexRecordRoundTrip(t *testing.T) {
 	x := recordIndex(t)
-	got, err := IndexFromRecord(x.Export())
+	got, err := indexFromRecord(x.Export())
 	if err != nil {
-		t.Fatalf("IndexFromRecord: %v", err)
+		t.Fatalf("IndexFromFlat: %v", err)
 	}
 	if got.NumIWords() != x.NumIWords() || got.NumTWords() != x.NumTWords() ||
 		got.NumPartitions() != x.NumPartitions() {
@@ -39,10 +60,10 @@ func TestIndexRecordRoundTrip(t *testing.T) {
 		if got.IWord(id) != x.IWord(id) {
 			t.Fatalf("i-word %d spelling differs", i)
 		}
-		if !reflect.DeepEqual(got.I2T(id), x.I2T(id)) {
+		if !slices.Equal(got.I2T(id), x.I2T(id)) {
 			t.Fatalf("I2T(%d) differs: %v vs %v", i, got.I2T(id), x.I2T(id))
 		}
-		if !reflect.DeepEqual(got.I2P(id), x.I2P(id)) {
+		if !slices.Equal(got.I2P(id), x.I2P(id)) {
 			t.Fatalf("I2P(%d) differs: %v vs %v", i, got.I2P(id), x.I2P(id))
 		}
 		if back, ok := got.LookupIWord(x.IWord(id)); !ok || back != id {
@@ -54,7 +75,7 @@ func TestIndexRecordRoundTrip(t *testing.T) {
 		if got.TWord(id) != x.TWord(id) {
 			t.Fatalf("t-word %d spelling differs", ti)
 		}
-		if !reflect.DeepEqual(got.T2I(id), x.T2I(id)) {
+		if !slices.Equal(got.T2I(id), x.T2I(id)) {
 			t.Fatalf("T2I(%d) differs: %v vs %v", ti, got.T2I(id), x.T2I(id))
 		}
 		if back, ok := got.LookupTWord(x.TWord(id)); !ok || back != id {
@@ -79,7 +100,7 @@ func TestIndexRecordSharesNoMemory(t *testing.T) {
 	}
 }
 
-func TestIndexFromRecordRejectsBadInput(t *testing.T) {
+func TestIndexFromFlatRejectsBadInput(t *testing.T) {
 	x := recordIndex(t)
 	cases := []struct {
 		name   string
@@ -90,17 +111,35 @@ func TestIndexFromRecordRejectsBadInput(t *testing.T) {
 		{"duplicate t-word", func(r *IndexRecord) { r.TWords[1] = r.TWords[0] }},
 		{"i-word/t-word clash", func(r *IndexRecord) { r.TWords[0] = r.IWords[0] }},
 		{"t-word id out of range", func(r *IndexRecord) { r.I2T[0][0] = 99 }},
+		{"negative t-word id", func(r *IndexRecord) { r.I2T[0][0] = -1 }},
 		{"unsorted i2t row", func(r *IndexRecord) { r.I2T[0][0], r.I2T[0][1] = r.I2T[0][1], r.I2T[0][0] }},
 		{"p2i out of range", func(r *IndexRecord) { r.P2I[0] = 99 }},
 	}
 	for _, tc := range cases {
 		rec := x.Export()
 		tc.mutate(rec)
-		if _, err := IndexFromRecord(rec); err == nil {
+		if _, err := indexFromRecord(rec); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
-	if _, err := IndexFromRecord(nil); err == nil {
-		t.Error("nil record accepted")
+
+	// CSR defects a record cannot express: offsets that do not span the
+	// values table, and a row running backwards.
+	csrCases := []struct {
+		name   string
+		mutate func(*i2tCSR)
+	}{
+		{"offsets start past zero", func(c *i2tCSR) { c.off[0] = 1 }},
+		{"offsets end short of values", func(c *i2tCSR) { c.vals = append(c.vals, 0) }},
+		{"row running backwards", func(c *i2tCSR) { c.off[1], c.off[2] = c.off[2], c.off[1] }},
+		{"no offsets for the i-words", func(c *i2tCSR) { c.off = nil }},
+	}
+	for _, tc := range csrCases {
+		rec := x.Export()
+		c := csrOf(rec)
+		tc.mutate(c)
+		if _, err := IndexFromFlat(rec.IWords, rec.TWords, c.off, c.vals, rec.P2I); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }

@@ -185,10 +185,10 @@ func (s *Space) ExportDerived() *DerivedRecord {
 // invariant the rest of the model relies on is still checked — reference
 // ranges, CSR monotonicity, sortedness, non-empty door lists, stairway
 // adjacency — but the float contents of the self-loop table are trusted,
-// exactly like the flat distance tables on the zero-copy snapshot path
-// (DESIGN.md §13). The heap snapshot path keeps using SpaceFromRecord, so
-// any divergence between the two is caught by the mapped-vs-heap
-// equivalence suite.
+// exactly like the flat distance tables on the trusted snapshot load
+// (DESIGN.md §13). Untrusted snapshot loads rebuild through SpaceFromRecord
+// instead, so any divergence between the two is caught by the snapshot
+// package's trust-mode equivalence suite.
 func SpaceFromRecordDerived(rec *SpaceRecord, der *DerivedRecord) (*Space, error) {
 	if rec == nil || der == nil {
 		return nil, fmt.Errorf("model: nil space or derived record")
@@ -226,10 +226,12 @@ func SpaceFromRecordDerived(rec *SpaceRecord, der *DerivedRecord) (*Space, error
 		if f := p.Floor(); f > maxFloor {
 			maxFloor = f
 		}
+		// Each window is sliced before later rows are checked, so its end is
+		// bounded here rather than by the final offset.
 		elo, ehi := der.EnterOff[i], der.EnterOff[i+1]
 		llo, lhi := der.LeaveOff[i], der.LeaveOff[i+1]
-		if ehi < elo || lhi < llo {
-			return nil, fmt.Errorf("model: partition %d has decreasing derived door offsets", i)
+		if ehi < elo || lhi < llo || int(ehi) > len(der.EnterDoors) || int(lhi) > len(der.LeaveDoors) {
+			return nil, fmt.Errorf("model: partition %d has decreasing or out-of-range derived door offsets", i)
 		}
 		if ehi == elo {
 			return nil, fmt.Errorf("model: partition %d (%s) has no enter door", i, pr.Name)
@@ -252,8 +254,8 @@ func SpaceFromRecordDerived(rec *SpaceRecord, der *DerivedRecord) (*Space, error
 		d.ID, d.Pos, d.Stair = DoorID(i), dr.Pos, dr.Stair
 		elo, ehi := der.DoorEnterOff[i], der.DoorEnterOff[i+1]
 		llo, lhi := der.DoorLeaveOff[i], der.DoorLeaveOff[i+1]
-		if ehi < elo || lhi < llo {
-			return nil, fmt.Errorf("model: door %d has decreasing derived partition offsets", i)
+		if ehi < elo || lhi < llo || int(ehi) > len(der.DoorEnterParts) || int(lhi) > len(der.DoorLeaveParts) {
+			return nil, fmt.Errorf("model: door %d has decreasing or out-of-range derived partition offsets", i)
 		}
 		d.enterable = der.DoorEnterParts[elo:ehi:ehi]
 		d.leaveable = der.DoorLeaveParts[llo:lhi:lhi]

@@ -120,3 +120,32 @@ func TestSpaceFromRecordRejectsBadInput(t *testing.T) {
 		t.Fatal("door referencing missing partition accepted")
 	}
 }
+
+// TestSpaceFromRecordDerivedRejectsBadOffsets: the derived CSRs may come
+// straight from an unchecksummed mmap, so an interior offset past its table
+// must be an error, even when a later row would expose the decrease — the
+// restore slices each window as it goes.
+func TestSpaceFromRecordDerivedRejectsBadOffsets(t *testing.T) {
+	s := recordSpace(t)
+	if _, err := SpaceFromRecordDerived(s.Export(), s.ExportDerived()); err != nil {
+		t.Fatalf("SpaceFromRecordDerived on a clean export: %v", err)
+	}
+	cases := []struct {
+		name   string
+		offs   func(*DerivedRecord) []int32
+		tables func(*DerivedRecord) int
+	}{
+		{"enter", func(d *DerivedRecord) []int32 { return d.EnterOff }, func(d *DerivedRecord) int { return len(d.EnterDoors) }},
+		{"leave", func(d *DerivedRecord) []int32 { return d.LeaveOff }, func(d *DerivedRecord) int { return len(d.LeaveDoors) }},
+		{"door enter", func(d *DerivedRecord) []int32 { return d.DoorEnterOff }, func(d *DerivedRecord) int { return len(d.DoorEnterParts) }},
+		{"door leave", func(d *DerivedRecord) []int32 { return d.DoorLeaveOff }, func(d *DerivedRecord) int { return len(d.DoorLeaveParts) }},
+		{"self-loop", func(d *DerivedRecord) []int32 { return d.SelfLoopOff }, func(d *DerivedRecord) int { return len(d.SelfLoopPart) }},
+	}
+	for _, tc := range cases {
+		der := s.ExportDerived()
+		tc.offs(der)[1] = int32(tc.tables(der) + 1000)
+		if _, err := SpaceFromRecordDerived(s.Export(), der); err == nil {
+			t.Errorf("%s: interior offset past the table accepted", tc.name)
+		}
+	}
+}

@@ -250,9 +250,11 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		}
 		if !bytes.Equal(sig, lastSig) {
 			lastSig = sig
+			// Count before writing: a client that has read the event must
+			// already see it in the pushes counter.
+			s.met.pushes.Add(1)
 			writeSSE(w, "result", rev, payload)
 			flusher.Flush()
-			s.met.pushes.Add(1)
 		}
 	}
 }

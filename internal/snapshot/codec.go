@@ -7,11 +7,12 @@ import (
 )
 
 // The section payload codec: fixed-width little-endian primitives plus
-// length-prefixed strings. The writer appends to a growing buffer; the
-// reader walks a byte slice with bounds checking on every access and
-// records the first failure instead of panicking, which is what lets the
-// container decoder guarantee "corrupt input returns an error" (enforced by
-// FuzzSnapshotDecode).
+// length-prefixed strings. The writer appends to a growing buffer and
+// builds every payload; the reader decodes the parts read element by
+// element (the SPAC section and the KWRD string blob), walking a byte slice
+// with bounds checking on every access and recording the first failure
+// instead of panicking, which is what lets the snapshot reader guarantee
+// "corrupt input returns an error" (enforced by FuzzSnapshotDecode).
 
 type writer struct {
 	buf []byte
@@ -80,33 +81,6 @@ func (r *reader) f64() float64 {
 		return 0
 	}
 	return math.Float64frombits(binary.LittleEndian.Uint64(s))
-}
-
-// f64s bulk-reads n float64 values. It is the hot path of the skeleton and
-// matrix sections, whose payloads are one large table each.
-func (r *reader) f64s(n int) []float64 {
-	s := r.take(n * 8)
-	if s == nil {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(s[i*8:]))
-	}
-	return out
-}
-
-// i32s bulk-reads n int32 values.
-func (r *reader) i32s(n int) []int32 {
-	s := r.take(n * 4)
-	if s == nil {
-		return nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(s[i*4:]))
-	}
-	return out
 }
 
 // count reads a u32 element count and validates it against the bytes

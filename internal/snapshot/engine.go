@@ -1,13 +1,10 @@
 package snapshot
 
 import (
-	"fmt"
 	"io"
 
-	"ikrq/internal/graph"
-	"ikrq/internal/keyword"
-	"ikrq/internal/model"
 	"ikrq/internal/search"
+	"ikrq/internal/snapshot/mapping"
 )
 
 // SaveEngine writes e's immutable index layer to w in the current (v3,
@@ -18,13 +15,6 @@ import (
 // the precomputation.
 func SaveEngine(w io.Writer, e *search.Engine) error {
 	return EncodeV3(w, exportEngine(e))
-}
-
-// SaveEngineV2 writes e's index layer in the sequential v2 container
-// format, for snapshots that pre-v3 builds must still be able to load. v2
-// streams always decode onto the heap.
-func SaveEngineV2(w io.Writer, e *search.Engine) error {
-	return Encode(w, exportEngine(e))
 }
 
 func exportEngine(e *search.Engine) *Snapshot {
@@ -44,55 +34,18 @@ func exportEngine(e *search.Engine) *Snapshot {
 	return snap
 }
 
-// LoadEngine decodes a snapshot from r and assembles a ready-to-serve
-// engine from its parts: the space record is replayed through the model
-// builder (revalidating the topology), and the pathfinder, skeleton and
-// matrix adopt their persisted states instead of recomputing them. A loaded
-// engine returns results identical to one freshly built over the same space
-// and keyword index.
+// LoadEngine reads a snapshot from r into a heap image and assembles a
+// ready-to-serve engine from it through the untrusted reader: every
+// section CRC is verified, every table is value-scanned, and the space
+// record is replayed through the model builder (revalidating the
+// topology), while the pathfinder, skeleton and KoE* backend adopt their
+// persisted tables instead of recomputing them. It is the bit-rot check
+// for a bake. A loaded engine returns results identical to one freshly
+// built over the same space and keyword index.
 func LoadEngine(r io.Reader) (*search.Engine, error) {
-	snap, err := Decode(r)
+	b, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	return AssembleEngine(snap)
-}
-
-// AssembleEngine builds an engine from already-decoded records.
-func AssembleEngine(snap *Snapshot) (*search.Engine, error) {
-	s, err := model.SpaceFromRecord(snap.Space)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: restoring space: %w", err)
-	}
-	x, err := keyword.IndexFromRecord(snap.Keywords)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: restoring keyword index: %w", err)
-	}
-	pf, err := graph.PathFinderFromState(s, snap.PathFinder)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: restoring state graph: %w", err)
-	}
-	sk, err := graph.SkeletonFromState(s, snap.Skeleton)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: restoring skeleton: %w", err)
-	}
-	var mat *graph.Matrix
-	if snap.Matrix != nil {
-		mat, err = graph.MatrixFromState(pf, snap.Matrix)
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: restoring KoE* matrix: %w", err)
-		}
-	}
-	var orc *graph.Oracle
-	if snap.Oracle != nil {
-		orc, err = graph.OracleFromState(pf, snap.Oracle)
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: restoring KoE* oracle: %w", err)
-		}
-	}
-	e, err := search.NewEngineFromParts(s, x, pf, sk, mat, orc)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	return e, nil
+	return EngineFromMapping(mapping.FromBytes(b))
 }

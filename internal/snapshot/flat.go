@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -17,19 +18,18 @@ import (
 // payloads whose bulk arrays are stored little-endian in their in-memory
 // layout, 8-byte-aligned, so a loader can serve the big distance tables as
 // views straight over an mmap'd file (see internal/snapshot/mapping and
-// DESIGN.md §13) instead of decoding them element by element. Two readers
-// share the structural parser:
+// DESIGN.md §13) instead of decoding them element by element. One reader,
+// engineFromFlat, serves every load in one of two trust modes:
 //
-//   - decodeV3 is the heap path behind Decode/LoadEngine: every section CRC
-//     is verified and every payload is copy-converted into the same records
-//     v2 produces, then fully validated by the FromState constructors. This
-//     is also the path for big-endian hosts, where the stored layout is not
-//     the native one.
-//   - engineFromFlat is the zero-copy path behind OpenEngine: bulk tables
-//     are aliased in place and handed to the trusted FromFlat constructors,
-//     which keep every structural and index-safety check but skip the
-//     per-element value scans (and the bulk-section CRCs) that would fault
-//     in every page of the mapping — cold start stays O(pages touched).
+//   - trusted (OpenEngine over a real OS mapping on a little-endian host):
+//     bulk tables are aliased in place and handed to the FromFlat
+//     constructors, which keep every structural and index-safety check but
+//     skip the per-element value scans (and the bulk-section CRCs) that
+//     would fault in every page of the mapping — cold start stays
+//     O(pages touched).
+//   - untrusted (LoadEngine, heap-backed images, big-endian hosts): every
+//     section CRC is verified, the FromFlat value scans run, and the space
+//     is rebuilt from SPAC through the model builder, ignoring SPCD.
 //
 // v3 layout (all integers little-endian):
 //
@@ -46,8 +46,9 @@ import (
 const v3MinReader uint16 = 3
 
 // hostLittleEndian gates the zero-copy path: v3 arrays are stored
-// little-endian, so only LE hosts may alias them. BE hosts fall back to the
-// (byte-order converting) heap decode.
+// little-endian, so only LE hosts may alias them. On BE hosts alias decodes
+// each array into a fresh slice and the reader runs untrusted. A variable,
+// not a constant, so tests can drive the copy mode on any host.
 var hostLittleEndian = func() bool {
 	var x uint16 = 1
 	return *(*byte)(unsafe.Pointer(&x)) == 1
@@ -280,7 +281,7 @@ func encodeOracleFlat(rec *graph.OracleRecord) []byte {
 	return w.buf
 }
 
-// --- structural parse (shared by both readers) ---
+// --- structural parse (both trust modes) ---
 
 // flatSection is one directory entry with its resolved payload window.
 type flatSection struct {
@@ -293,7 +294,6 @@ type flatSection struct {
 // offsets/alignment/gaps checked, known sections indexed by tag. Payload
 // CRCs and contents are NOT yet verified.
 type flatImage struct {
-	ver   uint16
 	byTag map[string]*flatSection
 	all   []flatSection
 }
@@ -316,14 +316,22 @@ func parseFlat(b []byte) (*flatImage, error) {
 	if string(b[:len(Magic)]) != Magic {
 		return nil, ErrBadMagic
 	}
+	// The version goes first: a v1 header has no min-reader field, and its
+	// section count would otherwise be misread as one.
 	ver := uint16(b[8]) | uint16(b[9])<<8
+	if ver < MinDecodable {
+		return nil, fmt.Errorf("%w: snapshot has version %d, this build reads versions %d–%d; re-bake it with this build",
+			ErrVersion, ver, MinDecodable, Version)
+	}
 	minReader := uint16(b[10]) | uint16(b[11])<<8
 	if minReader > Version {
 		return nil, fmt.Errorf("%w: snapshot has version %d and requires a reader of version ≥ %d; this build reads versions %d–%d",
 			ErrVersion, ver, minReader, MinDecodable, Version)
 	}
-	if ver < v3MinReader || minReader < v3MinReader {
-		return nil, fmt.Errorf("%w: v3 parser on a v%d stream (min-reader %d)", ErrCorrupt, ver, minReader)
+	if minReader < v3MinReader {
+		// Min-reader ≤ 2 declared the retired sequential layout.
+		return nil, fmt.Errorf("%w: snapshot has version %d with min-reader %d (the sequential layout); re-bake it with this build",
+			ErrVersion, ver, minReader)
 	}
 	skipUnknown := ver > Version
 	n := int(uint16(b[12]) | uint16(b[13])<<8)
@@ -334,7 +342,7 @@ func parseFlat(b []byte) (*flatImage, error) {
 	if dirEnd > len(b) {
 		return nil, fmt.Errorf("%w: directory of %d sections does not fit the %d-byte stream", ErrCorrupt, n, len(b))
 	}
-	img := &flatImage{ver: ver, byTag: make(map[string]*flatSection, n)}
+	img := &flatImage{byTag: make(map[string]*flatSection, n)}
 	end := dirEnd
 	for i := 0; i < n; i++ {
 		e := b[16+24*i:]
@@ -643,17 +651,7 @@ func parseOrclFlat(b []byte) (*orclFlat, error) {
 	return v, nil
 }
 
-// --- copy conversion (heap path, any byte order) ---
-
-func f64sFrom(b []byte, n int) []float64 {
-	r := &reader{b: b}
-	return r.f64s(n)
-}
-
-func i32sFrom(b []byte, n int) []int32 {
-	r := &reader{b: b}
-	return r.i32s(n)
-}
+// --- assembly ---
 
 // decodeStrings decodes n length-prefixed strings from a codec-style blob.
 func decodeStrings(r *reader, n int) []string {
@@ -664,124 +662,13 @@ func decodeStrings(r *reader, n int) []string {
 	return out
 }
 
-// decodeV3 is the heap reader: full CRC verification, copy-converted
-// records, full record validation downstream in AssembleEngine.
-func decodeV3(b []byte) (*Snapshot, error) {
-	img, err := parseFlat(b)
-	if err != nil {
-		return nil, err
-	}
-	for i := range img.all {
-		if err := img.all[i].checkCRC(); err != nil {
-			return nil, err
-		}
-	}
-	snap := &Snapshot{}
-	if snap.Space, err = decodeSpace(img.byTag[tagSpace].b); err != nil {
-		return nil, fmt.Errorf("section %s: %w", tagSpace, err)
-	}
-
-	kw, err := parseKwrdFlat(img.byTag[tagKeywords].b)
-	if err != nil {
-		return nil, fmt.Errorf("section %s: %w", tagKeywords, err)
-	}
-	krec := &keyword.IndexRecord{}
-	sr := &reader{b: kw.strs}
-	krec.IWords = decodeStrings(sr, kw.nI)
-	krec.TWords = decodeStrings(sr, kw.nT)
-	if err := sr.done(); err != nil {
-		return nil, fmt.Errorf("section %s: %w", tagKeywords, err)
-	}
-	offs := i32sFrom(kw.i2tOff, kw.nI+1)
-	vals := i32sFrom(kw.i2tVals, kw.nE)
-	krec.I2T = make([][]keyword.TWordID, kw.nI)
-	for i := 0; i < kw.nI; i++ {
-		lo, hi := offs[i], offs[i+1]
-		if lo < 0 || hi < lo || int(hi) > kw.nE {
-			return nil, fmt.Errorf("%w: section %s: I2T row %d spans [%d,%d) of %d values", ErrCorrupt, tagKeywords, i, lo, hi, kw.nE)
-		}
-		row := make([]keyword.TWordID, hi-lo)
-		for j := range row {
-			row[j] = keyword.TWordID(vals[int(lo)+j])
-		}
-		krec.I2T[i] = row
-	}
-	krec.P2I = make([]keyword.IWordID, kw.nP)
-	for i, v := range i32sFrom(kw.p2i, kw.nP) {
-		krec.P2I[i] = keyword.IWordID(v)
-	}
-	snap.Keywords = krec
-
-	pw, err := parsePathFlat(img.byTag[tagPathFinder].b)
-	if err != nil {
-		return nil, fmt.Errorf("section %s: %w", tagPathFinder, err)
-	}
-	prec := &graph.PathFinderRecord{
-		States:    make([]graph.StateRecord, pw.nS),
-		ArcCounts: i32sFrom(pw.arcCounts, pw.nS),
-		Arcs:      make([]graph.ArcRecord, pw.nA),
-	}
-	stc := i32sFrom(pw.states, 2*pw.nS)
-	for i := 0; i < pw.nS; i++ {
-		prec.States[i] = graph.StateRecord{Door: model.DoorID(stc[2*i]), Part: model.PartitionID(stc[2*i+1])}
-	}
-	arcTo := i32sFrom(pw.arcTo, pw.nA)
-	arcW := f64sFrom(pw.arcW, pw.nA)
-	for i := 0; i < pw.nA; i++ {
-		prec.Arcs[i] = graph.ArcRecord{To: graph.StateID(arcTo[i]), W: arcW[i]}
-	}
-	snap.PathFinder = prec
-
-	sw, err := parseSkelFlat(img.byTag[tagSkeleton].b)
-	if err != nil {
-		return nil, fmt.Errorf("section %s: %w", tagSkeleton, err)
-	}
-	srec := &graph.SkeletonRecord{Dist: f64sFrom(sw.dist, sw.n*sw.n)}
-	srec.Doors = make([]model.DoorID, sw.n)
-	for i, d := range i32sFrom(sw.doors, sw.n) {
-		srec.Doors[i] = model.DoorID(d)
-	}
-	snap.Skeleton = srec
-
-	if s := img.byTag[tagMatrix]; s != nil {
-		mw, err := parseMatxFlat(s.b)
-		if err != nil {
-			return nil, fmt.Errorf("section %s: %w", tagMatrix, err)
-		}
-		mrec := &graph.MatrixRecord{N: int32(mw.n), Dist: f64sFrom(mw.dist, mw.n*mw.n)}
-		mrec.Prev = make([]graph.StateID, mw.n*mw.n)
-		for i, v := range i32sFrom(mw.prev, mw.n*mw.n) {
-			mrec.Prev[i] = graph.StateID(v)
-		}
-		snap.Matrix = mrec
-	}
-
-	if s := img.byTag[tagOracle]; s != nil {
-		ow, err := parseOrclFlat(s.b)
-		if err != nil {
-			return nil, fmt.Errorf("section %s: %w", tagOracle, err)
-		}
-		orec := &graph.OracleRecord{
-			HubOff:  i32sFrom(ow.hubOff, ow.nOff),
-			ToHub:   f64sFrom(ow.toHub, ow.nT),
-			FromHub: f64sFrom(ow.fromHub, ow.nT),
-			HubDist: f64sFrom(ow.hubDist, ow.nH*ow.nH),
-		}
-		orec.Hubs = make([]graph.StateID, ow.nH)
-		for i, v := range i32sFrom(ow.hubs, ow.nH) {
-			orec.Hubs[i] = graph.StateID(v)
-		}
-		snap.Oracle = orec
-	}
-	return snap, nil
-}
-
-// --- zero-copy assembly (mapped path, little-endian hosts) ---
-
-// alias reinterprets a window of the mapping as a []T without copying. The
-// caller guarantees the window was produced by fwalk.arr(n, sizeof(T)); the
-// alignment recheck guards the construction (mapping bases are 8-aligned
-// and flat arrays sit at 8-aligned offsets, so it only fires on misuse).
+// alias returns a window of the image as a []T. On little-endian hosts it
+// reinterprets the bytes in place without copying: the caller guarantees
+// the window was produced by fwalk.arr(n, sizeof(T)), and the alignment
+// recheck guards the construction (mapping bases are 8-aligned and flat
+// arrays sit at 8-aligned offsets, so it only fires on misuse). On
+// big-endian hosts it decodes the little-endian elements into a fresh
+// slice instead.
 func alias[T any](b []byte, n int) ([]T, error) {
 	if n == 0 {
 		return nil, nil
@@ -791,6 +678,21 @@ func alias[T any](b []byte, n int) ([]T, error) {
 	if len(b) < n*size {
 		return nil, fmt.Errorf("%w: %d-byte window cannot hold %d elements", ErrCorrupt, len(b), n)
 	}
+	if !hostLittleEndian {
+		// Every flat element type is a 4- or 8-byte integer or float, so
+		// storing the decoded bit pattern through a same-size pointer
+		// yields the native value.
+		out := make([]T, n)
+		for i := range out {
+			p := unsafe.Pointer(&out[i])
+			if size == 8 {
+				*(*uint64)(p) = binary.LittleEndian.Uint64(b[8*i:])
+			} else {
+				*(*uint32)(p) = binary.LittleEndian.Uint32(b[4*i:])
+			}
+		}
+		return out, nil
+	}
 	if uintptr(unsafe.Pointer(unsafe.SliceData(b)))%align != 0 {
 		return nil, fmt.Errorf("%w: misaligned flat array", ErrCorrupt)
 	}
@@ -798,27 +700,26 @@ func alias[T any](b []byte, n int) ([]T, error) {
 }
 
 // engineFromFlat assembles an engine whose bulk tables are views over the
-// mapping (which must outlive the engine — the caller wires the lifetime via
-// Engine.SetMapping). It returns the engine plus the number of table bytes
-// served from the mapping rather than the heap.
+// image b (which must outlive the engine — the caller wires the lifetime
+// via Engine.SetMapping). It returns the engine plus the number of table
+// bytes served from the image rather than the heap.
 //
-// CRC and validation policy hinge on mapped: over a real OS mapping the
-// sections read in full anyway (space, keywords, pathfinder — their contents
-// are materialized or validated element by element) are CRC-verified, while
-// the bulk tables (derived space, skeleton, matrix, oracle) are not, because
-// checksumming them would fault in every page; their CRCs are still written
-// at bake time and verified by the heap reader and the fuzz gate (see
-// DESIGN.md §13). A private heap image (mmap unsupported or failed) has
-// already paid O(file) to load, so the O(pages-touched) argument does not
-// apply: every section is CRC-verified and the FromFlat constructors run
-// their full value scans, keeping the integrity guarantees of the decode
-// path.
-func engineFromFlat(b []byte, mapped bool) (*search.Engine, int64, error) {
+// trusted picks the validation policy. Trusted loads CRC-verify only the
+// sections read in full anyway (space, keywords, pathfinder — their
+// contents are materialized or validated element by element), adopt the
+// baked SPCD structures, and skip the FromFlat value scans: checksumming
+// or scanning the bulk tables (derived space, skeleton, matrix, oracle)
+// would fault in every page of the mapping. Their CRCs are still written at
+// bake time and verified by untrusted loads and the fuzz gate (see
+// DESIGN.md §13). Untrusted loads verify every section CRC, run every
+// value scan, and rebuild the space from SPAC through the model builder,
+// CRC-checking SPCD but ignoring its contents.
+func engineFromFlat(b []byte, trusted bool) (*search.Engine, int64, error) {
 	img, err := parseFlat(b)
 	if err != nil {
 		return nil, 0, err
 	}
-	if !mapped {
+	if !trusted {
 		for i := range img.all {
 			if err := img.all[i].checkCRC(); err != nil {
 				return nil, 0, err
@@ -828,18 +729,18 @@ func engineFromFlat(b []byte, mapped bool) (*search.Engine, int64, error) {
 	var aliased int64
 
 	spac := img.byTag[tagSpace]
-	if mapped {
+	if trusted {
 		if err := spac.checkCRC(); err != nil {
 			return nil, 0, err
 		}
 	}
 	var s *model.Space
-	if sec := img.byTag[tagDerived]; sec != nil {
+	if sec := img.byTag[tagDerived]; trusted && sec != nil {
 		// The baked derived structures let the space come up without the
 		// geometry-heavy builder replay — the largest single cost of a cold
 		// start. The CSR windows alias the mapping directly, and the lite
 		// SPAC decode skips the per-door lists SPCD already carries.
-		srec, err := decodeSpaceLite(spac.b)
+		srec, err := decodeSpaceMode(spac.b, true)
 		if err != nil {
 			return nil, 0, fmt.Errorf("section %s: %w", tagSpace, err)
 		}
@@ -882,22 +783,22 @@ func engineFromFlat(b []byte, mapped bool) (*search.Engine, int64, error) {
 			return nil, 0, err
 		}
 		if s, err = model.SpaceFromRecordDerived(srec, der); err != nil {
-			return nil, 0, fmt.Errorf("snapshot: restoring space: %w", err)
+			return nil, 0, fmt.Errorf("%w: restoring space: %w", ErrCorrupt, err)
 		}
 	} else {
-		// v3 streams from writers that omit SPCD still open fine; the
-		// derived structures are recomputed as on the heap path.
-		srec, err := decodeSpace(spac.b)
+		// Untrusted loads (and v3 streams from writers that omit SPCD)
+		// replay the full space record through the validating builder.
+		srec, err := decodeSpaceMode(spac.b, false)
 		if err != nil {
 			return nil, 0, fmt.Errorf("section %s: %w", tagSpace, err)
 		}
 		if s, err = model.SpaceFromRecord(srec); err != nil {
-			return nil, 0, fmt.Errorf("snapshot: restoring space: %w", err)
+			return nil, 0, fmt.Errorf("%w: restoring space: %w", ErrCorrupt, err)
 		}
 	}
 
 	kws := img.byTag[tagKeywords]
-	if mapped {
+	if trusted {
 		if err := kws.checkCRC(); err != nil {
 			return nil, 0, err
 		}
@@ -926,12 +827,12 @@ func engineFromFlat(b []byte, mapped bool) (*search.Engine, int64, error) {
 	}
 	x, err := keyword.IndexFromFlat(iwords, twords, i2tOff, i2tVals, p2i)
 	if err != nil {
-		return nil, 0, fmt.Errorf("snapshot: restoring keyword index: %w", err)
+		return nil, 0, fmt.Errorf("%w: restoring keyword index: %w", ErrCorrupt, err)
 	}
 	aliased += int64(len(kw.i2tVals) + len(kw.p2i))
 
 	ps := img.byTag[tagPathFinder]
-	if mapped {
+	if trusted {
 		if err := ps.checkCRC(); err != nil {
 			return nil, 0, err
 		}
@@ -958,7 +859,7 @@ func engineFromFlat(b []byte, mapped bool) (*search.Engine, int64, error) {
 	}
 	pf, err := graph.PathFinderFromFlat(s, states, arcCounts, arcTo, arcW)
 	if err != nil {
-		return nil, 0, fmt.Errorf("snapshot: restoring state graph: %w", err)
+		return nil, 0, fmt.Errorf("%w: restoring state graph: %w", ErrCorrupt, err)
 	}
 
 	sv, err := parseSkelFlat(img.byTag[tagSkeleton].b)
@@ -973,9 +874,9 @@ func engineFromFlat(b []byte, mapped bool) (*search.Engine, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	sk, err := graph.SkeletonFromFlat(s, doors, dist, mapped)
+	sk, err := graph.SkeletonFromFlat(s, doors, dist, trusted)
 	if err != nil {
-		return nil, 0, fmt.Errorf("snapshot: restoring skeleton: %w", err)
+		return nil, 0, fmt.Errorf("%w: restoring skeleton: %w", ErrCorrupt, err)
 	}
 	aliased += int64(len(sv.dist))
 
@@ -993,9 +894,9 @@ func engineFromFlat(b []byte, mapped bool) (*search.Engine, int64, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		mat, err = graph.MatrixFromFlat(pf, mv.n, mdist, mprev, mapped)
+		mat, err = graph.MatrixFromFlat(pf, mv.n, mdist, mprev, trusted)
 		if err != nil {
-			return nil, 0, fmt.Errorf("snapshot: restoring KoE* matrix: %w", err)
+			return nil, 0, fmt.Errorf("%w: restoring KoE* matrix: %w", ErrCorrupt, err)
 		}
 		aliased += int64(len(mv.dist) + len(mv.prev))
 	}
@@ -1026,72 +927,54 @@ func engineFromFlat(b []byte, mapped bool) (*search.Engine, int64, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		orc, err = graph.OracleFromFlat(pf, hubs, hubOff, toHub, fromHub, hubDist, mapped)
+		orc, err = graph.OracleFromFlat(pf, hubs, hubOff, toHub, fromHub, hubDist, trusted)
 		if err != nil {
-			return nil, 0, fmt.Errorf("snapshot: restoring KoE* oracle: %w", err)
+			return nil, 0, fmt.Errorf("%w: restoring KoE* oracle: %w", ErrCorrupt, err)
 		}
 		aliased += int64(len(ov.toHub) + len(ov.fromHub) + len(ov.hubDist))
 	}
 
 	e, err := search.NewEngineFromParts(s, x, pf, sk, mat, orc)
 	if err != nil {
-		return nil, 0, fmt.Errorf("snapshot: %w", err)
+		return nil, 0, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
 	return e, aliased, nil
 }
 
 // EngineFromMapping assembles a serving engine over a loaded snapshot
-// image. v3 images on little-endian hosts take the zero-copy path: the bulk
-// tables become views over the mapping, the engine adopts the mapping's
-// lifetime (Engine.Close releases it), and search.MemStats splits resident
-// bytes into heap vs mapped. A v3 image that is heap-backed (mmap
-// unsupported or failed) still assembles through the flat views but with
-// full CRC verification and value scans — only a real OS mapping skips
-// them. Anything else — v1/v2 images, big-endian hosts — takes the
-// fully-validating heap decode, after which the image itself is no longer
-// needed and is closed.
+// image. The trust mode follows from what the image is: only a real OS
+// mapping on a little-endian host loads trusted — bulk tables become views
+// over the mapping, the engine adopts the mapping's lifetime (Engine.Close
+// releases it), and search.MemStats splits resident bytes into heap vs
+// mapped. A heap-backed image (mmap unsupported or failed, FromBytes) has
+// already paid O(file) to load, so it loads untrusted with full CRC
+// verification and value scans, its views pinning the buffer. On
+// big-endian hosts every table is decoded into fresh slices, after which
+// the image is no longer needed and is closed.
 func EngineFromMapping(m *mapping.Mapping) (*search.Engine, error) {
-	b := m.Bytes()
-	flat := hostLittleEndian && len(b) >= 12 && string(b[:len(Magic)]) == Magic
-	if flat {
-		minReader := uint16(b[10]) | uint16(b[11])<<8
-		ver := uint16(b[8]) | uint16(b[9])<<8
-		flat = ver >= v3MinReader && minReader >= v3MinReader && minReader <= Version
-	}
-	if !flat {
-		snap, err := decodeBytes(b)
-		if err != nil {
-			return nil, err
-		}
-		e, err := AssembleEngine(snap)
-		_ = m.Close() // everything is copied; drop the image either way
-		if err != nil {
-			return nil, err
-		}
-		return e, nil
-	}
-	// Only a real OS mapping gets the trusted fast path (bulk CRCs and value
-	// scans skipped); a private heap image is fully verified — see
-	// engineFromFlat's policy comment.
-	e, aliased, err := engineFromFlat(b, m.Mapped())
+	trusted := m.Mapped() && hostLittleEndian
+	e, aliased, err := engineFromFlat(m.Bytes(), trusted)
 	if err != nil {
 		return nil, err
 	}
-	if m.Mapped() {
+	switch {
+	case trusted:
 		e.SetMapping(m.Len(), aliased, m.Close)
-	} else {
-		// Heap-backed image: the aliased views pin the buffer; nothing is
-		// page-cache shared, so residency accounting stays all-heap.
+	case hostLittleEndian:
+		// Nothing is page-cache shared, so residency accounting stays
+		// all-heap.
 		e.SetMapping(0, 0, m.Close)
+	default:
+		_ = m.Close()
 	}
 	return e, nil
 }
 
 // OpenEngine loads the snapshot at path and assembles a serving engine,
-// mmap'ing v3 snapshots where the platform supports it so cold start is
-// O(pages touched) and co-resident processes share the page cache. The
-// engine owns the underlying mapping: call Engine.Close once it is no
-// longer serving (the serving registry does this on eviction and swap).
+// mmap'ing it where the platform supports it so cold start is O(pages
+// touched) and co-resident processes share the page cache. The engine owns
+// the underlying mapping: call Engine.Close once it is no longer serving
+// (the serving registry does this on eviction and swap).
 func OpenEngine(path string) (*search.Engine, error) {
 	m, err := mapping.OpenFile(path)
 	if err != nil {

@@ -4,13 +4,15 @@ import (
 	"testing"
 
 	"ikrq/internal/graph"
+	"ikrq/internal/snapshot/mapping"
 )
 
 // TestMatxFlatRoundTripOddDimensions pins the section-level encode/parse
 // contract for MATX: the payload is 8+12n² bytes with no trailing padding,
 // which is not 8-aligned when n is odd. A parser that demands alignment
 // padding after the prev table runs past the section end and rejects every
-// dense bake with an odd state count.
+// dense bake with an odd state count. Both alias modes — the in-place view
+// and the big-endian copy — must return the encoded cells.
 func TestMatxFlatRoundTripOddDimensions(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 4, 5} {
 		rec := &graph.MatrixRecord{
@@ -22,7 +24,8 @@ func TestMatxFlatRoundTripOddDimensions(t *testing.T) {
 			rec.Dist[i] = float64(i) * 1.5
 			rec.Prev[i] = graph.StateID(i % max(n, 1))
 		}
-		b := encodeMatrixFlat(rec)
+		// An aligned copy, as every snapshot image is.
+		b := mapping.FromBytes(encodeMatrixFlat(rec)).Bytes()
 		v, err := parseMatxFlat(b)
 		if err != nil {
 			t.Fatalf("n=%d: parseMatxFlat: %v", n, err)
@@ -30,12 +33,22 @@ func TestMatxFlatRoundTripOddDimensions(t *testing.T) {
 		if v.n != n || len(v.dist) != 8*n*n || len(v.prev) != 4*n*n {
 			t.Fatalf("n=%d: parsed n=%d, dist %dB, prev %dB", n, v.n, len(v.dist), len(v.prev))
 		}
-		dist := f64sFrom(v.dist, n*n)
-		prev := i32sFrom(v.prev, n*n)
-		for i := 0; i < n*n; i++ {
-			if dist[i] != rec.Dist[i] || graph.StateID(prev[i]) != rec.Prev[i] {
-				t.Fatalf("n=%d: cell %d round-tripped to (%v,%v), want (%v,%v)",
-					n, i, dist[i], prev[i], rec.Dist[i], rec.Prev[i])
+		for _, le := range []bool{true, false} {
+			restore := SetHostLittleEndian(le)
+			dist, err := alias[float64](v.dist, n*n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prev, err := alias[graph.StateID](v.prev, n*n)
+			restore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n*n; i++ {
+				if dist[i] != rec.Dist[i] || prev[i] != rec.Prev[i] {
+					t.Fatalf("n=%d le=%v: cell %d round-tripped to (%v,%v), want (%v,%v)",
+						n, le, i, dist[i], prev[i], rec.Dist[i], rec.Prev[i])
+				}
 			}
 		}
 	}

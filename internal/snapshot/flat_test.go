@@ -2,8 +2,11 @@ package snapshot_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -17,51 +20,35 @@ import (
 	"ikrq/internal/snapshot/mapping"
 )
 
-// mappedEngine serves a v3 bake zero-copy over an in-memory mapping — the
-// same flat assembly a real mmap takes, but deterministic across platforms.
-// Heap-backed images run the full CRC and value checks (only a real OS
-// mapping is trusted), so this is the stricter of the two flat modes.
-func mappedEngine(t testing.TB, data []byte) *search.Engine {
-	t.Helper()
-	e, err := snapshot.EngineFromMapping(mapping.FromBytes(data))
-	if err != nil {
-		t.Fatalf("EngineFromMapping: %v", err)
-	}
-	return e
-}
-
-// flatEquivalence is the zero-copy correctness gate: the same v3 bake is
-// served three ways — full heap decode, flat view over an in-memory
-// mapping, and snapshot.OpenEngine on a real file (an actual mmap where the
-// platform supports one) — and all three must return byte-identical routes,
-// scores, and work counters for every Table III variant, with and without
-// live condition overlays.
+// flatEquivalence is the single-reader correctness gate: the same bake is
+// served four ways — LoadEngine (untrusted, over a heap image), the trusted
+// reader over an aligned heap copy, snapshot.OpenEngine on a real file (an
+// actual mmap where the platform supports one, trusted on little-endian
+// hosts), and OpenEngine in the big-endian copy mode, where every table is
+// decoded into fresh slices and the mapping is released at load — and each
+// must return routes and Stats identical to the freshly built engine for
+// every Table III variant, with and without live condition overlays.
 func flatEquivalence(t *testing.T, eng *search.Engine, reqs []search.Request, capExpansions int) {
 	t.Helper()
 	data := snapshotBytes(t, eng)
-
-	heap, err := snapshot.LoadEngine(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("LoadEngine: %v", err)
-	}
-	mapped := mappedEngine(t, data)
-	defer mapped.Close()
-
+	t.Logf("snapshot: %.1f MB", float64(len(data))/(1<<20))
 	path := filepath.Join(t.TempDir(), "flat.ikrq")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	opened, err := snapshot.OpenEngine(path)
-	if err != nil {
-		t.Fatalf("OpenEngine: %v", err)
-	}
-	defer opened.Close()
 
+	type probe struct {
+		name string
+		opt  search.Options
+		req  search.Request
+		want *search.Result
+	}
 	overlays := []*model.Conditions{
 		nil,
 		new(model.Conditions).Close(0),
 		new(model.Conditions).Delay(1, 30),
 	}
+	var probes []probe
 	for _, v := range search.Variants() {
 		opt, err := search.OptionsFor(v)
 		if err != nil {
@@ -74,29 +61,49 @@ func flatEquivalence(t *testing.T, eng *search.Engine, reqs []search.Request, ca
 			for o, cond := range overlays {
 				req := base
 				req.Conditions = cond
-				want, err := heap.Search(req, opt)
+				want, err := eng.Search(req, opt)
 				if err != nil {
-					t.Fatalf("%s req %d overlay %d heap: %v", v, i, o, err)
+					t.Fatalf("%s req %d overlay %d fresh: %v", v, i, o, err)
 				}
-				for name, e := range map[string]*search.Engine{"mapped": mapped, "opened": opened} {
-					got, err := e.Search(req, opt)
-					if err != nil {
-						t.Fatalf("%s req %d overlay %d %s: %v", v, i, o, name, err)
-					}
-					if !reflect.DeepEqual(got.Routes, want.Routes) {
-						t.Fatalf("%s req %d overlay %d: %s engine routes differ\nheap: %+v\n%s: %+v",
-							v, i, o, name, want.Routes, name, got.Routes)
-					}
-					if got.Stats.Pops != want.Stats.Pops ||
-						got.Stats.StampsCreated != want.Stats.StampsCreated ||
-						got.Stats.Recomputations != want.Stats.Recomputations {
-						t.Fatalf("%s req %d overlay %d: %s engine did different work: pops %d/%d stamps %d/%d recomp %d/%d",
-							v, i, o, name, got.Stats.Pops, want.Stats.Pops,
-							got.Stats.StampsCreated, want.Stats.StampsCreated,
-							got.Stats.Recomputations, want.Stats.Recomputations)
-					}
-				}
+				probes = append(probes, probe{fmt.Sprintf("%s req %d overlay %d", v, i, o), opt, req, want})
 			}
+		}
+	}
+
+	modes := []struct {
+		name string
+		load func() (*search.Engine, error)
+	}{
+		{"load", func() (*search.Engine, error) { return snapshot.LoadEngine(bytes.NewReader(data)) }},
+		{"trusted", func() (*search.Engine, error) { return snapshot.EngineFromFlatTrusted(data) }},
+		{"opened", func() (*search.Engine, error) { return snapshot.OpenEngine(path) }},
+		{"big-endian", func() (*search.Engine, error) {
+			defer snapshot.SetHostLittleEndian(false)()
+			return snapshot.OpenEngine(path)
+		}},
+	}
+	for _, m := range modes {
+		e, err := m.load()
+		if err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		for _, p := range probes {
+			got, err := e.Search(p.req, p.opt)
+			if err != nil {
+				t.Fatalf("%s %s: %v", p.name, m.name, err)
+			}
+			if !reflect.DeepEqual(got.Routes, p.want.Routes) {
+				t.Fatalf("%s: %s engine routes differ\nfresh: %+v\n%s: %+v",
+					p.name, m.name, p.want.Routes, m.name, got.Routes)
+			}
+			gs, ws := got.Stats, p.want.Stats
+			gs.Elapsed, ws.Elapsed = 0, 0
+			if gs != ws {
+				t.Fatalf("%s: %s engine did different work\nfresh: %+v\n%s: %+v", p.name, m.name, ws, m.name, gs)
+			}
+		}
+		if err := e.Close(); err != nil {
+			t.Fatalf("%s: Close: %v", m.name, err)
 		}
 	}
 }
@@ -195,10 +202,9 @@ func TestMappingFromBytesAligned(t *testing.T) {
 	}
 }
 
-// dirEntry locates section tag's directory entry in a v3 stream and
+// findSection locates section tag's directory entry in a v3 stream and
 // returns the entry offset plus the payload offset and length it declares.
-func dirEntry(t *testing.T, b []byte, tag string) (entry, off, length int) {
-	t.Helper()
+func findSection(b []byte, tag string) (entry, off, length int, ok bool) {
 	n := int(b[12]) | int(b[13])<<8
 	for i := 0; i < n; i++ {
 		e := 16 + 24*i
@@ -210,10 +216,24 @@ func dirEntry(t *testing.T, b []byte, tag string) (entry, off, length int) {
 			o |= uint64(b[e+8+j]) << (8 * j)
 			l |= uint64(b[e+16+j]) << (8 * j)
 		}
-		return e, int(o), int(l)
+		return e, int(o), int(l), true
 	}
-	t.Fatalf("section %s not found", tag)
-	return 0, 0, 0
+	return 0, 0, 0, false
+}
+
+func hasSection(b []byte, tag string) bool {
+	_, _, _, ok := findSection(b, tag)
+	return ok
+}
+
+// dirEntry is findSection for sections the test knows are present.
+func dirEntry(t *testing.T, b []byte, tag string) (entry, off, length int) {
+	t.Helper()
+	entry, off, length, ok := findSection(b, tag)
+	if !ok {
+		t.Fatalf("section %s not found", tag)
+	}
+	return entry, off, length
 }
 
 // fixCRC recomputes tag's directory checksum after a payload mutation, so
@@ -227,10 +247,10 @@ func fixCRC(t *testing.T, b []byte, tag string) {
 	}
 }
 
-// TestV3RejectsCorrupt drives hostile v3 streams through both decode modes:
-// the heap decoder must return a structured error wrapping the right
-// sentinel, and the mapped (trusted) reader must also error — never panic —
-// on everything its structural validation covers.
+// TestV3RejectsCorrupt drives hostile v3 streams through both trust modes:
+// LoadEngine must return a structured error wrapping the right sentinel,
+// and the trusted reader must also error — never panic — on everything its
+// structural validation covers.
 func TestV3RejectsCorrupt(t *testing.T) {
 	e := tinyEngine(t)
 	e.PrecomputeMatrix()
@@ -286,12 +306,11 @@ func TestV3RejectsCorrupt(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			mutated := tc.mutate(t, append([]byte(nil), data...))
-			if _, err := snapshot.Decode(bytes.NewReader(mutated)); !errors.Is(err, tc.want) {
-				t.Fatalf("Decode error %v does not wrap %v", err, tc.want)
+			if _, err := snapshot.LoadEngine(bytes.NewReader(mutated)); !errors.Is(err, tc.want) {
+				t.Fatalf("LoadEngine error %v does not wrap %v", err, tc.want)
 			}
-			if eng, err := snapshot.EngineFromMapping(mapping.FromBytes(mutated)); err == nil {
-				eng.Close()
-				t.Fatal("mapped reader accepted a corrupt stream")
+			if _, err := snapshot.EngineFromFlatTrusted(mutated); err == nil {
+				t.Fatal("trusted reader accepted a corrupt stream")
 			}
 		})
 	}
@@ -312,19 +331,18 @@ func TestV3RejectsCorrupt(t *testing.T) {
 		}
 	}
 	if corrupted {
-		if _, err := snapshot.Decode(bytes.NewReader(mutated)); !errors.Is(err, snapshot.ErrCorrupt) {
-			t.Fatalf("nonzero gap: Decode error %v does not wrap ErrCorrupt", err)
+		if _, err := snapshot.LoadEngine(bytes.NewReader(mutated)); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Fatalf("nonzero gap: LoadEngine error %v does not wrap ErrCorrupt", err)
 		}
-		if eng, err := snapshot.EngineFromMapping(mapping.FromBytes(mutated)); err == nil {
-			eng.Close()
-			t.Fatal("mapped reader accepted a nonzero alignment gap")
+		if _, err := snapshot.EngineFromFlatTrusted(mutated); err == nil {
+			t.Fatal("trusted reader accepted a nonzero alignment gap")
 		}
 	}
 
-	// Derived-section corruption splits the two readers: the heap decoder
+	// Derived-section corruption splits the two trust modes: LoadEngine
 	// checksums SPCD but ignores its contents (it rebuilds everything from
 	// the space record), so with the CRC patched it must still succeed,
-	// while the mapped reader consumes SPCD and must reject the overflowed
+	// while the trusted reader consumes SPCD and must reject the overflowed
 	// count without panicking.
 	mutated = append([]byte(nil), data...)
 	_, off, _ := dirEntry(t, mutated, "SPCD")
@@ -332,12 +350,50 @@ func TestV3RejectsCorrupt(t *testing.T) {
 		mutated[off+j] = 0xff // nParts = 2^64-1
 	}
 	fixCRC(t, mutated, "SPCD")
-	if _, err := snapshot.Decode(bytes.NewReader(mutated)); err != nil {
-		t.Fatalf("heap decoder rejected a stream whose SPCD contents it should ignore: %v", err)
+	if _, err := snapshot.LoadEngine(bytes.NewReader(mutated)); err != nil {
+		t.Fatalf("LoadEngine rejected a stream whose SPCD contents it should ignore: %v", err)
 	}
-	if eng, err := snapshot.EngineFromMapping(mapping.FromBytes(mutated)); err == nil {
-		eng.Close()
-		t.Fatal("mapped reader accepted an overflowed derived-section count")
+	if _, err := snapshot.EngineFromFlatTrusted(mutated); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("trusted reader on an overflowed derived-section count: got %v, want ErrCorrupt", err)
+	}
+}
+
+// TestV3TrustModesSplitOnValues pins the trusted-validation contract at the
+// container level (DESIGN.md §13): a bulk-table value that is wrong but
+// cannot fault — a NaN matrix distance, a nonzero skeleton diagonal — is
+// rejected by LoadEngine's value scans, and accepted by the trusted reader,
+// which skips both those scans and the bulk-section CRCs.
+func TestV3TrustModesSplitOnValues(t *testing.T) {
+	e := tinyEngine(t)
+	e.PrecomputeMatrix()
+	data := snapshotBytes(t, e)
+	cases := []struct {
+		name, tag string
+		cell      int // byte offset into the payload of an f64 cell
+	}{
+		{"NaN matrix distance", "MATX", 8 + 8},       // past u64 n: dist[1]
+		{"nonzero skeleton diagonal", "SKEL", 8 + 8}, // past u64 n and 2 doors: dist[0][0]
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := append([]byte(nil), data...)
+			_, off, _ := dirEntry(t, b, tc.tag)
+			v := math.NaN()
+			if tc.tag == "SKEL" {
+				v = 3
+			}
+			binary.LittleEndian.PutUint64(b[off+tc.cell:], math.Float64bits(v))
+			if _, err := snapshot.LoadEngine(bytes.NewReader(b)); !errors.Is(err, snapshot.ErrChecksum) {
+				t.Fatalf("LoadEngine without CRC fix: got %v, want ErrChecksum", err)
+			}
+			fixCRC(t, b, tc.tag)
+			if _, err := snapshot.LoadEngine(bytes.NewReader(b)); !errors.Is(err, snapshot.ErrCorrupt) {
+				t.Fatalf("LoadEngine: got %v, want ErrCorrupt", err)
+			}
+			if _, err := snapshot.EngineFromFlatTrusted(b); err != nil {
+				t.Fatalf("trusted reader rejected a value-only defect: %v", err)
+			}
+		})
 	}
 }
 
@@ -358,7 +414,7 @@ func prevEnd(b []byte, i int) int {
 }
 
 // TestV3FutureVersionFlat: a future version that keeps min-reader 3 stays
-// readable through the flat layout, with unknown sections tolerated.
+// readable in both trust modes.
 func TestV3FutureVersionFlat(t *testing.T) {
 	e := tinyEngine(t)
 	e.PrecomputeMatrix()
@@ -366,13 +422,14 @@ func TestV3FutureVersionFlat(t *testing.T) {
 	future := append([]byte(nil), data...)
 	future[8], future[9] = 9, 0 // version 9, min-reader stays 3
 
-	snap, err := snapshot.Decode(bytes.NewReader(future))
+	loaded, err := snapshot.LoadEngine(bytes.NewReader(future))
 	if err != nil {
-		t.Fatalf("Decode future flat version: %v", err)
+		t.Fatalf("LoadEngine future flat version: %v", err)
 	}
-	if _, err := snapshot.AssembleEngine(snap); err != nil {
-		t.Fatalf("AssembleEngine: %v", err)
+	loaded.Close()
+	trusted, err := snapshot.EngineFromFlatTrusted(future)
+	if err != nil {
+		t.Fatalf("trusted reader on a future flat version: %v", err)
 	}
-	mapped := mappedEngine(t, future)
-	mapped.Close()
+	trusted.Close()
 }

@@ -5,27 +5,24 @@ import (
 	"testing"
 
 	"ikrq/internal/snapshot"
-	"ikrq/internal/snapshot/mapping"
 )
 
-// FuzzSnapshotDecode feeds arbitrary bytes to both readers — the heap
-// container decoder and the zero-copy mapped reader — and, when decoding
-// succeeds, to engine assembly. The contract under test: corrupt,
-// truncated, version-bumped or otherwise hostile input must come back as an
-// error — neither reader may panic, hang, or let an invalid structure reach
-// the search layer.
+// FuzzSnapshotDecode feeds arbitrary bytes to the reader in both trust
+// modes. The contract under test: corrupt, truncated, version-bumped or
+// otherwise hostile input must come back as an error — neither mode may
+// panic, hang, or let an invalid structure reach the search layer. The
+// untrusted mode (LoadEngine) checks every CRC and value; the trusted mode
+// skips the bulk CRCs and value scans, so its structural checks over SPCD,
+// SKEL, MATX and ORCL have to hold on their own.
 func FuzzSnapshotDecode(f *testing.F) {
 	e := tinyEngine(f)
 	e.PrecomputeMatrix()
-	valid := snapshotBytes(f, e) // v3 flat
-	var v2buf bytes.Buffer
-	if err := snapshot.SaveEngineV2(&v2buf, e); err != nil {
-		f.Fatal(err)
-	}
-	validV2 := v2buf.Bytes()
+	valid := snapshotBytes(f, e)
+	eo := tinyEngine(f)
+	eo.PrecomputeOracle()
 
 	f.Add(valid)
-	f.Add(validV2)
+	f.Add(snapshotBytes(f, eo))
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:12])
 	f.Add([]byte(snapshot.Magic))
@@ -42,18 +39,19 @@ func FuzzSnapshotDecode(f *testing.F) {
 	dirflip := append([]byte(nil), valid...)
 	dirflip[16+9] ^= 0x04
 	f.Add(dirflip)
+	// Retired sequential headers: v2 (min-reader 2) and v1 (no min-reader).
+	v2 := append([]byte(nil), valid...)
+	v2[8], v2[9], v2[10], v2[11] = 2, 0, 2, 0
+	f.Add(v2)
+	v1 := append([]byte(nil), valid...)
+	v1[8], v1[9] = 1, 0
+	f.Add(v1)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		snap, err := snapshot.Decode(bytes.NewReader(data))
-		if err == nil {
-			// A structurally valid container may still describe an
-			// inconsistent index layer; assembly must reject it with an
-			// error, not a panic.
-			_, _ = snapshot.AssembleEngine(snap)
+		if eng, err := snapshot.LoadEngine(bytes.NewReader(data)); err == nil {
+			_ = eng.Close()
 		}
-		// The mapped reader runs its trusted fast path on v3 streams; its
-		// structural validation must hold against the same hostile bytes.
-		if eng, err := snapshot.EngineFromMapping(mapping.FromBytes(data)); err == nil {
+		if eng, err := snapshot.EngineFromFlatTrusted(data); err == nil {
 			_ = eng.Close()
 		}
 	})

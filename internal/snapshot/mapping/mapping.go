@@ -4,9 +4,9 @@
 // window is a read-only, MAP_SHARED mmap of the file, so every byte stays in
 // the kernel page cache — loading touches only the pages the engine actually
 // reads, and co-resident daemons serving the same bake share the physical
-// memory. Elsewhere (and for pre-v3 snapshots, whose sections must be
-// decoded element by element anyway) the window is a plain heap read of the
-// file, behaviorally identical but private.
+// memory. Elsewhere (or when mmap fails) the window is a plain heap read of
+// the file, behaviorally identical but private; the snapshot reader loads
+// such a window untrusted, with every check it can run.
 //
 // Lifetime rules (see DESIGN.md §13): an engine assembled over a mapped
 // window aliases it and must keep the Mapping reachable for as long as it

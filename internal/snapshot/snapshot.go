@@ -5,55 +5,27 @@
 // hierarchical oracle — so an engine can be built once, baked to a file,
 // and assembled on the next start without recomputation.
 //
-// Sequential (v1/v2) container layout (all integers little-endian):
+// There is one layout, the v3 flat container (see flat.go and DESIGN.md
+// §6, §13): a section directory up front and 8-byte-aligned little-endian
+// payloads that a loader can serve as views over an mmap'd file. The
+// SPAC, SPCD, KWRD, PATH and SKEL sections are written on every bake; MATX
+// and ORCL are present exactly when the engine had built that backend at
+// save time. Version history:
 //
-//	offset  size  field
-//	0       8     magic "IKRQSNAP"
-//	8       2     format version
-//	10      2     minimum reader version (version ≥ 2 only)
-//	then    2     section count
-//	then per section:
-//	        4     tag (4 ASCII bytes: "SPAC", "KWRD", "PATH", "SKEL",
-//	              "MATX", "ORCL")
-//	        8     payload length in bytes
-//	        4     CRC-32 (IEEE) of the payload
-//	        n     payload
-//
-// The SPAC, KWRD, PATH and SKEL sections are required; MATX and ORCL are
-// present exactly when the engine had built that backend at save time.
-// Version history:
-//
-//	v1: no min-reader field; MATX stored next-hop tables. v1 streams still
-//	    decode, but their MATX section is validated and then discarded
-//	    (the matrix changed to parent-pointer rows in v2), so the backend
-//	    is rebuilt lazily on first use.
-//	v2: min-reader field after the version; MATX stores parent-pointer
-//	    rows; ORCL added. A future version whose streams remain readable
-//	    by v2 decoders will declare min-reader ≤ 2, under which unknown
-//	    sections are skipped (their CRC still verified) instead of
-//	    rejected.
-//	v3: flat layout with an up-front section directory and 8-byte-aligned
-//	    native-layout bulk arrays, declared via min-reader 3, so loaders
-//	    can serve the big tables as views over an mmap'd file (see flat.go
-//	    and DESIGN.md §13). EncodeV3/SaveEngine write it; Encode and
-//	    SaveEngineV2 still emit the sequential v2 layout for old readers.
-//
-// A stream's layout is chosen by its min-reader field (not its version):
-// min-reader ≤ 2 means the sequential layout below, min-reader 3 the flat
-// directory layout.
+//	v1, v2: a sequential section stream. No longer read: both fail with
+//	    ErrVersion, and the file must be re-baked with this build.
+//	v3: the flat layout, declared via min-reader 3. A future version whose
+//	    streams remain readable by v3 readers keeps min-reader 3, under
+//	    which unknown sections are skipped instead of rejected.
 //
 // Decoding is otherwise strict: bad magic, an unreadable version, an
 // unknown tag, a checksum mismatch, truncation, or any malformed payload
-// yields an error — never a panic — and the per-layer FromRecord
-// constructors revalidate every ID before an engine is assembled. See
-// DESIGN.md §6 for the compatibility policy.
+// yields an error — never a panic — and the per-layer FromFlat
+// constructors revalidate every ID before an engine is assembled.
 package snapshot
 
 import (
 	"errors"
-	"fmt"
-	"hash/crc32"
-	"io"
 
 	"ikrq/internal/graph"
 	"ikrq/internal/keyword"
@@ -70,16 +42,12 @@ const Magic = "IKRQSNAP"
 const Version uint16 = 3
 
 // MinDecodable is the oldest stream version this build still reads.
-const MinDecodable uint16 = 1
-
-// legacyVersion is the sequential container version Encode still writes for
-// interop with pre-v3 readers (the -snapshot-v2 bake escape hatch).
-const legacyVersion uint16 = 2
+const MinDecodable uint16 = 3
 
 // Section tags.
 const (
 	tagSpace      = "SPAC"
-	tagDerived    = "SPCD" // v3-only: derived space structures (see flat.go)
+	tagDerived    = "SPCD" // derived space structures (see flat.go)
 	tagKeywords   = "KWRD"
 	tagPathFinder = "PATH"
 	tagSkeleton   = "SKEL"
@@ -93,8 +61,9 @@ const (
 var (
 	// ErrBadMagic means the stream does not start with the snapshot magic.
 	ErrBadMagic = errors.New("snapshot: bad magic (not an IKRQ snapshot)")
-	// ErrVersion means the snapshot was written by a newer (or otherwise
-	// unknown) format version; re-bake it with this build.
+	// ErrVersion means the snapshot was written by a format version this
+	// build does not read (an older sequential one or a newer one); re-bake
+	// it with this build.
 	ErrVersion = errors.New("snapshot: unsupported format version")
 	// ErrChecksum means a section's payload does not match its CRC.
 	ErrChecksum = errors.New("snapshot: section checksum mismatch")
@@ -103,9 +72,9 @@ var (
 	ErrCorrupt = errors.New("snapshot: corrupt")
 )
 
-// Snapshot holds the decoded (or to-be-encoded) records of one engine's
-// index layer. Matrix and Oracle are nil when the snapshot carries no
-// baked KoE* backend of that kind.
+// Snapshot holds the records of one engine's index layer, the input of
+// EncodeV3. Matrix and Oracle are nil when the snapshot carries no baked
+// KoE* backend of that kind.
 type Snapshot struct {
 	Space      *model.SpaceRecord
 	Keywords   *keyword.IndexRecord
@@ -114,178 +83,12 @@ type Snapshot struct {
 	Matrix     *graph.MatrixRecord
 	Oracle     *graph.OracleRecord
 
-	// Derived optionally carries the space's derived structures for the v3
-	// SPCD section, sparing the zero-copy loader the builder replay. When
-	// nil, EncodeV3 recomputes it from Space (deterministic, so the baked
-	// bytes are identical either way). The heap decode path ignores it:
-	// there the space is always rebuilt and revalidated from Space.
+	// Derived optionally carries the space's derived structures for the
+	// SPCD section, sparing the trusted loader the builder replay. When nil,
+	// EncodeV3 recomputes it from Space (deterministic, so the baked bytes
+	// are identical either way). The untrusted reader ignores SPCD: there
+	// the space is always rebuilt and revalidated from Space.
 	Derived *model.DerivedRecord
-}
-
-// Encode writes snap to w in the sequential v2 container format, readable
-// by pre-v3 builds. New bakes should prefer EncodeV3, whose flat layout
-// also serves zero-copy from an mmap'd file.
-func Encode(w io.Writer, snap *Snapshot) error {
-	if snap == nil || snap.Space == nil || snap.Keywords == nil ||
-		snap.PathFinder == nil || snap.Skeleton == nil {
-		return errors.New("snapshot: encode requires space, keyword, pathfinder and skeleton records")
-	}
-	type section struct {
-		tag     string
-		payload []byte
-	}
-	sections := []section{
-		{tagSpace, encodeSpace(snap.Space)},
-		{tagKeywords, encodeKeywords(snap.Keywords)},
-		{tagPathFinder, encodePathFinder(snap.PathFinder)},
-		{tagSkeleton, encodeSkeleton(snap.Skeleton)},
-	}
-	if snap.Matrix != nil {
-		sections = append(sections, section{tagMatrix, encodeMatrix(snap.Matrix)})
-	}
-	if snap.Oracle != nil {
-		sections = append(sections, section{tagOracle, encodeOracle(snap.Oracle)})
-	}
-
-	var hdr writer
-	hdr.buf = append(hdr.buf, Magic...)
-	hdr.buf = append(hdr.buf, byte(legacyVersion), byte(legacyVersion>>8))
-	hdr.buf = append(hdr.buf, byte(legacyVersion), byte(legacyVersion>>8)) // min-reader: v2 layouts need a v2 decoder
-	hdr.buf = append(hdr.buf, byte(len(sections)), byte(len(sections)>>8))
-	if _, err := w.Write(hdr.buf); err != nil {
-		return err
-	}
-	for _, s := range sections {
-		var sh writer
-		sh.buf = append(sh.buf, s.tag...)
-		sh.u64(uint64(len(s.payload)))
-		sh.u32(crc32.ChecksumIEEE(s.payload))
-		if _, err := w.Write(sh.buf); err != nil {
-			return err
-		}
-		if _, err := w.Write(s.payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Decode reads a snapshot from r, verifying magic, version and every
-// section checksum, and fully validating each payload's structure. It never
-// panics on malformed input.
-func Decode(rd io.Reader) (*Snapshot, error) {
-	b, err := io.ReadAll(rd)
-	if err != nil {
-		return nil, err
-	}
-	return decodeBytes(b)
-}
-
-func decodeBytes(b []byte) (*Snapshot, error) {
-	if len(b) < len(Magic)+4 {
-		return nil, fmt.Errorf("%w: %d-byte stream is shorter than the header", ErrCorrupt, len(b))
-	}
-	if string(b[:len(Magic)]) != Magic {
-		return nil, ErrBadMagic
-	}
-	ver := uint16(b[8]) | uint16(b[9])<<8
-	if ver < MinDecodable {
-		return nil, fmt.Errorf("%w: snapshot has version %d, this build reads versions %d–%d",
-			ErrVersion, ver, MinDecodable, Version)
-	}
-	// skipUnknown: a stream newer than this build but declaring a
-	// min-reader we satisfy promises only additive sections; skip the ones
-	// we do not know (CRC still verified) instead of rejecting.
-	skipUnknown := false
-	var nSections, off int
-	if ver == 1 {
-		// v1 header has no min-reader field.
-		nSections = int(uint16(b[10]) | uint16(b[11])<<8)
-		off = len(Magic) + 4
-	} else {
-		if len(b) < len(Magic)+6 {
-			return nil, fmt.Errorf("%w: %d-byte stream is shorter than the v%d header", ErrCorrupt, len(b), ver)
-		}
-		minReader := uint16(b[10]) | uint16(b[11])<<8
-		if minReader > Version {
-			return nil, fmt.Errorf("%w: snapshot has version %d and requires a reader of version ≥ %d; this build reads versions %d–%d",
-				ErrVersion, ver, minReader, MinDecodable, Version)
-		}
-		if minReader >= v3MinReader {
-			// min-reader 3 declares the flat directory layout.
-			return decodeV3(b)
-		}
-		skipUnknown = ver > Version
-		nSections = int(uint16(b[12]) | uint16(b[13])<<8)
-		off = len(Magic) + 6
-	}
-
-	snap := &Snapshot{}
-	seen := make(map[string]bool, nSections)
-	for i := 0; i < nSections; i++ {
-		if off+16 > len(b) {
-			return nil, fmt.Errorf("%w: truncated section header (%d of %d)", ErrCorrupt, i+1, nSections)
-		}
-		tag := string(b[off : off+4])
-		length := uint64(b[off+4]) | uint64(b[off+5])<<8 | uint64(b[off+6])<<16 | uint64(b[off+7])<<24 |
-			uint64(b[off+8])<<32 | uint64(b[off+9])<<40 | uint64(b[off+10])<<48 | uint64(b[off+11])<<56
-		sum := uint32(b[off+12]) | uint32(b[off+13])<<8 | uint32(b[off+14])<<16 | uint32(b[off+15])<<24
-		off += 16
-		if length > uint64(len(b)-off) {
-			return nil, fmt.Errorf("%w: section %s claims %d bytes, %d remain", ErrCorrupt, tag, length, len(b)-off)
-		}
-		payload := b[off : off+int(length)]
-		off += int(length)
-		if crc32.ChecksumIEEE(payload) != sum {
-			return nil, fmt.Errorf("%w: section %s", ErrChecksum, tag)
-		}
-		if seen[tag] {
-			return nil, fmt.Errorf("%w: duplicate section %s", ErrCorrupt, tag)
-		}
-		seen[tag] = true
-
-		var derr error
-		switch tag {
-		case tagSpace:
-			snap.Space, derr = decodeSpace(payload)
-		case tagKeywords:
-			snap.Keywords, derr = decodeKeywords(payload)
-		case tagPathFinder:
-			snap.PathFinder, derr = decodePathFinder(payload)
-		case tagSkeleton:
-			snap.Skeleton, derr = decodeSkeleton(payload)
-		case tagMatrix:
-			snap.Matrix, derr = decodeMatrix(payload)
-			if derr == nil && ver == 1 {
-				// v1 matrices stored next-hop tables; v2 rows are parent
-				// pointers. The payload was still fully validated above,
-				// but the table cannot serve, so the backend is rebuilt
-				// lazily instead.
-				snap.Matrix = nil
-			}
-		case tagOracle:
-			if ver == 1 {
-				// ORCL postdates v1; a stream claiming v1 cannot carry it.
-				return nil, fmt.Errorf("%w: unknown section %q", ErrCorrupt, tag)
-			}
-			snap.Oracle, derr = decodeOracle(payload)
-		default:
-			if skipUnknown {
-				continue
-			}
-			return nil, fmt.Errorf("%w: unknown section %q", ErrCorrupt, tag)
-		}
-		if derr != nil {
-			return nil, fmt.Errorf("section %s: %w", tag, derr)
-		}
-	}
-	if off != len(b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after last section", ErrCorrupt, len(b)-off)
-	}
-	if snap.Space == nil || snap.Keywords == nil || snap.PathFinder == nil || snap.Skeleton == nil {
-		return nil, fmt.Errorf("%w: missing required section", ErrCorrupt)
-	}
-	return snap, nil
 }
 
 // --- space section ---
@@ -337,17 +140,9 @@ func encodeSpace(rec *model.SpaceRecord) []byte {
 	return w.buf
 }
 
-func decodeSpace(b []byte) (*model.SpaceRecord, error) {
-	return decodeSpaceMode(b, false)
-}
-
-// decodeSpaceLite decodes the SPAC section leaving the per-door
-// enterable/leaveable lists nil: the zero-copy loader adopts those from the
-// SPCD CSRs instead, sparing one heap slice pair per door.
-func decodeSpaceLite(b []byte) (*model.SpaceRecord, error) {
-	return decodeSpaceMode(b, true)
-}
-
+// decodeSpaceMode decodes the SPAC section. In lite mode it leaves the
+// per-door enterable/leaveable lists nil: the trusted loader adopts those
+// from the SPCD CSRs instead, sparing one heap slice pair per door.
 func decodeSpaceMode(b []byte, lite bool) (*model.SpaceRecord, error) {
 	r := &reader{b: b}
 	rec := &model.SpaceRecord{}
@@ -402,238 +197,6 @@ func decodeSpaceMode(b []byte, lite bool) (*model.SpaceRecord, error) {
 		sw.Length = r.f64()
 		sw.Lift = r.u8() != 0
 		rec.Stairways = append(rec.Stairways, sw)
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return rec, nil
-}
-
-// --- keyword section ---
-
-func encodeKeywords(rec *keyword.IndexRecord) []byte {
-	var w writer
-	w.u32(uint32(len(rec.IWords)))
-	for _, s := range rec.IWords {
-		w.str(s)
-	}
-	w.u32(uint32(len(rec.TWords)))
-	for _, s := range rec.TWords {
-		w.str(s)
-	}
-	for _, row := range rec.I2T {
-		w.u32(uint32(len(row)))
-		for _, t := range row {
-			w.i32(int32(t))
-		}
-	}
-	w.u32(uint32(len(rec.P2I)))
-	for _, v := range rec.P2I {
-		w.i32(int32(v))
-	}
-	return w.buf
-}
-
-func decodeKeywords(b []byte) (*keyword.IndexRecord, error) {
-	r := &reader{b: b}
-	rec := &keyword.IndexRecord{}
-	ni := r.count(4)
-	for i := 0; i < ni && r.err == nil; i++ {
-		rec.IWords = append(rec.IWords, r.str())
-	}
-	nt := r.count(4)
-	for i := 0; i < nt && r.err == nil; i++ {
-		rec.TWords = append(rec.TWords, r.str())
-	}
-	rec.I2T = make([][]keyword.TWordID, 0, ni)
-	for i := 0; i < ni && r.err == nil; i++ {
-		n := r.count(4)
-		var row []keyword.TWordID
-		for j := 0; j < n && r.err == nil; j++ {
-			row = append(row, keyword.TWordID(r.i32()))
-		}
-		rec.I2T = append(rec.I2T, row)
-	}
-	np := r.count(4)
-	for i := 0; i < np && r.err == nil; i++ {
-		rec.P2I = append(rec.P2I, keyword.IWordID(r.i32()))
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return rec, nil
-}
-
-// --- pathfinder section ---
-
-func encodePathFinder(rec *graph.PathFinderRecord) []byte {
-	var w writer
-	w.u32(uint32(len(rec.States)))
-	for _, st := range rec.States {
-		w.i32(int32(st.Door))
-		w.i32(int32(st.Part))
-	}
-	for _, n := range rec.ArcCounts {
-		w.u32(uint32(n))
-	}
-	w.u32(uint32(len(rec.Arcs)))
-	for _, a := range rec.Arcs {
-		w.i32(int32(a.To))
-		w.f64(a.W)
-	}
-	return w.buf
-}
-
-func decodePathFinder(b []byte) (*graph.PathFinderRecord, error) {
-	r := &reader{b: b}
-	rec := &graph.PathFinderRecord{}
-	ns := r.count(8)
-	rec.States = make([]graph.StateRecord, 0, ns)
-	for i := 0; i < ns && r.err == nil; i++ {
-		rec.States = append(rec.States, graph.StateRecord{
-			Door: model.DoorID(r.i32()),
-			Part: model.PartitionID(r.i32()),
-		})
-	}
-	rec.ArcCounts = make([]int32, 0, ns)
-	for i := 0; i < ns && r.err == nil; i++ {
-		rec.ArcCounts = append(rec.ArcCounts, r.i32())
-	}
-	na := r.count(12)
-	rec.Arcs = make([]graph.ArcRecord, 0, na)
-	for i := 0; i < na && r.err == nil; i++ {
-		rec.Arcs = append(rec.Arcs, graph.ArcRecord{
-			To: graph.StateID(r.i32()),
-			W:  r.f64(),
-		})
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return rec, nil
-}
-
-// --- skeleton section ---
-
-func encodeSkeleton(rec *graph.SkeletonRecord) []byte {
-	var w writer
-	w.u32(uint32(len(rec.Doors)))
-	for _, d := range rec.Doors {
-		w.i32(int32(d))
-	}
-	for _, v := range rec.Dist {
-		w.f64(v)
-	}
-	return w.buf
-}
-
-func decodeSkeleton(b []byte) (*graph.SkeletonRecord, error) {
-	r := &reader{b: b}
-	rec := &graph.SkeletonRecord{}
-	n := r.count(4)
-	for i := 0; i < n && r.err == nil; i++ {
-		rec.Doors = append(rec.Doors, model.DoorID(r.i32()))
-	}
-	if r.err == nil {
-		if want := n * n; want*8 != len(r.b)-r.off {
-			r.fail("skeleton matrix wants %d cells, payload has %d bytes", want, len(r.b)-r.off)
-		} else {
-			rec.Dist = r.f64s(want)
-		}
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return rec, nil
-}
-
-// --- matrix section ---
-
-func encodeMatrix(rec *graph.MatrixRecord) []byte {
-	var w writer
-	w.u32(uint32(rec.N))
-	for _, v := range rec.Dist {
-		w.f64(v)
-	}
-	for _, v := range rec.Prev {
-		w.i32(int32(v))
-	}
-	return w.buf
-}
-
-func decodeMatrix(b []byte) (*graph.MatrixRecord, error) {
-	r := &reader{b: b}
-	rec := &graph.MatrixRecord{}
-	n := int(r.u32())
-	if r.err == nil {
-		if n < 0 || n > 1<<20 || n*n > (len(r.b)-r.off)/12 {
-			r.fail("matrix dimension %d does not fit the payload", n)
-		}
-	}
-	rec.N = int32(n)
-	if r.err == nil {
-		cells := n * n
-		rec.Dist = r.f64s(cells)
-		if raw := r.i32s(cells); raw != nil {
-			rec.Prev = make([]graph.StateID, cells)
-			for i, v := range raw {
-				rec.Prev[i] = graph.StateID(v)
-			}
-		}
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return rec, nil
-}
-
-// --- oracle section ---
-
-func encodeOracle(rec *graph.OracleRecord) []byte {
-	var w writer
-	w.u32(uint32(len(rec.Hubs)))
-	for _, h := range rec.Hubs {
-		w.i32(int32(h))
-	}
-	w.u32(uint32(len(rec.HubOff)))
-	for _, o := range rec.HubOff {
-		w.i32(o)
-	}
-	w.u32(uint32(len(rec.ToHub)))
-	for _, v := range rec.ToHub {
-		w.f64(v)
-	}
-	for _, v := range rec.FromHub {
-		w.f64(v)
-	}
-	for _, v := range rec.HubDist {
-		w.f64(v)
-	}
-	return w.buf
-}
-
-func decodeOracle(b []byte) (*graph.OracleRecord, error) {
-	r := &reader{b: b}
-	rec := &graph.OracleRecord{}
-	nh := r.count(4)
-	for i := 0; i < nh && r.err == nil; i++ {
-		rec.Hubs = append(rec.Hubs, graph.StateID(r.i32()))
-	}
-	no := r.count(4)
-	for i := 0; i < no && r.err == nil; i++ {
-		rec.HubOff = append(rec.HubOff, r.i32())
-	}
-	nt := r.count(8)
-	if r.err == nil {
-		// The remaining payload must hold exactly two nt-rows plus the
-		// nh² hub table, so hostile counts cannot oversize allocations.
-		if want := (2*nt + nh*nh) * 8; want != len(r.b)-r.off {
-			r.fail("oracle tables want %d bytes, payload has %d", want, len(r.b)-r.off)
-		} else {
-			rec.ToHub = r.f64s(nt)
-			rec.FromHub = r.f64s(nt)
-			rec.HubDist = r.f64s(nh * nh)
-		}
 	}
 	if err := r.done(); err != nil {
 		return nil, err

@@ -2,12 +2,14 @@ package snapshot_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -61,17 +63,6 @@ func snapshotBytes(t testing.TB, e *search.Engine) []byte {
 	return buf.Bytes()
 }
 
-// snapshotBytesV2 bakes the sequential v2 layout — the offset-surgery tests
-// below (v1 resplicing, raw section appends) are written against it.
-func snapshotBytesV2(t testing.TB, e *search.Engine) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := snapshot.SaveEngineV2(&buf, e); err != nil {
-		t.Fatalf("SaveEngineV2: %v", err)
-	}
-	return buf.Bytes()
-}
-
 func TestSaveLoadTinyEngine(t *testing.T) {
 	e := tinyEngine(t)
 	e.PrecomputeMatrix()
@@ -110,19 +101,15 @@ func TestSaveLoadTinyEngine(t *testing.T) {
 func TestSaveWithoutMatrixOmitsSection(t *testing.T) {
 	e := tinyEngine(t)
 	data := snapshotBytes(t, e)
-	snap, err := snapshot.Decode(bytes.NewReader(data))
+	if hasSection(data, "MATX") || hasSection(data, "ORCL") {
+		t.Fatal("engine without a built KoE* backend wrote a backend section")
+	}
+	loaded, err := snapshot.LoadEngine(bytes.NewReader(data))
 	if err != nil {
-		t.Fatalf("Decode: %v", err)
+		t.Fatalf("LoadEngine: %v", err)
 	}
-	if snap.Matrix != nil {
-		t.Fatal("engine without a built matrix wrote a MATX section")
-	}
-	loaded, err := snapshot.AssembleEngine(snap)
-	if err != nil {
-		t.Fatalf("AssembleEngine: %v", err)
-	}
-	if loaded.MatrixIfReady() != nil {
-		t.Fatal("loaded engine claims a matrix that was never persisted")
+	if loaded.MatrixIfReady() != nil || loaded.OracleIfReady() != nil {
+		t.Fatal("loaded engine claims a KoE* backend that was never persisted")
 	}
 	// KoE* still works — the matrix is built lazily as on a fresh engine.
 	req := search.Request{
@@ -165,7 +152,7 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			mutated := tc.mutate(append([]byte(nil), data...))
-			_, err := snapshot.Decode(bytes.NewReader(mutated))
+			_, err := snapshot.LoadEngine(bytes.NewReader(mutated))
 			if err == nil {
 				t.Fatal("corrupt snapshot accepted")
 			}
@@ -176,66 +163,20 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 	}
 }
 
-// oracleRoundTrip saves eng (with its matrix), loads it back, and verifies
-// every Table III variant returns identical routes and identical work
-// counters on both engines for every request.
-func oracleRoundTrip(t *testing.T, eng *search.Engine, reqs []search.Request, capExpansions int) {
-	t.Helper()
-	data := snapshotBytes(t, eng)
-	t.Logf("snapshot: %.1f MB", float64(len(data))/(1<<20))
-	loaded, err := snapshot.LoadEngine(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("LoadEngine: %v", err)
-	}
-	for _, v := range search.Variants() {
-		opt, err := search.OptionsFor(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if opt.DisablePrime {
-			opt.MaxExpansions = capExpansions // keep the unpruned variant finite
-		}
-		for i, req := range reqs {
-			want, err := eng.Search(req, opt)
-			if err != nil {
-				t.Fatalf("%s req %d fresh: %v", v, i, err)
-			}
-			got, err := loaded.Search(req, opt)
-			if err != nil {
-				t.Fatalf("%s req %d loaded: %v", v, i, err)
-			}
-			if !reflect.DeepEqual(got.Routes, want.Routes) {
-				t.Fatalf("%s req %d: loaded engine routes differ", v, i)
-			}
-			if got.Stats.Pops != want.Stats.Pops ||
-				got.Stats.StampsCreated != want.Stats.StampsCreated ||
-				got.Stats.Recomputations != want.Stats.Recomputations {
-				t.Fatalf("%s req %d: loaded engine did different work: pops %d/%d stamps %d/%d recomp %d/%d",
-					v, i, got.Stats.Pops, want.Stats.Pops,
-					got.Stats.StampsCreated, want.Stats.StampsCreated,
-					got.Stats.Recomputations, want.Stats.Recomputations)
-			}
-		}
-	}
-}
-
+// TestRoundTripOracleSynthetic bakes an engine that never built a KoE*
+// backend: every load mode must build the same one lazily and answer
+// exactly like the fresh engine.
 func TestRoundTripOracleSynthetic(t *testing.T) {
 	mall, voc, idx, err := gen.SyntheticMall(2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := search.NewEngine(mall.Space, idx)
-	eng.PrecomputeMatrix()
-	qg := gen.NewQueryGen(mall, idx, voc, eng.PathFinder(), 23)
-	cfg := gen.DefaultQueryConfig(23)
-	cfg.Instances = 3
-	reqs, err := qg.Instances(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracleRoundTrip(t, eng, reqs, 50_000)
+	flatEquivalence(t, eng, makeRequests(t, mall, voc, eng, 3), 50_000)
 }
 
+// TestRoundTripOracleReal covers the real mall on a dense-matrix bake
+// (TestFlatEquivalenceReal covers it on an oracle bake).
 func TestRoundTripOracleReal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-mall oracle (KoE* matrix over ~2700 states) skipped in -short")
@@ -246,25 +187,18 @@ func TestRoundTripOracleReal(t *testing.T) {
 	}
 	eng := search.NewEngine(mall.Space, idx)
 	eng.PrecomputeMatrix()
-	qg := gen.NewQueryGen(mall, idx, voc, eng.PathFinder(), 23)
-	cfg := gen.DefaultQueryConfig(23)
-	cfg.Alpha = 0.7 // Section V-B default for the real dataset
-	cfg.Instances = 2
-	reqs, err := qg.Instances(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracleRoundTrip(t, eng, reqs, 50_000)
+	flatEquivalence(t, eng, makeRequests(t, mall, voc, eng, 2), 50_000)
 }
 
 // TestColdStartSpeedup is the load-vs-rebuild gate: assembling an engine
 // from a snapshot that includes the KoE* matrix must beat deriving the same
 // index layer from scratch by a wide margin (the all-pairs sweep alone
-// dwarfs decode time; the observed ratio is 5–20x depending on core count
-// — the rebuild parallelizes, the decode does not — so the assertion sits
-// at 3x to stay robust on loaded CI machines). Each side takes its best of
-// three runs so a scheduler hiccup on a saturated runner cannot fail the
-// gate on timing noise alone.
+// dwarfs load time; the observed ratio is 5–20x depending on core count
+// — the rebuild parallelizes, the load does not — so the assertion sits
+// at 3x to stay robust on loaded CI machines). LoadEngine runs the
+// untrusted mode, every CRC and value scan included. Each side takes its
+// best of three runs so a scheduler hiccup on a saturated runner cannot
+// fail the gate on timing noise alone.
 func TestColdStartSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison skipped in -short")
@@ -357,20 +291,15 @@ func TestSnapshotOracleBackendRoundTrip(t *testing.T) {
 	e := tinyEngine(t)
 	e.PrecomputeOracle()
 	data := snapshotBytes(t, e)
-
-	snap, err := snapshot.Decode(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if snap.Oracle == nil {
+	if !hasSection(data, "ORCL") {
 		t.Fatal("engine with a built oracle wrote no ORCL section")
 	}
-	if snap.Matrix != nil {
+	if hasSection(data, "MATX") {
 		t.Fatal("engine without a built matrix wrote a MATX section")
 	}
-	loaded, err := snapshot.AssembleEngine(snap)
+	loaded, err := snapshot.LoadEngine(bytes.NewReader(data))
 	if err != nil {
-		t.Fatalf("AssembleEngine: %v", err)
+		t.Fatalf("LoadEngine: %v", err)
 	}
 	if loaded.OracleIfReady() == nil {
 		t.Fatal("loaded engine did not adopt the persisted oracle")
@@ -401,109 +330,111 @@ func TestSnapshotOracleBackendRoundTrip(t *testing.T) {
 	}
 }
 
-// respliceV1 rewrites a v2 stream as a v1 stream: version 1, no min-reader
-// field. Section payloads are layout-identical across the two versions (the
-// MATX table semantics changed, not its wire shape), which is exactly why
-// the decoder must discard a v1 matrix rather than adopt it.
-func respliceV1(data []byte) []byte {
-	v1 := append([]byte(nil), data[:10]...)
-	v1[8], v1[9] = 1, 0
-	return append(v1, data[12:]...)
-}
-
-// TestDecodeV1Stream is the mixed-version gate: a v1 snapshot (next-hop
-// matrix rows) still loads on this build, with the matrix validated but
-// discarded so the backend is rebuilt lazily.
-func TestDecodeV1Stream(t *testing.T) {
+// TestPreV3StreamsRejected: the sequential v1/v2 layout is no longer read.
+// Both headers must fail with ErrVersion and a re-bake hint in every load
+// mode — never be misparsed. The v1 header has no min-reader field, so its
+// section count sits where v3 keeps min-reader; a count of 3 would pass for
+// a v3 min-reader if the version were not checked first.
+func TestPreV3StreamsRejected(t *testing.T) {
 	e := tinyEngine(t)
 	e.PrecomputeMatrix()
-	snap, err := snapshot.Decode(bytes.NewReader(respliceV1(snapshotBytesV2(t, e))))
-	if err != nil {
-		t.Fatalf("Decode v1: %v", err)
+	data := snapshotBytes(t, e)
+	cases := []struct {
+		name                string
+		ver, minReaderOrNum uint16
+	}{
+		{"v1 with 3 sections", 1, 3},
+		{"v1 with 6 sections", 1, 6},
+		{"v2", 2, 2},
+		{"future version declaring the sequential layout", 4, 2},
 	}
-	if snap.Matrix != nil {
-		t.Fatal("v1 MATX adopted; its next-hop rows cannot serve as parent pointers")
-	}
-	loaded, err := snapshot.AssembleEngine(snap)
-	if err != nil {
-		t.Fatalf("AssembleEngine: %v", err)
-	}
-	if loaded.MatrixIfReady() != nil {
-		t.Fatal("loaded engine claims a matrix the v1 stream could not supply")
-	}
-	req := search.Request{
-		Ps: geom.Pt(1, 5, 0), Pt: geom.Pt(18, 5, 1),
-		Delta: 200, QW: []string{"coffee"}, K: 2, Alpha: 0.5, Tau: 0.2,
-	}
-	opt, _ := search.OptionsFor(search.VariantKoEStar)
-	if _, err := loaded.Search(req, opt); err != nil {
-		t.Fatalf("KoE* on v1 snapshot: %v", err)
-	}
-}
-
-// TestDecodeV1RejectsOracleSection: v1 predates ORCL, so a v1 stream
-// carrying one is malformed, not forward-compatible.
-func TestDecodeV1RejectsOracleSection(t *testing.T) {
-	e := tinyEngine(t)
-	e.PrecomputeOracle()
-	_, err := snapshot.Decode(bytes.NewReader(respliceV1(snapshotBytesV2(t, e))))
-	if !errors.Is(err, snapshot.ErrCorrupt) {
-		t.Fatalf("v1 stream with ORCL section: got %v, want ErrCorrupt", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := append([]byte(nil), data...)
+			binary.LittleEndian.PutUint16(b[8:], tc.ver)
+			binary.LittleEndian.PutUint16(b[10:], tc.minReaderOrNum)
+			_, err := snapshot.LoadEngine(bytes.NewReader(b))
+			if !errors.Is(err, snapshot.ErrVersion) {
+				t.Fatalf("LoadEngine: got %v, want ErrVersion", err)
+			}
+			if !strings.Contains(err.Error(), "re-bake") {
+				t.Fatalf("error %q does not tell the operator to re-bake", err)
+			}
+			if _, err := snapshot.EngineFromFlatTrusted(b); !errors.Is(err, snapshot.ErrVersion) {
+				t.Fatalf("trusted reader: got %v, want ErrVersion", err)
+			}
+		})
 	}
 }
 
-// appendRawSection appends a wire-format section (tag, length, CRC,
-// payload) and bumps the header's section count.
-func appendRawSection(b []byte, tag string, payload []byte) []byte {
-	b[12]++ // v2 section count, low byte
-	b = append(b, tag...)
-	n := uint64(len(payload))
-	for i := 0; i < 8; i++ {
-		b = append(b, byte(n>>(8*i)))
+// appendSection re-lays a v3 stream with one more section at the end of
+// the directory, recomputing every payload offset and the new section's
+// CRC.
+func appendSection(b []byte, tag string, payload []byte) []byte {
+	type section struct{ head, body []byte } // head: tag + CRC
+	n := int(binary.LittleEndian.Uint16(b[12:]))
+	var secs []section
+	for i := 0; i < n; i++ {
+		e := b[16+24*i:]
+		off, length := binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
+		secs = append(secs, section{e[:8], b[off : off+length]})
 	}
-	c := crc32.ChecksumIEEE(payload)
-	for i := 0; i < 4; i++ {
-		b = append(b, byte(c>>(8*i)))
+	head := binary.LittleEndian.AppendUint32([]byte(tag), crc32.ChecksumIEEE(payload))
+	secs = append(secs, section{head, payload})
+
+	out := append([]byte(nil), b[:16]...)
+	binary.LittleEndian.PutUint16(out[12:], uint16(len(secs)))
+	off := (16 + 24*len(secs) + 7) &^ 7
+	for _, s := range secs {
+		out = append(out, s.head...)
+		out = binary.LittleEndian.AppendUint64(out, uint64(off))
+		out = binary.LittleEndian.AppendUint64(out, uint64(len(s.body)))
+		off = (off + len(s.body) + 7) &^ 7
 	}
-	return append(b, payload...)
+	for _, s := range secs {
+		for len(out)%8 != 0 {
+			out = append(out, 0)
+		}
+		out = append(out, s.body...)
+	}
+	return out
 }
 
 // TestDecodeFutureVersion checks the forward-compatibility promise: a
 // stream from a future version remains readable as long as it declares a
 // min-reader this build satisfies, with unknown sections skipped — but
-// their checksums still verified. Min-reader 2 selects the sequential
-// layout, so the surgery operates on a v2 base.
+// their checksums still verified by the untrusted reader.
 func TestDecodeFutureVersion(t *testing.T) {
 	e := tinyEngine(t)
 	e.PrecomputeMatrix()
-	base := snapshotBytesV2(t, e)
+	base := snapshotBytes(t, e)
 
-	future := append([]byte(nil), base...)
-	future[8], future[9] = 4, 0 // version 4, min-reader stays 2
-	future = appendRawSection(future, "ZZZZ", []byte("from the future"))
-
-	snap, err := snapshot.Decode(bytes.NewReader(future))
+	future := appendSection(base, "ZZZZ", []byte("from the future"))
+	future[8], future[9] = 4, 0 // version 4, min-reader stays 3
+	loaded, err := snapshot.LoadEngine(bytes.NewReader(future))
 	if err != nil {
-		t.Fatalf("Decode future version: %v", err)
+		t.Fatalf("LoadEngine future version: %v", err)
 	}
-	if snap.Matrix == nil {
+	if loaded.MatrixIfReady() == nil {
 		t.Fatal("future-version stream lost its MATX section")
 	}
-	if _, err := snapshot.AssembleEngine(snap); err != nil {
-		t.Fatalf("AssembleEngine: %v", err)
+	if _, err := snapshot.EngineFromFlatTrusted(future); err != nil {
+		t.Fatalf("trusted reader on a future version: %v", err)
 	}
 
 	// Same stream at the current version: unknown tags are corruption.
-	strict := append([]byte(nil), base...)
-	strict = appendRawSection(strict, "ZZZZ", []byte("from the future"))
-	if _, err := snapshot.Decode(bytes.NewReader(strict)); !errors.Is(err, snapshot.ErrCorrupt) {
+	strict := appendSection(base, "ZZZZ", []byte("from the future"))
+	if _, err := snapshot.LoadEngine(bytes.NewReader(strict)); !errors.Is(err, snapshot.ErrCorrupt) {
 		t.Fatalf("unknown section at current version: got %v, want ErrCorrupt", err)
+	}
+	if _, err := snapshot.EngineFromFlatTrusted(strict); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("trusted reader, unknown section at current version: got %v, want ErrCorrupt", err)
 	}
 
 	// Skipped sections still fail closed on checksum damage.
 	damaged := append([]byte(nil), future...)
 	damaged[len(damaged)-1] ^= 0xff
-	if _, err := snapshot.Decode(bytes.NewReader(damaged)); !errors.Is(err, snapshot.ErrChecksum) {
+	if _, err := snapshot.LoadEngine(bytes.NewReader(damaged)); !errors.Is(err, snapshot.ErrChecksum) {
 		t.Fatalf("damaged skipped section: got %v, want ErrChecksum", err)
 	}
 }
