@@ -107,6 +107,37 @@ func BenchmarkSearchToE(b *testing.B)     { benchSearchVariant(b, search.Variant
 func BenchmarkSearchKoE(b *testing.B)     { benchSearchVariant(b, search.VariantKoE) }
 func BenchmarkSearchKoEStar(b *testing.B) { benchSearchVariant(b, search.VariantKoEStar) }
 
+// BenchmarkSearchSequence measures the sequence planner on the same 2-floor
+// synthetic mall (run with -benchmem): one batch of sampled sequence queries
+// at the serving defaults (3 legs, k = 4) per iteration. dijkstras/op counts
+// the chained shortest-path stages the batch runs — planning stages only,
+// since routes are assembled from the stage records.
+func BenchmarkSearchSequence(b *testing.B) {
+	w, err := env().Synthetic(2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sp := gen.NewSampler(w.Engine.Space(), w.Engine.Keywords(), w.Engine.PathFinder(), 17)
+	reqs, err := sp.SequenceInstances(3, gen.DefaultSequenceSampleConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	w.Engine.Precompute() // the Δ bound's backend build stays outside the timer
+	b.ReportAllocs()
+	b.ResetTimer()
+	dijkstras := 0
+	for i := 0; i < b.N; i++ {
+		for _, r := range reqs {
+			res, err := w.Engine.SearchSequence(r)
+			if err != nil {
+				b.Fatal(err)
+			}
+			dijkstras += res.Stats.Dijkstras
+		}
+	}
+	b.ReportMetric(float64(dijkstras)/float64(b.N), "dijkstras/op")
+}
+
 // BenchmarkConditionsOverlayVsRebuild measures the tentpole win of the
 // Conditions overlay: answering a closure scenario by attaching an overlay
 // to the query (unchanged engine) versus rebuilding a door-filtered engine

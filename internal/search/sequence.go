@@ -93,8 +93,8 @@ type SequenceRoute struct {
 type SequenceStats struct {
 	Elapsed time.Duration
 
-	// Dijkstras counts chained shortest-path stages run (including route
-	// reconstruction); Prefixes the plan prefixes materialized across layers.
+	// Dijkstras counts chained shortest-path stages run; Prefixes the plan
+	// prefixes materialized across layers.
 	Dijkstras int
 	Prefixes  int
 
@@ -195,39 +195,54 @@ func (e *Engine) SearchSequenceContext(ctx context.Context, req SequenceRequest)
 
 // seqLabel is one position label of the layered DP: standing at an entry
 // state of the current waypoint, dist the exact chained walk distance from
-// ps to that state.
+// ps to that state. The planner also records how its stage reached the
+// state: from is the labels-arena index of the label whose seed the stage's
+// Dijkstra attributed it to (Tree.Seed; -1 for a start-point seed), hops the
+// stage's door segment from that seed (Tree.AppendPathTo). Walking the from
+// links back rebuilds a route without re-running any stage.
 type seqLabel struct {
 	state graph.StateID
+	from  int32
 	dist  float64
+	hops  seqSpan
 }
+
+// seqSpan is a half-open range [lo, hi) into one of seqChain's per-query
+// arenas.
+type seqSpan struct{ lo, hi int32 }
 
 // seqPrefix is one frontier element of the layered planner: the waypoints
 // chosen for the first len(waypoints) legs, the accumulated Σρj, and the
 // position — either still at ps (inPlace: every chosen waypoint was the
 // start partition, satisfied without moving) or the full entry-state label
-// set of the last waypoint.
+// set of the last waypoint, a span of the labels arena.
 type seqPrefix struct {
 	waypoints []model.PartitionID
 	rhoSum    float64
 	inPlace   bool
-	labels    []seqLabel
+	labels    seqSpan
 	// bound is an admissible lower bound on any completion's total distance
 	// (0 for inPlace prefixes); the beam ranks on it.
 	bound float64
 }
 
-// seqPlan is one feasible complete plan awaiting ranking.
+// seqPlan is one feasible complete plan awaiting ranking. from and hops
+// record the finish stage the way a label records its stage: the label that
+// seeded the best terminal state (-1 when the walk left from ps or the
+// direct segment won) and the segment to that state.
 type seqPlan struct {
 	waypoints []model.PartitionID
 	rhoSum    float64
 	dist      float64
 	psi       float64
+	from      int32
+	hops      seqSpan
 }
 
-// seqChain is the machinery shared by the planner, the exhaustive baseline
-// and route reconstruction: compiled leg queries, candidate tables, the
-// overlay cost model, and the chained-stage primitives whose float
-// arithmetic both sides must share exactly for the byte-identity gate.
+// seqChain is the machinery shared by the planner and the exhaustive
+// baseline: compiled leg queries, candidate tables, the overlay cost model,
+// and the chained-stage primitives whose float arithmetic both sides must
+// share exactly for the byte-identity gate.
 type seqChain struct {
 	e   *Engine
 	req *SequenceRequest
@@ -247,17 +262,22 @@ type seqChain struct {
 	costs      graph.Costs
 
 	ws    *graph.Workspace // stage workspace for planning/evaluation
-	wss   []*graph.Workspace
 	stats *SequenceStats
+
+	// labels and hops are the planner's per-query record arenas: the entry
+	// labels of every kept prefix, and the door segment of every recorded
+	// label and plan. Both only grow, so spans and from links stay valid.
+	labels []seqLabel
+	hops   []graph.Hop
 }
 
-func newSeqChain(e *Engine, req *SequenceRequest, stats *SequenceStats) *seqChain {
+func newSeqChain(e *Engine, req *SequenceRequest, stats *SequenceStats, ws *graph.Workspace) *seqChain {
 	c := &seqChain{
 		e:      e,
 		req:    req,
 		hostPs: e.s.HostPartition(req.Ps),
 		hostPt: e.s.HostPartition(req.Pt),
-		ws:     graph.NewWorkspace(),
+		ws:     ws,
 		stats:  stats,
 	}
 	c.legQ = make([]*keyword.Query, len(req.Legs))
@@ -358,6 +378,15 @@ func labelSeeds(dst []graph.Seed, labels []seqLabel) []graph.Seed {
 	return dst
 }
 
+// prefixSeeds builds the seeds of a stage extending p: the start seeds while
+// p is still at ps, otherwise p's labels.
+func (c *seqChain) prefixSeeds(dst []graph.Seed, p *seqPrefix) []graph.Seed {
+	if p.inPlace {
+		return c.startSeeds(dst)
+	}
+	return labelSeeds(dst, c.labels[p.labels.lo:p.labels.hi])
+}
+
 // appendEntryStates appends partition v's entry states in EnterDoors order
 // — the canonical label order both the planner and the baseline extract in.
 func (c *seqChain) appendEntryStates(dst []graph.StateID, v model.PartitionID) []graph.StateID {
@@ -427,21 +456,33 @@ func (c *seqChain) labelBound(src graph.DistanceSource, labels []seqLabel) float
 	return best
 }
 
-// wsAt returns the i-th reconstruction workspace, growing the pool on
-// demand. Reconstruction keeps one workspace per stage alive so every
-// stage's borrowed Tree stays readable while the walk is backtracked.
-func (c *seqChain) wsAt(i int) *graph.Workspace {
-	for len(c.wss) <= i {
-		c.wss = append(c.wss, graph.NewWorkspace())
+// record reports how a stage extending p reached state st: the labels-arena
+// index of the label that seeded it (-1 when p is still at ps) and its door
+// segment, appended to the hops arena. st must be settled in t.
+func (c *seqChain) record(t *graph.Tree, p *seqPrefix, st graph.StateID) (from int32, hops seqSpan) {
+	from = -1
+	if !p.inPlace {
+		from = p.labels.lo + int32(t.Seed(st))
 	}
-	return c.wss[i]
+	lo := len(c.hops)
+	c.hops, _ = t.AppendPathTo(c.hops, st)
+	return from, seqSpan{int32(lo), int32(len(c.hops))}
 }
 
-// sequenceUncached runs the layered beam-stitching planner.
+// sequenceUncached runs the layered beam-stitching planner on a pooled
+// executor scratch's kernel workspace. Every kept label and feasible plan
+// records its stage's seed attribution and door segment as the stage runs,
+// so the top-k routes are assembled from those records: no stage runs after
+// ranking.
 func (e *Engine) sequenceUncached(ctx context.Context, req SequenceRequest) (*SequenceResult, error) {
 	start := time.Now()
+	sc := e.exec.pool.Get().(*execScratch)
+	defer e.exec.pool.Put(sc)
+	if sc.ws == nil {
+		sc.ws = graph.NewWorkspace()
+	}
 	res := &SequenceResult{}
-	c := newSeqChain(e, &req, &res.Stats)
+	c := newSeqChain(e, &req, &res.Stats, sc.ws)
 
 	// The Δ bound needs the KoE* distance backend; like a first KoE* query,
 	// a first sequence query on a fresh engine pays the lazy build.
@@ -467,11 +508,7 @@ func (e *Engine) sequenceUncached(ctx context.Context, req SequenceRequest) (*Se
 				targetBuf = c.appendEntryStates(targetBuf, v)
 			}
 			if len(targetBuf) > 0 {
-				if p.inPlace {
-					seedBuf = c.startSeeds(seedBuf)
-				} else {
-					seedBuf = labelSeeds(seedBuf, p.labels)
-				}
+				seedBuf = c.prefixSeeds(seedBuf, &p)
 				tree = e.pf.ShortestTreeToStatesWS(c.ws, seedBuf, targetBuf, c.costs)
 				res.Stats.Dijkstras++
 			}
@@ -489,19 +526,25 @@ func (e *Engine) sequenceUncached(ctx context.Context, req SequenceRequest) (*Se
 					res.Stats.Prefixes++
 					continue
 				}
-				labels := c.extractLabels(tree, v, nil)
+				lo := len(c.labels)
+				c.labels = c.extractLabels(tree, v, c.labels)
+				labels := c.labels[lo:]
 				if len(labels) == 0 {
 					continue // unreachable waypoint
 				}
 				bound := c.labelBound(src, labels)
 				if bound > req.Delta {
+					c.labels = c.labels[:lo]
 					res.Stats.PrunedDelta++
 					continue
+				}
+				for k := range labels {
+					labels[k].from, labels[k].hops = c.record(tree, &p, labels[k].state)
 				}
 				next = append(next, seqPrefix{
 					waypoints: append(slices.Clip(p.waypoints), v),
 					rhoSum:    p.rhoSum + rho,
-					labels:    labels,
+					labels:    seqSpan{int32(lo), int32(len(c.labels))},
 					bound:     bound,
 				})
 				res.Stats.Prefixes++
@@ -537,30 +580,33 @@ func (e *Engine) sequenceUncached(ctx context.Context, req SequenceRequest) (*Se
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if p.inPlace {
-			seedBuf = c.startSeeds(seedBuf)
-		} else {
-			seedBuf = labelSeeds(seedBuf, p.labels)
-		}
-		dist, _, _ := c.finish(c.ws, seedBuf, p.inPlace)
+		seedBuf = c.prefixSeeds(seedBuf, &p)
+		dist, best, tree := c.finish(c.ws, seedBuf, p.inPlace)
 		if dist > req.Delta {
 			res.Stats.PrunedDelta++
 			continue
 		}
-		plans = append(plans, seqPlan{
+		plan := seqPlan{
 			waypoints: p.waypoints,
 			rhoSum:    p.rhoSum,
 			dist:      dist,
 			psi:       score(req.Alpha, p.rhoSum, c.maxRho, dist, req.Delta),
-		})
+			from:      -1,
+		}
+		if best != graph.NoState {
+			plan.from, plan.hops = c.record(tree, &p, best)
+		}
+		plans = append(plans, plan)
 	}
 	res.Stats.Plans = len(plans)
 	rankSequencePlans(plans)
 	if len(plans) > req.K {
 		plans = plans[:req.K]
 	}
+	var hops []graph.Hop
 	for i := range plans {
-		res.Routes = append(res.Routes, c.buildRoute(&plans[i]))
+		hops = c.recordedHops(hops[:0], &plans[i])
+		res.Routes = append(res.Routes, c.route(&plans[i], hops))
 	}
 	res.Stats.Elapsed = time.Since(start)
 	return res, nil
@@ -582,45 +628,32 @@ func rankSequencePlans(plans []seqPlan) {
 	})
 }
 
-// buildRoute reconstructs the full stitched door walk of a ranked plan by
-// re-running its chained stages with one live workspace per stage, then
-// backtracking the winning terminal entry state through each stage's seed
-// attribution (Tree.Seed → previous stage's label index) and emitting hops
-// forward. Shared by the planner and the baseline, so reconstructed walks
-// are identical by construction.
-func (c *seqChain) buildRoute(p *seqPlan) SequenceRoute {
-	type seqStage struct {
-		tree   *graph.Tree
-		labels []seqLabel
+// recordedHops appends a plan's full door walk to dst, assembled from the
+// planner's records: the finish segment, then each label's segment along
+// the from links back to ps, emitted in walk order.
+//
+// The records equal what re-running the plan's stages alone would compute.
+// A stage's settled prefix does not depend on its target set — the kernel
+// pops in a strict (dist, door, part) order and targets only decide when to
+// stop — so the union-target stage that extracted a label settles it with
+// the same distance, parent chain and seed as a single-waypoint stage from
+// the same seeds. By induction over the legs the seeds agree too.
+func (c *seqChain) recordedHops(dst []graph.Hop, p *seqPlan) []graph.Hop {
+	var buf [MaxSequenceLegs + 1]seqSpan
+	segs := append(buf[:0], p.hops)
+	for l := p.from; l >= 0; l = c.labels[l].from {
+		segs = append(segs, c.labels[l].hops)
 	}
-	var stages []seqStage
-	inPlace := true
-	var labels []seqLabel
-	for _, v := range p.waypoints {
-		if inPlace && v == c.hostPs {
-			continue
-		}
-		var seeds []graph.Seed
-		if inPlace {
-			seeds = c.startSeeds(nil)
-		} else {
-			seeds = labelSeeds(nil, labels)
-		}
-		targets := c.appendEntryStates(nil, v)
-		tree := c.e.pf.ShortestTreeToStatesWS(c.wsAt(len(stages)), seeds, targets, c.costs)
-		c.stats.Dijkstras++
-		labels = c.extractLabels(tree, v, nil)
-		stages = append(stages, seqStage{tree: tree, labels: labels})
-		inPlace = false
+	for i := len(segs) - 1; i >= 0; i-- {
+		dst = append(dst, c.hops[segs[i].lo:segs[i].hi]...)
 	}
-	var seeds []graph.Seed
-	if inPlace {
-		seeds = c.startSeeds(nil)
-	} else {
-		seeds = labelSeeds(nil, labels)
-	}
-	_, best, ftree := c.finish(c.wsAt(len(stages)), seeds, inPlace)
+	return dst
+}
 
+// route materializes a ranked plan with its stitched door walk: per-leg
+// similarities and relevances, and the walk in Route's Doors/Entered
+// encoding (nil for the zero-door direct segment).
+func (c *seqChain) route(p *seqPlan, hops []graph.Hop) SequenceRoute {
 	r := SequenceRoute{
 		Waypoints: append([]model.PartitionID(nil), p.waypoints...),
 		LegSims:   make([][]float64, len(p.waypoints)),
@@ -638,32 +671,9 @@ func (c *seqChain) buildRoute(p *seqPlan) SequenceRoute {
 		r.LegSims[j] = sims
 		r.LegRho[j] = keyword.Relevance(sims)
 	}
-	if best == graph.NoState {
-		// The direct ps→pt segment won (possible only when every leg was
-		// satisfied in place and both points share a partition): no doors.
+	if len(hops) == 0 {
 		return r
 	}
-	// Backtrack: chosen[i] is the entry state the walk settles at the end of
-	// stage i; stage i's seed index points into stage i-1's label slice.
-	chosen := make([]graph.StateID, len(stages)+1)
-	chosen[len(stages)] = best
-	cur := best
-	for i := len(stages); i >= 1; i-- {
-		var t *graph.Tree
-		if i == len(stages) {
-			t = ftree
-		} else {
-			t = stages[i].tree
-		}
-		si := t.Seed(cur)
-		cur = stages[i-1].labels[si].state
-		chosen[i-1] = cur
-	}
-	var hops []graph.Hop
-	for i := range stages {
-		hops, _ = stages[i].tree.AppendPathTo(hops, chosen[i])
-	}
-	hops, _ = ftree.AppendPathTo(hops, best)
 	r.Doors = make([]model.DoorID, len(hops))
 	r.Entered = make([]model.PartitionID, len(hops))
 	for i, h := range hops {

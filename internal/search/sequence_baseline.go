@@ -8,7 +8,9 @@ package search
 // Because both sides build stage seeds in the same label order and read the
 // same settled Dijkstra distances, every surviving plan's distance — and
 // with it the ranked Routes slice — is byte-identical to the planner's
-// (DESIGN.md §14).
+// (DESIGN.md §14). The baseline also keeps the reference route
+// reconstruction, buildRoute, which re-runs a plan's stages where the
+// planner reads its stage records back.
 
 import (
 	"context"
@@ -39,7 +41,7 @@ func (e *Engine) ExhaustiveSequenceContext(ctx context.Context, req SequenceRequ
 	}
 	start := time.Now()
 	res := &SequenceResult{}
-	c := newSeqChain(e, &req, &res.Stats)
+	c := newSeqChain(e, &req, &res.Stats, graph.NewWorkspace())
 
 	total := 1
 	for j := range c.cands {
@@ -133,4 +135,71 @@ func (c *seqChain) evalPlan(waypoints []model.PartitionID, seedBuf *[]graph.Seed
 	}
 	dist, _, _ := c.finish(c.ws, *seedBuf, inPlace)
 	return dist, !math.IsInf(dist, 1)
+}
+
+// buildRoute is the reference route reconstruction: it re-runs a ranked
+// plan's chained stages, each on its own workspace so every stage's
+// borrowed Tree stays readable, then backtracks the winning terminal entry
+// state through each stage's seed attribution (Tree.Seed → previous stage's
+// label index) and emits hops forward. The planner's recordedHops must
+// reproduce its walk hop for hop.
+func (c *seqChain) buildRoute(p *seqPlan) SequenceRoute {
+	type seqStage struct {
+		tree   *graph.Tree
+		labels []seqLabel
+	}
+	var stages []seqStage
+	inPlace := true
+	var labels []seqLabel
+	for _, v := range p.waypoints {
+		if inPlace && v == c.hostPs {
+			continue
+		}
+		var seeds []graph.Seed
+		if inPlace {
+			seeds = c.startSeeds(nil)
+		} else {
+			seeds = labelSeeds(nil, labels)
+		}
+		targets := c.appendEntryStates(nil, v)
+		tree := c.e.pf.ShortestTreeToStatesWS(graph.NewWorkspace(), seeds, targets, c.costs)
+		c.stats.Dijkstras++
+		labels = c.extractLabels(tree, v, nil)
+		stages = append(stages, seqStage{tree: tree, labels: labels})
+		inPlace = false
+	}
+	var seeds []graph.Seed
+	if inPlace {
+		seeds = c.startSeeds(nil)
+	} else {
+		seeds = labelSeeds(nil, labels)
+	}
+	_, best, ftree := c.finish(graph.NewWorkspace(), seeds, inPlace)
+	if best == graph.NoState {
+		// The direct ps→pt segment won (possible only when every leg was
+		// satisfied in place and both points share a partition): no doors.
+		return c.route(p, nil)
+	}
+	// Backtrack: chosen[i] is the entry state the walk settles at the end of
+	// stage i; stage i's seed index points into stage i-1's label slice.
+	chosen := make([]graph.StateID, len(stages)+1)
+	chosen[len(stages)] = best
+	cur := best
+	for i := len(stages); i >= 1; i-- {
+		var t *graph.Tree
+		if i == len(stages) {
+			t = ftree
+		} else {
+			t = stages[i].tree
+		}
+		si := t.Seed(cur)
+		cur = stages[i-1].labels[si].state
+		chosen[i-1] = cur
+	}
+	var hops []graph.Hop
+	for i := range stages {
+		hops, _ = stages[i].tree.AppendPathTo(hops, chosen[i])
+	}
+	hops, _ = ftree.AppendPathTo(hops, best)
+	return c.route(p, hops)
 }

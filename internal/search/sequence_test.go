@@ -1,7 +1,9 @@
 // Sequence-planner gates: the layered beam-stitching planner must return
 // routes byte-identical to the exhaustive cross-product baseline across
-// both evaluation malls and bare/closure/delay overlays, stay deterministic
-// under concurrent distinct overlays, and integrate with the result cache.
+// both evaluation malls and bare/closure/delay overlays, rebuild every route
+// from its stage records exactly as re-running the stages would (beam runs
+// included, which the baseline cannot judge), stay deterministic under
+// concurrent distinct overlays, and integrate with the result cache.
 // External test package for the same reason as the overlay oracles: the
 // tests drive the search through internal/gen.
 package search_test
@@ -9,6 +11,7 @@ package search_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -78,7 +81,8 @@ func TestSequenceOracleSynthetic(t *testing.T) {
 	sequenceOracle(t, eng, reqs, sequenceOverlays(mall.Space, 1013))
 }
 
-// TestSequenceOracleReal is the same gate on the simulated Hangzhou mall.
+// TestSequenceOracleReal is the same gate on the simulated Hangzhou mall,
+// at the serving traffic shape (3 legs, k = 4).
 func TestSequenceOracleReal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-mall sequence oracle skipped in -short")
@@ -88,10 +92,177 @@ func TestSequenceOracleReal(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := search.NewEngine(mall.Space, idx)
-	cfg := gen.DefaultSequenceSampleConfig()
-	cfg.Legs = 2
-	reqs := sequenceInstances(t, eng, 29, 2, cfg)
+	reqs := sequenceInstances(t, eng, 29, 8, gen.DefaultSequenceSampleConfig())
 	sequenceOracle(t, eng, reqs, sequenceOverlays(mall.Space, 4447))
+}
+
+// requireReferenceRoutes re-derives every returned route from its waypoints
+// with the baseline's re-running reconstruction and requires it identical
+// to the route the planner assembled from its stage records.
+func requireReferenceRoutes(t *testing.T, eng *search.Engine, req search.SequenceRequest, routes []search.SequenceRoute, label string) {
+	t.Helper()
+	for i, r := range routes {
+		want, ok := search.ReferenceSequenceRoute(eng, req, r.Waypoints)
+		if !ok {
+			t.Errorf("%s route %d: waypoints %v are no feasible plan", label, i, r.Waypoints)
+			continue
+		}
+		if !reflect.DeepEqual(r, want) {
+			t.Errorf("%s route %d: recorded route diverged from the re-run stages\nrecorded: %+v\nre-run:   %+v",
+				label, i, r, want)
+		}
+	}
+}
+
+// TestSequenceRecordedRoutes holds the planner's recorded reconstruction to
+// the re-running one on both malls × bare/closure/delay × Beam ∈ {0, 1, 3}.
+// Beam runs may return other plans than the exact top k, which the planner ≡
+// baseline gate cannot judge; this per-route check can.
+func TestSequenceRecordedRoutes(t *testing.T) {
+	type venue struct {
+		name string
+		eng  *search.Engine
+		seed uint64
+	}
+	synth, _, sidx, err := gen.SyntheticMall(2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	venues := []venue{{"synthetic", search.NewEngine(synth.Space, sidx), 61}}
+	if !testing.Short() {
+		rmall, _, ridx, err := gen.RealMall(gen.RealConfig{Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		venues = append(venues, venue{"real", search.NewEngine(rmall.Space, ridx), 67})
+	}
+	for _, v := range venues {
+		reqs := sequenceInstances(t, v.eng, v.seed, 4, gen.DefaultSequenceSampleConfig())
+		for name, cond := range sequenceOverlays(v.eng.Space(), v.seed*7) {
+			for _, beam := range []int{0, 1, 3} {
+				for i, req := range reqs {
+					req.Conditions = cond
+					req.Beam = beam
+					res, err := v.eng.SearchSequence(req)
+					if err != nil {
+						t.Fatalf("%s %s beam %d req %d: %v", v.name, name, beam, i, err)
+					}
+					requireReferenceRoutes(t, v.eng, req, res.Routes,
+						fmt.Sprintf("%s %s beam %d req %d", v.name, name, beam, i))
+				}
+			}
+		}
+	}
+}
+
+// TestSequenceRecordedRoutesBuiltCases drives the branches the recorded
+// reconstruction handles apart from a plain walk, which sampled requests
+// rarely reach: leg 0 satisfied in place, every leg satisfied in place
+// with ps and pt sharing a partition (the zero-door direct segment wins),
+// and a candidate made unreachable by a closure. Each case must match the
+// exhaustive baseline and the re-running reconstruction.
+func TestSequenceRecordedRoutesBuiltCases(t *testing.T) {
+	mall, _, idx, err := gen.SyntheticMall(2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := search.NewEngine(mall.Space, idx)
+	s := eng.Space()
+	base := sequenceInstances(t, eng, 71, 1, gen.DefaultSequenceSampleConfig())[0]
+	base.K = 10
+	base.Delta = 1e6 // keep every plan feasible: the cases move ps and pt
+
+	// shop and word: the first room with a word that makes it one of at
+	// least two leg candidates, so a leg on word keeps a candidate when shop
+	// is closed off.
+	shop, word := model.NoPartition, ""
+	for _, p := range s.Partitions() {
+		iw, tws, ok := idx.PartitionWords(p.ID)
+		if p.Kind != model.KindRoom || !ok {
+			continue
+		}
+		words := []string{idx.IWord(iw)}
+		for _, tw := range tws {
+			words = append(words, idx.TWord(tw))
+		}
+		for _, w := range words {
+			cands := idx.CompileQuery([]string{w}, base.Tau).KeyPartitions()
+			if len(cands) > 1 && slices.Contains(cands, p.ID) {
+				shop, word = p.ID, w
+				break
+			}
+		}
+		if shop != model.NoPartition {
+			break
+		}
+	}
+	if shop == model.NoPartition {
+		t.Fatal("synthetic mall has no room sharing a candidate word with another")
+	}
+	inside := s.Partition(shop).Bounds.Center()
+	if s.HostPartition(inside) != shop {
+		t.Fatalf("center of partition %d is hosted by %d", shop, s.HostPartition(inside))
+	}
+	near := inside
+	near.X += s.Partition(shop).Bounds.Width() / 4
+
+	check := func(t *testing.T, req search.SequenceRequest) []search.SequenceRoute {
+		t.Helper()
+		got, err := eng.SearchSequence(req)
+		if err != nil {
+			t.Fatalf("planner: %v", err)
+		}
+		want, err := eng.ExhaustiveSequence(req)
+		if err != nil {
+			t.Fatalf("baseline: %v", err)
+		}
+		if !reflect.DeepEqual(got.Routes, want.Routes) {
+			t.Errorf("planner routes diverged from exhaustive baseline\nplanner:  %+v\nbaseline: %+v",
+				got.Routes, want.Routes)
+		}
+		requireReferenceRoutes(t, eng, req, got.Routes, t.Name())
+		if len(got.Routes) == 0 {
+			t.Fatal("no routes")
+		}
+		return got.Routes
+	}
+
+	t.Run("leg0InPlace", func(t *testing.T) {
+		req := base
+		req.Ps = inside
+		req.Legs = append([]search.SequenceLeg{{QW: []string{word}}}, base.Legs[1:]...)
+		found := false
+		for _, r := range check(t, req) {
+			found = found || r.Waypoints[0] == shop
+		}
+		if !found {
+			t.Errorf("no route satisfies leg 0 in place at partition %d", shop)
+		}
+	})
+
+	t.Run("allInPlaceDirect", func(t *testing.T) {
+		req := base
+		req.Ps, req.Pt = inside, near
+		req.Legs = []search.SequenceLeg{{QW: []string{word}}, {QW: []string{word}}, {QW: []string{word}}}
+		r := check(t, req)[0]
+		if !slices.Equal(r.Waypoints, []model.PartitionID{shop, shop, shop}) || r.Doors != nil || r.Entered != nil {
+			t.Errorf("best route = %+v, want the zero-door direct segment via %d", r, shop)
+		}
+		if want := inside.Dist(near); r.Dist != want {
+			t.Errorf("direct route distance = %v, want %v", r.Dist, want)
+		}
+	})
+
+	t.Run("closedCandidate", func(t *testing.T) {
+		req := base
+		req.Legs = append([]search.SequenceLeg{{QW: []string{word}}}, base.Legs[1:]...)
+		req.Conditions = model.NewConditions().Close(s.Partition(shop).EnterDoors()...)
+		for _, r := range check(t, req) {
+			if slices.Contains(r.Waypoints, shop) {
+				t.Errorf("route %v visits partition %d behind closed doors", r.Waypoints, shop)
+			}
+		}
+	})
 }
 
 // TestSequenceConcurrentDistinctOverlays shares one engine between

@@ -93,15 +93,15 @@ func (b *conditionsBus) publish(name string, cond *model.Conditions) uint64 {
 	return v.rev
 }
 
-// subscribe registers a notify channel under the server-wide cap, returning
-// the revision current at registration (so the caller's initial run and its
-// change-watch share a consistent starting point) and a cancel that must run
-// exactly once.
-func (b *conditionsBus) subscribe(name string, maxSubs int) (ch chan struct{}, rev uint64, cancel func(), ok bool) {
+// subscribe registers a notify channel under the server-wide cap and
+// returns a cancel that must run exactly once. Every publish after
+// registration wakes the channel, so a caller that reads the bus state after
+// subscribing misses no revision.
+func (b *conditionsBus) subscribe(name string, maxSubs int) (ch chan struct{}, cancel func(), ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if maxSubs > 0 && b.subs >= maxSubs {
-		return nil, 0, nil, false
+		return nil, nil, false
 	}
 	v := b.venueLocked(name)
 	ch = make(chan struct{}, 1)
@@ -115,7 +115,7 @@ func (b *conditionsBus) subscribe(name string, maxSubs int) (ch chan struct{}, r
 			b.subs--
 		}
 	}
-	return ch, v.rev, cancel, true
+	return ch, cancel, true
 }
 
 // subscribers returns the live stream count (a /debug/vars gauge).
@@ -197,7 +197,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	}
 
 	name := r.PathValue("venue")
-	ch, rev, cancel, ok := s.bus.subscribe(name, s.cfg.MaxSubscribers)
+	ch, cancel, ok := s.bus.subscribe(name, s.cfg.MaxSubscribers)
 	if !ok {
 		s.writeError(w, codeSubscriberLimit,
 			"venue subscriptions are at the %d-stream limit; retry later", s.cfg.MaxSubscribers)
@@ -207,7 +207,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 
 	// The initial run doubles as request validation: any defect surfaces as
 	// a structured error before the stream commits to 200.
-	payload, lastSig, apiErr := s.runSubscribed(r.Context(), name, env)
+	rev, payload, lastSig, apiErr := s.runSubscribed(r.Context(), name, env)
 	if apiErr != nil {
 		if apiErr == clientGone {
 			s.met.disconnects.Add(1)
@@ -235,8 +235,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			return
 		case <-ch:
 		}
-		rev, _ = s.bus.state(name)
-		payload, sig, apiErr := s.runSubscribed(r.Context(), name, env)
+		rev, payload, sig, apiErr := s.runSubscribed(r.Context(), name, env)
 		if apiErr != nil {
 			if apiErr != clientGone {
 				// A terminal error event beats a silent close: the client
@@ -260,42 +259,45 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 }
 
 // runSubscribed executes the subscribed envelope against the venue's current
-// engine (re-acquired per run, so reloads and swaps are picked up). payload
-// is the response JSON — the same document a fresh POST
+// engine (re-acquired per run, so reloads and swaps are picked up) under the
+// published conditions of revision rev, read from the bus in one step so an
+// event's id always names the revision its routes were computed under.
+// payload is the response JSON — the same document a fresh POST
 // /v2/venues/{venue}/query would serve — and sig the routes-only portion the
 // change detector compares: stats carry wall-clock timings that differ on
 // every run, so comparing full payloads would push a "re-route" on every
 // revision even when the served routes are unchanged.
-func (s *Server) runSubscribed(ctx context.Context, name string, env *queryEnvelope) (payload, sig []byte, _ *apiError) {
+func (s *Server) runSubscribed(ctx context.Context, name string, env *queryEnvelope) (rev uint64, payload, sig []byte, _ *apiError) {
+	rev, published := s.bus.state(name)
 	h, apiErr := s.acquireVenue(name)
 	if apiErr != nil {
-		return nil, nil, apiErr
+		return rev, nil, nil, apiErr
 	}
 	defer h.Release()
 	var res, routes any
 	switch {
 	case env.Route != nil:
-		r, apiErr := s.runRouteQuery(ctx, h, &env.Route.QueryRequest)
+		r, apiErr := s.runRouteQuery(ctx, h, &env.Route.QueryRequest, published)
 		if apiErr != nil {
-			return nil, nil, apiErr
+			return rev, nil, nil, apiErr
 		}
 		res, routes = r, r.Routes
 	default:
-		r, apiErr := s.runSequenceQuery(ctx, h, env.Sequence)
+		r, apiErr := s.runSequenceQuery(ctx, h, env.Sequence, published)
 		if apiErr != nil {
-			return nil, nil, apiErr
+			return rev, nil, nil, apiErr
 		}
 		res, routes = r, r.Routes
 	}
 	payload, err := json.Marshal(res)
 	if err != nil {
-		return nil, nil, errf(codeVenueUnavailable, "encoding result: %v", err)
+		return rev, nil, nil, errf(codeVenueUnavailable, "encoding result: %v", err)
 	}
 	sig, err = json.Marshal(routes)
 	if err != nil {
-		return nil, nil, errf(codeVenueUnavailable, "encoding result: %v", err)
+		return rev, nil, nil, errf(codeVenueUnavailable, "encoding result: %v", err)
 	}
-	return payload, sig, nil
+	return rev, payload, sig, nil
 }
 
 // writeSSE frames one server-sent event. Payloads are single-line JSON

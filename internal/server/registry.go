@@ -67,9 +67,13 @@ type Registry struct {
 
 // venue is one registry entry. engine, refs, retired, lastUse and loadTime
 // are guarded by the registry mutex; loadMu serializes the (slow,
-// lock-free) snapshot load so concurrent first queries load once.
+// lock-free) snapshot load so concurrent first queries load once. Swap
+// rewrites cfg under both locks, so either one suffices to read it. name is
+// cfg.Name, fixed at Add, which Handle.Venue reads on the query path with
+// neither lock held.
 type venue struct {
-	cfg VenueConfig
+	name string
+	cfg  VenueConfig
 
 	loadMu sync.Mutex
 
@@ -162,7 +166,7 @@ func (r *Registry) Add(cfg VenueConfig) error {
 	if _, dup := r.venues[cfg.Name]; dup {
 		return fmt.Errorf("server: duplicate venue %q", cfg.Name)
 	}
-	r.venues[cfg.Name] = &venue{cfg: cfg}
+	r.venues[cfg.Name] = &venue{name: cfg.Name, cfg: cfg}
 	r.names = append(r.names, cfg.Name)
 	return nil
 }
@@ -216,7 +220,7 @@ type Handle struct {
 func (h *Handle) Engine() *search.Engine { return h.e }
 
 // Venue returns the venue name the handle references.
-func (h *Handle) Venue() string { return h.v.cfg.Name }
+func (h *Handle) Venue() string { return h.v.name }
 
 // CountQuery attributes one served query to the venue (for /v1/venues).
 func (h *Handle) CountQuery() { h.v.queries.Add(1) }

@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"time"
 
+	"ikrq/internal/model"
 	"ikrq/internal/search"
 )
 
@@ -247,10 +248,11 @@ func (s *Server) queryDeadline(reqMillis int) time.Duration {
 
 // runRouteQuery executes one route query against an acquired venue handle —
 // the shared core of /v1 query, the v2 route envelope and subscriber
-// re-runs. A request without a conditions overlay runs under the venue's
-// published conditions revision. Returns clientGone when the client
-// disconnected mid-query (nothing can be written).
-func (s *Server) runRouteQuery(parent context.Context, h *Handle, q *QueryRequest) (*QueryResponse, *apiError) {
+// re-runs. A request without a conditions overlay runs under published, the
+// venue's published conditions as the caller read them from the bus.
+// Returns clientGone when the client disconnected mid-query (nothing can be
+// written).
+func (s *Server) runRouteQuery(parent context.Context, h *Handle, q *QueryRequest, published *model.Conditions) (*QueryResponse, *apiError) {
 	variant := search.Variant(q.Variant)
 	if q.Variant == "" {
 		variant = search.VariantToE
@@ -268,7 +270,7 @@ func (s *Server) runRouteQuery(parent context.Context, h *Handle, q *QueryReques
 		return nil, errf(codeInvalidRequest, "%v", err)
 	}
 	if req.Conditions == nil {
-		req.Conditions = s.bus.current(h.Venue())
+		req.Conditions = published
 	}
 
 	timeout := s.queryDeadline(q.TimeoutMillis)
@@ -296,13 +298,13 @@ func (s *Server) runRouteQuery(parent context.Context, h *Handle, q *QueryReques
 
 // runSequenceQuery is runRouteQuery's counterpart for the v2 sequence
 // envelope.
-func (s *Server) runSequenceQuery(parent context.Context, h *Handle, q *SequenceRequestV2) (*SequenceResponse, *apiError) {
+func (s *Server) runSequenceQuery(parent context.Context, h *Handle, q *SequenceRequestV2, published *model.Conditions) (*SequenceResponse, *apiError) {
 	req, err := q.BuildSequenceRequest(h.Engine())
 	if err != nil {
 		return nil, errf(codeInvalidRequest, "%v", err)
 	}
 	if req.Conditions == nil {
-		req.Conditions = s.bus.current(h.Venue())
+		req.Conditions = published
 	}
 
 	timeout := s.queryDeadline(q.TimeoutMillis)
@@ -355,7 +357,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer h.Release()
 
-	res, apiErr := s.runRouteQuery(r.Context(), h, &q)
+	res, apiErr := s.runRouteQuery(r.Context(), h, &q, s.bus.current(h.Venue()))
 	switch {
 	case apiErr == clientGone:
 		s.met.disconnects.Add(1)
@@ -396,11 +398,12 @@ func (s *Server) handleQueryV2(w http.ResponseWriter, r *http.Request) {
 	defer h.Release()
 
 	var res any
+	published := s.bus.current(h.Venue())
 	switch {
 	case env.Route != nil:
-		res, apiErr = route2any(s.runRouteQuery(r.Context(), h, &env.Route.QueryRequest))
+		res, apiErr = route2any(s.runRouteQuery(r.Context(), h, &env.Route.QueryRequest, published))
 	default:
-		res, apiErr = seq2any(s.runSequenceQuery(r.Context(), h, env.Sequence))
+		res, apiErr = seq2any(s.runSequenceQuery(r.Context(), h, env.Sequence, published))
 	}
 	switch {
 	case apiErr == clientGone:

@@ -183,6 +183,10 @@ type SequenceRouteWire struct {
 }
 
 // SequenceStatsWire is the client-facing subset of search.SequenceStats.
+// dijkstras counts planning stages only: routes are assembled from the
+// planner's stage records, not by re-running stages, so the value is about
+// half what servers that re-ran the top-k plans reported (about 15 rather
+// than 31 on 3-leg, k = 4 queries on the real mall).
 type SequenceStatsWire struct {
 	ElapsedMicros int64 `json:"elapsed_us"`
 	Dijkstras     int   `json:"dijkstras"`
