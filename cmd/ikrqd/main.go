@@ -4,10 +4,9 @@
 //
 // Usage:
 //
-//	ikrqgen -real -snapshot mall.ikrq -matrix        # bake once …
+//	ikrqgen -real -snapshot mall.ikrq                # bake once …
 //	ikrqd -listen :8080 -venue mall=mall.ikrq        # … serve everywhere
 //	ikrqd -venue a=a.ikrq -venue b=b.ikrq -max-resident 1
-//	ikrqd -venue mall=mall.ikrq -loadgen 16          # self-test, no listening
 //
 // Endpoints:
 //
@@ -47,13 +46,6 @@
 // and the conditions overlay — so a cache hit is byte-identical to the
 // uncached answer. -cache-entries and -cache-bytes bound it; -cache-off
 // disables it.
-//
-// With -loadgen n the daemon skips listening: it fires n deterministic
-// sampled queries per venue through the full HTTP stack (cycling all Table
-// III variants), prints per-venue latency, and exits non-zero if any query
-// fails — the same smoke the CI e2e job runs with curl. -mix zipf switches
-// the workload to skewed repeats over a small query pool and additionally
-// reports the cache hit rate and the hit/miss latency split.
 package main
 
 import (
@@ -81,7 +73,7 @@ func run() int {
 	var venues venueFlags
 	var (
 		listen      = flag.String("listen", ":8080", "HTTP listen address")
-		warm        = flag.Bool("warm", false, "load every venue (and its KoE* matrix) at startup instead of on first query")
+		warm        = flag.Bool("warm", false, "load every venue (and its KoE* backend) at startup instead of on first query")
 		maxResident = flag.Int("max-resident", 0, "max engines resident at once, LRU-evicted (0: unlimited)")
 		maxInflight = flag.Int("max-inflight", 0, "max concurrently executing queries before shedding with 429 (0: 4×GOMAXPROCS)")
 		timeout     = flag.Duration("timeout", 10*time.Second, "per-query deadline")
@@ -90,9 +82,6 @@ func run() int {
 		snapRoot    = flag.String("snapshot-root", "", "directory reload path overrides may load snapshots from (empty: reload only re-reads each venue's configured path)")
 		maxSubs     = flag.Int("max-subscribers", 0, "max live conditions-bus SSE streams across all venues (0: 64)")
 		subMax      = flag.Duration("subscribe-max", 0, "max lifetime of one subscribe stream before the client must reconnect (0: 5m)")
-		loadgen     = flag.Int("loadgen", 0, "self-test: run this many sampled queries per venue through the HTTP stack and exit")
-		seed        = flag.Uint64("seed", 1, "loadgen sampling seed")
-		mix         = flag.String("mix", "sweep", "loadgen workload mix: sweep (distinct queries over all variants) or zipf (skewed repeats; reports cache hit rate)")
 
 		cacheEntries = flag.Int("cache-entries", search.DefaultCacheEntries, "per-venue result-cache capacity in entries")
 		cacheBytes   = flag.Int64("cache-bytes", search.DefaultCacheBytes, "per-venue result-cache budget in bytes (-1: unbounded)")
@@ -131,13 +120,6 @@ func run() int {
 		SubscribeMaxAge: *subMax,
 	}
 	srv := server.New(reg, cfg)
-
-	if *loadgen > 0 {
-		if err := srv.LoadGen(os.Stdout, *loadgen, *seed, *mix); err != nil {
-			return cli.Fail(os.Stderr, "ikrqd", err)
-		}
-		return cli.ExitOK
-	}
 
 	l, err := net.Listen("tcp", *listen)
 	if err != nil {

@@ -7,9 +7,13 @@
 //
 //	ikrqgen -floors 5 -seed 1                     # statistics only
 //	ikrqgen -real -json > mall.json               # dump the simulated Hangzhou mall
-//	ikrqgen -real -snapshot mall.ikrq -matrix     # bake a snapshot incl. the KoE* matrix
-//	ikrqgen -floors 14 -shops-per-floor 141 -snapshot mega.ikrq -oracle
-//	                                              # bake a mega venue with the hierarchical oracle
+//	ikrqgen -real -snapshot mall.ikrq             # bake a snapshot incl. the KoE* backend
+//	ikrqgen -floors 14 -shops-per-floor 141 -snapshot mega.ikrq
+//
+// A bake always includes the KoE* distance backend the engine picks by
+// venue size (Engine.Precompute): the dense all-pairs matrix up to
+// search.DenseStateLimit states — both reference malls — and the
+// hierarchical oracle beyond, e.g. for the 14-floor mega venue above.
 package main
 
 import (
@@ -37,18 +41,12 @@ func run() int {
 		real     = flag.Bool("real", false, "simulated Hangzhou mall")
 		seed     = flag.Uint64("seed", 1, "generation seed")
 		asJSON   = flag.Bool("json", false, "dump the space as JSON to stdout")
-		snapPath = flag.String("snapshot", "", "bake the engine to this snapshot file")
-		matrix   = flag.Bool("matrix", false, "precompute the dense KoE* all-pairs matrix into the snapshot")
-		oracle   = flag.Bool("oracle", false, "precompute the hierarchical KoE* distance oracle into the snapshot (the large-venue backend)")
+		snapPath = flag.String("snapshot", "", "bake the engine, KoE* backend included, to this snapshot file")
 	)
 	flag.Parse()
 	if *asJSON && *snapPath != "" {
 		return cli.Fail(os.Stderr, "ikrqgen",
 			cli.Usagef("-json and -snapshot are mutually exclusive; run ikrqgen twice with the same -seed"))
-	}
-	if *matrix && *oracle {
-		return cli.Fail(os.Stderr, "ikrqgen",
-			cli.Usagef("-matrix and -oracle are mutually exclusive; a snapshot carries one KoE* backend"))
 	}
 	if *real && *shops > 0 {
 		return cli.Fail(os.Stderr, "ikrqgen",
@@ -69,13 +67,7 @@ func run() int {
 	}
 
 	if *snapPath != "" {
-		backend := ""
-		if *matrix {
-			backend = "matrix"
-		} else if *oracle {
-			backend = "oracle"
-		}
-		if err := bake(*snapPath, backend, mall, idx); err != nil {
+		if err := bake(*snapPath, mall, idx); err != nil {
 			return cli.Fail(os.Stderr, "ikrqgen", err)
 		}
 		return cli.ExitOK
@@ -96,23 +88,16 @@ func run() int {
 	return cli.ExitOK
 }
 
-// bake builds the engine (optionally forcing a KoE* distance backend,
-// "matrix" or "oracle") and writes the mmap-servable snapshot, reporting
-// what each stage cost so operators can see what a load will save.
-func bake(path, backend string, mall *ikrq.Mall, idx *ikrq.KeywordIndex) error {
+// bake builds the engine and its size-picked KoE* distance backend and
+// writes the mmap-servable snapshot, reporting what each stage cost so
+// operators can see what a load will save.
+func bake(path string, mall *ikrq.Mall, idx *ikrq.KeywordIndex) error {
 	t0 := time.Now()
 	engine := ikrq.NewEngine(mall.Space, idx)
 	build := time.Since(t0)
-	var backendTime time.Duration
-	if backend != "" {
-		t1 := time.Now()
-		if backend == "matrix" {
-			engine.PrecomputeMatrix()
-		} else {
-			engine.PrecomputeOracle()
-		}
-		backendTime = time.Since(t1)
-	}
+	t1 := time.Now()
+	backend := engine.Precompute().Kind()
+	backendTime := time.Since(t1)
 
 	// Write to a temp file in the destination directory and rename it into
 	// place. A serving daemon may hold a live mmap of the old file (reload
@@ -149,13 +134,7 @@ func bake(path, backend string, mall *ikrq.Mall, idx *ikrq.KeywordIndex) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("baked %s: %.1f MB in %v (index build %v", path,
-		float64(info.Size())/(1<<20), time.Since(t2), build)
-	if backend != "" {
-		fmt.Printf(", KoE* %s %v", backend, backendTime)
-	} else {
-		fmt.Printf(", no KoE* backend — pass -matrix or -oracle to bake one")
-	}
-	fmt.Println(")")
+	fmt.Printf("baked %s: %.1f MB in %v (index build %v, KoE* %s %v)\n", path,
+		float64(info.Size())/(1<<20), time.Since(t2), build, backend, backendTime)
 	return nil
 }

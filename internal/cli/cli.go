@@ -167,9 +167,9 @@ func VariantList() string {
 //	-close "3,17"          doors 3 and 17 are closed
 //	-delay "12:30,40:15.5" door 12 costs +30m per pass, door 40 +15.5m
 //
-// Both specs empty yield a nil overlay (no conditions). Door IDs are
-// validated against the engine at query time, not here. Malformed specs
-// are UsageErrors.
+// Both specs empty yield a nil overlay (no conditions). Door IDs must fit a
+// model.DoorID; they are validated against the engine at query time, not
+// here. Malformed specs are UsageErrors.
 func ParseConditions(closeSpec, delaySpec string) (*model.Conditions, error) {
 	if closeSpec == "" && delaySpec == "" {
 		return nil, nil
@@ -181,7 +181,7 @@ func ParseConditions(closeSpec, delaySpec string) (*model.Conditions, error) {
 			if tok == "" {
 				continue
 			}
-			id, err := strconv.Atoi(tok)
+			id, err := strconv.ParseInt(tok, 10, 32)
 			if err != nil {
 				return nil, Usagef("bad -close entry %q: %v", tok, err)
 			}
@@ -198,7 +198,7 @@ func ParseConditions(closeSpec, delaySpec string) (*model.Conditions, error) {
 			if !ok {
 				return nil, Usagef("bad -delay entry %q: want door:penalty", tok)
 			}
-			id, err := strconv.Atoi(strings.TrimSpace(door))
+			id, err := strconv.ParseInt(strings.TrimSpace(door), 10, 32)
 			if err != nil {
 				return nil, Usagef("bad -delay door in %q: %v", tok, err)
 			}

@@ -27,6 +27,9 @@ func TestParseConditions(t *testing.T) {
 
 	for _, bad := range []struct{ c, d string }{
 		{"x", ""}, {"", "12"}, {"", "12:abc"}, {"", "12:-3"}, {"", "12:+Inf"},
+		// IDs that do not fit a door ID must not wrap onto a real door
+		// (4294967301 truncates to door 5).
+		{"4294967301", ""}, {"", "4294967301:5"},
 	} {
 		if _, err := ParseConditions(bad.c, bad.d); err == nil {
 			t.Errorf("ParseConditions(%q, %q) accepted", bad.c, bad.d)
@@ -120,6 +123,7 @@ func TestFlagErrorsAreUsageErrors(t *testing.T) {
 	}
 	for _, bad := range []struct{ c, d string }{
 		{"x", ""}, {"", "12"}, {"", "12:abc"}, {"", "12:-3"}, {"", "12:+Inf"},
+		{"4294967301", ""}, {"", "4294967301:5"},
 	} {
 		if _, err := ParseConditions(bad.c, bad.d); !IsUsage(err) {
 			t.Errorf("ParseConditions(%q, %q): not a usage error: %v", bad.c, bad.d, err)

@@ -125,21 +125,31 @@ func (b *conditionsBus) subscribers() int {
 	return b.subs
 }
 
+// decodeConditions reads a conditions publish body strictly: unknown fields
+// are malformed, and an empty body is the empty overlay. The reader is
+// expected to be MaxBytesReader-bounded by the caller.
+func decodeConditions(body io.Reader) (*ConditionsWire, *apiError) {
+	var cw ConditionsWire
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cw); err != nil && !errors.Is(err, io.EOF) {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return nil, errf(codeRequestTooLarge, "request body exceeds the %d-byte limit", tooBig.Limit)
+		}
+		return nil, errf(codeMalformedRequest, "decoding request body: %v", err)
+	}
+	return &cw, nil
+}
+
 // handleConditions is PUT /v2/venues/{venue}/conditions: validate the
 // overlay against the venue's doors, publish it as the next revision,
 // invalidate the venue's result cache and wake subscribers. An empty body
 // (or an empty overlay) clears the published conditions.
 func (s *Server) handleConditions(w http.ResponseWriter, r *http.Request) {
-	var cw ConditionsWire
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cw); err != nil && !errors.Is(err, io.EOF) {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.writeError(w, codeRequestTooLarge, "request body exceeds the %d-byte limit", tooBig.Limit)
-			return
-		}
-		s.writeError(w, codeMalformedRequest, "decoding request body: %v", err)
+	cw, apiErr := decodeConditions(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if apiErr != nil {
+		s.writeAPIError(w, apiErr)
 		return
 	}
 
@@ -149,10 +159,13 @@ func (s *Server) handleConditions(w http.ResponseWriter, r *http.Request) {
 		s.writeAPIError(w, apiErr)
 		return
 	}
-	cond := cw.Conditions()
 	numDoors := h.Engine().Space().NumDoors()
 	h.Release()
-	if err := cond.Validate(numDoors); err != nil {
+	cond, err := cw.Overlay()
+	if err == nil {
+		err = cond.Validate(numDoors)
+	}
+	if err != nil {
 		s.writeError(w, codeInvalidRequest, "%v", err)
 		return
 	}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"ikrq/internal/search"
@@ -181,35 +180,5 @@ func TestRegistryInvalidateResults(t *testing.T) {
 	}
 	if err := srv.Registry().InvalidateResults("nosuch"); err == nil {
 		t.Error("InvalidateResults accepted an unknown venue")
-	}
-}
-
-// TestLoadGenZipf runs the skewed self-test mix and checks it reports a
-// cache hit rate; with the cache enabled the skew guarantees hits.
-func TestLoadGenZipf(t *testing.T) {
-	srv, _ := newCachedServer(t, Config{})
-	var buf bytes.Buffer
-	if err := srv.LoadGen(&buf, 64, 7, "zipf"); err != nil {
-		t.Fatalf("LoadGen zipf: %v\n%s", err, buf.String())
-	}
-	out := buf.String()
-	if !strings.Contains(out, "hit rate") {
-		t.Errorf("zipf report lacks a hit rate:\n%s", out)
-	}
-	if strings.Contains(out, "hit rate 0.0%") {
-		t.Errorf("zipf mix over a cached venue produced no hits:\n%s", out)
-	}
-	if st := mallCacheStats(t, srv).ResultCache; st == nil || st.Hits == 0 {
-		t.Errorf("loadgen zipf left no cache hits: %+v", st)
-	}
-
-	// Without a cache the mix still runs, reporting a zero hit rate.
-	srvOff, _, _ := newBakedServer(t, Config{})
-	buf.Reset()
-	if err := srvOff.LoadGen(&buf, 16, 7, "zipf"); err != nil {
-		t.Fatalf("LoadGen zipf (cache off): %v\n%s", err, buf.String())
-	}
-	if !strings.Contains(buf.String(), "hit rate 0.0%") {
-		t.Errorf("cache-off zipf report should show a zero hit rate:\n%s", buf.String())
 	}
 }

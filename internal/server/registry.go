@@ -28,10 +28,10 @@ type VenueConfig struct {
 	Name string
 	// Path is the snapshot file baked by `ikrqgen -snapshot`.
 	Path string
-	// Warm forces the KoE* all-pairs matrix eagerly on every load of this
-	// venue, so no serving query ever pays the Θ(states²) sweep. Snapshots
-	// baked with `ikrqgen -matrix` carry the matrix already and make Warm a
-	// no-op.
+	// Warm forces the KoE* distance backend (Engine.Precompute) eagerly on
+	// every load of this venue, so no serving query ever pays its build.
+	// Snapshots baked by `ikrqgen -snapshot` carry the backend already and
+	// make Warm a no-op.
 	Warm bool
 }
 

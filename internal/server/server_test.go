@@ -210,6 +210,8 @@ func TestErrorPaths(t *testing.T) {
 		{"conditions negative delay", "mall", valid(func(q *QueryRequest) {
 			q.Conditions = &ConditionsWire{Delay: map[int]float64{1: -4}}
 		}), http.StatusBadRequest, "invalid_request"},
+		{"too many keywords", "mall", valid(tooManyKeywords), http.StatusBadRequest, "invalid_request"},
+		{"conditions door past the ID range", "mall", valid(wideDoor), http.StatusBadRequest, "invalid_request"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -229,6 +231,45 @@ func TestErrorPaths(t *testing.T) {
 			}
 		})
 	}
+
+	// The keyword cap and the door-ID range hold on the v2 route envelope
+	// too, and the message names what was sent.
+	for _, tc := range []struct {
+		name string
+		mut  func(*QueryRequest)
+		msg  string
+	}{
+		{"too many keywords", tooManyKeywords, "17 keywords"},
+		{"conditions door past the ID range", wideDoor, "door 4294967301"},
+	} {
+		t.Run("v2 "+tc.name, func(t *testing.T) {
+			wq := wireCases[0]
+			tc.mut(&wq)
+			body, err := json.Marshal(&RouteRequestV2{Type: queryTypeRoute, QueryRequest: wq})
+			if err != nil {
+				t.Fatal(err)
+			}
+			status, raw := postV2(t, ts, "mall", body)
+			var eb ErrorBody
+			if err := json.Unmarshal(raw, &eb); err != nil || status != http.StatusBadRequest || eb.Error.Code != "invalid_request" {
+				t.Fatalf("status %d, body %s; want 400 invalid_request", status, raw)
+			}
+			if !strings.Contains(eb.Error.Message, tc.msg) {
+				t.Errorf("message %q does not name %q", eb.Error.Message, tc.msg)
+			}
+		})
+	}
+}
+
+// tooManyKeywords puts one keyword past the wire cap on a query.
+func tooManyKeywords(q *QueryRequest) {
+	q.Keywords = strings.Fields(strings.Repeat("coffee ", maxWireKeywords+1))
+}
+
+// wideDoor closes a door ID that does not fit a model.DoorID: converted
+// unchecked it would wrap onto door 5.
+func wideDoor(q *QueryRequest) {
+	q.Conditions = &ConditionsWire{Close: []int{4294967301}}
 }
 
 // blockedRegistry returns a registry whose single venue "slow" blocks in
@@ -495,23 +536,5 @@ func TestHealthzAndVars(t *testing.T) {
 	}
 	if vars.Memory.ResidentBytesTotal != ms.TotalBytes {
 		t.Errorf("resident total %d != venue total %d", vars.Memory.ResidentBytesTotal, ms.TotalBytes)
-	}
-}
-
-// TestLoadGen runs the daemon's self-test mode against the baked venue.
-func TestLoadGen(t *testing.T) {
-	srv, _, _ := newBakedServer(t, Config{})
-	var buf bytes.Buffer
-	if err := srv.LoadGen(&buf, 4, 7, "sweep"); err != nil {
-		t.Fatalf("LoadGen: %v\n%s", err, buf.String())
-	}
-	if !strings.Contains(buf.String(), "loadgen mall: 4 queries, 0 failed") {
-		t.Errorf("loadgen report: %s", buf.String())
-	}
-	if err := srv.LoadGen(io.Discard, 0, 1, ""); err == nil {
-		t.Error("LoadGen accepted a non-positive count")
-	}
-	if err := srv.LoadGen(io.Discard, 1, 1, "bogus"); err == nil {
-		t.Error("LoadGen accepted an unknown mix")
 	}
 }

@@ -152,6 +152,22 @@ func TestServeSequenceV2(t *testing.T) {
 	}
 }
 
+// publishRejects are the conditions publishes TestConditionsPublish expects
+// to fail, leaving the published revision unchanged.
+var publishRejects = []struct {
+	name, venue, body string
+	status            int
+	code              string
+}{
+	{"door out of range", "mall", `{"close":[99]}`, http.StatusBadRequest, "invalid_request"},
+	// Converted unchecked, these IDs would wrap onto door 5 and publish.
+	{"door past the ID range", "mall", `{"close":[4294967301]}`, http.StatusBadRequest, "invalid_request"},
+	{"delay door past the ID range", "mall", `{"delay":{"4294967301":5}}`, http.StatusBadRequest, "invalid_request"},
+	{"unknown venue", "atlantis", `{"close":[1]}`, http.StatusNotFound, "unknown_venue"},
+	{"malformed body", "mall", `{"close":`, http.StatusBadRequest, "malformed_request"},
+	{"unknown field", "mall", `{"shut":[1]}`, http.StatusBadRequest, "malformed_request"},
+}
+
 // TestConditionsPublish covers the publish endpoint: revisions increment,
 // overlays validate against the venue's doors, and published conditions
 // become the default overlay for queries that carry none — while explicit
@@ -202,16 +218,7 @@ func TestConditionsPublish(t *testing.T) {
 		t.Error("published delay should change the default-overlay result")
 	}
 
-	for _, tc := range []struct {
-		name, venue, body string
-		status            int
-		code              string
-	}{
-		{"door out of range", "mall", `{"close":[99]}`, http.StatusBadRequest, "invalid_request"},
-		{"unknown venue", "atlantis", `{"close":[1]}`, http.StatusNotFound, "unknown_venue"},
-		{"malformed body", "mall", `{"close":`, http.StatusBadRequest, "malformed_request"},
-		{"unknown field", "mall", `{"shut":[1]}`, http.StatusBadRequest, "malformed_request"},
-	} {
+	for _, tc := range publishRejects {
 		t.Run(tc.name, func(t *testing.T) {
 			code, out := putConditions(t, ts, tc.venue, []byte(tc.body))
 			if code != tc.status {

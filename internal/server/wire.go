@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"time"
 
@@ -29,14 +30,38 @@ type PointWire struct {
 func (p PointWire) Point() geom.Point { return geom.Pt(p.X, p.Y, p.Floor) }
 
 // ConditionsWire is the live-venue overlay on the wire: closed door IDs
-// plus per-door traversal penalties in walking meters. Door IDs are
-// validated against the venue's space by Engine.Validate, not here.
+// plus per-door traversal penalties in walking meters. Overlay checks that
+// every ID fits a model.DoorID; Engine.Validate checks them against the
+// venue's space.
 type ConditionsWire struct {
 	Close []int           `json:"close,omitempty"`
 	Delay map[int]float64 `json:"delay,omitempty"`
 }
 
-// Conditions converts the overlay; nil in, nil out.
+// Overlay range-checks the wire door IDs and converts the overlay; nil in,
+// nil out. Every overlay a client sends goes through it — route and
+// sequence query overlays and conditions publishes — so an ID that does not
+// fit a model.DoorID is a client error naming the ID as sent, never a
+// silent wrap onto another door (4294967301 would otherwise become door 5).
+func (c *ConditionsWire) Overlay() (*model.Conditions, error) {
+	if c == nil {
+		return nil, nil
+	}
+	for _, d := range c.Close {
+		if int(model.DoorID(d)) != d {
+			return nil, fmt.Errorf("conditions close door %d, outside the door ID range", d)
+		}
+	}
+	for d := range c.Delay {
+		if int(model.DoorID(d)) != d {
+			return nil, fmt.Errorf("conditions delay door %d, outside the door ID range", d)
+		}
+	}
+	return c.Conditions(), nil
+}
+
+// Conditions converts the overlay without range checks; nil in, nil out.
+// Client input goes through Overlay.
 func (c *ConditionsWire) Conditions() *model.Conditions {
 	if c == nil || (len(c.Close) == 0 && len(c.Delay) == 0) {
 		return nil
@@ -91,22 +116,35 @@ func (q *QueryRequest) BuildRequest(eng *search.Engine) (search.Request, error) 
 		Alpha: q.Alpha,
 		Tau:   q.Tau,
 	}
-	switch {
-	case q.Delta > 0 && q.Eta > 0:
-		return req, errors.New("delta and eta are mutually exclusive; send one")
-	case q.Delta > 0:
-		req.Delta = q.Delta
-	case q.Eta > 0:
-		d := eng.PathFinder().PointToPoint(req.Ps, req.Pt)
-		if math.IsInf(d, 1) || d <= 0 {
-			return req, errors.New("eta needs a positive finite shortest distance between start and terminal; the points are not connected")
-		}
-		req.Delta = q.Eta * d
-	default:
-		return req, errors.New("a positive delta (meters) or eta (distance factor) is required")
+	if len(q.Keywords) > maxWireKeywords {
+		return req, fmt.Errorf("query carries %d keywords; at most %d", len(q.Keywords), maxWireKeywords)
 	}
-	req.Conditions = q.Conditions.Conditions()
-	return req, nil
+	var err error
+	if req.Delta, err = resolveDelta(eng, req.Ps, req.Pt, q.Delta, q.Eta); err != nil {
+		return req, err
+	}
+	req.Conditions, err = q.Conditions.Overlay()
+	return req, err
+}
+
+// resolveDelta applies the Δ rule route and sequence queries share: exactly
+// one of delta (an absolute budget in meters) and eta (a factor over the
+// indoor shortest distance δ(ps, pt)) must be positive.
+func resolveDelta(eng *search.Engine, ps, pt geom.Point, delta, eta float64) (float64, error) {
+	switch {
+	case delta > 0 && eta > 0:
+		return 0, errors.New("delta and eta are mutually exclusive; send one")
+	case delta > 0:
+		return delta, nil
+	case eta > 0:
+		d := eng.PathFinder().PointToPoint(ps, pt)
+		if math.IsInf(d, 1) || d <= 0 {
+			return 0, errors.New("eta needs a positive finite shortest distance between start and terminal; the points are not connected")
+		}
+		return eta * d, nil
+	default:
+		return 0, errors.New("a positive delta (meters) or eta (distance factor) is required")
+	}
 }
 
 // RouteWire is one returned route on the wire, mirroring search.Route.

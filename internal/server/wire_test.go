@@ -39,6 +39,8 @@ func TestBuildRequestRejects(t *testing.T) {
 			q.Delta, q.Eta = 0, 1.5
 			q.Terminal = PointWire{2, 5, 7} // floor 7 does not exist
 		}},
+		{"keywords past the wire cap", tooManyKeywords},
+		{"conditions door past the ID range", wideDoor},
 	} {
 		wq := wireCases[0]
 		tc.mut(&wq)
@@ -48,66 +50,69 @@ func TestBuildRequestRejects(t *testing.T) {
 	}
 }
 
+// envelopeGolden is the table of v2 query bodies TestDecodeEnvelopeGolden
+// pins; FuzzV2Envelope seeds from the same bodies.
+var envelopeGolden = []struct {
+	name     string
+	body     string
+	wantCode errorCode
+	check    func(t *testing.T, env *queryEnvelope)
+}{
+	{
+		name: "valid route",
+		body: `{"type":"route","start":{"x":2,"y":5,"floor":0},"terminal":{"x":38,"y":5,"floor":0},` +
+			`"keywords":["coffee"],"k":3,"delta":80,"alpha":0.5,"tau":0.2,"variant":"KoE*",` +
+			`"conditions":{"close":[4],"delay":{"2":5}},"timeout_ms":250}`,
+		check: func(t *testing.T, env *queryEnvelope) {
+			q := env.Route
+			if q == nil || env.Sequence != nil {
+				t.Fatalf("envelope arms: %+v", env)
+			}
+			if q.Start != (PointWire{2, 5, 0}) || q.K != 3 || q.Delta != 80 ||
+				q.Variant != "KoE*" || q.TimeoutMillis != 250 ||
+				len(q.Keywords) != 1 || q.Keywords[0] != "coffee" {
+				t.Errorf("route fields: %+v", q)
+			}
+			if q.Conditions == nil || len(q.Conditions.Close) != 1 || q.Conditions.Delay[2] != 5 {
+				t.Errorf("route conditions: %+v", q.Conditions)
+			}
+		},
+	},
+	{
+		name: "valid sequence",
+		body: `{"type":"sequence","start":{"x":2,"y":5,"floor":0},"terminal":{"x":38,"y":5,"floor":0},` +
+			`"legs":[{"keywords":["coffee"]},{"keywords":["phone","laptop"]}],"k":2,"eta":2.5,"alpha":0.5,"tau":0.2,"beam":16}`,
+		check: func(t *testing.T, env *queryEnvelope) {
+			q := env.Sequence
+			if q == nil || env.Route != nil {
+				t.Fatalf("envelope arms: %+v", env)
+			}
+			if q.Eta != 2.5 || q.Beam != 16 || len(q.Legs) != 2 ||
+				len(q.Legs[1].Keywords) != 2 || q.Legs[1].Keywords[1] != "laptop" {
+				t.Errorf("sequence fields: %+v", q)
+			}
+		},
+	},
+	{name: "missing discriminator", body: `{"k":3,"delta":80}`, wantCode: codeUnknownType},
+	{name: "unknown discriminator", body: `{"type":"teleport","k":3}`, wantCode: codeUnknownType},
+	{name: "unknown field in route", body: `{"type":"route","k":3,"delta":80,"wat":true}`, wantCode: codeMalformedRequest},
+	{name: "unknown field in sequence", body: `{"type":"sequence","legs":[],"surprise":1}`, wantCode: codeMalformedRequest},
+	{name: "malformed json", body: `{"type":"route",`, wantCode: codeMalformedRequest},
+	{name: "wrong field type", body: `{"type":"route","k":"three"}`, wantCode: codeMalformedRequest},
+	{name: "oversized legs", wantCode: codeInvalidRequest,
+		body: `{"type":"sequence","start":{"x":1,"y":2,"floor":0},"terminal":{"x":3,"y":4,"floor":0},"delta":50,"k":1,"legs":[` +
+			strings.Repeat(`{"keywords":["a"]},`, maxWireLegs) + `{"keywords":["a"]}]}`},
+	{name: "oversized leg keywords", wantCode: codeInvalidRequest,
+		body: `{"type":"sequence","start":{"x":1,"y":2,"floor":0},"terminal":{"x":3,"y":4,"floor":0},"delta":50,"k":1,"legs":[{"keywords":[` +
+			strings.Repeat(`"a",`, maxWireKeywords) + `"a"]}]}`},
+}
+
 // TestDecodeEnvelopeGolden is the table-driven decode gate for every v2
 // wire message: valid shapes round-trip, unknown fields and bad
 // discriminators map to their taxonomy codes, wire caps reject oversized
 // envelopes.
 func TestDecodeEnvelopeGolden(t *testing.T) {
-	longLegs := `{"type":"sequence","start":{"x":1,"y":2,"floor":0},"terminal":{"x":3,"y":4,"floor":0},"delta":50,"k":1,"legs":[` +
-		strings.Repeat(`{"keywords":["a"]},`, maxWireLegs) + `{"keywords":["a"]}]}`
-	fatLeg := `{"type":"sequence","start":{"x":1,"y":2,"floor":0},"terminal":{"x":3,"y":4,"floor":0},"delta":50,"k":1,"legs":[{"keywords":[` +
-		strings.Repeat(`"a",`, maxWireLegKeywords) + `"a"]}]}`
-	cases := []struct {
-		name     string
-		body     string
-		wantCode errorCode
-		check    func(t *testing.T, env *queryEnvelope)
-	}{
-		{
-			name: "valid route",
-			body: `{"type":"route","start":{"x":2,"y":5,"floor":0},"terminal":{"x":38,"y":5,"floor":0},` +
-				`"keywords":["coffee"],"k":3,"delta":80,"alpha":0.5,"tau":0.2,"variant":"KoE*",` +
-				`"conditions":{"close":[4],"delay":{"2":5}},"timeout_ms":250}`,
-			check: func(t *testing.T, env *queryEnvelope) {
-				q := env.Route
-				if q == nil || env.Sequence != nil {
-					t.Fatalf("envelope arms: %+v", env)
-				}
-				if q.Start != (PointWire{2, 5, 0}) || q.K != 3 || q.Delta != 80 ||
-					q.Variant != "KoE*" || q.TimeoutMillis != 250 ||
-					len(q.Keywords) != 1 || q.Keywords[0] != "coffee" {
-					t.Errorf("route fields: %+v", q)
-				}
-				if q.Conditions == nil || len(q.Conditions.Close) != 1 || q.Conditions.Delay[2] != 5 {
-					t.Errorf("route conditions: %+v", q.Conditions)
-				}
-			},
-		},
-		{
-			name: "valid sequence",
-			body: `{"type":"sequence","start":{"x":2,"y":5,"floor":0},"terminal":{"x":38,"y":5,"floor":0},` +
-				`"legs":[{"keywords":["coffee"]},{"keywords":["phone","laptop"]}],"k":2,"eta":2.5,"alpha":0.5,"tau":0.2,"beam":16}`,
-			check: func(t *testing.T, env *queryEnvelope) {
-				q := env.Sequence
-				if q == nil || env.Route != nil {
-					t.Fatalf("envelope arms: %+v", env)
-				}
-				if q.Eta != 2.5 || q.Beam != 16 || len(q.Legs) != 2 ||
-					len(q.Legs[1].Keywords) != 2 || q.Legs[1].Keywords[1] != "laptop" {
-					t.Errorf("sequence fields: %+v", q)
-				}
-			},
-		},
-		{name: "missing discriminator", body: `{"k":3,"delta":80}`, wantCode: codeUnknownType},
-		{name: "unknown discriminator", body: `{"type":"teleport","k":3}`, wantCode: codeUnknownType},
-		{name: "unknown field in route", body: `{"type":"route","k":3,"delta":80,"wat":true}`, wantCode: codeMalformedRequest},
-		{name: "unknown field in sequence", body: `{"type":"sequence","legs":[],"surprise":1}`, wantCode: codeMalformedRequest},
-		{name: "malformed json", body: `{"type":"route",`, wantCode: codeMalformedRequest},
-		{name: "wrong field type", body: `{"type":"route","k":"three"}`, wantCode: codeMalformedRequest},
-		{name: "oversized legs", body: longLegs, wantCode: codeInvalidRequest},
-		{name: "oversized leg keywords", body: fatLeg, wantCode: codeInvalidRequest},
-	}
-	for _, tc := range cases {
+	for _, tc := range envelopeGolden {
 		t.Run(tc.name, func(t *testing.T) {
 			env, apiErr := decodeEnvelope(strings.NewReader(tc.body))
 			if tc.wantCode != "" {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
-	"math"
 	"net/http"
 
 	"ikrq/internal/search"
@@ -20,11 +19,13 @@ import (
 // (unknown fields are structured 400s, never silently dropped). DESIGN.md
 // §14 states the versioning policy.
 
-// Wire-level caps on sequence envelopes, enforced before the engine sees the
-// request so oversized bodies fail fast with a structured error.
+// Wire-level caps, enforced before the engine sees the request so oversized
+// bodies fail fast with a structured error: keywords per route query or
+// sequence leg (a query's candidate sets and search state grow with its
+// keyword count), and legs per sequence.
 const (
-	maxWireLegs        = search.MaxSequenceLegs
-	maxWireLegKeywords = 16
+	maxWireKeywords = 16
+	maxWireLegs     = search.MaxSequenceLegs
 )
 
 // Envelope discriminator values.
@@ -124,8 +125,8 @@ func decodeEnvelope(body io.Reader) (*queryEnvelope, *apiError) {
 			return nil, errf(codeInvalidRequest, "at most %d sequence legs (got %d)", maxWireLegs, len(q.Legs))
 		}
 		for j, leg := range q.Legs {
-			if len(leg.Keywords) > maxWireLegKeywords {
-				return nil, errf(codeInvalidRequest, "sequence leg %d carries %d keywords; at most %d", j, len(leg.Keywords), maxWireLegKeywords)
+			if len(leg.Keywords) > maxWireKeywords {
+				return nil, errf(codeInvalidRequest, "sequence leg %d carries %d keywords; at most %d", j, len(leg.Keywords), maxWireKeywords)
 			}
 		}
 		return &queryEnvelope{Sequence: &q}, nil
@@ -152,22 +153,12 @@ func (q *SequenceRequestV2) BuildSequenceRequest(eng *search.Engine) (search.Seq
 	for j, leg := range q.Legs {
 		req.Legs[j] = search.SequenceLeg{QW: leg.Keywords}
 	}
-	switch {
-	case q.Delta > 0 && q.Eta > 0:
-		return req, errors.New("delta and eta are mutually exclusive; send one")
-	case q.Delta > 0:
-		req.Delta = q.Delta
-	case q.Eta > 0:
-		d := eng.PathFinder().PointToPoint(req.Ps, req.Pt)
-		if math.IsInf(d, 1) || d <= 0 {
-			return req, errors.New("eta needs a positive finite shortest distance between start and terminal; the points are not connected")
-		}
-		req.Delta = q.Eta * d
-	default:
-		return req, errors.New("a positive delta (meters) or eta (distance factor) is required")
+	var err error
+	if req.Delta, err = resolveDelta(eng, req.Ps, req.Pt, q.Delta, q.Eta); err != nil {
+		return req, err
 	}
-	req.Conditions = q.Conditions.Conditions()
-	return req, nil
+	req.Conditions, err = q.Conditions.Overlay()
+	return req, err
 }
 
 // SequenceRouteWire is one returned sequence route on the wire.

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # End-to-end serving gate: bake a synthetic snapshot, start ikrqd, query
 # every Table III variant over real HTTP, and assert each returns 200 with
-# exactly $K well-formed routes; then check error statuses, the loadgen
-# self-test, and a clean SIGTERM drain. This is the first CI gate on the
-# full bake -> serve -> query path a deployment depends on.
+# exactly $K well-formed routes; then check the result cache, error
+# statuses, a hot snapshot swap under load, a v2 sequence query, the
+# conditions bus, and a clean SIGTERM drain. This is the CI gate on the
+# full bake -> serve -> query path a deployment depends on; load and
+# latency under a fixed arrival rate are e2ebench's job (e2ebench/run.sh).
 #
 # Runs from the repo root: ./scripts/e2e.sh
 # Needs: go, curl, jq.
@@ -26,7 +28,11 @@ go build -o "$workdir/ikrqgen" ./cmd/ikrqgen
 go build -o "$workdir/ikrqd" ./cmd/ikrqd
 
 echo "== bake"
-"$workdir/ikrqgen" -floors 2 -seed 1 -snapshot "$workdir/mall.ikrq" -matrix
+# 880 states, under search.DenseStateLimit: the bake carries the dense
+# KoE* matrix the engine picks by size.
+bake_out=$("$workdir/ikrqgen" -floors 2 -seed 1 -snapshot "$workdir/mall.ikrq")
+echo "$bake_out"
+grep -q 'KoE\* matrix' <<<"$bake_out" || { echo "FAIL: the 2-floor bake did not pick the dense matrix"; exit 1; }
 
 # The generated vocabulary is seed-deterministic gibberish; pull the two
 # most widely assigned t-words from the JSON dump of the same space so the
@@ -37,9 +43,6 @@ readarray -t kws < <(jq -r '
 ' "$workdir/mall.json")
 [ "${#kws[@]}" = 2 ] || { echo "FAIL: could not extract two t-words"; exit 1; }
 echo "query keywords: ${kws[*]}"
-
-echo "== loadgen self-test (in-process HTTP stack, all variants)"
-"$workdir/ikrqd" -venue mall="$workdir/mall.ikrq" -loadgen 8 -seed 7
 
 echo "== serve"
 port="${IKRQD_E2E_PORT:-18421}"
@@ -140,20 +143,28 @@ st=$(curl -sS -o /dev/null -w '%{http_code}' -X POST -d "$(query ToE)" "$base/v1
 [ "$st" = 404 ] || { echo "FAIL: unknown venue -> $st, want 404"; exit 1; }
 st=$(curl -sS -o /dev/null -w '%{http_code}' -X POST -d '{"broken' "$base/v1/venues/mall/query")
 [ "$st" = 400 ] || { echo "FAIL: malformed body -> $st, want 400"; exit 1; }
+# Wire caps: 17 keywords on a route query, and a door ID past int32 that
+# would wrap onto door 5 if converted unchecked.
+st=$(curl -sS -o /dev/null -w '%{http_code}' -X POST \
+  -d "$(query ToE | jq '.keywords = [range(17) | "kw\(.)"]')" "$base/v1/venues/mall/query")
+[ "$st" = 400 ] || { echo "FAIL: 17-keyword query -> $st, want 400"; exit 1; }
+st=$(curl -sS -o /dev/null -w '%{http_code}' -X PUT \
+  -d '{"close": [4294967301]}' "$base/v2/venues/mall/conditions")
+[ "$st" = 400 ] || { echo "FAIL: publish of door 4294967301 -> $st, want 400"; exit 1; }
 curl -fsS "$base/debug/vars" | jq -e '.queries.ok >= 8' >/dev/null || {
   echo "FAIL: /debug/vars did not count the served queries"; exit 1; }
-echo "404/400/vars ok"
+echo "404/400/wire caps/vars ok"
 
 echo "== hot snapshot swap under load"
 # Re-bake the same space to a second file, then swap the live venue onto it
 # while a query loop runs: every query across the swap must answer 200 —
 # in-flight searches drain on the engine they acquired, later arrivals see
 # the new bake.
-"$workdir/ikrqgen" -floors 2 -seed 1 -snapshot "$workdir/mall-rebake.ikrq" -matrix
+"$workdir/ikrqgen" -floors 2 -seed 1 -snapshot "$workdir/mall-rebake.ikrq"
 # Also re-bake the serving path itself: ikrqgen replaces it atomically
 # (temp file + rename), so the daemon's live mmap keeps serving the old
 # inode untouched — queries must stay 200 throughout (DESIGN.md §13).
-"$workdir/ikrqgen" -floors 2 -seed 1 -snapshot "$workdir/mall.ikrq" -matrix
+"$workdir/ikrqgen" -floors 2 -seed 1 -snapshot "$workdir/mall.ikrq"
 swap_statuses="$workdir/swap_statuses"
 : > "$swap_statuses"
 (
@@ -370,11 +381,5 @@ wait "$daemon_pid" && rc=0 || rc=$?
 daemon_pid=""
 [ "$rc" = 0 ] || { echo "FAIL: daemon exited $rc after SIGTERM, want 0"; exit 1; }
 echo "drained cleanly"
-
-echo "== loadgen zipf mix (skewed repeats; cache hit rate)"
-zipf_out=$("$workdir/ikrqd" -venue mall="$workdir/mall.ikrq" -loadgen 64 -seed 7 -mix zipf)
-echo "$zipf_out"
-grep -q "hit rate" <<<"$zipf_out" || { echo "FAIL: zipf loadgen reported no hit rate"; exit 1; }
-grep -q "hit rate 0.0%" <<<"$zipf_out" && { echo "FAIL: zipf mix produced no cache hits"; exit 1; }
 
 echo "e2e: all green"
