@@ -41,8 +41,7 @@ type AllocDiff struct {
 	Tolerance         int64 // 0 means exact match required
 	NsBaseline, NsGot int64
 	// ExpBaseline/ExpGot compare the deterministic expansion counts; they
-	// are enforced (exact match) only when both reports carry the counter —
-	// a zero baseline predates it and is skipped for compatibility.
+	// must match exactly.
 	ExpBaseline, ExpGot int64
 }
 
@@ -57,10 +56,10 @@ func (d AllocDiff) Regressed() bool {
 
 // expansionsDiverged reports an expansion-count mismatch. Expansions are
 // exactly reproducible on the fixed workload, so any drift — either
-// direction — means the prune behavior changed and the baseline must be
-// regenerated deliberately.
+// direction, to zero included — means the prune behavior changed and the
+// baseline must be regenerated deliberately.
 func (d AllocDiff) expansionsDiverged() bool {
-	return d.ExpBaseline > 0 && d.ExpGot > 0 && d.ExpBaseline != d.ExpGot
+	return d.ExpBaseline != d.ExpGot
 }
 
 // String renders one diff row.
@@ -95,7 +94,7 @@ func DiffAllocs(baseline, current *PerfReport) (all []AllocDiff, regressed []All
 		return nil, nil, fmt.Errorf("bench: baseline ToE\\P cap %d vs current %d; rerun with matching -quick/-cap",
 			baseline.CapExpansions, current.CapExpansions)
 	}
-	cmp := func(base, got []PerfEntry, label string) error {
+	cmp := func(base, got []PerfEntry) error {
 		index := make(map[string]PerfEntry, len(got))
 		for _, e := range got {
 			index[e.Name] = e
@@ -103,10 +102,10 @@ func DiffAllocs(baseline, current *PerfReport) (all []AllocDiff, regressed []All
 		for _, b := range base {
 			g, ok := index[b.Name]
 			if !ok {
-				return fmt.Errorf("bench: baseline entry %s%s missing from the fresh run", b.Name, label)
+				return fmt.Errorf("bench: baseline entry %s missing from the fresh run", b.Name)
 			}
 			d := AllocDiff{
-				Name:        b.Name + label,
+				Name:        b.Name,
 				Baseline:    b.AllocsPerOp,
 				Got:         g.AllocsPerOp,
 				NsBaseline:  b.NsPerOp,
@@ -124,14 +123,11 @@ func DiffAllocs(baseline, current *PerfReport) (all []AllocDiff, regressed []All
 		}
 		return nil
 	}
-	if err := cmp(baseline.Variants, current.Variants, ""); err != nil {
-		return nil, nil, err
-	}
-	if err := cmp(baseline.SeedKernel, current.SeedKernel, " (seed)"); err != nil {
+	if err := cmp(baseline.Variants, current.Variants); err != nil {
 		return nil, nil, err
 	}
 	if baseline.GoMaxProcs == current.GoMaxProcs {
-		if err := cmp([]PerfEntry{baseline.MatrixBuild}, []PerfEntry{current.MatrixBuild}, ""); err != nil {
+		if err := cmp([]PerfEntry{baseline.MatrixBuild}, []PerfEntry{current.MatrixBuild}); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -14,7 +14,6 @@ func guardReport(allocs map[string]int64, iters int, gomaxprocs int) *PerfReport
 	}
 	for name, a := range allocs {
 		rep.Variants = append(rep.Variants, PerfEntry{Name: name, AllocsPerOp: a, NsPerOp: 5000, Iterations: iters})
-		rep.SeedKernel = append(rep.SeedKernel, PerfEntry{Name: name, AllocsPerOp: a + 500, NsPerOp: 6000, Iterations: iters})
 	}
 	return rep
 }
@@ -29,9 +28,9 @@ func TestDiffAllocsCleanRun(t *testing.T) {
 	if len(regressed) != 0 {
 		t.Fatalf("clean run regressed: %v", regressed)
 	}
-	// 2 variants + 2 seed-kernel rows + the matrix build (equal GOMAXPROCS).
-	if len(all) != 5 {
-		t.Fatalf("expected 5 comparisons, got %d: %v", len(all), all)
+	// 2 variants + the matrix build (equal GOMAXPROCS).
+	if len(all) != 3 {
+		t.Fatalf("expected 3 comparisons, got %d: %v", len(all), all)
 	}
 }
 
@@ -45,15 +44,15 @@ func TestDiffAllocsCatchesRegression(t *testing.T) {
 	// One extra alloc/op on a steady-state entry fails — and the stale
 	// baseline direction (an improvement) must fail too, so BENCH.json is
 	// regenerated rather than silently drifting.
-	if len(regressed) != 2 { // KoE and its seed-kernel row
-		t.Fatalf("regressed = %v, want the KoE rows", regressed)
+	if len(regressed) != 1 {
+		t.Fatalf("regressed = %v, want the KoE row", regressed)
 	}
 	if !regressed[0].Regressed() || !strings.Contains(regressed[0].String(), "REGRESSED") {
 		t.Errorf("diff row not marked: %s", regressed[0])
 	}
 
 	cur = guardReport(map[string]int64{"ToE": 800, "KoE": 122}, 600, 1)
-	if _, regressed, _ = DiffAllocs(base, cur); len(regressed) != 2 {
+	if _, regressed, _ = DiffAllocs(base, cur); len(regressed) != 1 {
 		t.Fatalf("alloc improvement must also flag a stale baseline, got %v", regressed)
 	}
 }
@@ -116,7 +115,6 @@ func TestDiffAllocsEnforcesExpansions(t *testing.T) {
 	withExp := func(exp int64) *PerfReport {
 		rep := guardReport(map[string]int64{"KoE*": 122}, 600, 1)
 		rep.Variants[0].Expansions = exp
-		rep.SeedKernel[0].Expansions = exp
 		return rep
 	}
 	// Matching counts pass.
@@ -127,22 +125,19 @@ func TestDiffAllocsEnforcesExpansions(t *testing.T) {
 	if len(regressed) != 0 {
 		t.Fatalf("equal expansion counts regressed: %v", regressed)
 	}
-	// Any drift — more or fewer expansions — fails: the counts are
-	// deterministic, so either direction means the baseline is stale.
-	for _, exp := range []int64{4201, 4199} {
+	// Any drift — more or fewer expansions, or none at all — fails: the
+	// counts are deterministic, so either direction means the baseline is
+	// stale or the search stopped expanding.
+	for _, exp := range []int64{4201, 4199, 0} {
 		_, regressed, err := DiffAllocs(withExp(4200), withExp(exp))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(regressed) != 2 { // variant + seed-kernel rows
+		if len(regressed) != 1 {
 			t.Fatalf("expansion drift to %d not flagged: %v", exp, regressed)
 		}
 		if !strings.Contains(regressed[0].String(), "expansions") {
 			t.Errorf("diff row hides the expansion delta: %s", regressed[0])
 		}
-	}
-	// A baseline predating the counter (zero) is not enforced.
-	if _, regressed, _ = DiffAllocs(withExp(0), withExp(4200)); len(regressed) != 0 {
-		t.Fatalf("pre-counter baseline enforced expansions: %v", regressed)
 	}
 }

@@ -32,7 +32,7 @@ type PerfEntry struct {
 	// one pass of the request batch — a deterministic prune-power axis the
 	// guard exact-matches alongside allocations, so a bound that silently
 	// loosens (more expansions for the same routes) fails CI even when
-	// wall-clock noise hides it. Zero in reports predating the counter.
+	// wall-clock noise hides it.
 	Expansions int64 `json:"expansions,omitempty"`
 }
 
@@ -58,13 +58,6 @@ type PerfReport struct {
 
 	// Variants holds one entry per Table III variant, per query.
 	Variants []PerfEntry `json:"variants"`
-
-	// SeedKernel repeats the variant sweep on an engine pinned to the
-	// retained seed shortest-path kernel (internal/graph/refkernel.go).
-	// The ref kernel is frozen, so this column is a stable baseline: the
-	// delta against Variants is the workspace kernel's win, comparable
-	// across PRs.
-	SeedKernel []PerfEntry `json:"seed_kernel"`
 
 	// MatrixBuild measures one full all-pairs KoE* matrix construction
 	// (parallel across GoMaxProcs workers), per build.
@@ -108,16 +101,6 @@ func RunPerf(cfg Config) (*PerfReport, error) {
 		},
 	}
 	rep.Variants, err = measureVariants(w.Engine, reqs, cfg.CapExpansions)
-	if err != nil {
-		return nil, err
-	}
-	refPF := graph.NewPathFinder(w.Mall.Space)
-	refPF.UseReferenceKernel()
-	refEng, err := search.NewEngineFromParts(w.Mall.Space, w.Index, refPF, graph.NewSkeleton(w.Mall.Space), nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	rep.SeedKernel, err = measureVariants(refEng, reqs, cfg.CapExpansions)
 	if err != nil {
 		return nil, err
 	}
@@ -201,9 +184,6 @@ func (r *PerfReport) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "%-12s %14s %14s %14s %12s\n", "variant", "ns/op", "B/op", "allocs/op", "expansions")
 	for _, e := range r.Variants {
 		fmt.Fprintf(w, "%-12s %14d %14d %14d %12d\n", e.Name, e.NsPerOp, e.BytesPerOp, e.AllocsPerOp, e.Expansions)
-	}
-	for _, e := range r.SeedKernel {
-		fmt.Fprintf(w, "%-12s %14d %14d %14d %12d (seed kernel)\n", e.Name, e.NsPerOp, e.BytesPerOp, e.AllocsPerOp, e.Expansions)
 	}
 	e := r.MatrixBuild
 	fmt.Fprintf(w, "%-12s %14d %14d %14d\n", e.Name, e.NsPerOp, e.BytesPerOp, e.AllocsPerOp)

@@ -45,23 +45,19 @@ type arc struct {
 
 // PathFinder holds the state graph of a space. Construction is O(states +
 // arcs); the structure is immutable and safe for concurrent use. Shortest
-// paths run on a Workspace — either one the caller owns (the ...WS entry
-// points, allocation-free across runs) or one drawn from the finder's
-// internal pool (the plain entry points).
+// paths run on a caller-owned Workspace (the ...WS entry points,
+// allocation-free across runs); only PointToPoint and DistancesFromPoint
+// draw one from the finder's internal pool.
 type PathFinder struct {
 	s          *model.Space
 	states     []state
 	doorStates [][]StateID // states per door
 	adj        [][]arc
 
-	// wsPool backs the non-WS entry points so casual callers (the query
-	// generator, examples) still reuse kernel scratch across calls.
+	// wsPool backs PointToPoint and DistancesFromPoint so casual callers
+	// (the query generator, the serving layer's Δ resolution) still reuse
+	// kernel scratch across calls.
 	wsPool sync.Pool
-
-	// useRef routes every shortest-path run through the retained seed
-	// kernel (refkernel.go). Differential-testing seam only; see
-	// UseReferenceKernel.
-	useRef bool
 }
 
 // NewPathFinder builds the state graph for s.
@@ -208,9 +204,6 @@ type Path struct {
 // on the partial route may not reappear).
 type Forbidden func(model.DoorID) bool
 
-// NoForbidden allows every door.
-func NoForbidden(model.DoorID) bool { return false }
-
 // Costs is the query-time door cost model the shortest-path entry points
 // evaluate against the immutable state graph. It generalizes the original
 // forbidden-door hook: Block removes doors (the regularity constraint plus
@@ -257,41 +250,22 @@ func (c Costs) delay(d model.DoorID) float64 {
 	return c.Delay(d)
 }
 
-// dijkstra runs a multi-seed Dijkstra into ws: per-state distances, parent
-// states and originating seed indices, all epoch-stamped so the workspace
-// resets in O(1) between runs. Arcs into blocked doors are skipped and every
-// arc pays the arrival door's delay on top of its static weight; seed states
-// are admitted with their given costs regardless (their legality — and any
-// delay owed for passing the seed door — is the caller's concern).
-//
-// When targets is non-empty the run stops as soon as every reachable target
-// has been settled (popped at its final distance): distances and parents of
-// the targets are exact, while states the frontier never reached past the
-// last target stay unmarked. Callers that read arbitrary states afterwards
-// (ShortestTree, DistancesFromPoint, the matrix sweep) pass nil and exhaust
-// the graph. Unreachable targets never settle, so the run degrades to full
-// exhaustion and terminates when the frontier empties.
-//
-// Ties on distance break on the arrival state's (door, partition), which
-// makes the chosen shortest-path tree deterministic and invariant under any
-// order-preserving renumbering of doors — the property the closure-oracle
-// tests rely on when comparing against a rebuilt, door-filtered space. The
-// tie-break is a strict total order over live queue items, so the pop
-// sequence — and with it every dist/parent table — is byte-identical to the
-// seed kernel's, heap arity and early exit notwithstanding (enforced by the
-// kernel-equivalence oracles against refkernel.go).
+// dijkstra runs a multi-seed Dijkstra into ws over the state graph:
+// per-state distances, parent states and originating seed indices, all
+// epoch-stamped so the workspace resets in O(1) between runs. With targets
+// the run pauses once every reachable target has settled; nil targets
+// exhaust the graph (ShortestTreeWS, DistancesFromPoint, the matrix sweep).
 func (pf *PathFinder) dijkstra(ws *Workspace, seeds []Seed, costs Costs, targets []StateID) {
+	pf.start(ws, seeds)
+	pf.settle(ws, pf.adj, costs, targets)
+}
+
+// start begins a run on ws: the previous run's tables are invalidated and
+// the seeds enter the frontier with their given costs, regardless of costs
+// (their legality — and any delay owed for passing the seed door — is the
+// caller's concern).
+func (pf *PathFinder) start(ws *Workspace, seeds []Seed) {
 	ws.begin(len(pf.states))
-	remaining := 0
-	for _, t := range targets {
-		if t == NoState {
-			continue
-		}
-		if ws.target[t] != ws.epoch {
-			ws.target[t] = ws.epoch
-			remaining++
-		}
-	}
 	for si, sd := range seeds {
 		if sd.State == NoState {
 			continue
@@ -301,44 +275,76 @@ func (pf *PathFinder) dijkstra(ws *Workspace, seeds []Seed, costs Costs, targets
 			ws.heapPush(pf.item(sd.State, sd.Cost))
 		}
 	}
+}
+
+// settle is the kernel loop, the one place a run pops and relaxes: it
+// resumes ws's run over adjacency adj until every target has settled
+// (popped at its final distance) or the frontier empties. nil targets run
+// to exhaustion; targets that already settled are answered without a pop,
+// which is how a LazyTree resumes. Arcs into blocked doors are skipped and
+// every arc pays the arrival door's delay on top of its static weight. adj
+// is pf.adj except for the oracle's backward hub sweep, which passes the
+// reverse adjacency under zero Costs and reads distances only.
+//
+// A run pauses after relaxing the settling state's arcs, so the frozen
+// frontier resumes exactly where an uninterrupted run would continue.
+// Unreachable targets never settle: the run degrades to full exhaustion,
+// never to a wrong answer. States that did not settle may hold tentative
+// distances; callers read targets and the states on their parent chains,
+// all of which settled before them.
+//
+// Ties on distance break on the arrival state's (door, partition), which
+// makes the chosen shortest-path tree deterministic and invariant under any
+// order-preserving renumbering of doors — the property the closure-oracle
+// tests rely on when comparing against a rebuilt, door-filtered space. The
+// tie-break is a strict total order over live queue items, so the pop
+// sequence — and with it every settled dist/parent entry — is the seed
+// kernel's, independent of heap arity and of where a run pauses (the graph
+// oracles diff it against the seed kernel kept in the tests).
+func (pf *PathFinder) settle(ws *Workspace, adj [][]arc, costs Costs, targets []StateID) {
+	remaining := 0
+	for _, t := range targets {
+		if t != NoState && ws.settled[t] != ws.epoch && ws.target[t] != ws.epoch {
+			ws.target[t] = ws.epoch
+			remaining++
+		}
+	}
+	if len(targets) > 0 && remaining == 0 {
+		return
+	}
+	// Zero Costs (LazyTree, the hub sweep, the matrix sweep) skip the
+	// arrival door's lookup.
+	static := costs.Block == nil && costs.Delay == nil
 	for len(ws.heap) > 0 {
 		it := ws.heapPop()
 		if it.dist > ws.dist[it.state] { // stale entry; mark is set for every pushed state
 			continue
 		}
-		if remaining > 0 && ws.target[it.state] == ws.epoch {
-			ws.target[it.state] = 0 // settled; 0 never equals a live epoch
-			remaining--
-			if remaining == 0 {
-				return // every requested target is final
+		ws.settled[it.state] = ws.epoch
+		seed := ws.seedOf[it.state]
+		for _, a := range adj[it.state] {
+			nd := it.dist + a.w
+			if !static {
+				door := pf.states[a.to].door
+				if costs.blocked(door) {
+					continue
+				}
+				nd += costs.delay(door)
 			}
-		}
-		for _, a := range pf.adj[it.state] {
-			door := pf.states[a.to].door
-			if costs.blocked(door) {
-				continue
-			}
-			nd := it.dist + a.w + costs.delay(door)
 			if nd < ws.distAt(a.to) {
-				ws.set(a.to, nd, it.state, ws.seedOf[it.state])
+				ws.set(a.to, nd, it.state, seed)
 				ws.heapPush(pf.item(a.to, nd))
 			}
 		}
+		if remaining > 0 && ws.target[it.state] == ws.epoch {
+			if remaining--; remaining == 0 {
+				return // every requested target is final
+			}
+		}
 	}
 }
 
-// runDijkstra dispatches a shortest-path run to the workspace kernel or, on
-// a finder switched by UseReferenceKernel, to the retained seed kernel (which
-// ignores targets — the seed never terminated early).
-func (pf *PathFinder) runDijkstra(ws *Workspace, seeds []Seed, costs Costs, targets []StateID) {
-	if pf.useRef {
-		pf.refDijkstra(ws, seeds, costs)
-		return
-	}
-	pf.dijkstra(ws, seeds, costs, targets)
-}
-
-// getWS draws a pooled workspace for the non-WS entry points.
+// getWS draws a pooled workspace for PointToPoint and DistancesFromPoint.
 func (pf *PathFinder) getWS() *Workspace {
 	if v := pf.wsPool.Get(); v != nil {
 		return v.(*Workspace)
@@ -347,13 +353,6 @@ func (pf *PathFinder) getWS() *Workspace {
 }
 
 func (pf *PathFinder) putWS(ws *Workspace) { pf.wsPool.Put(ws) }
-
-// UseReferenceKernel permanently switches this finder to the seed
-// shortest-path kernel retained in refkernel.go. It exists solely for the
-// kernel-equivalence oracles, which diff the workspace kernel against the
-// seed implementation on engines that differ in nothing else. Call it once,
-// before the finder serves any query; it is not synchronized.
-func (pf *PathFinder) UseReferenceKernel() { pf.useRef = true }
 
 // item builds a heap entry carrying the state's (door, partition) tiebreak.
 func (pf *PathFinder) item(s StateID, d float64) heapItem {
@@ -423,11 +422,9 @@ func (pf *PathFinder) AppendSeedsFromPointIn(dst []Seed, p geom.Point, host mode
 // any number of targets can be read without re-running Dijkstra. KoE uses
 // one Tree per stamp expansion to route to all candidate partitions.
 //
-// A tree reads straight out of the workspace that computed it. Trees from
-// ShortestTree own a private workspace and stay valid indefinitely; trees
-// from ShortestTreeWS borrow the caller's workspace and are valid only
-// until its next run (reads after that panic rather than return stale
-// distances).
+// A tree reads straight out of the workspace that computed it and is valid
+// only until the workspace's next run: reads after that panic rather than
+// return stale distances.
 type Tree struct {
 	pf    *PathFinder
 	ws    *Workspace
@@ -435,32 +432,23 @@ type Tree struct {
 	seeds []Seed
 }
 
-// ShortestTree computes shortest paths from the seeds to every reachable
-// state under the cost model. The tree owns its storage; use ShortestTreeWS
-// on a long-lived workspace to make repeated tree builds allocation-free.
-func (pf *PathFinder) ShortestTree(seeds []Seed, costs Costs) *Tree {
-	t := pf.ShortestTreeWS(NewWorkspace(), seeds, costs)
-	return &Tree{pf: t.pf, ws: t.ws, epoch: t.epoch, seeds: t.seeds}
-}
-
-// ShortestTreeWS is ShortestTree on a caller-owned workspace. The returned
+// ShortestTreeWS computes shortest paths from the seeds to every reachable
+// state under the cost model, on a caller-owned workspace. The returned
 // tree (itself stored in the workspace) borrows the workspace's tables and
 // is invalidated by its next run.
 func (pf *PathFinder) ShortestTreeWS(ws *Workspace, seeds []Seed, costs Costs) *Tree {
-	pf.runDijkstra(ws, seeds, costs, nil)
-	ws.tree = Tree{pf: pf, ws: ws, epoch: ws.epoch, seeds: seeds}
-	return &ws.tree
+	return pf.ShortestTreeToStatesWS(ws, seeds, nil, costs)
 }
 
 // ShortestTreeToStatesWS is ShortestTreeWS with target-driven early
 // termination: the run stops once every reachable target is settled, so the
-// returned tree's Dist/PathTo/Seed are exact for the targets (and for any
-// state that happened to settle before them) but may report +Inf for states
-// the truncated frontier never reached. The sequence planner uses this to
-// read distances to every entry state of a candidate-partition union from
-// one Dijkstra without exhausting the graph.
+// returned tree's Dist/AppendPathTo/Seed are exact for the targets (and for
+// any state that settled before them) but not for states the truncated
+// frontier never settled. The sequence planner uses this to read distances
+// to every entry state of a candidate-partition union from one Dijkstra
+// without exhausting the graph.
 func (pf *PathFinder) ShortestTreeToStatesWS(ws *Workspace, seeds []Seed, targets []StateID, costs Costs) *Tree {
-	pf.runDijkstra(ws, seeds, costs, targets)
+	pf.dijkstra(ws, seeds, costs, targets)
 	ws.tree = Tree{pf: pf, ws: ws, epoch: ws.epoch, seeds: seeds}
 	return &ws.tree
 }
@@ -489,12 +477,9 @@ func (t *Tree) Seed(s StateID) int {
 	return int(t.ws.seedOf[s])
 }
 
-// PathTo reconstructs the hop sequence to a state; ok is false when the
-// state is unreachable.
-func (t *Tree) PathTo(s StateID) ([]Hop, bool) { return t.AppendPathTo(nil, s) }
-
-// AppendPathTo is PathTo appending into a caller-owned buffer; it returns
-// dst unchanged when the state is unreachable.
+// AppendPathTo reconstructs the hop sequence to a state into a
+// caller-owned buffer; it returns dst unchanged and ok=false when the state
+// is unreachable.
 func (t *Tree) AppendPathTo(dst []Hop, s StateID) ([]Hop, bool) {
 	t.check()
 	if s == NoState || math.IsInf(t.ws.distAt(s), 1) {
@@ -503,25 +488,14 @@ func (t *Tree) AppendPathTo(dst []Hop, s StateID) ([]Hop, bool) {
 	return t.pf.reconstructInto(dst, t.ws, s, t.seeds), true
 }
 
-// ShortestToStates finds the cheapest path from the seeds to any of the
-// target states (ties break on list order). It returns the best target and
-// path, or ok=false when none is reachable.
-func (pf *PathFinder) ShortestToStates(seeds []Seed, targets []StateID, costs Costs) (StateID, Path, bool) {
-	ws := pf.getWS()
-	best, p, ok := pf.ShortestToStatesWS(ws, seeds, targets, costs)
-	if ok {
-		p.Hops = append([]Hop(nil), p.Hops...) // unborrow before the workspace is pooled
-	}
-	pf.putWS(ws)
-	return best, p, ok
-}
-
-// ShortestToStatesWS is ShortestToStates on a caller-owned workspace. The
+// ShortestToStatesWS finds the cheapest path from the seeds to any of the
+// target states (ties break on list order) on a caller-owned workspace. It
+// returns the best target and path, or ok=false when none is reachable. The
 // target set drives early termination: the run stops once every reachable
 // target is settled instead of exhausting the graph. The returned path's
 // hops borrow the workspace and are valid until its next run.
 func (pf *PathFinder) ShortestToStatesWS(ws *Workspace, seeds []Seed, targets []StateID, costs Costs) (StateID, Path, bool) {
-	pf.runDijkstra(ws, seeds, costs, targets)
+	pf.dijkstra(ws, seeds, costs, targets)
 	best := NoState
 	bestD := math.Inf(1)
 	for _, t := range targets {
@@ -540,45 +514,24 @@ func (pf *PathFinder) ShortestToStatesWS(ws *Workspace, seeds []Seed, targets []
 	return best, Path{Hops: ws.hops, Dist: bestD}, true
 }
 
-// ShortestToState finds the cheapest path from the seeds to one state.
-func (pf *PathFinder) ShortestToState(seeds []Seed, target StateID, costs Costs) (Path, bool) {
-	ws := pf.getWS()
-	p, ok := pf.ShortestToStateWS(ws, seeds, target, costs)
-	if ok {
-		p.Hops = append([]Hop(nil), p.Hops...)
-	}
-	pf.putWS(ws)
-	return p, ok
-}
-
-// ShortestToStateWS is ShortestToState on a caller-owned workspace, with
-// single-target early termination; the path's hops borrow the workspace.
+// ShortestToStateWS finds the cheapest path from the seeds to one state,
+// with single-target early termination; the path's hops borrow the
+// workspace.
 func (pf *PathFinder) ShortestToStateWS(ws *Workspace, seeds []Seed, target StateID, costs Costs) (Path, bool) {
 	ws.tbuf = append(ws.tbuf[:0], target)
 	_, p, ok := pf.ShortestToStatesWS(ws, seeds, ws.tbuf, costs)
 	return p, ok
 }
 
-// ShortestToPoint finds the cheapest route from the seeds to point pt,
+// ShortestToPointWS finds the cheapest route from the seeds to point pt,
 // whose host partition must be hostPt: the route ends at some door state
-// (d, hostPt) plus the in-partition leg |d, pt|.
-func (pf *PathFinder) ShortestToPoint(seeds []Seed, pt geom.Point, hostPt model.PartitionID, costs Costs) (Path, bool) {
-	ws := pf.getWS()
-	p, ok := pf.ShortestToPointWS(ws, seeds, pt, hostPt, costs)
-	if ok {
-		p.Hops = append([]Hop(nil), p.Hops...)
-	}
-	pf.putWS(ws)
-	return p, ok
-}
-
-// ShortestToPointWS is ShortestToPoint on a caller-owned workspace. The
-// run terminates once every entry state of pt's host partition is settled
-// (all of them, because the final door-to-point leg differs per state); the
-// path's hops borrow the workspace.
+// (d, hostPt) plus the in-partition leg |d, pt|. The run terminates once
+// every entry state of pt's host partition is settled (all of them,
+// because the final door-to-point leg differs per state); the path's hops
+// borrow the workspace.
 func (pf *PathFinder) ShortestToPointWS(ws *Workspace, seeds []Seed, pt geom.Point, hostPt model.PartitionID, costs Costs) (Path, bool) {
 	ws.tbuf = pf.appendTargetStatesForPoint(ws.tbuf[:0], hostPt)
-	pf.runDijkstra(ws, seeds, costs, ws.tbuf)
+	pf.dijkstra(ws, seeds, costs, ws.tbuf)
 	best := NoState
 	bestD := math.Inf(1)
 	for _, sid := range ws.tbuf {
@@ -618,9 +571,11 @@ func (pf *PathFinder) PointToPoint(a, b geom.Point) float64 {
 	if hostA == hostB {
 		best = a.Dist(b)
 	}
-	if p, ok := pf.ShortestToPoint(pf.SeedsFromPointIn(a, hostA), b, hostB, Costs{}); ok && p.Dist < best {
+	ws := pf.getWS()
+	if p, ok := pf.ShortestToPointWS(ws, pf.SeedsFromPointIn(a, hostA), b, hostB, Costs{}); ok && p.Dist < best {
 		best = p.Dist
 	}
+	pf.putWS(ws)
 	return best
 }
 
@@ -634,8 +589,7 @@ func (pf *PathFinder) DistancesFromPoint(p geom.Point) []float64 {
 		out[i] = math.Inf(1)
 	}
 	ws := pf.getWS()
-	seeds := pf.SeedsFromPoint(p)
-	pf.runDijkstra(ws, seeds, Costs{}, nil)
+	pf.dijkstra(ws, pf.SeedsFromPoint(p), Costs{}, nil)
 	for sid := range pf.states {
 		d := ws.distAt(StateID(sid))
 		door := pf.states[sid].door

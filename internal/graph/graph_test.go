@@ -63,7 +63,7 @@ func TestShortestToPointAlongCorridor(t *testing.T) {
 
 	ps := geom.Pt(2, 5, 0)  // in h0
 	pt := geom.Pt(28, 5, 0) // in h2
-	path, ok := pf.ShortestToPoint(pf.SeedsFromPoint(ps), pt, parts[2], Costs{})
+	path, ok := pf.ShortestToPointWS(NewWorkspace(), pf.SeedsFromPoint(ps), pt, parts[2], Costs{})
 	if !ok {
 		t.Fatal("no path found")
 	}
@@ -90,7 +90,7 @@ func TestSelfLoopExitsDeadEnd(t *testing.T) {
 	// the lone seed at the entry state needs no extra self-loop seeds.
 	seeds := []Seed{{State: pf.StateOf(d2, shop)}}
 	pt := geom.Pt(25, 5, 0)
-	path, ok := pf.ShortestToPoint(seeds, pt, parts[2], Costs{})
+	path, ok := pf.ShortestToPointWS(NewWorkspace(), seeds, pt, parts[2], Costs{})
 	if !ok {
 		t.Fatal("no path out of dead end")
 	}
@@ -110,7 +110,7 @@ func TestForbiddenDoorBlocksPath(t *testing.T) {
 	ps := geom.Pt(2, 5, 0)
 	pt := geom.Pt(28, 5, 0)
 	forbidden := func(d model.DoorID) bool { return d == doors[1] }
-	if _, ok := pf.ShortestToPoint(pf.SeedsFromPoint(ps), pt, parts[2], ForbidOnly(forbidden)); ok {
+	if _, ok := pf.ShortestToPointWS(NewWorkspace(), pf.SeedsFromPoint(ps), pt, parts[2], ForbidOnly(forbidden)); ok {
 		t.Error("path found through the only (forbidden) connector")
 	}
 	_ = s
@@ -156,7 +156,7 @@ func TestCrossFloorRouting(t *testing.T) {
 	ps := geom.Pt(15, 5, 0) // h1 on floor 0
 	pt := geom.Pt(15, 5, 1) // h1 on floor 1
 	hostPt := s.HostPartition(pt)
-	path, ok := pf.ShortestToPoint(pf.SeedsFromPoint(ps), pt, hostPt, Costs{})
+	path, ok := pf.ShortestToPointWS(NewWorkspace(), pf.SeedsFromPoint(ps), pt, hostPt, Costs{})
 	if !ok {
 		t.Fatal("no cross-floor path")
 	}
@@ -347,7 +347,7 @@ func TestShortestToStates(t *testing.T) {
 	pf := NewPathFinder(s)
 	ps := geom.Pt(2, 5, 0)
 	target := pf.StateOf(doors[2], parts[3]) // door d2 entered into shop
-	got, path, ok := pf.ShortestToStates(pf.SeedsFromPoint(ps),
+	got, path, ok := pf.ShortestToStatesWS(NewWorkspace(), pf.SeedsFromPoint(ps),
 		[]StateID{target}, Costs{})
 	if !ok || got != target {
 		t.Fatalf("ShortestToStates failed: ok=%v", ok)

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"ikrq/internal/geom"
@@ -19,7 +20,35 @@ func kernelSpaces(t *testing.T) map[string]*model.Space {
 		"corridor": corridor,
 		"tower":    tower,
 		"split":    splitSpace(t),
+		"stairtie": stairTieSpace(t),
 	}
+}
+
+// stairTieSpace makes the kernel's (door, partition) tie-break observable.
+// A state's in-partition predecessors all share a partition, so only a
+// stairway arc can offer it a second, equal-cost parent from a different
+// partition: here (b, h1) is reached at the same distance from (a, sa) over
+// the stairway and from (e, sb) across the staircase, and the two parents
+// order one way by door (a < e) and the other way by partition (sb < sa).
+// Seeding both at cost 0 lets only the tie-break pick the parent.
+func stairTieSpace(t *testing.T) *model.Space {
+	t.Helper()
+	b := model.NewBuilder()
+	sb := b.AddPartition("sb", model.KindStaircase, geom.R(0, 0, 10, 10, 1))
+	h1 := b.AddPartition("h1", model.KindHallway, geom.R(10, 0, 20, 10, 1))
+	h2 := b.AddPartition("h2", model.KindHallway, geom.R(0, 10, 10, 20, 1))
+	sa := b.AddPartition("sa", model.KindStaircase, geom.R(0, 0, 10, 10, 0))
+	h0 := b.AddPartition("h0", model.KindHallway, geom.R(10, 0, 20, 10, 0))
+	da := b.AddDoor(geom.Pt(10, 5, 0), sa, h0)
+	e := geom.Pt(5, 10, 1)
+	b.AddDoor(e, sb, h2)
+	db := b.AddDoor(geom.Pt(10, 5, 1), sb, h1)
+	b.AddStairway(da, db, e.Dist(geom.Pt(10, 5, 1)))
+	s, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	return s
 }
 
 // splitSpace builds two corridor fragments with no connection between them,
@@ -59,19 +88,27 @@ func kernelCostCases(s *model.Space) map[string]Costs {
 	}
 }
 
-// TestKernelMatchesReference diffs the workspace kernel against the
-// retained seed kernel state by state: same reachability, distances,
-// parents and seed attribution for every source state under every cost
-// case. One workspace per kernel is reused across all runs, so the test
+// TestKernelMatchesReference diffs the workspace kernel against the seed
+// kernel state by state: same reachability, distances, parents and seed
+// attribution for every source state and every pair of source states under
+// every cost case. One workspace per kernel is reused across all runs, so the test
 // also exercises the O(1) epoch reset between unrelated queries.
 func TestKernelMatchesReference(t *testing.T) {
 	for name, s := range kernelSpaces(t) {
 		t.Run(name, func(t *testing.T) {
 			pf := NewPathFinder(s)
 			ws, ref := NewWorkspace(), NewWorkspace()
+			// Every single source, then every pair of sources at equal
+			// cost, so ties between seeds reach the tie-break too.
+			var seedSets [][]Seed
+			for a := 0; a < pf.NumStates(); a++ {
+				seedSets = append(seedSets, []Seed{{State: StateID(a), Cost: 1.25, EmitHop: true}})
+				for b := a + 1; b < pf.NumStates(); b++ {
+					seedSets = append(seedSets, []Seed{{State: StateID(a), EmitHop: true}, {State: StateID(b)}})
+				}
+			}
 			for costName, costs := range kernelCostCases(s) {
-				for src := 0; src < pf.NumStates(); src++ {
-					seeds := []Seed{{State: StateID(src), Cost: 1.25, EmitHop: true}}
+				for src, seeds := range seedSets {
 					pf.dijkstra(ws, seeds, costs, nil)
 					pf.refDijkstra(ref, seeds, costs)
 					for st := 0; st < pf.NumStates(); st++ {
@@ -101,36 +138,45 @@ func TestKernelMatchesReference(t *testing.T) {
 
 // TestKernelEarlyTerminationExact asserts the target-set early exit returns
 // exactly the full run's answer: for every (source, target) pair the
-// targeted run's distance and reconstructed hop sequence equal the
-// exhaustive reference's, including unreachable targets (which degrade to
-// full exhaustion, not a wrong answer).
+// targeted run's distance and reconstructed hop sequence equal the seed
+// kernel's exhaustive tree, including unreachable targets (which degrade to
+// full exhaustion, not a wrong answer). A LazyTree per source, resumed over
+// every target in turn, must give the same answers.
 func TestKernelEarlyTerminationExact(t *testing.T) {
 	for name, s := range kernelSpaces(t) {
 		t.Run(name, func(t *testing.T) {
 			pf := NewPathFinder(s)
-			pfRef := NewPathFinder(s)
-			pfRef.UseReferenceKernel()
-			ws, wsRef := NewWorkspace(), NewWorkspace()
+			ws, wsLazy, wsRef := NewWorkspace(), NewWorkspace(), NewWorkspace()
 			for src := 0; src < pf.NumStates(); src++ {
+				seeds := []Seed{{State: StateID(src), EmitHop: true}}
+				pf.refDijkstra(wsRef, seeds, Costs{})
+				ref := Tree{pf: pf, ws: wsRef, epoch: wsRef.epoch, seeds: seeds}
+				lazy := pf.LazyTreeWS(wsLazy, StateID(src))
+				lazyRef := Tree{pf: pf, ws: wsRef, epoch: wsRef.epoch, seeds: []Seed{{State: StateID(src)}}}
 				for dst := 0; dst < pf.NumStates(); dst++ {
-					seeds := []Seed{{State: StateID(src), EmitHop: true}}
+					lazyHops, okL := lazy.AppendPathTo(nil, StateID(dst))
+					wantLazy, okLW := lazyRef.AppendPathTo(nil, StateID(dst))
+					if okL != okLW || !slices.Equal(lazyHops, wantLazy) || lazy.Dist(StateID(dst)) != ref.Dist(StateID(dst)) {
+						t.Fatalf("%d->%d: lazy (%v, %v, %v) vs ref (%v, %v, %v)", src, dst,
+							lazyHops, okL, lazy.Dist(StateID(dst)), wantLazy, okLW, ref.Dist(StateID(dst)))
+					}
 					got, okG := pf.ShortestToStateWS(ws, seeds, StateID(dst), Costs{})
-					want, okW := pfRef.ShortestToStateWS(wsRef, seeds, StateID(dst), Costs{})
+					wantHops, okW := ref.AppendPathTo(nil, StateID(dst))
 					if okG != okW {
 						t.Fatalf("%d->%d: ok %v vs ref %v", src, dst, okG, okW)
 					}
 					if !okG {
 						continue
 					}
-					if got.Dist != want.Dist {
-						t.Fatalf("%d->%d: dist %v vs ref %v", src, dst, got.Dist, want.Dist)
+					if want := ref.Dist(StateID(dst)); got.Dist != want {
+						t.Fatalf("%d->%d: dist %v vs ref %v", src, dst, got.Dist, want)
 					}
-					if len(got.Hops) != len(want.Hops) {
-						t.Fatalf("%d->%d: %d hops vs ref %d", src, dst, len(got.Hops), len(want.Hops))
+					if len(got.Hops) != len(wantHops) {
+						t.Fatalf("%d->%d: %d hops vs ref %d", src, dst, len(got.Hops), len(wantHops))
 					}
 					for i := range got.Hops {
-						if got.Hops[i] != want.Hops[i] {
-							t.Fatalf("%d->%d hop %d: %+v vs ref %+v", src, dst, i, got.Hops[i], want.Hops[i])
+						if got.Hops[i] != wantHops[i] {
+							t.Fatalf("%d->%d hop %d: %+v vs ref %+v", src, dst, i, got.Hops[i], wantHops[i])
 						}
 					}
 				}
@@ -183,22 +229,4 @@ func TestTreeReadAfterReusePanics(t *testing.T) {
 		}
 	}()
 	tree.Dist(0)
-}
-
-// TestShortestTreeOwnsItsStorage pins the opposite contract: a tree from
-// the plain ShortestTree entry point stays valid across later queries on
-// the same finder (its workspace is private, not pooled).
-func TestShortestTreeOwnsItsStorage(t *testing.T) {
-	s, parts, doors := corridorSpace(t)
-	pf := NewPathFinder(s)
-	seeds := []Seed{{State: pf.StateOf(doors[0], parts[1])}}
-	tree := pf.ShortestTree(seeds, Costs{})
-	target := pf.StateOf(doors[1], parts[2])
-	want := tree.Dist(target)
-	for i := 0; i < 3; i++ { // churn the finder's pooled workspaces
-		pf.ShortestToState(seeds, target, Costs{})
-	}
-	if got := tree.Dist(target); got != want {
-		t.Fatalf("owned tree changed under pooled churn: %v, want %v", got, want)
-	}
 }

@@ -2,110 +2,64 @@ package graph
 
 import "math"
 
-// LazyTree is a pausable static (zero-Costs) single-source shortest-path
-// run: the oracle-mode KoE* path cache. Where ShortestTreeWS exhausts the
-// graph up front, a LazyTree settles states in ascending distance order and
-// suspends as soon as the requested target is final, resuming from the
-// frozen frontier on the next request — so one stamp tail pays only for the
-// distance radius its expansion targets actually reach. Dijkstra's settled
-// prefix is invariant under early suspension (the kernel's strict total
-// order makes the pop sequence unique), so every path a LazyTree returns is
-// hop-for-hop the path a full tree — and therefore the dense matrix's
-// stored parent chain — would yield.
+// LazyTree is a paused static (zero-Costs) single-source kernel run: the
+// oracle-mode KoE* path cache. Where ShortestTreeWS exhausts the graph up
+// front, a LazyTree asks the kernel to settle only the requested target and
+// pauses there, resuming from the frozen frontier on the next request — so
+// one stamp tail pays only for the distance radius its expansion targets
+// actually reach. Dijkstra's settled prefix is invariant under pausing (the
+// kernel's strict total order makes the pop sequence unique), so every path
+// a LazyTree returns is hop-for-hop the path a full tree — and therefore
+// the dense matrix's stored parent chain — would yield.
 //
 // A LazyTree borrows its workspace's storage: any later run on the
 // workspace invalidates the tree, and resuming it then panics (the same
-// contract as Tree). It repurposes the workspace's target stamps to record
-// settled states — valid because a lazy run requests no targets.
+// contract as Tree).
 type LazyTree struct {
-	pf    *PathFinder
-	ws    *Workspace
-	epoch uint32
-	src   StateID
-	// done: the frontier emptied; every state still unsettled is
-	// unreachable from src.
-	done bool
+	tree Tree
+	seed [1]Seed
 }
 
 // LazyTreeWS starts a lazy static run from src on ws, claiming the
-// workspace until its next begin(). The returned tree is borrowed workspace
+// workspace until its next run. The returned tree is borrowed workspace
 // state, like ShortestTreeWS's.
 func (pf *PathFinder) LazyTreeWS(ws *Workspace, src StateID) *LazyTree {
-	ws.begin(len(pf.states))
-	ws.set(src, 0, NoState, 0)
-	ws.heapPush(pf.item(src, 0))
-	ws.ltree = LazyTree{pf: pf, ws: ws, epoch: ws.epoch, src: src}
-	return &ws.ltree
+	lt := &ws.ltree
+	lt.seed[0] = Seed{State: src}
+	pf.start(ws, lt.seed[:])
+	lt.tree = Tree{pf: pf, ws: ws, epoch: ws.epoch, seeds: lt.seed[:]}
+	return lt
 }
 
-func (lt *LazyTree) check() {
-	if lt.ws.epoch != lt.epoch {
-		panic("graph: LazyTree used after its workspace ran again")
+// resume runs the paused kernel until s settles; false means s is
+// unreachable from src (the frontier drained first).
+func (lt *LazyTree) resume(s StateID) bool {
+	t := &lt.tree
+	t.check()
+	ws := t.ws
+	if ws.settled[s] != ws.epoch {
+		ws.tbuf = append(ws.tbuf[:0], s)
+		t.pf.settle(ws, t.pf.adj, Costs{}, ws.tbuf)
 	}
-}
-
-// settled reports whether s popped at its final distance this run.
-func (lt *LazyTree) settled(s StateID) bool { return lt.ws.target[s] == lt.epoch }
-
-// advance resumes the run until target settles; false means target is
-// unreachable from src (the frontier drained first). Identical relaxation
-// order to dijkstra's zero-Costs case: no blocked doors, no delays.
-func (lt *LazyTree) advance(target StateID) bool {
-	if lt.settled(target) {
-		return true
-	}
-	if lt.done {
-		return false
-	}
-	ws, pf := lt.ws, lt.pf
-	for len(ws.heap) > 0 {
-		it := ws.heapPop()
-		if it.dist > ws.dist[it.state] {
-			continue // stale entry
-		}
-		ws.target[it.state] = lt.epoch // settled
-		for _, a := range pf.adj[it.state] {
-			if nd := it.dist + a.w; nd < ws.distAt(a.to) {
-				ws.set(a.to, nd, it.state, 0)
-				ws.heapPush(pf.item(a.to, nd))
-			}
-		}
-		if it.state == target {
-			return true
-		}
-	}
-	lt.done = true
-	return false
+	return ws.settled[s] == ws.epoch
 }
 
 // AppendPathTo appends the static shortest hop sequence from src to s
-// (excluding src's own hop, matching Tree.AppendPathTo over an
-// EmitHop-less seed), resuming the suspended run as far as needed. ok is
-// false when s is unreachable from src.
+// (excluding src's own hop, as Tree.AppendPathTo over an EmitHop-less
+// seed), resuming the paused run as far as needed. ok is false when s is
+// unreachable from src.
 func (lt *LazyTree) AppendPathTo(dst []Hop, s StateID) ([]Hop, bool) {
-	lt.check()
-	if !lt.advance(s) {
+	if !lt.resume(s) {
 		return dst, false
 	}
-	start := len(dst)
-	for cur := s; cur != lt.src; {
-		st := lt.pf.states[cur]
-		dst = append(dst, Hop{Door: st.door, Part: st.part})
-		cur = lt.ws.parent[cur]
-	}
-	rev := dst[start:]
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return dst, true
+	return lt.tree.AppendPathTo(dst, s)
 }
 
 // Dist returns the static distance from src to s, resuming as needed;
 // +Inf when unreachable.
 func (lt *LazyTree) Dist(s StateID) float64 {
-	lt.check()
-	if !lt.advance(s) {
+	if !lt.resume(s) {
 		return math.Inf(1)
 	}
-	return lt.ws.dist[s]
+	return lt.tree.Dist(s)
 }

@@ -21,7 +21,7 @@ func TestLazyTreeMatchesFullTree(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed * 101))
 		for trial := 0; trial < 8; trial++ {
 			src := StateID(rng.Intn(n))
-			full := pf.ShortestTree([]Seed{{State: src}}, Costs{})
+			full := pf.ShortestTreeWS(NewWorkspace(), []Seed{{State: src}}, Costs{})
 			lt := pf.LazyTreeWS(NewWorkspace(), src)
 			// Random target order, with repeats: repeats must hit the
 			// settled fast path and still answer identically.

@@ -96,7 +96,7 @@ func (m *Matrix) buildRows(ws *Workspace, lo, hi int) {
 	seed := make([]Seed, 1)
 	for src := lo; src < hi; src++ {
 		seed[0] = Seed{State: StateID(src)}
-		pf.runDijkstra(ws, seed, Costs{}, nil)
+		pf.dijkstra(ws, seed, Costs{}, nil)
 		row := src * m.n
 		for t := 0; t < m.n; t++ {
 			d := ws.distAt(StateID(t))

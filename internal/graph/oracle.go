@@ -169,14 +169,18 @@ func newOracleWorkers(pf *PathFinder, workers int) *Oracle {
 		floorStates[f] = append(floorStates[f], StateID(i))
 	}
 
+	// buildHub runs both directions of hub k's sweep on the kernel. Only
+	// the distance tables are consumed, so tie-breaking cannot affect the
+	// result.
 	buildHub := func(ws *Workspace, k int) {
 		hub := o.hubs[k]
 		f := o.floorOf[hub]
 		local := int32(k) - o.hubOff[f]
+		seed := [1]Seed{{State: hub}}
 
 		// Forward: δ(hub → ·) fills hubDist row k and the fromHub column
 		// for hub's own floor.
-		o.runAdj(ws, pf.adj, hub)
+		pf.dijkstra(ws, seed[:], Costs{}, nil)
 		row := o.hubDist[k*h : (k+1)*h]
 		for j, hs := range o.hubs {
 			row[j] = ws.distAt(hs)
@@ -187,7 +191,8 @@ func newOracleWorkers(pf *PathFinder, workers int) *Oracle {
 
 		// Backward: δ(· → hub) via the reverse graph fills the toHub
 		// column for hub's own floor.
-		o.runAdj(ws, radj, hub)
+		pf.start(ws, seed[:])
+		pf.settle(ws, radj, Costs{}, nil)
 		for _, a := range floorStates[f] {
 			o.toHub[o.stateOff[a]+local] = ws.distAt(a)
 		}
@@ -223,41 +228,13 @@ func newOracleWorkers(pf *PathFinder, workers int) *Oracle {
 	return o
 }
 
-// runAdj is the static (zero Costs) single-source Dijkstra over an
-// arbitrary adjacency, used for both directions of the hub sweep. Only the
-// distance table is consumed, so tie-breaking cannot affect the result.
-func (o *Oracle) runAdj(ws *Workspace, adjacency [][]arc, src StateID) {
-	ws.begin(len(o.pf.states))
-	ws.set(src, 0, NoState, 0)
-	ws.heapPush(o.pf.item(src, 0))
-	for len(ws.heap) > 0 {
-		it := ws.heapPop()
-		if it.dist > ws.dist[it.state] {
-			continue
-		}
-		for _, a := range adjacency[it.state] {
-			if nd := it.dist + a.w; nd < ws.distAt(a.to) {
-				ws.set(a.to, nd, it.state, 0)
-				ws.heapPush(o.pf.item(a.to, nd))
-			}
-		}
-	}
-}
-
 // Dist returns an admissible lower bound of the static shortest distance:
 // exact for cross-floor pairs (see the type comment for the argument), and
 // for distinct same-floor states the maximum of the planar Euclidean bound
-// and the per-hub landmark bounds. Exact reports which case applied.
+// and the per-hub landmark bounds. DistExact reports which case applied.
 func (o *Oracle) Dist(a, b StateID) float64 {
 	d, _ := o.DistExact(a, b)
 	return d
-}
-
-// Exact reports whether Dist(a, b) is the exact static distance rather
-// than a lower bound.
-func (o *Oracle) Exact(a, b StateID) bool {
-	_, exact := o.DistExact(a, b)
-	return exact
 }
 
 // DistExact returns Dist and its exactness in one lookup.

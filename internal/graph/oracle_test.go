@@ -106,7 +106,7 @@ func TestOracleAdmissibility(t *testing.T) {
 				a := StateID(rng.Intn(n))
 				bs := StateID(rng.Intn(n))
 				d, exact := o.DistExact(a, bs)
-				pf.runDijkstra(ws, []Seed{{State: a}}, Costs{}, nil)
+				pf.dijkstra(ws, []Seed{{State: a}}, Costs{}, nil)
 				static := ws.distAt(bs)
 				if exact {
 					// Cross-floor sums may differ from the tree distance by
@@ -119,7 +119,7 @@ func TestOracleAdmissibility(t *testing.T) {
 					t.Fatalf("pair %v->%v: bound %v exceeds static truth %v", a, bs, d, static)
 				}
 				for ci, costs := range overlays[1:] {
-					pf.runDijkstra(ws, []Seed{{State: a}}, costs, nil)
+					pf.dijkstra(ws, []Seed{{State: a}}, costs, nil)
 					overlaid := ws.distAt(bs)
 					if d > overlaid+1e-9*(1+d) {
 						t.Fatalf("pair %v->%v overlay %d: Dist %v exceeds overlaid truth %v",
@@ -299,7 +299,7 @@ func TestOracleSameFloorLandmarkBound(t *testing.T) {
 			if d < euclid-1e-12 {
 				t.Fatalf("seed %d pair %v->%v: bound %v below Euclid %v", seed, a, bs, d, euclid)
 			}
-			pf.runDijkstra(ws, []Seed{{State: a}}, Costs{}, nil)
+			pf.dijkstra(ws, []Seed{{State: a}}, Costs{}, nil)
 			if static := ws.distAt(bs); d > static+1e-9*(1+d) {
 				t.Fatalf("seed %d pair %v->%v: bound %v exceeds static truth %v", seed, a, bs, d, static)
 			}

@@ -5,14 +5,11 @@ import (
 	"math"
 )
 
-// This file retains the seed shortest-path kernel verbatim: freshly
-// allocated O(states) tables per run and container/heap's interface-typed
-// binary heap. It is dead weight on every production path — the workspace
-// kernel (workspace.go, PathFinder.dijkstra) replaced it — and exists only
-// as the reference implementation the kernel-equivalence oracles diff
-// against: a finder switched with UseReferenceKernel runs every shortest
-// path through refDijkstra, so two engines differing in nothing but the
-// kernel must return byte-identical routes and work counters.
+// This file keeps the seed shortest-path kernel verbatim, as a test-only
+// reference: freshly allocated O(states) tables per run and
+// container/heap's interface-typed binary heap. The kernel oracles (here
+// and, through export_test.go, the mall-level oracle in package graph_test)
+// diff the workspace kernel against it state by state.
 
 // refDijkstra runs the seed kernel and copies its result into ws so
 // downstream reads (reconstruction, matrix row extraction) are uniform
@@ -70,12 +67,20 @@ func (pf *PathFinder) refDijkstra(ws *Workspace, seeds []Seed, costs Costs) {
 
 // refHeap is the seed's container/heap priority queue (boxed items, binary
 // layout) with the same (dist, door, partition) tie-break as the workspace
-// kernel's flat heap.
+// kernel's flat heap. Less spells the order out instead of calling
+// heapLess, so a defect in the kernel's comparison diffs against it.
 type refHeap []heapItem
 
 func (h refHeap) Len() int { return len(h) }
 func (h refHeap) Less(i, j int) bool {
-	return heapLess(h[i], h[j])
+	a, b := h[i], h[j]
+	if a.dist != b.dist {
+		return a.dist < b.dist
+	}
+	if a.door != b.door {
+		return a.door < b.door
+	}
+	return a.part < b.part
 }
 func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *refHeap) Push(x any)   { *h = append(*h, x.(heapItem)) }

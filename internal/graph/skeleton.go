@@ -137,16 +137,6 @@ func (sk *Skeleton) LowerBound(a, b geom.Point) float64 {
 	return best
 }
 
-// LowerBoundDoorPt returns |d, p|L for a door and a point.
-func (sk *Skeleton) LowerBoundDoorPt(d model.DoorID, p geom.Point) float64 {
-	return sk.LowerBound(sk.s.Door(d).Pos, p)
-}
-
-// LowerBoundDoors returns |di, dj|L for two doors.
-func (sk *Skeleton) LowerBoundDoors(di, dj model.DoorID) float64 {
-	return sk.LowerBound(sk.s.Door(di).Pos, sk.s.Door(dj).Pos)
-}
-
 // PartitionBound returns the Pruning Rule 3 lower bound δ(ps, v, pt): the
 // cheapest way to go from ps through partition v to pt,
 //

@@ -26,8 +26,9 @@ type Workspace struct {
 
 	// mark[s] == epoch ⇔ dist/parent/seedOf[s] were written this run.
 	mark []uint32
-	// target[s] == epoch ⇔ s is a requested, not-yet-settled target of this
-	// run. Settling clears the slot to 0, which no live epoch ever equals.
+	// settled[s] == epoch ⇔ s popped at its final distance this run.
+	settled []uint32
+	// target[s] == epoch ⇔ s was requested as a target this run.
 	target []uint32
 	epoch  uint32
 
@@ -38,8 +39,8 @@ type Workspace struct {
 
 	// tree backs the Tree returned by ShortestTreeWS; ltree backs the
 	// LazyTree returned by LazyTreeWS; tbuf and hops are reusable
-	// target-list and path-reconstruction buffers for the point and state
-	// entry points.
+	// target-list and path-reconstruction buffers for the point, state and
+	// lazy entry points.
 	tree  Tree
 	ltree LazyTree
 	tbuf  []StateID
@@ -58,17 +59,20 @@ func (ws *Workspace) begin(n int) {
 		ws.parent = make([]StateID, n)
 		ws.seedOf = make([]int32, n)
 		ws.mark = make([]uint32, n)
+		ws.settled = make([]uint32, n)
 		ws.target = make([]uint32, n)
 	} else {
 		ws.dist = ws.dist[:n]
 		ws.parent = ws.parent[:n]
 		ws.seedOf = ws.seedOf[:n]
 		ws.mark = ws.mark[:n]
+		ws.settled = ws.settled[:n]
 		ws.target = ws.target[:n]
 	}
 	ws.epoch++
 	if ws.epoch == 0 { // wraparound: stale stamps could collide, clear them
 		clear(ws.mark[:cap(ws.mark)])
+		clear(ws.settled[:cap(ws.settled)])
 		clear(ws.target[:cap(ws.target)])
 		ws.epoch = 1
 	}
@@ -96,7 +100,7 @@ func (ws *Workspace) set(s StateID, d float64, parent StateID, seed int32) {
 // re-pushed only with a strictly smaller distance, and distinct states
 // differ in (door, partition). With a strict total order the pop sequence is
 // the sorted order, independent of heap arity, which is what keeps the flat
-// 4-ary heap byte-identical to the seed's container/heap binary heap.
+// 4-ary heap byte-identical to the seed kernel's container/heap binary heap.
 func heapLess(a, b heapItem) bool {
 	if a.dist != b.dist {
 		return a.dist < b.dist

@@ -21,6 +21,17 @@ import (
 	"ikrq/internal/search"
 )
 
+// gateConditions are the overlay scenarios the gate sweeps: none, closures
+// only, delays only, and both.
+func gateConditions(s *model.Space, seed uint64) map[string]*model.Conditions {
+	return map[string]*model.Conditions{
+		"bare":     nil,
+		"closures": gen.SampleConditions(s, seed, gen.ConditionsConfig{Closures: 4}),
+		"delays":   gen.SampleConditions(s, seed+1, gen.ConditionsConfig{Delays: 4, MinDelay: 5, MaxDelay: 60}),
+		"mixed":    gen.SampleConditions(s, seed+2, gen.ConditionsConfig{Closures: 3, Delays: 3, MinDelay: 5, MaxDelay: 60}),
+	}
+}
+
 // backendGate runs every variant × overlay × request on both engines and
 // requires identical routes and stats (Elapsed and EstBytes excepted — the
 // first measures wall clock, the second the backend under test).
@@ -100,7 +111,7 @@ func TestBackendGateSynthetic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backendGate(t, dense, oracle, reqs, kernelConditions(mall.Space, 271), 50_000)
+	backendGate(t, dense, oracle, reqs, gateConditions(mall.Space, 271), 50_000)
 }
 
 // TestBackendGateReal is the same gate on the simulated Hangzhou mall.
@@ -225,7 +236,7 @@ func TestBackendBoundAblation(t *testing.T) {
 	optOff.DisableBackendBound = true
 
 	pruned := 0
-	for condName, cond := range kernelConditions(mall.Space, 271) {
+	for condName, cond := range gateConditions(mall.Space, 271) {
 		for i, req := range reqs {
 			req.Conditions = cond
 			for _, eng := range []struct {

@@ -167,27 +167,53 @@ func TestPooledScratchReuseIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestPooledMatchesFresh pins the pooled executor to the seed's
-// fresh-allocation path: identical routes and identical work counters.
+// brandNewEngine returns an engine over e's index layer (and whichever
+// KoE* backend e has built) whose executor has never run a query, so its
+// first search runs on never-used scratch.
+func brandNewEngine(t testing.TB, e *Engine) *Engine {
+	t.Helper()
+	ne, err := NewEngineFromParts(e.s, e.x, e.pf, e.sk, e.MatrixIfReady(), e.OracleIfReady())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ne
+}
+
+// sameRouteAndWork requires identical routes and every Stats field but
+// Elapsed equal.
+func sameRouteAndWork(t *testing.T, name string, got, want *Result) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Routes, want.Routes) {
+		t.Errorf("%s: routes differ\n got: %+v\nwant: %+v", name, got.Routes, want.Routes)
+	}
+	gs, ws := got.Stats, want.Stats
+	gs.Elapsed, ws.Elapsed = 0, 0
+	if gs != ws {
+		t.Errorf("%s: work counters differ\n got: %+v\nwant: %+v", name, gs, ws)
+	}
+}
+
+// TestPooledMatchesFresh pins scratch reuse: every query on an engine whose
+// pooled scratch the previous, different query just used must equal the
+// same query on a brand-new executor, in routes and work counters.
 func TestPooledMatchesFresh(t *testing.T) {
 	e := testMall(t)
-	for _, tc := range oracleCases {
-		for _, opt := range []Options{{Algorithm: ToE}, {Algorithm: KoE}} {
-			pooled, err := e.Search(tc.req, opt)
+	for _, v := range Variants() {
+		opt, err := OptionsFor(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.MaxExpansions = 20_000 // keeps ToE\P finite
+		for _, tc := range oracleCases {
+			churned, err := e.Search(tc.req, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh, err := e.searchFresh(tc.req, opt)
+			fresh, err := brandNewEngine(t, e).Search(tc.req, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(pooled.Routes, fresh.Routes) {
-				t.Errorf("%s/%v: pooled and fresh routes differ", tc.name, opt.Algorithm)
-			}
-			if pooled.Stats.Pops != fresh.Stats.Pops ||
-				pooled.Stats.StampsCreated != fresh.Stats.StampsCreated {
-				t.Errorf("%s/%v: pooled did different work than fresh", tc.name, opt.Algorithm)
-			}
+			sameRouteAndWork(t, string(v)+"/"+tc.name, churned, fresh)
 		}
 	}
 }
@@ -246,11 +272,9 @@ func TestQueryCacheSharedAcrossSearches(t *testing.T) {
 	}
 }
 
-// BenchmarkRepeatedQueryPooled / BenchmarkRepeatedQueryFresh quantify the
-// executor's allocation win on a repeated query (run with -benchmem): the
-// pooled path reuses door bitmaps, heap, prime table, collector, stamp and
-// sims storage and the compiled query; the fresh path allocates all of it
-// per call, as the seed did.
+// BenchmarkRepeatedQueryPooled measures the executor on a repeated query
+// (run with -benchmem): door bitmaps, heap, prime table, collector, stamp
+// and sims storage and the compiled query are all reused across calls.
 func BenchmarkRepeatedQueryPooled(b *testing.B) {
 	e := testMall(b)
 	r := req([]string{"coffee", "laptop"}, 3, 100)
@@ -258,18 +282,6 @@ func BenchmarkRepeatedQueryPooled(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Search(r, Options{Algorithm: ToE}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRepeatedQueryFresh(b *testing.B) {
-	e := testMall(b)
-	r := req([]string{"coffee", "laptop"}, 3, 100)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.searchFresh(r, Options{Algorithm: ToE}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -237,30 +237,32 @@ func TestValidateOptionsTable(t *testing.T) {
 	}
 }
 
-// TestOverlayPooledMatchesFresh pins the executor-scratch overlay plumbing
-// to the fresh-allocation reference path.
+// TestOverlayPooledMatchesFresh pins the executor-scratch overlay plumbing:
+// a query on scratch that a different overlay just used must equal the same
+// query on a brand-new executor.
 func TestOverlayPooledMatchesFresh(t *testing.T) {
 	e := testMall(t)
 	r := withCond(req([]string{"coffee", "coat"}, 4, 150),
 		model.NewConditions().Close(5).Delay(0, 15))
+	other := withCond(req([]string{"laptop", "coat"}, 3, 150),
+		model.NewConditions().Close(2).Delay(7, 40).Delay(3, 5))
 	for _, v := range Variants() {
 		opt, err := OptionsFor(v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := e.searchFresh(r, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Run pooled twice so the second hits recycled scratch with the
-		// previous overlay's door sets behind it.
-		if _, err := e.Search(r, opt); err != nil {
+		// Churn the pooled scratch with the other overlay's door sets.
+		if _, err := e.Search(other, opt); err != nil {
 			t.Fatal(err)
 		}
 		pooled, err := e.Search(r, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameResults(t, string(v)+"/pooled-vs-fresh", pooled, fresh)
+		fresh, err := brandNewEngine(t, e).Search(r, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRouteAndWork(t, string(v)+"/pooled-vs-fresh", pooled, fresh)
 	}
 }

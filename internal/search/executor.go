@@ -48,7 +48,8 @@ func (ex *Executor) Engine() *Engine { return ex.e }
 func (ex *Executor) Executions() uint64 { return ex.executions.Load() }
 
 // Search runs one query on pooled scratch. It is the implementation behind
-// Engine.Search; results are identical to a searcher built from scratch.
+// Engine.Search; results and work counters are identical to the same query
+// on a brand-new executor, whatever the scratch ran before.
 func (ex *Executor) Search(req Request, opt Options) (*Result, error) {
 	return ex.SearchContext(context.Background(), req, opt)
 }

@@ -7,13 +7,6 @@ import (
 	"ikrq/internal/model"
 )
 
-// SearchFreshForTest exposes the per-call-allocation search path to the
-// external oracle tests (package search_test), which compare it against the
-// pooled executor after scratch-layout changes.
-func SearchFreshForTest(e *Engine, req Request, opt Options) (*Result, error) {
-	return e.searchFresh(req, opt)
-}
-
 // ReferenceSequenceRoute re-derives a sequence route from its waypoints
 // alone: Σρ from the leg candidate tables, the distance by chaining the
 // plan's stages as the exhaustive baseline does, and the door walk by the

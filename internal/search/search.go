@@ -676,21 +676,6 @@ func (e *Engine) SearchContext(ctx context.Context, req Request, opt Options) (*
 	return e.exec.SearchContext(ctx, req, opt)
 }
 
-// searchFresh runs a query with per-call allocation of all scratch state and
-// no compiled-query cache — the seed's execution path, kept as the baseline
-// the pooled executor is benchmarked against.
-func (e *Engine) searchFresh(req Request, opt Options) (*Result, error) {
-	if err := e.validate(req, opt); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	sr := newSearcher(e, req, opt)
-	sr.run()
-	res := sr.result()
-	res.Stats.Elapsed = time.Since(start)
-	return res, nil
-}
-
 // score computes ψ (Equation 1) from a relevance and a route distance.
 func score(alpha, rho, maxRho, dist, delta float64) float64 {
 	return alpha*rho/maxRho + (1-alpha)*(delta-dist)/delta

@@ -40,22 +40,22 @@ type searcher struct {
 
 	// condClosed and condDelay are the dense door-indexed views of the
 	// request's Conditions overlay (nil when the overlay has no closures /
-	// no delays). Pooled searches back them with executor scratch; the
-	// overlay itself is immutable for the query's duration, so concurrent
-	// searches with distinct overlays never share these sets.
+	// no delays), backed by executor scratch. The overlay itself is
+	// immutable for the query's duration, so concurrent searches with
+	// distinct overlays never share these sets.
 	condClosed []bool
 	condDelay  []float64
 
 	// keyAlive tracks the global key-partition set P; Pruning Rule 3
 	// removes partitions permanently (KoE). It is an epoch-stamped dense
-	// set, so pooled reuse resets it in O(1).
+	// set, so scratch reuse resets it in O(1).
 	keyParts []model.PartitionID
 	keyAlive *partSet
 
-	// ws is the searcher's shortest-path kernel workspace: every Dijkstra
-	// the query runs (KoE trees, KoE* tail recomputes, shortest-route
-	// completions) reuses its epoch-stamped tables and flat heap. Pooled
-	// searches get it from the executor scratch; fresh searchers own one.
+	// ws is the searcher's shortest-path kernel workspace, owned by the
+	// executor scratch: every Dijkstra the query runs (KoE trees, KoE* tail
+	// recomputes, shortest-route completions) reuses its epoch-stamped
+	// tables and flat heap.
 	ws *graph.Workspace
 
 	// staticWS holds the KoE*-oracle static-path cache: when the engine's
@@ -94,14 +94,12 @@ type searcher struct {
 	ptStates []graph.StateID
 	ptLegs   []float64
 
-	// scratch, when non-nil, supplies pooled stamp and sims storage; a nil
-	// scratch falls back to plain per-call allocation (the seed behavior,
-	// kept as the benchmark baseline).
+	// scratch is the executor bundle the query runs on; its arenas back
+	// every stamp, route node, KP node, completion and sims vector.
 	scratch *execScratch
 
-	// ctx, when non-nil, is polled every ctxPollEvery pops of the main loop;
-	// once it is cancelled the run aborts and err carries ctx.Err(). A nil
-	// ctx (the fresh-searcher construction path) never aborts.
+	// ctx is polled every ctxPollEvery pops of the main loop; once it is
+	// cancelled the run aborts and err carries ctx.Err().
 	ctx context.Context
 	err error
 
@@ -113,34 +111,6 @@ type searcher struct {
 // enough that the poll is free against the work in between, frequent enough
 // that cancellation lands within a few expansion batches.
 const ctxPollEvery = 64
-
-// newSearcher builds a searcher with fresh allocations for everything —
-// the pre-executor construction path, retained for the pooled-vs-fresh
-// benchmarks and as the reference for what prepare() must reproduce.
-func newSearcher(e *Engine, req Request, opt Options) *searcher {
-	sr := &searcher{
-		e:      e,
-		req:    req,
-		opt:    opt,
-		q:      e.x.CompileQuery(req.QW, req.Tau),
-		hostPs: e.s.HostPartition(req.Ps),
-		hostPt: e.s.HostPartition(req.Pt),
-		prime:  route.NewPrimeTable(),
-		dn:     make([]bool, e.s.NumDoors()),
-		df:     make([]bool, e.s.NumDoors()),
-	}
-	sr.maxRho = sr.q.MaxRelevance()
-	sr.cap = req.Delta * (1 + opt.SoftDeltaSlack)
-	sr.gamma = opt.PopularityWeight
-	sr.top = newTopK(req.K, !opt.DisablePrime)
-	sr.keyAlive = new(partSet)
-	sr.ws = graph.NewWorkspace()
-	sr.koeRemoved = new(partSet)
-	sr.initKeyPartitions(nil)
-	sr.initOverlay(nil, nil)
-	sr.initBackendBound(nil, nil)
-	return sr
-}
 
 // initBackendBound arms KoE* backend-bound pruning: it caches the distance
 // backend and precomputes the terminal partition's entry states with their
@@ -181,9 +151,8 @@ func (sr *searcher) backendRemaining(tm graph.StateID) float64 {
 }
 
 // initOverlay materializes the request's Conditions into dense door sets.
-// closedBuf and delayBuf supply reusable backing storage (pooled callers
-// pass the executor scratch's buffers; fresh searchers pass nil); only the
-// sets the overlay actually needs are sized and cleared.
+// closedBuf and delayBuf are the executor scratch's reusable backing
+// storage; only the sets the overlay actually needs are sized and cleared.
 func (sr *searcher) initOverlay(closedBuf []bool, delayBuf []float64) {
 	cond := sr.req.Conditions
 	if cond.Empty() {
@@ -226,8 +195,7 @@ func (sr *searcher) doorDelay(d model.DoorID) float64 {
 }
 
 // initKeyPartitions computes P ← (∪ I2P(κ(wQ).Wi)) \ v(ps) ∪ v(pt)
-// (Algorithm 1 line 3) into buf, which pooled callers pass to reuse its
-// capacity.
+// (Algorithm 1 line 3) into buf, whose capacity the scratch reuses.
 func (sr *searcher) initKeyPartitions(buf []model.PartitionID) {
 	sr.keyAlive.reset(sr.e.s.NumPartitions())
 	for _, v := range sr.q.KeyPartitions() {
@@ -246,14 +214,8 @@ func (sr *searcher) initKeyPartitions(buf []model.PartitionID) {
 	sr.keyParts = buf
 }
 
-// newSims returns a zeroed similarity vector of length n, arena-backed when
-// the searcher runs on pooled scratch.
-func (sr *searcher) newSims(n int) []float64 {
-	if sr.scratch != nil {
-		return sr.scratch.sims.alloc(n)
-	}
-	return make([]float64, n)
-}
+// newSims returns a zeroed, arena-backed similarity vector of length n.
+func (sr *searcher) newSims(n int) []float64 { return sr.scratch.sims.alloc(n) }
 
 // cloneSims copies a similarity vector into query-lifetime storage. Vectors
 // that escape into results are copied again by result(), so arena backing is
@@ -264,49 +226,33 @@ func (sr *searcher) cloneSims(s []float64) []float64 {
 	return out
 }
 
-// newStamp returns a blank stamp (arena-backed on pooled scratch) and counts
-// it in the stats.
+// newStamp returns a blank arena-backed stamp and counts it in the stats.
 func (sr *searcher) newStamp() *stamp {
 	sr.stats.StampsCreated++
-	if sr.scratch != nil {
-		return sr.scratch.stamps.alloc()
-	}
-	return new(stamp)
+	return sr.scratch.stamps.alloc()
 }
 
-// newNode appends a route node (arena-backed on pooled scratch). Nodes never
-// outlive the query — result() copies the winning routes' door and partition
-// sequences — so the arena resets wholesale.
+// newNode appends an arena-backed route node. Nodes never outlive the query
+// — result() copies the winning routes' door and partition sequences — so
+// the arena resets wholesale.
 func (sr *searcher) newNode(parent *route.Node, d model.DoorID, entered model.PartitionID, dist float64) *route.Node {
-	if sr.scratch == nil {
-		return parent.Append(d, entered, dist)
-	}
 	n := sr.scratch.nodes.alloc()
 	*n = route.Node{Parent: parent, Door: d, Entered: entered, Dist: dist, Depth: parent.Depth + 1}
 	return n
 }
 
-// kpAppend appends to a key-partition sequence (arena-backed on pooled
-// scratch); like Append it coalesces a repeated tail partition without
-// consuming storage.
+// kpAppend appends an arena-backed node to a key-partition sequence; like
+// Append it coalesces a repeated tail partition without consuming storage.
 func (sr *searcher) kpAppend(kp *route.KPNode, v model.PartitionID) *route.KPNode {
 	if kp != nil && kp.Part == v {
 		return kp
 	}
-	if sr.scratch == nil {
-		return kp.Append(v)
-	}
 	return kp.AppendInto(sr.scratch.kps.alloc(), v)
 }
 
-// newComplete returns a blank completed-route record (arena-backed on pooled
-// scratch); result() copies everything that escapes the query.
-func (sr *searcher) newComplete() *complete {
-	if sr.scratch == nil {
-		return new(complete)
-	}
-	return sr.scratch.completes.alloc()
-}
+// newComplete returns a blank arena-backed completed-route record; result()
+// copies everything that escapes the query.
+func (sr *searcher) newComplete() *complete { return sr.scratch.completes.alloc() }
 
 // run executes the find-and-connect loop of Algorithm 1.
 func (sr *searcher) run() {
@@ -317,7 +263,7 @@ func (sr *searcher) run() {
 	sr.push(s0)
 
 	for len(sr.queue) > 0 {
-		if sr.ctx != nil && sr.stats.Pops%ctxPollEvery == 0 {
+		if sr.stats.Pops%ctxPollEvery == 0 {
 			if err := sr.ctx.Err(); err != nil {
 				sr.err = err
 				return
@@ -502,8 +448,8 @@ func (sr *searcher) makeStamp(si *stamp, dl model.DoorID, vj model.PartitionID, 
 }
 
 // absorbThroughDoor returns sims with the i-words of the partitions
-// leaveable through door d folded in, copying (into the sims arena on
-// pooled scratch) only when something improves.
+// leaveable through door d folded in, copying (into the sims arena) only
+// when something improves.
 func (sr *searcher) absorbThroughDoor(sims []float64, d model.DoorID) []float64 {
 	q, x, s := sr.q, sr.e.x, sr.e.s
 	improved := false

@@ -75,14 +75,6 @@ type queryEnvelope struct {
 	Sequence *SequenceRequestV2
 }
 
-// timeoutMillis returns the envelope's timeout request.
-func (e *queryEnvelope) timeoutMillis() int {
-	if e.Route != nil {
-		return e.Route.TimeoutMillis
-	}
-	return e.Sequence.TimeoutMillis
-}
-
 // decodeEnvelope reads a v2 query body: sniff the discriminator leniently,
 // then decode the named shape strictly. The reader is expected to be
 // MaxBytesReader-bounded by the caller.
