@@ -42,9 +42,9 @@
 // bounds the live streams, -subscribe-max their lifetime.
 //
 // Repeated queries are answered from a per-venue result cache keyed by a
-// canonical fingerprint of the full request — geometry, keywords, variant
-// and the conditions overlay — so a cache hit is byte-identical to the
-// uncached answer. -cache-entries and -cache-bytes bound it; -cache-off
+// fingerprint of the full request — geometry, keywords in request order,
+// variant and the conditions overlay — so a cache hit is byte-identical to
+// the uncached answer. -cache-entries and -cache-bytes bound it; -cache-off
 // disables it.
 package main
 

@@ -89,14 +89,15 @@
 // result depends only on the request, the options and the engine's
 // immutable index layer. Engine.EnableResultCache adds a bounded
 // (entry-count and byte-budget LRU), concurrency-safe cache keyed by a
-// canonical fingerprint of the full request, including the Conditions
-// overlay. The fingerprint canonicalizes what cannot change the answer —
-// keyword order (sims vectors are permuted back on delivery), conditions
-// door order, duplicate closures, zero-valued penalties — and keeps
-// everything that can, so a hit is byte-identical to what the searcher
-// would have produced. Concurrent identical misses collapse to one
-// searcher run (singleflight), and Engine.SetPopularity invalidates the
-// cache in O(1) by bumping its epoch:
+// fingerprint of the full request, including the Conditions overlay, that
+// route and sequence queries share. Keywords are keyed in request order,
+// because a result's sims follow it: a repeat with reordered keywords
+// misses, and a hit returns the stored result without a copy, byte-identical
+// to what the search would have produced. The overlay is keyed as the set it
+// is — door order, duplicate closures and zero-valued penalties do not
+// change the key. Concurrent identical misses collapse to one run
+// (singleflight), and Engine.SetPopularity invalidates the cache in O(1) by
+// bumping its epoch:
 //
 //	engine.EnableResultCache(ikrq.CacheOptions{}) // defaults: 4096 entries, 64 MiB
 //	res, _ := engine.Search(req, opt)             // first call runs the searcher
@@ -165,9 +166,10 @@
 //   - BatchOptions{}: worker pool sized to GOMAXPROCS.
 //   - Options{}: plain ToE with every pruning rule on; OptionsFor
 //     resolves Table III variant names instead of hand-setting switches.
-//   - Request / SequenceRequest: zero Beam means exact search; exactly one
-//     of Delta (absolute meters) must be positive — there is no default
-//     distance budget, because one cannot be venue-agnostic.
+//   - Request / SequenceRequest: zero Beam means exact search; Delta
+//     (absolute meters) must be positive — there is no default distance
+//     budget, because one cannot be venue-agnostic. (The wire's η factor
+//     is resolved to a Delta by the serving layer.)
 //
 // Command-line front-ends (cmd/ikrqd, cmd/ikrq) expose the same knobs as
 // flags and never override these defaults silently.
@@ -268,10 +270,6 @@ type (
 	// which runs many requests over a worker pool sharing one engine and
 	// returns results identical to a serial Search loop.
 	BatchOptions = search.BatchOptions
-	// Executor is the pooled per-engine query-execution layer; Engine.Search
-	// and Engine.SearchBatch run on it implicitly, and Engine.Executor
-	// exposes it directly.
-	Executor = search.Executor
 	// Result is a ranked list of routes plus search statistics.
 	Result = search.Result
 	// Route is one returned route.
@@ -286,7 +284,7 @@ type (
 	// Engine.EnableResultCache (see the package docs, "Result caching").
 	CacheOptions = search.CacheOptions
 	// ResultCache is a per-engine bounded cache of immutable search results
-	// keyed by a canonical request fingerprint.
+	// keyed by a request fingerprint.
 	ResultCache = search.ResultCache
 	// ResultCacheStats is one consistent snapshot of a ResultCache's
 	// monotonic counters.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ikrq/internal/gen"
+	"ikrq/internal/graph"
 	"ikrq/internal/model"
 	"ikrq/internal/search"
 	"ikrq/internal/snapshot"
@@ -16,16 +17,20 @@ import (
 // start costs versus rebuilding the same index layer from scratch, and the
 // per-variant query latency of the loaded engine over sampled instances.
 type SnapshotReport struct {
-	Path      string
-	Bytes     int64
-	HasMatrix bool
+	Path  string
+	Bytes int64
+
+	// Backend is the kind of KoE* distance backend the bake carries
+	// ("matrix", "oracle"), or "" when it carries none and the first KoE*
+	// query builds one.
+	Backend string
 
 	// OpenTime is the cold start through snapshot.OpenEngine — the serving
 	// path, trusted and zero-copy over an mmap; LoadTime is the untrusted
 	// heap load of the same file through snapshot.LoadEngine (every CRC,
 	// every value scan, the space rebuilt from its record); RebuildTime
-	// derives the same index layer (state graph, skeleton, and — when the
-	// snapshot carries one — the KoE* matrix) from scratch.
+	// derives the same index layer (state graph, skeleton, and a KoE*
+	// backend of the kind the snapshot carries, if any) from scratch.
 	OpenTime    time.Duration
 	LoadTime    time.Duration
 	RebuildTime time.Duration
@@ -58,7 +63,9 @@ func RunSnapshot(path string, cfg Config, cond *model.Conditions) (*SnapshotRepo
 		return nil, err
 	}
 	rep.OpenTime = time.Since(t0)
-	rep.HasMatrix = eng.MatrixIfReady() != nil
+	if ds := eng.DistanceSourceIfReady(); ds != nil {
+		rep.Backend = ds.Kind()
+	}
 	ems := eng.MemStats()
 	rep.MappedBytes, rep.HeapBytes = ems.MappedBytes, ems.HeapBytes
 
@@ -79,10 +86,7 @@ func RunSnapshot(path string, cfg Config, cond *model.Conditions) (*SnapshotRepo
 	// Rebuild the equivalent index layer from the loaded space for the
 	// comparison the snapshot exists to win.
 	t2 := time.Now()
-	rebuilt := search.NewEngine(eng.Space(), eng.Keywords())
-	if rep.HasMatrix {
-		rebuilt.PrecomputeMatrix()
-	}
+	rebuild(eng)
 	rep.RebuildTime = time.Since(t2)
 
 	smp := gen.NewSampler(eng.Space(), eng.Keywords(), eng.PathFinder(), cfg.Seed+17)
@@ -135,15 +139,28 @@ func RunSnapshot(path string, cfg Config, cond *model.Conditions) (*SnapshotRepo
 	return rep, nil
 }
 
+// rebuild derives eng's index layer from scratch, with a KoE* backend of
+// the kind eng carries (none when it carries none).
+func rebuild(eng *search.Engine) *search.Engine {
+	e := search.NewEngine(eng.Space(), eng.Keywords())
+	switch eng.DistanceSourceIfReady().(type) {
+	case *graph.Matrix:
+		e.PrecomputeMatrix()
+	case *graph.Oracle:
+		e.PrecomputeOracle()
+	}
+	return e
+}
+
 // Fprint renders the report: the cold-start comparison followed by the
 // latency table.
 func (r *SnapshotReport) Fprint(w io.Writer) {
-	matrix := "no KoE* matrix (lazy build on first KoE* query)"
-	if r.HasMatrix {
-		matrix = "includes KoE* matrix"
+	backend := "no KoE* backend (lazy build on first KoE* query)"
+	if r.Backend != "" {
+		backend = "includes KoE* " + r.Backend
 	}
 	fmt.Fprintf(w, "== snapshot: %s ==\n", r.Path)
-	fmt.Fprintf(w, "size: %.1f MB, %s\n", float64(r.Bytes)/(1<<20), matrix)
+	fmt.Fprintf(w, "size: %.1f MB, %s\n", float64(r.Bytes)/(1<<20), backend)
 	fmt.Fprintf(w, "resident: %.1f MB heap + %.1f MB mapped\n",
 		float64(r.HeapBytes)/(1<<20), float64(r.MappedBytes)/(1<<20))
 	speedup := float64(r.RebuildTime) / float64(r.LoadTime)

@@ -5,7 +5,7 @@ import "math"
 // Workspace is the reusable scratch of the shortest-path kernel: the
 // per-state dist/parent/seedOf tables, the flat 4-ary priority queue and the
 // target-set bookkeeping of one Dijkstra run. A workspace is sized on first
-// use and never shrinks, so a long-lived owner (an executor scratch bundle,
+// use and never shrinks, so a long-lived owner (a pooled scratch bundle,
 // a matrix-build worker) pays the O(states) allocations once and every
 // subsequent run is allocation-free.
 //

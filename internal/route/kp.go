@@ -135,7 +135,7 @@ func NewPrimeTable() *PrimeTable {
 }
 
 // Reset empties the table while keeping its allocated buckets, so a pooled
-// executor can reuse one table across queries without reallocating.
+// scratch bundle can reuse one table across queries without reallocating.
 // clear zeroes the retained values, dropping their KPNode references.
 func (t *PrimeTable) Reset() {
 	clear(t.m)

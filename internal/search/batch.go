@@ -20,7 +20,7 @@ type BatchOptions struct {
 // over a pool of workers that share the engine's immutable index layer —
 // including the lazily built KoE* matrix, which is forced once before the
 // fan-out so workers never race to build it — and draw per-query scratch
-// from the pooled executor.
+// from the engine's scratch pool.
 //
 // Results are positionally aligned with reqs and identical (scores, door
 // sequences, KP sequences, sims) to a serial loop of Engine.Search calls:
@@ -34,7 +34,7 @@ func (e *Engine) SearchBatch(reqs []Request, opt Options, bo BatchOptions) ([]*R
 
 // SearchBatchContext is SearchBatch under a context. Cancellation
 // propagates into every in-flight query (each aborts between expansion
-// batches, see Executor.SearchContext) and fails the not-yet-started rest
+// batches, see Engine.SearchContext) and fails the not-yet-started rest
 // of the batch immediately, so a cancelled batch drains within a few
 // expansion batches instead of finishing the fan-out. Queries cut off by
 // the context leave nil results and contribute ctx.Err() entries to the

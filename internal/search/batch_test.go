@@ -141,7 +141,7 @@ func TestConcurrentSearchMatchesSerial(t *testing.T) {
 }
 
 // TestPooledScratchReuseIsDeterministic reruns one query enough times to
-// cycle the executor's scratch pool and checks the results never drift —
+// cycle the engine's scratch pool and checks the results never drift —
 // the guard against stale state surviving a scratch reset.
 func TestPooledScratchReuseIsDeterministic(t *testing.T) {
 	e := testMall(t)
@@ -168,7 +168,7 @@ func TestPooledScratchReuseIsDeterministic(t *testing.T) {
 }
 
 // brandNewEngine returns an engine over e's index layer (and whichever
-// KoE* backend e has built) whose executor has never run a query, so its
+// KoE* backend e has built) whose scratch pool has never run a query, so its
 // first search runs on never-used scratch.
 func brandNewEngine(t testing.TB, e *Engine) *Engine {
 	t.Helper()
@@ -195,7 +195,7 @@ func sameRouteAndWork(t *testing.T, name string, got, want *Result) {
 
 // TestPooledMatchesFresh pins scratch reuse: every query on an engine whose
 // pooled scratch the previous, different query just used must equal the
-// same query on a brand-new executor, in routes and work counters.
+// same query on a brand-new engine, in routes and work counters.
 func TestPooledMatchesFresh(t *testing.T) {
 	e := testMall(t)
 	for _, v := range Variants() {
@@ -272,7 +272,7 @@ func TestQueryCacheSharedAcrossSearches(t *testing.T) {
 	}
 }
 
-// BenchmarkRepeatedQueryPooled measures the executor on a repeated query
+// BenchmarkRepeatedQueryPooled measures the scratch pool on a repeated query
 // (run with -benchmem): door bitmaps, heap, prime table, collector, stamp
 // and sims storage and the compiled query are all reused across calls.
 func BenchmarkRepeatedQueryPooled(b *testing.B) {

@@ -10,6 +10,7 @@ package search_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -83,7 +84,7 @@ func cacheOracle(t *testing.T, cached, uncached *search.Engine, reqs []search.Re
 				if err := sameCachedResult(miss, want); err != nil {
 					t.Fatalf("%s/%s req %d: miss diverged from uncached: %v", v, ov.name, i, err)
 				}
-				before := cached.Executor().Executions()
+				before := cached.Executions()
 				hitsBefore := rc.Stats().Hits
 				hit, err := cached.Search(req, opt)
 				if err != nil {
@@ -92,7 +93,7 @@ func cacheOracle(t *testing.T, cached, uncached *search.Engine, reqs []search.Re
 				if err := sameCachedResult(hit, want); err != nil {
 					t.Fatalf("%s/%s req %d: hit diverged from uncached: %v", v, ov.name, i, err)
 				}
-				if got := cached.Executor().Executions(); got != before {
+				if got := cached.Executions(); got != before {
 					t.Fatalf("%s/%s req %d: cache hit ran the searcher (%d executions)", v, ov.name, i, got-before)
 				}
 				if rc.Stats().Hits != hitsBefore+1 {
@@ -144,11 +145,13 @@ func TestCacheOracleReal(t *testing.T) {
 	cacheOracle(t, cached, uncached, reqs, 50_000)
 }
 
-// TestCacheKeywordPermutationHit pins the sims-realignment path end to
-// end: a permuted-keyword repeat must HIT the cache yet return sims in
-// the new request's own keyword order, byte-identical to an uncached
-// search of the permuted request.
-func TestCacheKeywordPermutationHit(t *testing.T) {
+// TestCacheKeywordOrderIsKeyed pins the keyword-order rule of the cache
+// key end to end: a repeat with its keywords reordered is a different key —
+// it misses, runs the searcher, and answers byte-identical to an uncached
+// search of the reordered request, sims in its own keyword order — and a
+// verbatim repeat of the reordered request then hits without running
+// anything.
+func TestCacheKeywordOrderIsKeyed(t *testing.T) {
 	mall, voc, idx, err := gen.SyntheticMall(2, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -158,40 +161,47 @@ func TestCacheKeywordPermutationHit(t *testing.T) {
 	opt := search.Options{Algorithm: search.ToE}
 	tested := 0
 	for i, req := range reqs {
-		if len(req.QW) < 2 {
-			continue
-		}
 		perm := req
-		perm.QW = make([]string, len(req.QW))
-		for j, w := range req.QW {
-			perm.QW[len(req.QW)-1-j] = w
-		}
-		if reflect.DeepEqual(perm.QW, req.QW) {
-			continue // palindromic keyword list; permutation is the identity
+		perm.QW = slices.Clone(req.QW)
+		slices.Reverse(perm.QW)
+		if slices.Equal(perm.QW, req.QW) {
+			continue // fewer than two keywords, or a palindromic list
 		}
 		tested++
 		if _, err := cached.Search(req, opt); err != nil {
 			t.Fatal(err)
 		}
-		execsBefore := cached.Executor().Executions()
-		hitsBefore := rc.Stats().Hits
-		got, err := cached.Search(perm, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rc.Stats().Hits != hitsBefore+1 || cached.Executor().Executions() != execsBefore {
-			t.Errorf("req %d: permuted keywords did not hit the original's cache slot", i)
-		}
 		want, err := uncached.Search(perm, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
+
+		execs, hits := cached.Executions(), rc.Stats().Hits
+		got, err := cached.Search(perm, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rc.Stats().Hits != hits || cached.Executions() != execs+1 {
+			t.Errorf("req %d: reordered keywords hit the original's cache slot", i)
+		}
 		if err := sameCachedResult(got, want); err != nil {
-			t.Errorf("req %d: permuted-keyword hit diverged from uncached: %v", i, err)
+			t.Errorf("req %d: reordered-keyword miss diverged from uncached: %v", i, err)
+		}
+
+		execs, hits = cached.Executions(), rc.Stats().Hits
+		again, err := cached.Search(perm, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rc.Stats().Hits != hits+1 || cached.Executions() != execs {
+			t.Errorf("req %d: verbatim repeat of the reordered request did not hit", i)
+		}
+		if again != got {
+			t.Errorf("req %d: hit did not return the stored result", i)
 		}
 	}
 	if tested == 0 {
-		t.Fatal("workload produced no multi-keyword request; permutation path untested")
+		t.Fatal("workload produced no multi-keyword request; keyword order untested")
 	}
 }
 

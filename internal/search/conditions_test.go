@@ -237,9 +237,9 @@ func TestValidateOptionsTable(t *testing.T) {
 	}
 }
 
-// TestOverlayPooledMatchesFresh pins the executor-scratch overlay plumbing:
+// TestOverlayPooledMatchesFresh pins the pooled-scratch overlay plumbing:
 // a query on scratch that a different overlay just used must equal the same
-// query on a brand-new executor.
+// query on a brand-new engine.
 func TestOverlayPooledMatchesFresh(t *testing.T) {
 	e := testMall(t)
 	r := withCond(req([]string{"coffee", "coat"}, 4, 150),

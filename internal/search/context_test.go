@@ -37,7 +37,7 @@ func TestSearchContextCancelledUpFront(t *testing.T) {
 }
 
 // TestSearchContextCancelledMidRunNoLeak cancels every variant mid-run and
-// then asserts the pooled executor still produces results identical to a
+// then asserts the pooled scratch still produces results identical to a
 // fresh engine — a cancelled query must release its scratch cleanly, not
 // poison the pool.
 func TestSearchContextCancelledMidRunNoLeak(t *testing.T) {

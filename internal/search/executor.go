@@ -2,8 +2,6 @@ package search
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ikrq/internal/graph"
@@ -12,104 +10,48 @@ import (
 	"ikrq/internal/route"
 )
 
-// Executor runs queries against one Engine through a sync.Pool of per-query
-// scratch state. The searcher of Algorithm 1 needs a bundle of allocations
-// per query — the door bitmaps Dn/Df sized to the space, the stamp priority
-// queue, the prime hashtable, the top-k collector, the key-partition set and
-// thousands of stamp structs and sims vectors — and none of it outlives the
-// query: result() copies everything that escapes. The executor keeps those
-// bundles alive between queries so a loaded engine allocates per request
-// instead of per stamp.
-//
-// Executors are safe for concurrent use; each in-flight query holds its own
-// scratch bundle, and the pool grows to the peak concurrency level.
-type Executor struct {
-	e    *Engine
-	pool sync.Pool
-
-	// executions counts searcher runs (not cache hits) — the monotonic
-	// work counter the cached-vs-uncached gates assert against: a result
-	// cache hit must leave it unchanged.
-	executions atomic.Uint64
-}
-
-func newExecutor(e *Engine) *Executor {
-	ex := &Executor{e: e}
-	ex.pool.New = func() any { return new(execScratch) }
-	return ex
-}
-
-// Engine returns the engine the executor runs against.
-func (ex *Executor) Engine() *Engine { return ex.e }
-
-// Executions returns how many searcher runs the executor has performed.
-// Queries answered from the result cache do not count — a hit performs
-// zero searcher work.
-func (ex *Executor) Executions() uint64 { return ex.executions.Load() }
-
-// Search runs one query on pooled scratch. It is the implementation behind
-// Engine.Search; results and work counters are identical to the same query
-// on a brand-new executor, whatever the scratch ran before.
-func (ex *Executor) Search(req Request, opt Options) (*Result, error) {
-	return ex.SearchContext(context.Background(), req, opt)
-}
-
-// SearchContext runs one query on pooled scratch under a context. The
-// searcher polls ctx between expansion batches (every ctxPollEvery pops, so
-// a poll costs nothing measurable against the Dijkstras in between) and
-// aborts with ctx.Err() once the context is cancelled or past its deadline.
-// An aborted query returns (nil, ctx.Err()): no partial Result escapes, and
-// the scratch bundle is released back to the pool exactly as on success —
-// cancellation leaks nothing. The one non-interruptible stretch is the lazy
-// KoE* backend build a first Precompute query may trigger; services that
-// care call Engine.Precompute at start-up (see the package docs).
-//
-// When the engine has a result cache (Engine.EnableResultCache), the query
-// is fingerprinted first: a hit returns the cached result with zero
-// searcher work, concurrent identical misses collapse onto one execution,
-// and only a genuine miss runs the searcher below. Cache-served results are
-// shared and must be treated as read-only.
-func (ex *Executor) SearchContext(ctx context.Context, req Request, opt Options) (*Result, error) {
-	if err := ex.e.validate(req, opt); err != nil {
-		return nil, err
-	}
+// execute is the one execution path of route and sequence queries on an
+// already validated request. A cancelled ctx fails before any work. On an
+// engine with a result cache (Engine.EnableResultCache) the query is keyed
+// by key(): a hit returns the stored result as is, with zero work, and
+// concurrent identical misses collapse onto one run. Every run that does
+// happen — a miss, or any query on a cache-less engine — counts one
+// execution and draws a scratch bundle from the engine's pool, returning
+// it afterwards whatever run did.
+func execute[T any, R interface {
+	*T
+	cacheable
+}](ctx context.Context, e *Engine, key func() string, run func(*execScratch) (R, error)) (R, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	c := ex.e.rcache.Load()
-	if c == nil {
-		return ex.searchUncached(ctx, req, opt)
+	exec := func() (R, error) {
+		e.executions.Add(1)
+		sc := e.pool.Get().(*execScratch)
+		defer e.pool.Put(sc)
+		return run(sc)
 	}
-	fp := fingerprintQuery(&req, opt)
-	// The leader keeps its raw (request-aligned) result and stores the
-	// canonical-aligned view, so its own return value is bit-for-bit the
-	// searcher's output; hits translate the canonical view back to the
-	// requester's keyword order (a shared no-op for already-sorted QW).
-	var raw *Result
-	res, cached, err := c.do(ctx, fp.key, func() (*Result, error) {
-		r, err := ex.searchUncached(ctx, req, opt)
-		if err != nil {
-			return nil, err
+	c := e.rcache.Load()
+	if c == nil {
+		return exec()
+	}
+	v, _, err := c.doAny(ctx, key(), func() (cacheable, error) {
+		r, err := exec()
+		if r == nil {
+			return nil, err // keep the interface nil, not a typed nil
 		}
-		raw = r
-		return fp.canonicalize(r), nil
+		return r, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	if !cached {
-		return raw, nil
-	}
-	return fp.deliver(res), nil
+	return v.(R), nil
 }
 
-// searchUncached runs the searcher on pooled scratch — the execution path
-// behind every miss (and every query on a cache-less engine).
-func (ex *Executor) searchUncached(ctx context.Context, req Request, opt Options) (*Result, error) {
-	ex.executions.Add(1)
+// searchUncached runs the searcher of Algorithm 1 on a scratch bundle.
+func (e *Engine) searchUncached(ctx context.Context, sc *execScratch, req Request, opt Options) (*Result, error) {
 	start := time.Now()
-	sc := ex.pool.Get().(*execScratch)
-	sr := sc.prepare(ex.e, ex.e.qcache.Get(req.QW, req.Tau), req, opt)
+	sr := sc.prepare(e, e.qcache.Get(req.QW, req.Tau), req, opt)
 	sr.ctx = ctx
 	sr.run()
 	err := sr.err
@@ -118,7 +60,6 @@ func (ex *Executor) searchUncached(ctx context.Context, req Request, opt Options
 		res = sr.result()
 	}
 	sc.release()
-	ex.pool.Put(sc)
 	if err != nil {
 		return nil, err
 	}
@@ -168,12 +109,11 @@ type execScratch struct {
 	ptStates []graph.StateID
 	ptLegs   []float64
 
-	// condClosed and condDelay back the searcher's dense views of the
-	// request's Conditions overlay. They hold no references (plain bools and
-	// floats), so release() leaves them alone; initOverlay resizes and
-	// clears them whenever a query actually carries an overlay.
-	condClosed []bool
-	condDelay  []float64
+	// ov holds the query's Conditions overlay as dense door sets, route and
+	// sequence queries alike. Its arrays hold no references (plain bools and
+	// floats), so release() leaves it alone; each load resizes and clears
+	// only the sets the incoming overlay needs.
+	ov overlay
 
 	// Per-query bump arenas. Sims are float vectors; the rest are the
 	// persistent-tree records of the expansion loop (stamps, route nodes,
@@ -245,13 +185,8 @@ func (sc *execScratch) prepare(e *Engine, q *keyword.Query, req Request, opt Opt
 	sr.gamma = opt.PopularityWeight
 	sr.initKeyPartitions(sc.keyParts[:0])
 	sc.keyParts = sr.keyParts
-	sr.initOverlay(sc.condClosed, sc.condDelay)
-	if sr.condClosed != nil {
-		sc.condClosed = sr.condClosed // adopt (possibly grown) backing
-	}
-	if sr.condDelay != nil {
-		sc.condDelay = sr.condDelay
-	}
+	sc.ov.load(req.Conditions, nd)
+	sr.ov = sc.ov
 	sr.initBackendBound(sc.ptStates, sc.ptLegs)
 	sc.ptStates = adoptGrown(sc.ptStates, sr.ptStates)
 	sc.ptLegs = adoptGrown(sc.ptLegs, sr.ptLegs)
@@ -263,7 +198,7 @@ func (sc *execScratch) prepare(e *Engine, q *keyword.Query, req Request, opt Opt
 // bundle retains only its raw capacity. It is the single owner of the
 // clearing invariant — every reference-holding field added to execScratch
 // must be dropped here — and is idempotent, so prepare() can call it as a
-// safety net and Executor.Search before returning a bundle to the pool.
+// safety net and every route query before its bundle goes back to the pool.
 func (sc *execScratch) release() {
 	if q := sc.sr.queue; cap(q) > cap(sc.queue) {
 		sc.queue = q // adopt the grown backing array

@@ -14,7 +14,7 @@ import (
 // not a feasible plan (a waypoint is no candidate of its leg, or some stage
 // cannot reach it).
 func ReferenceSequenceRoute(e *Engine, req SequenceRequest, waypoints []model.PartitionID) (SequenceRoute, bool) {
-	c := newSeqChain(e, &req, &SequenceStats{}, graph.NewWorkspace())
+	c := newSeqChain(e, &req, &SequenceStats{}, new(execScratch))
 	if len(waypoints) != len(c.cands) {
 		return SequenceRoute{}, false
 	}

@@ -3,30 +3,30 @@ package search
 import (
 	"encoding/binary"
 	"math"
-	"sort"
 
+	"ikrq/internal/geom"
 	"ikrq/internal/model"
 )
 
-// This file defines the canonical request fingerprint behind the result
-// cache (resultcache.go): a byte encoding of (Request, Options) under which
-// semantically identical queries — and only those — compare equal. The
-// fingerprint is used directly as the cache map key, so equality is checked
-// on the full canonical bytes, never on a hash: two requests share a cache
-// slot exactly when their canonical encodings are byte-equal, and hash
-// collisions cannot alias distinct queries by construction (DESIGN.md §11).
+// This file defines the request fingerprints behind the result cache
+// (resultcache.go): byte encodings of (Request, Options) and of
+// SequenceRequest under which equal keys mean equal results. A fingerprint
+// is used directly as the cache map key, so equality is checked on the full
+// bytes, never on a hash: two requests share a cache slot exactly when their
+// encodings are byte-equal, and hash collisions cannot alias distinct
+// queries by construction (DESIGN.md §11). A leading layout version byte —
+// 1 for route queries, 2 for sequence queries — keeps the two key spaces
+// disjoint inside one per-engine cache.
 //
-// Canonicalization normalizes exactly the representation freedoms that
-// provably cannot change a result:
+// Keywords are keyed verbatim, in request order: Route.Sims and
+// SequenceRoute.LegSims align with the request's keyword lists, so a stored
+// result serves exactly the requests that list their keywords the same way,
+// and a hit returns it without a copy. A reordered keyword list misses.
+// Duplicate keywords are kept (they contribute to ρ twice).
 //
-//   - Keyword order. Scores are order-invariant (ρ sums per-keyword best
-//     similarities; routes carry no keyword positions), so QW is keyed in
-//     sorted order. The one positional artifact — Route.Sims aligns with QW
-//     — is handled by storing cached results in canonical (sorted-QW)
-//     alignment and permuting sims to the requester's order on every hit,
-//     so a hit is byte-identical to what the uncached search would return.
-//     Duplicate keywords are kept (they contribute to ρ twice) and are
-//     harmless to permute: equal keywords always carry equal sims.
+// The Conditions digest is order-invariant, because it is how a set is
+// serialized:
+//
 //   - Conditions door order and duplicates. Closures and delays are keyed
 //     as sorted (door, value) sequences; model.Conditions already dedupes
 //     repeated Close calls and accumulates repeated Delay calls.
@@ -40,26 +40,11 @@ import (
 // never alias, and every Options field that can change routes, stats or
 // truncation behavior.
 
-// fingerprint is a canonical cache key plus the keyword permutation needed
-// to translate sims between the request's QW order and canonical order.
-type fingerprint struct {
-	key string
-
-	// perm, when non-nil, maps request keyword position i to its position
-	// in the canonical (stable-sorted) order: canonical[perm[i]] = QW[i].
-	// nil means the request order is already canonical (the common case —
-	// and always the case for repeats of a verbatim query).
-	perm []int
-}
-
-// fingerprintQuery computes the canonical fingerprint of a validated
-// (request, options) pair.
-func fingerprintQuery(req *Request, opt Options) fingerprint {
-	var fp fingerprint
-	fp.perm = canonicalKeywordPerm(req.QW)
-
+// fingerprintQuery computes the cache key of a validated (request, options)
+// pair.
+func fingerprintQuery(req *Request, opt Options) string {
 	b := make([]byte, 0, 128+16*len(req.QW))
-	b = append(b, 1) // layout version, bumped if the encoding ever changes
+	b = append(b, 1) // layout version: route requests
 
 	var flags byte
 	if opt.Algorithm == KoE {
@@ -88,99 +73,52 @@ func fingerprintQuery(req *Request, opt Options) fingerprint {
 	b = appendF64(b, opt.SoftDeltaSlack)
 	b = appendF64(b, opt.PopularityWeight)
 
-	b = appendF64(b, req.Ps.X)
-	b = appendF64(b, req.Ps.Y)
-	b = binary.AppendUvarint(b, uint64(int64(req.Ps.Floor)))
-	b = appendF64(b, req.Pt.X)
-	b = appendF64(b, req.Pt.Y)
-	b = binary.AppendUvarint(b, uint64(int64(req.Pt.Floor)))
-	b = appendF64(b, req.Delta)
-	b = binary.AppendUvarint(b, uint64(int64(req.K)))
-	b = appendF64(b, req.Alpha)
-	b = appendF64(b, req.Tau)
-
-	b = binary.AppendUvarint(b, uint64(len(req.QW)))
-	if fp.perm == nil {
-		for _, w := range req.QW {
-			b = binary.AppendUvarint(b, uint64(len(w)))
-			b = append(b, w...)
-		}
-	} else {
-		// Emit in canonical order: canonical position p holds the request
-		// keyword whose perm value is p. Invert once instead of scanning.
-		inv := make([]int, len(fp.perm))
-		for i, p := range fp.perm {
-			inv[p] = i
-		}
-		for _, i := range inv {
-			w := req.QW[i]
-			b = binary.AppendUvarint(b, uint64(len(w)))
-			b = append(b, w...)
-		}
-	}
-
+	b = appendQueryHeader(b, req.Ps, req.Pt, req.Delta, req.K, req.Alpha, req.Tau)
+	b = appendKeywords(b, req.QW)
 	b = appendConditions(b, req.Conditions)
-
-	fp.key = string(b)
-	return fp
+	return string(b)
 }
 
-// fingerprintSequence computes the canonical cache key of a validated
-// sequence request. Layout version 2 keeps sequence keys disjoint from the
-// version-1 route keys inside the shared per-engine cache. Leg order is
-// semantic and keyed verbatim; per-leg keyword order is also keyed verbatim
-// — a conservative choice (reordered keywords within a leg miss rather than
-// hit) that keeps SequenceRoute.LegSims aligned with the request without a
-// permutation-delivery step.
+// fingerprintSequence computes the cache key of a validated sequence
+// request. Leg order is semantic and keyed verbatim, like the keywords
+// within each leg.
 func fingerprintSequence(req *SequenceRequest) string {
 	b := make([]byte, 0, 160)
 	b = append(b, 2) // layout version: sequence requests
 	b = binary.AppendUvarint(b, uint64(int64(req.Beam)))
-	b = appendF64(b, req.Ps.X)
-	b = appendF64(b, req.Ps.Y)
-	b = binary.AppendUvarint(b, uint64(int64(req.Ps.Floor)))
-	b = appendF64(b, req.Pt.X)
-	b = appendF64(b, req.Pt.Y)
-	b = binary.AppendUvarint(b, uint64(int64(req.Pt.Floor)))
-	b = appendF64(b, req.Delta)
-	b = binary.AppendUvarint(b, uint64(int64(req.K)))
-	b = appendF64(b, req.Alpha)
-	b = appendF64(b, req.Tau)
+	b = appendQueryHeader(b, req.Ps, req.Pt, req.Delta, req.K, req.Alpha, req.Tau)
 	b = binary.AppendUvarint(b, uint64(len(req.Legs)))
 	for _, leg := range req.Legs {
-		b = binary.AppendUvarint(b, uint64(len(leg.QW)))
-		for _, w := range leg.QW {
-			b = binary.AppendUvarint(b, uint64(len(w)))
-			b = append(b, w...)
-		}
+		b = appendKeywords(b, leg.QW)
 	}
 	b = appendConditions(b, req.Conditions)
 	return string(b)
 }
 
-// canonicalKeywordPerm returns the stable-sort permutation of qw (see
-// fingerprint.perm), or nil when qw is already sorted.
-func canonicalKeywordPerm(qw []string) []int {
-	sorted := true
-	for i := 1; i < len(qw); i++ {
-		if qw[i] < qw[i-1] {
-			sorted = false
-			break
-		}
+// appendQueryHeader appends the parameters every query kind carries: both
+// points, Δ, k, α and τ.
+func appendQueryHeader(b []byte, ps, pt geom.Point, delta float64, k int, alpha, tau float64) []byte {
+	b = appendF64(b, ps.X)
+	b = appendF64(b, ps.Y)
+	b = binary.AppendUvarint(b, uint64(int64(ps.Floor)))
+	b = appendF64(b, pt.X)
+	b = appendF64(b, pt.Y)
+	b = binary.AppendUvarint(b, uint64(int64(pt.Floor)))
+	b = appendF64(b, delta)
+	b = binary.AppendUvarint(b, uint64(int64(k)))
+	b = appendF64(b, alpha)
+	return appendF64(b, tau)
+}
+
+// appendKeywords appends a keyword list in request order, each keyword
+// length-prefixed so no two lists share an encoding.
+func appendKeywords(b []byte, qw []string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(qw)))
+	for _, w := range qw {
+		b = binary.AppendUvarint(b, uint64(len(w)))
+		b = append(b, w...)
 	}
-	if sorted {
-		return nil
-	}
-	idx := make([]int, len(qw))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return qw[idx[a]] < qw[idx[b]] })
-	perm := make([]int, len(qw))
-	for canonicalPos, reqPos := range idx {
-		perm[reqPos] = canonicalPos
-	}
-	return perm
+	return b
 }
 
 // appendConditions appends the order-invariant Conditions digest: sorted
@@ -210,45 +148,4 @@ func appendConditions(b []byte, c *model.Conditions) []byte {
 
 func appendF64(b []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-}
-
-// canonicalize returns the result re-aligned from the request's keyword
-// order to canonical order for storage in the cache. With an identity
-// permutation the result is returned as-is (no copy); otherwise the routes
-// are shallow-copied with permuted Sims vectors — door/partition slices are
-// shared, which is safe because cached results are immutable by contract.
-func (fp *fingerprint) canonicalize(res *Result) *Result {
-	return fp.permuteSims(res, func(dst, src []float64) {
-		for i, p := range fp.perm {
-			dst[p] = src[i]
-		}
-	})
-}
-
-// deliver returns a cached (canonical-aligned) result re-aligned to the
-// request's keyword order. Identity permutations alias the cached result.
-func (fp *fingerprint) deliver(res *Result) *Result {
-	return fp.permuteSims(res, func(dst, src []float64) {
-		for i, p := range fp.perm {
-			dst[i] = src[p]
-		}
-	})
-}
-
-func (fp *fingerprint) permuteSims(res *Result, apply func(dst, src []float64)) *Result {
-	if fp.perm == nil || res == nil {
-		return res
-	}
-	out := &Result{Routes: make([]Route, len(res.Routes)), Stats: res.Stats}
-	for i := range res.Routes {
-		out.Routes[i] = res.Routes[i]
-		src := res.Routes[i].Sims
-		if len(src) == 0 {
-			continue
-		}
-		dst := make([]float64, len(src))
-		apply(dst, src)
-		out.Routes[i].Sims = dst
-	}
-	return out
 }

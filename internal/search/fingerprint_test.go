@@ -14,7 +14,7 @@ type fpCase struct {
 	mut  func(*Request) // optional extra request tweak
 }
 
-func (c fpCase) fingerprint() fingerprint {
+func (c fpCase) fingerprint() string {
 	r := req(c.qw, 3, 80)
 	r.Conditions = c.cond
 	if c.mut != nil {
@@ -29,10 +29,6 @@ func TestFingerprintCanonicalization(t *testing.T) {
 		name string
 		a, b fpCase
 	}{
-		{"keyword order", fpCase{qw: []string{"coffee", "laptop"}, opt: toe},
-			fpCase{qw: []string{"laptop", "coffee"}, opt: toe}},
-		{"keyword order with duplicates", fpCase{qw: []string{"tea", "coffee", "tea"}, opt: toe},
-			fpCase{qw: []string{"tea", "tea", "coffee"}, opt: toe}},
 		{"conditions door order", fpCase{qw: []string{"coffee"}, opt: toe,
 			cond: model.NewConditions().Close(3).Close(5)},
 			fpCase{qw: []string{"coffee"}, opt: toe,
@@ -57,7 +53,7 @@ func TestFingerprintCanonicalization(t *testing.T) {
 				cond: model.NewConditions().Delay(7, 10).Delay(7, 20)}},
 	}
 	for _, tc := range equal {
-		if a, b := tc.a.fingerprint(), tc.b.fingerprint(); a.key != b.key {
+		if a, b := tc.a.fingerprint(), tc.b.fingerprint(); a != b {
 			t.Errorf("%s: canonically identical requests fingerprint differently", tc.name)
 		}
 	}
@@ -66,6 +62,10 @@ func TestFingerprintCanonicalization(t *testing.T) {
 		name string
 		a, b fpCase
 	}{
+		{"keyword order", fpCase{qw: []string{"coffee", "laptop"}, opt: toe},
+			fpCase{qw: []string{"laptop", "coffee"}, opt: toe}},
+		{"keyword order with duplicates", fpCase{qw: []string{"tea", "coffee", "tea"}, opt: toe},
+			fpCase{qw: []string{"tea", "tea", "coffee"}, opt: toe}},
 		{"different keywords", fpCase{qw: []string{"coffee"}, opt: toe},
 			fpCase{qw: []string{"tea"}, opt: toe}},
 		{"case is semantic", fpCase{qw: []string{"coffee"}, opt: toe},
@@ -109,62 +109,16 @@ func TestFingerprintCanonicalization(t *testing.T) {
 				cond: model.NewConditions().Close(0)}},
 	}
 	for _, tc := range distinct {
-		if a, b := tc.a.fingerprint(), tc.b.fingerprint(); a.key == b.key {
+		if a, b := tc.a.fingerprint(), tc.b.fingerprint(); a == b {
 			t.Errorf("%s: semantically distinct requests alias in the cache key", tc.name)
 		}
 	}
 }
 
-// TestFingerprintPermRoundTrip pins the sims realignment: canonicalize
-// followed by deliver must reproduce the original per-request sims order,
-// and already-sorted keyword lists must take the copy-free path.
-func TestFingerprintPermRoundTrip(t *testing.T) {
-	r := req([]string{"tea", "coffee", "laptop"}, 3, 80)
-	fp := fingerprintQuery(&r, Options{Algorithm: ToE})
-	if fp.perm == nil {
-		t.Fatal("unsorted keywords produced a nil permutation")
-	}
-	res := &Result{Routes: []Route{
-		{Doors: []model.DoorID{1, 2}, Sims: []float64{0.1, 0.2, 0.3}},
-		{Sims: []float64{0.4, 0.5, 0.6}},
-		{}, // routes with no sims survive the permutation
-	}}
-	stored := fp.canonicalize(res)
-	if &stored.Routes[0] == &res.Routes[0] {
-		t.Fatal("canonicalize aliased the route slice it permutes")
-	}
-	back := fp.deliver(stored)
-	for i := range res.Routes {
-		got, want := back.Routes[i].Sims, res.Routes[i].Sims
-		if len(got) != len(want) {
-			t.Fatalf("route %d: %d sims after round trip, want %d", i, len(got), len(want))
-		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("route %d sims[%d] = %v after round trip, want %v", i, j, got[j], want[j])
-			}
-		}
-	}
-	// Doors are shared, not copied — the immutability contract makes that safe
-	// and keeps hits allocation-light.
-	if &stored.Routes[0].Doors[0] != &res.Routes[0].Doors[0] {
-		t.Error("canonicalize copied door payloads; they should be shared")
-	}
-
-	sorted := req([]string{"coffee", "laptop"}, 3, 80)
-	sfp := fingerprintQuery(&sorted, Options{Algorithm: ToE})
-	if sfp.perm != nil {
-		t.Error("sorted keywords produced a non-nil permutation")
-	}
-	if sfp.canonicalize(res) != res || sfp.deliver(res) != res {
-		t.Error("identity permutation did not alias the result")
-	}
-}
-
 // FuzzFingerprint throws arbitrary keywords, doors and penalties at the
-// fingerprint and checks the canonicalization invariants hold for all of
-// them: representation freedoms (keyword order, conditions build order,
-// duplicate closures) never change the key, semantic changes always do.
+// fingerprint and checks its invariants hold for all of them: conditions
+// build order and duplicate closures never change the key; keyword order,
+// an effective delay and an extra keyword always do.
 func FuzzFingerprint(f *testing.F) {
 	f.Add("coffee", "tea", int32(3), int32(7), 30.0)
 	f.Add("", "coffee", int32(0), int32(0), 0.0)
@@ -174,20 +128,28 @@ func FuzzFingerprint(f *testing.F) {
 		opt := Options{Algorithm: ToE}
 		base := req([]string{w1, w2}, 3, 80)
 		base.Conditions = model.NewConditions().Close(model.DoorID(d1)).Delay(model.DoorID(d2), pen)
-		key := fingerprintQuery(&base, opt).key
+		key := fingerprintQuery(&base, opt)
 
-		// Keyword order and conditions build order are representation only.
-		perm := req([]string{w2, w1}, 3, 80)
-		perm.Conditions = model.NewConditions().Delay(model.DoorID(d2), pen).Close(model.DoorID(d1)).Close(model.DoorID(d1))
-		if fingerprintQuery(&perm, opt).key != key {
-			t.Fatalf("permuted representation changed the key (qw=%q,%q close=%d delay=%d:%v)", w1, w2, d1, d2, pen)
+		// Conditions build order is representation only.
+		rebuilt := req([]string{w1, w2}, 3, 80)
+		rebuilt.Conditions = model.NewConditions().Delay(model.DoorID(d2), pen).Close(model.DoorID(d1)).Close(model.DoorID(d1))
+		if fingerprintQuery(&rebuilt, opt) != key {
+			t.Fatalf("conditions build order changed the key (close=%d delay=%d:%v)", d1, d2, pen)
+		}
+
+		// Keyword order is keyed: swapping two keywords changes the key
+		// exactly when they differ.
+		swapped := req([]string{w2, w1}, 3, 80)
+		swapped.Conditions = base.Conditions
+		if same := fingerprintQuery(&swapped, opt) == key; same != (w1 == w2) {
+			t.Fatalf("swapped keywords %q,%q: key equality %v, want %v", w1, w2, same, w1 == w2)
 		}
 
 		// Dropping the delay is semantic exactly when it had an effect: a
 		// non-zero penalty on an open door.
 		noDelay := req([]string{w1, w2}, 3, 80)
 		noDelay.Conditions = model.NewConditions().Close(model.DoorID(d1))
-		same := fingerprintQuery(&noDelay, opt).key == key
+		same := fingerprintQuery(&noDelay, opt) == key
 		effective := pen != 0 && d1 != d2
 		if same == effective {
 			t.Fatalf("delay %d:%v with closure %d: key equality %v, want %v", d2, pen, d1, !effective, effective)
@@ -196,7 +158,7 @@ func FuzzFingerprint(f *testing.F) {
 		// A third keyword is always semantic (duplicates count toward ρ).
 		extra := req([]string{w1, w2, w1}, 3, 80)
 		extra.Conditions = base.Conditions
-		if fingerprintQuery(&extra, opt).key == key {
+		if fingerprintQuery(&extra, opt) == key {
 			t.Fatalf("extra keyword did not change the key (qw=%q,%q)", w1, w2)
 		}
 	})

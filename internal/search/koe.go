@@ -24,7 +24,7 @@ func (sr *searcher) findKoE(si *stamp) []*stamp {
 		return nil
 	}
 
-	seeds := sr.overlaySeeds(sr.koeSeeds(si))
+	seeds := sr.ov.seeds(sr.e.pf, sr.koeSeeds(si))
 	costs := sr.costsFor(si)
 	// One shortest-path tree from the stamp serves every candidate
 	// partition and door (plain KoE); KoE* reads the matrix instead and

@@ -163,8 +163,8 @@ func TestClosureOracleReal(t *testing.T) {
 
 // TestConcurrentDistinctOverlays shares one engine between goroutines that
 // each search with a different Conditions overlay, and requires every
-// result to match its serial reference byte for byte — pooled executor
-// scratch must never leak one query's overlay door sets into another. Run
+// result to match its serial reference byte for byte — pooled scratch
+// must never leak one query's overlay door sets into another. Run
 // under -race in CI.
 func TestConcurrentDistinctOverlays(t *testing.T) {
 	mall, voc, idx, err := gen.SyntheticMall(2, 11)

@@ -9,11 +9,11 @@ import (
 )
 
 // ResultCache is a per-engine, bounded, concurrency-safe cache of complete
-// search results keyed by the canonical request fingerprint
-// (fingerprint.go). Production traffic is Zipfian — the same (venue, start,
-// terminal, keywords, k, conditions) queries repeat constantly — and a
-// repeated query's result is fully determined by the fingerprint against
-// one engine state, so a hit can skip the entire searcher.
+// search results keyed by the request fingerprint (fingerprint.go).
+// Production traffic is Zipfian — the same (venue, start, terminal,
+// keywords, k, conditions) queries repeat constantly — and a repeated
+// query's result is fully determined by the fingerprint against one engine
+// state, so a hit can skip the entire searcher.
 //
 // Three mechanisms keep the cache transparent and bounded (DESIGN.md §11):
 //
@@ -132,8 +132,7 @@ type cacheable interface {
 	cacheCost(key string) int64
 }
 
-// resultEntry is one cached result. Route results are stored in canonical
-// keyword alignment (see fingerprint.canonicalize).
+// resultEntry is one cached result.
 type resultEntry struct {
 	key   string
 	res   cacheable
@@ -198,27 +197,11 @@ func (c *ResultCache) Len() int {
 	return c.ll.Len()
 }
 
-// do is doAny specialized to route results — the protocol behind
-// Executor.SearchContext and the unit the cache tests drive.
-func (c *ResultCache) do(ctx context.Context, key string, run func() (*Result, error)) (*Result, bool, error) {
-	v, cached, err := c.doAny(ctx, key, func() (cacheable, error) {
-		r, err := run()
-		if r == nil {
-			return nil, err // keep the interface nil, not a typed nil
-		}
-		return r, err
-	})
-	if v == nil {
-		return nil, cached, err
-	}
-	return v.(*Result), cached, err
-}
-
-// doAny is the cache protocol: serve a hit, join an in-flight identical
-// miss, or lead one execution via run and install its result. The returned
-// cached flag is false exactly for the leader that executed run; hits and
-// collapsed followers get the stored result (canonical-aligned for route
-// results).
+// doAny is the cache protocol behind every query kind (see execute): serve
+// a hit, join an in-flight identical miss, or lead one execution via run
+// and install its result. The returned cached flag is false exactly for the
+// leader that executed run; hits and collapsed followers get the stored
+// result itself.
 func (c *ResultCache) doAny(ctx context.Context, key string, run func() (cacheable, error)) (res cacheable, cached bool, err error) {
 	for {
 		c.mu.Lock()

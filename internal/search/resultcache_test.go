@@ -20,6 +20,22 @@ func cachedResult(tag int) *Result {
 	}}}
 }
 
+// do runs the cache protocol for route results — the unit these tests
+// drive.
+func (c *ResultCache) do(ctx context.Context, key string, run func() (*Result, error)) (*Result, bool, error) {
+	v, cached, err := c.doAny(ctx, key, func() (cacheable, error) {
+		r, err := run()
+		if r == nil {
+			return nil, err // keep the interface nil, not a typed nil
+		}
+		return r, err
+	})
+	if v == nil {
+		return nil, cached, err
+	}
+	return v.(*Result), cached, err
+}
+
 // mustDo runs the cache protocol with a never-failing loader.
 func mustDo(t *testing.T, c *ResultCache, key string, tag int) (*Result, bool) {
 	t.Helper()

@@ -1,6 +1,6 @@
 // Scratch-reuse gate on a generated mall: a query on an engine whose pooled
-// executor scratch earlier, different queries have churned must equal the
-// same query on a brand-new executor over the same index layer. External
+// scratch earlier, different queries have churned must equal the same
+// query on a brand-new engine over the same index layer. External
 // test package because it drives the generated malls.
 package search_test
 
@@ -66,8 +66,91 @@ func TestFreshSearcherMatchesPooled(t *testing.T) {
 	}
 }
 
+// TestMixedKindScratchReuse pins the scratch pool that route and sequence
+// queries share: queries of one kind under a closures-and-delays overlay,
+// then queries of the other kind — bare, or under a different overlay —
+// must equal the same queries on a brand-new engine, in both orders. The
+// overlay's door sets live on the shared scratch, so an overlay load that
+// left the previous query's sets behind shows here whichever kind ran
+// first.
+func TestMixedKindScratchReuse(t *testing.T) {
+	mall, voc, idx, err := gen.SyntheticMall(2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := search.NewEngine(mall.Space, idx)
+	eng.PrecomputeMatrix()
+	qg := gen.NewQueryGen(mall, idx, voc, eng.PathFinder(), 37)
+	qcfg := gen.DefaultQueryConfig(37)
+	qcfg.Instances = 3
+	routes, err := qg.Instances(qcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scfg := gen.DefaultSequenceSampleConfig()
+	scfg.Legs = 2
+	seqs := sequenceInstances(t, eng, 43, 3, scfg)
+	churn := gen.SampleConditions(mall.Space, 281, gen.ConditionsConfig{Closures: 12, Delays: 12, MinDelay: 5, MaxDelay: 60})
+	followUps := []struct {
+		name string
+		cond *model.Conditions
+	}{
+		{"bare", nil},
+		{"other", gen.SampleConditions(mall.Space, 283, gen.ConditionsConfig{Closures: 1, Delays: 1, MinDelay: 5, MaxDelay: 60})},
+	}
+	opt := search.Options{Algorithm: search.KoE}
+
+	runRoutes := func(e *search.Engine, cond *model.Conditions) []*search.Result {
+		t.Helper()
+		var out []*search.Result
+		for _, r := range routes {
+			r.Conditions = cond
+			res, err := e.Search(r, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, res)
+		}
+		return out
+	}
+	runSeqs := func(e *search.Engine, cond *model.Conditions) []*search.SequenceResult {
+		t.Helper()
+		var out []*search.SequenceResult
+		for _, r := range seqs {
+			r.Conditions = cond
+			res, err := e.SearchSequence(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, res)
+		}
+		return out
+	}
+
+	for _, f := range followUps {
+		name, cond := f.name, f.cond
+		runRoutes(eng, churn)
+		got, want := runSeqs(eng, cond), runSeqs(brandNew(t, eng), cond)
+		for i := range want {
+			if !reflect.DeepEqual(got[i].Routes, want[i].Routes) {
+				t.Errorf("route churn, then %s sequence req %d: routes diverged from a brand-new engine\n got: %+v\nwant: %+v",
+					name, i, got[i].Routes, want[i].Routes)
+			}
+		}
+
+		runSeqs(eng, churn)
+		gotR, wantR := runRoutes(eng, cond), runRoutes(brandNew(t, eng), cond)
+		for i := range wantR {
+			if !reflect.DeepEqual(gotR[i].Routes, wantR[i].Routes) {
+				t.Errorf("sequence churn, then %s route req %d: routes diverged from a brand-new engine\n got: %+v\nwant: %+v",
+					name, i, gotR[i].Routes, wantR[i].Routes)
+			}
+		}
+	}
+}
+
 // brandNew assembles an engine over eng's index layer and KoE* matrix whose
-// executor has never run a query.
+// scratch pool has never run a query.
 func brandNew(t *testing.T, eng *search.Engine) *search.Engine {
 	t.Helper()
 	ne, err := search.NewEngineFromParts(eng.Space(), eng.Keywords(), eng.PathFinder(), eng.Skeleton(), eng.MatrixIfReady(), eng.OracleIfReady())

@@ -251,7 +251,7 @@ func (r *Result) HomogeneousRate() float64 {
 
 // appendKPKey appends the homogeneity-class key of a KP sequence to dst and
 // returns the extended buffer. Callers reuse one buffer across checks (the
-// pooled executor scratch owns one for the collector) instead of allocating
+// pooled scratch bundle owns one for the collector) instead of allocating
 // a fresh byte slice per key.
 func appendKPKey(dst []byte, kp []model.PartitionID) []byte {
 	for _, v := range kp {
@@ -269,9 +269,9 @@ func kpKey(kp []model.PartitionID) string { return string(appendKPKey(nil, kp)) 
 //
 // The engine separates two layers: the immutable index layer (space,
 // keyword index, pathfinder, skeleton, KoE* distance backend) and the
-// execution layer — a pooled Executor holding reusable per-query scratch
-// plus a bounded cache of compiled queries — so repeated queries are
-// allocation-light.
+// execution layer — a pool of reusable per-query scratch bundles shared by
+// route and sequence queries, plus a bounded cache of compiled queries — so
+// repeated queries are allocation-light.
 type Engine struct {
 	s  *model.Space
 	x  *keyword.Index
@@ -287,12 +287,27 @@ type Engine struct {
 	orc    atomic.Pointer[graph.Oracle]
 
 	qcache *keyword.QueryCache
-	exec   *Executor
+
+	// pool holds per-query scratch bundles (execScratch). A route search
+	// needs a bundle of allocations per query — the door bitmaps Dn/Df sized
+	// to the space, the stamp priority queue, the prime hashtable, the top-k
+	// collector, the key-partition set and thousands of stamp structs and
+	// sims vectors — and a sequence plan needs a kernel workspace and the
+	// overlay's door sets. None of it outlives the query: results copy
+	// everything that escapes. The pool keeps the bundles alive between
+	// queries, so a loaded engine allocates per request instead of per
+	// stamp, and grows to the peak concurrency level.
+	pool sync.Pool
+
+	// executions counts query runs that did not come from the result cache,
+	// route and sequence alike: the work counter the cached-vs-uncached
+	// gates assert against (a hit must leave it unchanged).
+	executions atomic.Uint64
 
 	// rcache, when set, is the engine's result cache: complete results
-	// keyed by the canonical request fingerprint, with singleflight
-	// admission and epoch invalidation (see resultcache.go and DESIGN.md
-	// §11). nil (the default) means every query runs the searcher.
+	// keyed by the request fingerprint, with singleflight admission and
+	// epoch invalidation (see resultcache.go and DESIGN.md §11). nil (the
+	// default) means every query runs.
 	rcache atomic.Pointer[ResultCache]
 
 	// popularity, when set, holds a visit-popularity score in [0,1] per
@@ -370,7 +385,7 @@ func assemble(s *model.Space, x *keyword.Index, pf *graph.PathFinder, sk *graph.
 		e.orc.Store(orc)
 	}
 	e.qcache = keyword.NewQueryCache(x, defaultQueryCacheCap)
-	e.exec = newExecutor(e)
+	e.pool.New = func() any { return new(execScratch) }
 	return e
 }
 
@@ -401,8 +416,10 @@ func (e *Engine) Close() error {
 	return close()
 }
 
-// Executor exposes the engine's pooled query executor.
-func (e *Engine) Executor() *Executor { return e.exec }
+// Executions returns how many route searches and sequence plans the engine
+// has run. Queries answered from the result cache do not count — a hit
+// performs zero work.
+func (e *Engine) Executions() uint64 { return e.executions.Load() }
 
 // QueryCache exposes the engine's compiled-query cache (for stats and
 // tests).
@@ -463,10 +480,19 @@ func (e *Engine) PathFinder() *graph.PathFinder { return e.pf }
 // Skeleton exposes the engine's lower-bound distance structure.
 func (e *Engine) Skeleton() *graph.Skeleton { return e.sk }
 
-// Matrix returns the dense all-pairs matrix, building it if needed. This
-// forces the dense backend regardless of venue size; most callers want
-// Precompute (size-aware) instead.
-func (e *Engine) Matrix() *graph.Matrix {
+// Precompute builds the KoE* distance backend eagerly — the dense matrix
+// or the hierarchical oracle, chosen by venue size against DenseStateLimit
+// — and returns it. By default the backend is built lazily on the first
+// KoE* query, which keeps engines cheap for workloads that never run KoE*
+// but makes that first query pay the precomputation; services bake it at
+// start-up (or at snapshot time, see internal/snapshot) so serving latency
+// never includes index construction.
+func (e *Engine) Precompute() graph.DistanceSource { return e.distanceSource() }
+
+// PrecomputeMatrix forces the dense all-pairs matrix eagerly and returns
+// it, regardless of venue size; most callers want Precompute (size-aware)
+// instead.
+func (e *Engine) PrecomputeMatrix() *graph.Matrix {
 	if m := e.mat.Load(); m != nil {
 		return m
 	}
@@ -480,10 +506,10 @@ func (e *Engine) Matrix() *graph.Matrix {
 	return m
 }
 
-// Oracle returns the hierarchical distance oracle, building it if needed.
-// This forces the oracle backend regardless of venue size (the equality
-// gate tests force it on small malls); most callers want Precompute.
-func (e *Engine) Oracle() *graph.Oracle {
+// PrecomputeOracle forces the hierarchical oracle eagerly and returns it,
+// regardless of venue size (the equality gate tests force it on small
+// malls); most callers want Precompute.
+func (e *Engine) PrecomputeOracle() *graph.Oracle {
 	if o := e.orc.Load(); o != nil {
 		return o
 	}
@@ -496,23 +522,6 @@ func (e *Engine) Oracle() *graph.Oracle {
 	e.orc.Store(o)
 	return o
 }
-
-// Precompute builds the KoE* distance backend eagerly — the dense matrix
-// or the hierarchical oracle, chosen by venue size against DenseStateLimit
-// — and returns it. By default the backend is built lazily on the first
-// KoE* query, which keeps engines cheap for workloads that never run KoE*
-// but makes that first query pay the precomputation; services bake it at
-// start-up (or at snapshot time, see internal/snapshot) so serving latency
-// never includes index construction.
-func (e *Engine) Precompute() graph.DistanceSource { return e.distanceSource() }
-
-// PrecomputeMatrix forces the dense all-pairs matrix eagerly and returns
-// it, regardless of venue size.
-func (e *Engine) PrecomputeMatrix() *graph.Matrix { return e.Matrix() }
-
-// PrecomputeOracle forces the hierarchical oracle eagerly and returns it,
-// regardless of venue size.
-func (e *Engine) PrecomputeOracle() *graph.Oracle { return e.Oracle() }
 
 // MatrixIfReady returns the dense matrix if it has already been built (or
 // was supplied via NewEngineFromParts), without triggering the computation.
@@ -612,25 +621,32 @@ func (e *Engine) distanceSource() graph.DistanceSource {
 
 // Validate reports the first problem with a request, or nil.
 func (e *Engine) Validate(req Request) error {
-	if req.K < 1 {
+	return e.validateQuery(req.Ps, req.Pt, req.Delta, req.K, req.Alpha, req.Tau, req.Conditions)
+}
+
+// validateQuery checks what route and sequence requests share: k, Δ, α and
+// τ in range, both points inside the space, and the overlay's doors within
+// it.
+func (e *Engine) validateQuery(ps, pt geom.Point, delta float64, k int, alpha, tau float64, cond *model.Conditions) error {
+	if k < 1 {
 		return errors.New("search: k must be ≥ 1")
 	}
-	if req.Delta <= 0 {
+	if delta <= 0 {
 		return errors.New("search: distance constraint Δ must be positive")
 	}
-	if req.Alpha < 0 || req.Alpha > 1 {
+	if alpha < 0 || alpha > 1 {
 		return errors.New("search: α must be in [0,1]")
 	}
-	if req.Tau < 0 || req.Tau > 1 {
+	if tau < 0 || tau > 1 {
 		return errors.New("search: τ must be in [0,1]")
 	}
-	if e.s.HostPartition(req.Ps) == model.NoPartition {
-		return fmt.Errorf("search: start point %v is outside every partition", req.Ps)
+	if e.s.HostPartition(ps) == model.NoPartition {
+		return fmt.Errorf("search: start point %v is outside every partition", ps)
 	}
-	if e.s.HostPartition(req.Pt) == model.NoPartition {
-		return fmt.Errorf("search: terminal point %v is outside every partition", req.Pt)
+	if e.s.HostPartition(pt) == model.NoPartition {
+		return fmt.Errorf("search: terminal point %v is outside every partition", pt)
 	}
-	if err := req.Conditions.Validate(e.s.NumDoors()); err != nil {
+	if err := cond.Validate(e.s.NumDoors()); err != nil {
 		return fmt.Errorf("search: %w", err)
 	}
 	return nil
@@ -661,19 +677,36 @@ func (e *Engine) validate(req Request, opt Options) error {
 	return validateOptions(opt)
 }
 
-// Search runs one IKRQ query with the given options on the engine's pooled
-// executor.
+// Search runs one IKRQ query with the given options.
 func (e *Engine) Search(req Request, opt Options) (*Result, error) {
-	return e.exec.Search(req, opt)
+	return e.SearchContext(context.Background(), req, opt)
 }
 
-// SearchContext runs one IKRQ query under a context: a cancelled or expired
-// ctx aborts the search between expansion batches and returns (nil,
-// ctx.Err()) with no partial result and no scratch leaked. This is the
-// entry point network servers use to bound per-request latency and to stop
-// working for disconnected clients (see Executor.SearchContext).
+// SearchContext runs one IKRQ query under a context on pooled scratch;
+// results and work counters are identical to the same query on a brand-new
+// engine, whatever the scratch ran before. The searcher polls ctx between
+// expansion batches (every ctxPollEvery pops, so a poll costs nothing
+// measurable against the Dijkstras in between) and aborts with ctx.Err()
+// once the context is cancelled or past its deadline. An aborted query
+// returns (nil, ctx.Err()): no partial Result escapes, and the scratch
+// bundle goes back to the pool exactly as on success. The one
+// non-interruptible stretch is the lazy KoE* backend build a first
+// Precompute query may trigger; services that care call Engine.Precompute
+// at start-up. Network servers use this entry point to bound per-request
+// latency and to stop working for disconnected clients.
+//
+// On a cache-enabled engine (EnableResultCache) the query is keyed by
+// fingerprintQuery: a hit returns the stored result with zero searcher
+// work, concurrent identical misses collapse onto one execution, and only a
+// genuine miss runs the searcher. Cache-served results are shared and must
+// be treated as read-only.
 func (e *Engine) SearchContext(ctx context.Context, req Request, opt Options) (*Result, error) {
-	return e.exec.SearchContext(ctx, req, opt)
+	if err := e.validate(req, opt); err != nil {
+		return nil, err
+	}
+	return execute(ctx, e,
+		func() string { return fingerprintQuery(&req, opt) },
+		func(sc *execScratch) (*Result, error) { return e.searchUncached(ctx, sc, req, opt) })
 }
 
 // score computes ψ (Equation 1) from a relevance and a route distance.

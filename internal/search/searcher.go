@@ -38,13 +38,10 @@ type searcher struct {
 	// screened by Pruning Rule 2, split into survivors and pruned doors.
 	dn, df []bool
 
-	// condClosed and condDelay are the dense door-indexed views of the
-	// request's Conditions overlay (nil when the overlay has no closures /
-	// no delays), backed by executor scratch. The overlay itself is
-	// immutable for the query's duration, so concurrent searches with
-	// distinct overlays never share these sets.
-	condClosed []bool
-	condDelay  []float64
+	// ov is the request's Conditions overlay as dense door sets, backed by
+	// the scratch bundle. It is held by value, so screenDoor's closed-door
+	// check is one field load.
+	ov overlay
 
 	// keyAlive tracks the global key-partition set P; Pruning Rule 3
 	// removes partitions permanently (KoE). It is an epoch-stamped dense
@@ -53,7 +50,7 @@ type searcher struct {
 	keyAlive *partSet
 
 	// ws is the searcher's shortest-path kernel workspace, owned by the
-	// executor scratch: every Dijkstra the query runs (KoE trees, KoE* tail
+	// scratch bundle: every Dijkstra the query runs (KoE trees, KoE* tail
 	// recomputes, shortest-route completions) reuses its epoch-stamped
 	// tables and flat heap.
 	ws *graph.Workspace
@@ -94,7 +91,7 @@ type searcher struct {
 	ptStates []graph.StateID
 	ptLegs   []float64
 
-	// scratch is the executor bundle the query runs on; its arenas back
+	// scratch is the pooled bundle the query runs on; its arenas back
 	// every stamp, route node, KP node, completion and sims vector.
 	scratch *execScratch
 
@@ -148,50 +145,6 @@ func (sr *searcher) backendRemaining(tm graph.StateID) float64 {
 		}
 	}
 	return best
-}
-
-// initOverlay materializes the request's Conditions into dense door sets.
-// closedBuf and delayBuf are the executor scratch's reusable backing
-// storage; only the sets the overlay actually needs are sized and cleared.
-func (sr *searcher) initOverlay(closedBuf []bool, delayBuf []float64) {
-	cond := sr.req.Conditions
-	if cond.Empty() {
-		return
-	}
-	nd := sr.e.s.NumDoors()
-	if cond.NumClosed() > 0 {
-		if cap(closedBuf) < nd {
-			closedBuf = make([]bool, nd)
-		} else {
-			closedBuf = closedBuf[:nd]
-			clear(closedBuf)
-		}
-		cond.ForEachClosed(func(d model.DoorID) { closedBuf[d] = true })
-		sr.condClosed = closedBuf
-	}
-	if cond.NumDelayed() > 0 {
-		if cap(delayBuf) < nd {
-			delayBuf = make([]float64, nd)
-		} else {
-			delayBuf = delayBuf[:nd]
-			clear(delayBuf)
-		}
-		cond.ForEachDelay(func(d model.DoorID, p float64) { delayBuf[d] = p })
-		sr.condDelay = delayBuf
-	}
-}
-
-// doorClosed reports whether the overlay closes door d.
-func (sr *searcher) doorClosed(d model.DoorID) bool {
-	return sr.condClosed != nil && sr.condClosed[d]
-}
-
-// doorDelay returns the overlay's additive traversal penalty for door d.
-func (sr *searcher) doorDelay(d model.DoorID) float64 {
-	if sr.condDelay == nil {
-		return 0
-	}
-	return sr.condDelay[d]
 }
 
 // initKeyPartitions computes P ← (∪ I2P(κ(wQ).Wi)) \ v(ps) ∪ v(pt)
@@ -390,7 +343,7 @@ func (sr *searcher) primeUpdate(tail model.DoorID, kp *route.KPNode, dist float6
 // |ps,d|L + delay(d) + |d,pt|L stays a valid lower bound. It reports
 // whether the door survives.
 func (sr *searcher) screenDoor(d model.DoorID) bool {
-	if sr.doorClosed(d) {
+	if sr.ov.isClosed(d) {
 		sr.stats.PrunedClosed++
 		return false
 	}
@@ -404,7 +357,7 @@ func (sr *searcher) screenDoor(d model.DoorID) bool {
 		return true
 	}
 	pos := sr.e.s.Door(d).Pos
-	if sr.e.sk.LowerBound(sr.req.Ps, pos)+sr.doorDelay(d)+sr.e.sk.LowerBound(pos, sr.req.Pt) > sr.cap {
+	if sr.e.sk.LowerBound(sr.req.Ps, pos)+sr.ov.penalty(d)+sr.e.sk.LowerBound(pos, sr.req.Pt) > sr.cap {
 		sr.df[d] = true
 		sr.stats.PrunedRule2++
 		return false
@@ -507,15 +460,15 @@ func (sr *searcher) spliceStamp(si *stamp, hops []graph.Hop) *stamp {
 func (sr *searcher) hopDistance(cur *stamp, dl model.DoorID) float64 {
 	tail := cur.tail()
 	if tail == model.NoDoor {
-		return sr.req.Ps.Dist(sr.e.s.Door(dl).Pos) + sr.doorDelay(dl)
+		return sr.req.Ps.Dist(sr.e.s.Door(dl).Pos) + sr.ov.penalty(dl)
 	}
 	if tail == dl {
-		return sr.e.s.SelfLoopDist(dl, cur.v) + sr.doorDelay(dl)
+		return sr.e.s.SelfLoopDist(dl, cur.v) + sr.ov.penalty(dl)
 	}
 	if d := sr.e.s.D2DDistVia(tail, dl, cur.v); !math.IsInf(d, 1) {
-		return d + sr.doorDelay(dl)
+		return d + sr.ov.penalty(dl)
 	}
-	return sr.stairHopDistance(cur, dl) + sr.doorDelay(dl)
+	return sr.stairHopDistance(cur, dl) + sr.ov.penalty(dl)
 }
 
 // stairHopDistance handles hops that traverse a stairway anchored in the
@@ -578,40 +531,7 @@ func (sr *searcher) forbiddenFor(si *stamp) graph.Forbidden {
 // a stamp: the regularity exclusions plus the overlay's closed doors and
 // traversal penalties.
 func (sr *searcher) costsFor(si *stamp) graph.Costs {
-	c := graph.Costs{Block: sr.forbiddenFor(si)}
-	if closed := sr.condClosed; closed != nil {
-		reg := c.Block
-		c.Block = func(d model.DoorID) bool { return closed[d] || reg(d) }
-	}
-	if delay := sr.condDelay; delay != nil {
-		c.Delay = func(d model.DoorID) float64 { return delay[d] }
-	}
-	return c
-}
-
-// overlaySeeds applies the conditions overlay to a seed set: seeds whose
-// door the overlay closes are dropped, and EmitHop seeds — which pass their
-// door as a new hop of the route — pay the door's penalty in their initial
-// cost. Seeds continuing from a stamp's tail (EmitHop false) are unchanged:
-// the tail's penalty was paid when it was appended, and a stamp can never
-// end at a closed door (closed doors are screened before every expansion).
-// The adjustment is in place; callers own the seed slice.
-func (sr *searcher) overlaySeeds(seeds []graph.Seed) []graph.Seed {
-	if sr.condClosed == nil && sr.condDelay == nil {
-		return seeds
-	}
-	out := seeds[:0]
-	for _, sd := range seeds {
-		if sd.State != graph.NoState && sd.EmitHop {
-			d, _ := sr.e.pf.State(sd.State)
-			if sr.doorClosed(d) {
-				continue
-			}
-			sd.Cost += sr.doorDelay(d)
-		}
-		out = append(out, sd)
-	}
-	return out
+	return sr.ov.costs(sr.forbiddenFor(si))
 }
 
 // offerComplete runs the acceptance checks shared by every completion site

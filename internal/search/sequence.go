@@ -117,19 +117,11 @@ type SequenceResult struct {
 }
 
 // ValidateSequence reports the first problem with a sequence request, or
-// nil.
+// nil: the checks every query shares (see Validate), then the beam and the
+// legs.
 func (e *Engine) ValidateSequence(req SequenceRequest) error {
-	if req.K < 1 {
-		return errors.New("search: k must be ≥ 1")
-	}
-	if req.Delta <= 0 {
-		return errors.New("search: distance constraint Δ must be positive")
-	}
-	if req.Alpha < 0 || req.Alpha > 1 {
-		return errors.New("search: α must be in [0,1]")
-	}
-	if req.Tau < 0 || req.Tau > 1 {
-		return errors.New("search: τ must be in [0,1]")
+	if err := e.validateQuery(req.Ps, req.Pt, req.Delta, req.K, req.Alpha, req.Tau, req.Conditions); err != nil {
+		return err
 	}
 	if req.Beam < 0 {
 		return errors.New("search: beam must be ≥ 0")
@@ -145,15 +137,6 @@ func (e *Engine) ValidateSequence(req SequenceRequest) error {
 			return fmt.Errorf("search: sequence leg %d has no keywords", j)
 		}
 	}
-	if e.s.HostPartition(req.Ps) == model.NoPartition {
-		return fmt.Errorf("search: start point %v is outside every partition", req.Ps)
-	}
-	if e.s.HostPartition(req.Pt) == model.NoPartition {
-		return fmt.Errorf("search: terminal point %v is outside every partition", req.Pt)
-	}
-	if err := req.Conditions.Validate(e.s.NumDoors()); err != nil {
-		return fmt.Errorf("search: %w", err)
-	}
 	return nil
 }
 
@@ -163,34 +146,18 @@ func (e *Engine) SearchSequence(req SequenceRequest) (*SequenceResult, error) {
 }
 
 // SearchSequenceContext is SearchSequence under a context: cancellation
-// aborts between chained stages. On a cache-enabled engine the request is
-// fingerprinted (layout version 2, disjoint from route keys) into the same
-// per-venue result cache route queries use, with identical singleflight and
-// epoch-invalidation semantics; cache-served results are shared and must be
-// treated as read-only.
+// aborts between chained stages. It runs on the same execution path as
+// SearchContext — pooled scratch, the executions counter, and on a
+// cache-enabled engine the same per-venue result cache, keyed by
+// fingerprintSequence; cache-served results are shared and must be treated
+// as read-only.
 func (e *Engine) SearchSequenceContext(ctx context.Context, req SequenceRequest) (*SequenceResult, error) {
 	if err := e.ValidateSequence(req); err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	c := e.rcache.Load()
-	if c == nil {
-		return e.sequenceUncached(ctx, req)
-	}
-	key := fingerprintSequence(&req)
-	v, _, err := c.doAny(ctx, key, func() (cacheable, error) {
-		r, err := e.sequenceUncached(ctx, req)
-		if r == nil {
-			return nil, err
-		}
-		return r, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*SequenceResult), nil
+	return execute(ctx, e,
+		func() string { return fingerprintSequence(&req) },
+		func(sc *execScratch) (*SequenceResult, error) { return e.sequenceUncached(ctx, sc, req) })
 }
 
 // seqLabel is one position label of the layered DP: standing at an entry
@@ -257,9 +224,8 @@ type seqChain struct {
 	ptLegs  []float64             // |door, pt| per terminal entry state
 	ptState []graph.StateID
 
-	condClosed []bool
-	condDelay  []float64
-	costs      graph.Costs
+	ov    overlay     // the request's Conditions as dense door sets
+	costs graph.Costs // every stage's cost model: ov alone
 
 	ws    *graph.Workspace // stage workspace for planning/evaluation
 	stats *SequenceStats
@@ -271,15 +237,24 @@ type seqChain struct {
 	hops   []graph.Hop
 }
 
-func newSeqChain(e *Engine, req *SequenceRequest, stats *SequenceStats, ws *graph.Workspace) *seqChain {
+// newSeqChain prepares a sequence request on a scratch bundle, whose kernel
+// workspace runs the chain's stages and whose overlay backs the chain's
+// door sets. The planner passes pooled scratch; the baseline a fresh one.
+func newSeqChain(e *Engine, req *SequenceRequest, stats *SequenceStats, sc *execScratch) *seqChain {
+	if sc.ws == nil {
+		sc.ws = graph.NewWorkspace()
+	}
+	sc.ov.load(req.Conditions, e.s.NumDoors())
 	c := &seqChain{
 		e:      e,
 		req:    req,
 		hostPs: e.s.HostPartition(req.Ps),
 		hostPt: e.s.HostPartition(req.Pt),
-		ws:     ws,
+		ov:     sc.ov,
+		ws:     sc.ws,
 		stats:  stats,
 	}
+	c.costs = c.ov.costs(nil)
 	c.legQ = make([]*keyword.Query, len(req.Legs))
 	c.cands = make([][]model.PartitionID, len(req.Legs))
 	c.legRho = make([][]float64, len(req.Legs))
@@ -309,7 +284,6 @@ func newSeqChain(e *Engine, req *SequenceRequest, stats *SequenceStats, ws *grap
 		}
 		c.sufRho[j] = c.sufRho[j+1] + best
 	}
-	c.initOverlay()
 	for _, d := range e.s.Partition(c.hostPt).EnterDoors() {
 		st := e.pf.StateOf(d, c.hostPt)
 		if st == graph.NoState {
@@ -321,50 +295,12 @@ func newSeqChain(e *Engine, req *SequenceRequest, stats *SequenceStats, ws *grap
 	return c
 }
 
-// initOverlay materializes the request's Conditions into dense door sets
-// and the stage cost model, mirroring searcher.initOverlay/costsFor without
-// the regularity exclusions (sequence walks are not door-regular across
-// stages).
-func (c *seqChain) initOverlay() {
-	cond := c.req.Conditions
-	if !cond.Empty() {
-		nd := c.e.s.NumDoors()
-		if cond.NumClosed() > 0 {
-			closed := make([]bool, nd)
-			cond.ForEachClosed(func(d model.DoorID) { closed[d] = true })
-			c.condClosed = closed
-			c.costs.Block = func(d model.DoorID) bool { return closed[d] }
-		}
-		if cond.NumDelayed() > 0 {
-			delay := make([]float64, nd)
-			cond.ForEachDelay(func(d model.DoorID, p float64) { delay[d] = p })
-			c.condDelay = delay
-			c.costs.Delay = func(d model.DoorID) float64 { return delay[d] }
-		}
-	}
-}
-
 // startSeeds builds the overlay-adjusted Dijkstra seeds for stages leaving
 // the start point: one per leave-door state of ps's host partition, closed
 // seeds dropped and each surviving seed paying its door's delay (the seed
 // passes the door as the walk's first hop).
 func (c *seqChain) startSeeds(dst []graph.Seed) []graph.Seed {
-	dst = c.e.pf.AppendSeedsFromPointIn(dst[:0], c.req.Ps, c.hostPs)
-	if c.condClosed == nil && c.condDelay == nil {
-		return dst
-	}
-	out := dst[:0]
-	for _, sd := range dst {
-		d, _ := c.e.pf.State(sd.State)
-		if c.condClosed != nil && c.condClosed[d] {
-			continue
-		}
-		if c.condDelay != nil {
-			sd.Cost += c.condDelay[d]
-		}
-		out = append(out, sd)
-	}
-	return out
+	return c.ov.seeds(c.e.pf, c.e.pf.AppendSeedsFromPointIn(dst[:0], c.req.Ps, c.hostPs))
 }
 
 // labelSeeds turns a label set into continuation seeds, in label order (so
@@ -469,20 +405,14 @@ func (c *seqChain) record(t *graph.Tree, p *seqPrefix, st graph.StateID) (from i
 	return from, seqSpan{int32(lo), int32(len(c.hops))}
 }
 
-// sequenceUncached runs the layered beam-stitching planner on a pooled
-// executor scratch's kernel workspace. Every kept label and feasible plan
-// records its stage's seed attribution and door segment as the stage runs,
-// so the top-k routes are assembled from those records: no stage runs after
-// ranking.
-func (e *Engine) sequenceUncached(ctx context.Context, req SequenceRequest) (*SequenceResult, error) {
+// sequenceUncached runs the layered beam-stitching planner on a scratch
+// bundle. Every kept label and feasible plan records its stage's seed
+// attribution and door segment as the stage runs, so the top-k routes are
+// assembled from those records: no stage runs after ranking.
+func (e *Engine) sequenceUncached(ctx context.Context, sc *execScratch, req SequenceRequest) (*SequenceResult, error) {
 	start := time.Now()
-	sc := e.exec.pool.Get().(*execScratch)
-	defer e.exec.pool.Put(sc)
-	if sc.ws == nil {
-		sc.ws = graph.NewWorkspace()
-	}
 	res := &SequenceResult{}
-	c := newSeqChain(e, &req, &res.Stats, sc.ws)
+	c := newSeqChain(e, &req, &res.Stats, sc)
 
 	// The Δ bound needs the KoE* distance backend; like a first KoE* query,
 	// a first sequence query on a fresh engine pays the lazy build.

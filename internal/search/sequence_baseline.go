@@ -41,7 +41,7 @@ func (e *Engine) ExhaustiveSequenceContext(ctx context.Context, req SequenceRequ
 	}
 	start := time.Now()
 	res := &SequenceResult{}
-	c := newSeqChain(e, &req, &res.Stats, graph.NewWorkspace())
+	c := newSeqChain(e, &req, &res.Stats, new(execScratch))
 
 	total := 1
 	for j := range c.cands {

@@ -266,34 +266,53 @@ func TestSequenceRecordedRoutesBuiltCases(t *testing.T) {
 }
 
 // TestSequenceConcurrentDistinctOverlays shares one engine between
-// goroutines running sequence queries under distinct overlays; every result
-// must match its serial reference byte for byte. Run under -race in CI.
+// goroutines that each interleave route and sequence queries under their
+// own overlay, so both query kinds load distinct overlays into the one
+// scratch pool at once; every result must match its serial reference byte
+// for byte. Run under -race in CI.
 func TestSequenceConcurrentDistinctOverlays(t *testing.T) {
-	mall, _, idx, err := gen.SyntheticMall(2, 11)
+	mall, voc, idx, err := gen.SyntheticMall(2, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := search.NewEngine(mall.Space, idx)
 	cfg := gen.DefaultSequenceSampleConfig()
 	cfg.Legs = 2
-	base := sequenceInstances(t, eng, 31, 2, cfg)
+	baseSeqs := sequenceInstances(t, eng, 31, 2, cfg)
+	qg := gen.NewQueryGen(mall, idx, voc, eng.PathFinder(), 31)
+	qcfg := gen.DefaultQueryConfig(31)
+	qcfg.Instances = 2
+	baseRoutes, err := qg.Instances(qcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := search.Options{Algorithm: search.KoE}
 
 	const workers = 4
-	reqs := make([][]search.SequenceRequest, workers)
-	want := make([][]*search.SequenceResult, workers)
+	seqs := make([][]search.SequenceRequest, workers)
+	routes := make([][]search.Request, workers)
+	wantSeq := make([][]*search.SequenceResult, workers)
+	wantRoute := make([][]*search.Result, workers)
 	for w := 0; w < workers; w++ {
 		cond := gen.SampleConditions(mall.Space, 177+uint64(w)*13,
 			gen.ConditionsConfig{Closures: 2, Delays: 2, MinDelay: 5, MaxDelay: 50})
-		for _, r := range base {
+		for _, r := range baseSeqs {
 			r.Conditions = cond
-			reqs[w] = append(reqs[w], r)
-		}
-		for _, r := range reqs[w] {
 			res, err := eng.SearchSequence(r)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want[w] = append(want[w], res)
+			seqs[w] = append(seqs[w], r)
+			wantSeq[w] = append(wantSeq[w], res)
+		}
+		for _, r := range baseRoutes {
+			r.Conditions = cond
+			res, err := eng.Search(r, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			routes[w] = append(routes[w], r)
+			wantRoute[w] = append(wantRoute[w], res)
 		}
 	}
 
@@ -304,15 +323,28 @@ func TestSequenceConcurrentDistinctOverlays(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for round := 0; round < 3; round++ {
-				for i, r := range reqs[w] {
-					res, err := eng.SearchSequence(r)
-					if err != nil {
-						errs[w] = err
-						return
+				for i := range max(len(seqs[w]), len(routes[w])) {
+					if i < len(routes[w]) {
+						res, err := eng.Search(routes[w][i], opt)
+						if err != nil {
+							errs[w] = err
+							return
+						}
+						if !reflect.DeepEqual(res.Routes, wantRoute[w][i].Routes) {
+							errs[w] = fmt.Errorf("worker %d round %d route req %d: routes diverged from serial reference", w, round, i)
+							return
+						}
 					}
-					if !reflect.DeepEqual(res.Routes, want[w][i].Routes) {
-						errs[w] = fmt.Errorf("worker %d round %d req %d: routes diverged from serial reference", w, round, i)
-						return
+					if i < len(seqs[w]) {
+						res, err := eng.SearchSequence(seqs[w][i])
+						if err != nil {
+							errs[w] = err
+							return
+						}
+						if !reflect.DeepEqual(res.Routes, wantSeq[w][i].Routes) {
+							errs[w] = fmt.Errorf("worker %d round %d sequence req %d: routes diverged from serial reference", w, round, i)
+							return
+						}
 					}
 				}
 			}
@@ -340,9 +372,13 @@ func TestSequenceResultCache(t *testing.T) {
 	cfg.Legs = 2
 	req := sequenceInstances(t, eng, 41, 1, cfg)[0]
 
+	execs := eng.Executions()
 	first, err := eng.SearchSequence(req)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := eng.Executions(); got != execs+1 {
+		t.Fatalf("a sequence miss counted %d executions, want 1", got-execs)
 	}
 	second, err := eng.SearchSequence(req)
 	if err != nil {
@@ -350,6 +386,9 @@ func TestSequenceResultCache(t *testing.T) {
 	}
 	if first != second {
 		t.Fatal("repeated sequence query did not return the cached result")
+	}
+	if got := eng.Executions(); got != execs+1 {
+		t.Fatal("a sequence cache hit counted an execution")
 	}
 	if s := cache.Stats(); s.Hits != 1 || s.Misses != 1 {
 		t.Fatalf("hits/misses = %d/%d, want 1/1", s.Hits, s.Misses)

@@ -54,16 +54,6 @@ func (b *conditionsBus) venueLocked(name string) *busVenue {
 	return v
 }
 
-// current returns the venue's published overlay, nil when none.
-func (b *conditionsBus) current(name string) *model.Conditions {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if v := b.venues[name]; v != nil {
-		return v.cond
-	}
-	return nil
-}
-
 // state returns the venue's revision and overlay together.
 func (b *conditionsBus) state(name string) (uint64, *model.Conditions) {
 	b.mu.Lock()
@@ -287,20 +277,9 @@ func (s *Server) runSubscribed(ctx context.Context, name string, env *queryEnvel
 		return rev, nil, nil, apiErr
 	}
 	defer h.Release()
-	var res, routes any
-	switch {
-	case env.Route != nil:
-		r, apiErr := s.runRouteQuery(ctx, h, &env.Route.QueryRequest, published)
-		if apiErr != nil {
-			return rev, nil, nil, apiErr
-		}
-		res, routes = r, r.Routes
-	default:
-		r, apiErr := s.runSequenceQuery(ctx, h, env.Sequence, published)
-		if apiErr != nil {
-			return rev, nil, nil, apiErr
-		}
-		res, routes = r, r.Routes
+	res, routes, apiErr := s.runEnvelope(ctx, h, env, published)
+	if apiErr != nil {
+		return rev, nil, nil, apiErr
 	}
 	payload, err := json.Marshal(res)
 	if err != nil {

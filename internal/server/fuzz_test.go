@@ -11,10 +11,10 @@ import (
 )
 
 // FuzzV2Envelope feeds arbitrary bodies through the v2 query decode and the
-// route and sequence query cores: variant resolution, wire caps,
+// query core, runEnvelope: variant resolution, wire caps,
 // BuildRequest/BuildSequenceRequest against the fixture engine, and the
-// engine's request validation. The cores run under an already-cancelled
-// context, which stops them after their last check and before any search,
+// engine's request validation. The core runs under an already-cancelled
+// context, which stops it after its last check and before any search,
 // so clientGone marks an envelope that passed every check. Nothing may
 // panic, every rejection must be a taxonomy code with a 4xx status, and an
 // accepted envelope must respect the wire caps.
@@ -39,11 +39,7 @@ func FuzzV2Envelope(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if env.Route != nil {
-				_, apiErr = s.runRouteQuery(ctx, h, &env.Route.QueryRequest, nil)
-			} else {
-				_, apiErr = s.runSequenceQuery(ctx, h, env.Sequence, nil)
-			}
+			_, _, apiErr = s.runEnvelope(ctx, h, env, nil)
 			h.Release()
 		}
 		switch {

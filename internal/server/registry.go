@@ -280,18 +280,10 @@ func (r *Registry) Acquire(name string) (*Handle, error) {
 	}
 	r.mu.Unlock()
 
-	t0 := time.Now()
-	e, err := r.loader(v.cfg)
+	e, took, err := r.load(v.cfg)
 	if err != nil {
-		return nil, fmt.Errorf("server: venue %q: %w", name, err)
+		return nil, err
 	}
-	if v.cfg.Warm {
-		e.Precompute()
-	}
-	if opts := r.resultCacheOpts(); opts != nil {
-		e.EnableResultCache(*opts)
-	}
-	took := time.Since(t0)
 
 	r.mu.Lock()
 	v.engine = e
@@ -303,6 +295,24 @@ func (r *Registry) Acquire(name string) (*Handle, error) {
 	r.evictLocked(v)
 	r.mu.Unlock()
 	return &Handle{r: r, v: v, e: e}, nil
+}
+
+// load builds a venue's engine through the loader, forces its KoE* backend
+// when the venue is Warm, and attaches the registry's result cache — the one
+// load path of Acquire and Swap. took is the whole load's wall time.
+func (r *Registry) load(cfg VenueConfig) (e *search.Engine, took time.Duration, err error) {
+	t0 := time.Now()
+	e, err = r.loader(cfg)
+	if err != nil {
+		return nil, 0, fmt.Errorf("server: venue %q: %w", cfg.Name, err)
+	}
+	if cfg.Warm {
+		e.Precompute()
+	}
+	if opts := r.resultCacheOpts(); opts != nil {
+		e.EnableResultCache(*opts)
+	}
+	return e, time.Since(t0), nil
 }
 
 // tryRefLocked references v's engine if resident. Caller holds r.mu.
@@ -373,18 +383,10 @@ func (r *Registry) Swap(name, path string) error {
 	if path != "" {
 		cfg.Path = path
 	}
-	t0 := time.Now()
-	e, err := r.loader(cfg)
+	e, took, err := r.load(cfg)
 	if err != nil {
-		return fmt.Errorf("server: venue %q: %w", name, err)
+		return err
 	}
-	if cfg.Warm {
-		e.Precompute()
-	}
-	if opts := r.resultCacheOpts(); opts != nil {
-		e.EnableResultCache(*opts)
-	}
-	took := time.Since(t0)
 
 	r.mu.Lock()
 	old := v.engine

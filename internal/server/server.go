@@ -101,8 +101,8 @@ func (c Config) withDefaults() Config {
 //	POST /v2/venues/{venue}/subscribe   SSE stream re-routing one envelope
 //	GET  /debug/vars                    serving counters
 //
-// Queries run on the engines' pooled executors under a per-request
-// deadline; admission control sheds load beyond MaxInFlight with 429.
+// Queries run on the engines' pooled scratch under a per-request deadline;
+// admission control sheds load beyond MaxInFlight with 429.
 // Queries that carry no conditions overlay — v1 and v2 alike — run under
 // the venue's published conditions revision (see bus.go).
 type Server struct {
@@ -246,128 +246,92 @@ func (s *Server) queryDeadline(reqMillis int) time.Duration {
 	return timeout
 }
 
-// runRouteQuery executes one route query against an acquired venue handle —
-// the shared core of /v1 query, the v2 route envelope and subscriber
-// re-runs. A request without a conditions overlay runs under published, the
-// venue's published conditions as the caller read them from the bus.
-// Returns clientGone when the client disconnected mid-query (nothing can be
+// runEnvelope executes one decoded query against an acquired venue handle —
+// the one query core of /v1, /v2 and subscriber re-runs. A request without a
+// conditions overlay runs under published, the venue's published conditions
+// as the caller read them from the bus. It returns the response document and
+// its routes alone (what a subscriber compares across revisions), or
+// clientGone when the client disconnected mid-query (nothing can be
 // written).
-func (s *Server) runRouteQuery(parent context.Context, h *Handle, q *QueryRequest, published *model.Conditions) (*QueryResponse, *apiError) {
-	variant := search.Variant(q.Variant)
-	if q.Variant == "" {
-		variant = search.VariantToE
-	}
-	opt, err := search.OptionsFor(variant)
-	if err != nil {
-		return nil, errf(codeUnknownVariant, "%v", err)
-	}
-	if s.cfg.MaxExpansions > 0 {
-		opt.MaxExpansions = s.cfg.MaxExpansions
+func (s *Server) runEnvelope(parent context.Context, h *Handle, env *queryEnvelope, published *model.Conditions) (res, routes any, _ *apiError) {
+	eng := h.Engine()
+	var (
+		timeoutMillis int
+		run           func(context.Context) error
+	)
+	if q := env.Route; q != nil {
+		variant := search.Variant(q.Variant)
+		if q.Variant == "" {
+			variant = search.VariantToE
+		}
+		opt, err := search.OptionsFor(variant)
+		if err != nil {
+			return nil, nil, errf(codeUnknownVariant, "%v", err)
+		}
+		if s.cfg.MaxExpansions > 0 {
+			opt.MaxExpansions = s.cfg.MaxExpansions
+		}
+		req, err := q.BuildRequest(eng)
+		if err != nil {
+			return nil, nil, errf(codeInvalidRequest, "%v", err)
+		}
+		if req.Conditions == nil {
+			req.Conditions = published
+		}
+		timeoutMillis = q.TimeoutMillis
+		run = func(ctx context.Context) error {
+			r, err := eng.SearchContext(ctx, req, opt)
+			if err == nil {
+				resp := BuildResponse(h.Venue(), variant, req, r)
+				res, routes = resp, resp.Routes
+			}
+			return err
+		}
+	} else {
+		q := env.Sequence
+		req, err := q.BuildSequenceRequest(eng)
+		if err != nil {
+			return nil, nil, errf(codeInvalidRequest, "%v", err)
+		}
+		if req.Conditions == nil {
+			req.Conditions = published
+		}
+		timeoutMillis = q.TimeoutMillis
+		run = func(ctx context.Context) error {
+			r, err := eng.SearchSequenceContext(ctx, req)
+			if err == nil {
+				resp := BuildSequenceResponse(h.Venue(), req, r)
+				res, routes = resp, resp.Routes
+			}
+			return err
+		}
 	}
 
-	req, err := q.BuildRequest(h.Engine())
-	if err != nil {
-		return nil, errf(codeInvalidRequest, "%v", err)
-	}
-	if req.Conditions == nil {
-		req.Conditions = published
-	}
-
-	timeout := s.queryDeadline(q.TimeoutMillis)
+	timeout := s.queryDeadline(timeoutMillis)
 	ctx, cancel := context.WithTimeout(parent, timeout)
 	defer cancel()
-
-	res, err := h.Engine().SearchContext(ctx, req, opt)
-	switch {
+	switch err := run(ctx); {
 	case err == nil:
 	case errors.Is(err, context.DeadlineExceeded):
-		return nil, errf(codeDeadlineExceeded, "query exceeded its %v deadline", timeout)
+		return nil, nil, errf(codeDeadlineExceeded, "query exceeded its %v deadline", timeout)
 	case errors.Is(err, context.Canceled):
-		// The client went away; the search aborted between expansion
-		// batches and its scratch went back to the pool.
-		return nil, clientGone
+		// The client went away; the query aborted at its next poll and its
+		// scratch went back to the pool.
+		return nil, nil, clientGone
 	default:
-		// SearchContext validates the request (points inside the space,
+		// The engine validates the request (points inside the space,
 		// parameter ranges, conditions against the venue's doors) before
 		// running; any non-context error is a request problem.
-		return nil, errf(codeInvalidRequest, "%v", err)
+		return nil, nil, errf(codeInvalidRequest, "%v", err)
 	}
 	h.CountQuery()
-	return BuildResponse(h.Venue(), variant, req, res), nil
-}
-
-// runSequenceQuery is runRouteQuery's counterpart for the v2 sequence
-// envelope.
-func (s *Server) runSequenceQuery(parent context.Context, h *Handle, q *SequenceRequestV2, published *model.Conditions) (*SequenceResponse, *apiError) {
-	req, err := q.BuildSequenceRequest(h.Engine())
-	if err != nil {
-		return nil, errf(codeInvalidRequest, "%v", err)
-	}
-	if req.Conditions == nil {
-		req.Conditions = published
-	}
-
-	timeout := s.queryDeadline(q.TimeoutMillis)
-	ctx, cancel := context.WithTimeout(parent, timeout)
-	defer cancel()
-
-	res, err := h.Engine().SearchSequenceContext(ctx, req)
-	switch {
-	case err == nil:
-	case errors.Is(err, context.DeadlineExceeded):
-		return nil, errf(codeDeadlineExceeded, "query exceeded its %v deadline", timeout)
-	case errors.Is(err, context.Canceled):
-		return nil, clientGone
-	default:
-		return nil, errf(codeInvalidRequest, "%v", err)
-	}
-	h.CountQuery()
-	return BuildSequenceResponse(h.Venue(), req, res), nil
+	return res, routes, nil
 }
 
 // handleQuery is POST /v1/venues/{venue}/query: the body is a bare
 // QueryRequest (this shape is frozen; new query kinds live under /v2).
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if !s.admit(w) {
-		return
-	}
-	defer func() { <-s.sem }()
-	s.met.inFlight.Add(1)
-	defer s.met.inFlight.Add(-1)
-	t0 := time.Now()
-	defer func() { s.met.observe(time.Since(t0)) }()
-
-	var q QueryRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&q); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.writeError(w, codeRequestTooLarge, "request body exceeds the %d-byte limit", tooBig.Limit)
-			return
-		}
-		s.writeError(w, codeMalformedRequest, "decoding request body: %v", err)
-		return
-	}
-
-	h, apiErr := s.acquireVenue(r.PathValue("venue"))
-	if apiErr != nil {
-		s.writeAPIError(w, apiErr)
-		return
-	}
-	defer h.Release()
-
-	res, apiErr := s.runRouteQuery(r.Context(), h, &q, s.bus.current(h.Venue()))
-	switch {
-	case apiErr == clientGone:
-		s.met.disconnects.Add(1)
-		return
-	case apiErr != nil:
-		s.writeAPIError(w, apiErr)
-		return
-	}
-	s.met.ok.Add(1)
-	s.writeJSON(w, http.StatusOK, res)
+	s.serveQuery(w, r, decodeQuery)
 }
 
 // handleQueryV2 is POST /v2/venues/{venue}/query: the body is a versioned
@@ -375,6 +339,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // QueryResponse document /v1 serves (the v1-vs-v2 oracle test pins this); a
 // sequence envelope answers with a SequenceResponse.
 func (s *Server) handleQueryV2(w http.ResponseWriter, r *http.Request) {
+	s.serveQuery(w, r, decodeEnvelope)
+}
+
+// serveQuery is the one serving path of both query endpoints, which differ
+// only in their body decoder: admit (shedding before any body is read),
+// decode, acquire the venue, run the query under the venue's published
+// conditions, and respond.
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, decode func(io.Reader) (*queryEnvelope, *apiError)) {
 	if !s.admit(w) {
 		return
 	}
@@ -384,7 +356,7 @@ func (s *Server) handleQueryV2(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	defer func() { s.met.observe(time.Since(t0)) }()
 
-	env, apiErr := decodeEnvelope(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	env, apiErr := decode(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if apiErr != nil {
 		s.writeAPIError(w, apiErr)
 		return
@@ -397,14 +369,8 @@ func (s *Server) handleQueryV2(w http.ResponseWriter, r *http.Request) {
 	}
 	defer h.Release()
 
-	var res any
-	published := s.bus.current(h.Venue())
-	switch {
-	case env.Route != nil:
-		res, apiErr = route2any(s.runRouteQuery(r.Context(), h, &env.Route.QueryRequest, published))
-	default:
-		res, apiErr = seq2any(s.runSequenceQuery(r.Context(), h, env.Sequence, published))
-	}
+	_, published := s.bus.state(h.Venue())
+	res, _, apiErr := s.runEnvelope(r.Context(), h, env, published)
 	switch {
 	case apiErr == clientGone:
 		s.met.disconnects.Add(1)
@@ -415,22 +381,6 @@ func (s *Server) handleQueryV2(w http.ResponseWriter, r *http.Request) {
 	}
 	s.met.ok.Add(1)
 	s.writeJSON(w, http.StatusOK, res)
-}
-
-// route2any / seq2any erase the response type without the typed-nil trap: a
-// nil typed pointer must become a nil interface, never a non-nil any.
-func route2any(r *QueryResponse, e *apiError) (any, *apiError) {
-	if r == nil {
-		return nil, e
-	}
-	return r, e
-}
-
-func seq2any(r *SequenceResponse, e *apiError) (any, *apiError) {
-	if r == nil {
-		return nil, e
-	}
-	return r, e
 }
 
 // handleReload hot-swaps a venue's resident engine: the snapshot at the

@@ -68,11 +68,28 @@ type SequenceRequestV2 struct {
 	TimeoutMillis int `json:"timeout_ms,omitempty"`
 }
 
-// queryEnvelope is a decoded v2 query: exactly one of Route and Sequence is
-// non-nil.
+// queryEnvelope is a decoded query, from either endpoint: exactly one of
+// Route and Sequence is non-nil.
 type queryEnvelope struct {
-	Route    *RouteRequestV2
+	Route    *QueryRequest
 	Sequence *SequenceRequestV2
+}
+
+// decodeQuery reads a v1 query body: a bare QueryRequest, decoded strictly
+// as it streams. The reader is expected to be MaxBytesReader-bounded by the
+// caller.
+func decodeQuery(body io.Reader) (*queryEnvelope, *apiError) {
+	var q QueryRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&q); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return nil, errf(codeRequestTooLarge, "request body exceeds the %d-byte limit", tooBig.Limit)
+		}
+		return nil, errf(codeMalformedRequest, "decoding request body: %v", err)
+	}
+	return &queryEnvelope{Route: &q}, nil
 }
 
 // decodeEnvelope reads a v2 query body: sniff the discriminator leniently,
@@ -107,7 +124,7 @@ func decodeEnvelope(body io.Reader) (*queryEnvelope, *apiError) {
 		if e := strict(&q); e != nil {
 			return nil, e
 		}
-		return &queryEnvelope{Route: &q}, nil
+		return &queryEnvelope{Route: &q.QueryRequest}, nil
 	case queryTypeSequence:
 		var q SequenceRequestV2
 		if e := strict(&q); e != nil {
