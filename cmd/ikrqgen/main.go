@@ -89,15 +89,15 @@ func run() int {
 }
 
 // bake builds the engine and its size-picked KoE* distance backend and
-// writes the mmap-servable snapshot, reporting what each stage cost so
-// operators can see what a load will save.
+// writes the mmap-servable snapshot, reporting the end-to-end time and what
+// each stage cost so operators can see what a load will save. The stages
+// are disjoint spans of the total.
 func bake(path string, mall *ikrq.Mall, idx *ikrq.KeywordIndex) error {
 	t0 := time.Now()
 	engine := ikrq.NewEngine(mall.Space, idx)
-	build := time.Since(t0)
 	t1 := time.Now()
 	backend := engine.Precompute().Kind()
-	backendTime := time.Since(t1)
+	t2 := time.Now()
 
 	// Write to a temp file in the destination directory and rename it into
 	// place. A serving daemon may hold a live mmap of the old file (reload
@@ -112,7 +112,7 @@ func bake(path string, mall *ikrq.Mall, idx *ikrq.KeywordIndex) error {
 	}
 	tmp := f.Name()
 	defer os.Remove(tmp) // no-op after a successful rename
-	t2 := time.Now()
+	t3 := time.Now()
 	if err := ikrq.SaveSnapshot(f, engine); err != nil {
 		f.Close()
 		return err
@@ -134,7 +134,8 @@ func bake(path string, mall *ikrq.Mall, idx *ikrq.KeywordIndex) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("baked %s: %.1f MB in %v (index build %v, KoE* %s %v)\n", path,
-		float64(info.Size())/(1<<20), time.Since(t2), build, backend, backendTime)
+	end := time.Now()
+	fmt.Printf("baked %s: %.1f MB in %v (index build %v, KoE* %s %v, write %v)\n", path,
+		float64(info.Size())/(1<<20), end.Sub(t0), t1.Sub(t0), backend, t2.Sub(t1), end.Sub(t3))
 	return nil
 }

@@ -328,7 +328,7 @@ func NewEngine(s *Space, x *KeywordIndex) *Engine { return search.NewEngine(s, x
 // SaveSnapshot writes the engine's immutable index layer — space, keyword
 // index, state graph, skeleton, and the KoE* distance backend if the
 // engine has built one (call Engine.Precompute first to force it) — to w
-// in the current (v3, flat) snapshot format, which OpenEngine can serve
+// in the current (v4, flat) snapshot format, which OpenEngine can serve
 // zero-copy over an mmap (see internal/snapshot and DESIGN.md §6, §13).
 func SaveSnapshot(w io.Writer, e *Engine) error { return snapshot.SaveEngine(w, e) }
 
@@ -337,7 +337,7 @@ func SaveSnapshot(w io.Writer, e *Engine) error { return snapshot.SaveEngine(w, 
 // onto the heap and checks everything: every section checksum, every
 // table value, and the space topology replayed through the model builder,
 // so it doubles as the bit-rot check for a bake. Corrupt, truncated, older
-// (pre-v3, which must be re-baked) or newer-versioned input is rejected
+// (pre-v4, which must be re-baked) or newer-versioned input is rejected
 // with an error. A loaded engine returns results identical to one freshly
 // built over the same space and keyword index.
 func LoadEngine(r io.Reader) (*Engine, error) { return snapshot.LoadEngine(r) }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"ikrq/internal/gen"
+	"ikrq/internal/graph"
 	"ikrq/internal/search"
 	"ikrq/internal/snapshot"
 )
@@ -37,7 +38,8 @@ type ScalePoint struct {
 	OracleBuildMs float64 `json:"oracle_build_ms"`
 	OracleBytes   int64   `json:"oracle_bytes"`
 
-	// DenseBytes is the analytic states²·12 the matrix would hold resident;
+	// DenseBytes is the analytic resident size of the matrix
+	// (graph.MatrixBytes, the formula Matrix.Bytes reports);
 	// DenseBuildMs measures an actual build, -1 where States exceeded the
 	// sweep's dense-build cap (the venues the oracle exists for).
 	DenseBytes   int64   `json:"dense_bytes"`
@@ -61,9 +63,7 @@ type ScalePoint struct {
 	// keeping the metric about load cost rather than the KoE* query cost
 	// measured separately above. SnapshotMappedBytes is the mmap-served
 	// residency of the opened engine (0 on platforms without mmap);
-	// SnapshotBytes the file size. The committed BENCH_SCALE.json also
-	// carries a snapshot_cold_v2_ms column from builds that still wrote the
-	// sequential v2 format; it is frozen history and no longer produced.
+	// SnapshotBytes the file size.
 	SnapshotBytes       int64   `json:"snapshot_bytes,omitempty"`
 	SnapshotColdV3Ms    float64 `json:"snapshot_cold_v3_ms,omitempty"`
 	SnapshotMappedBytes int64   `json:"snapshot_mapped_bytes,omitempty"`
@@ -128,7 +128,7 @@ func RunScale(cfg Config, quick bool) (*ScaleReport, error) {
 			Hubs:                   orc.NumHubs(),
 			OracleBuildMs:          ms(oracleBuild),
 			OracleBytes:            orc.Bytes(),
-			DenseBytes:             int64(n) * int64(n) * 12,
+			DenseBytes:             graph.MatrixBytes(n),
 			DenseBuildMs:           -1,
 			DenseKoEStarP50Ms:      -1,
 			DenseKoEStarExpansions: -1,

@@ -83,7 +83,7 @@ func Mall(real bool, floors, shopsPerFloor int, seed uint64) (*gen.Mall, *gen.Vo
 }
 
 // LoadSnapshotEngine assembles a serving engine from a snapshot file baked
-// by `ikrqgen -snapshot`, serving v3 snapshots zero-copy over an mmap
+// by `ikrqgen -snapshot`, serving snapshots zero-copy over an mmap
 // where the platform supports it.
 func LoadSnapshotEngine(path string) (*search.Engine, error) {
 	return snapshot.OpenEngine(path)

@@ -135,23 +135,16 @@ func SkeletonFromFlat(s *model.Space, doors []int32, dist []float64, trusted boo
 	return sk, nil
 }
 
-// MatrixFromFlat restores the dense KoE* Matrix adopting the dist and prev
-// tables without copying. The parent-pointer table is range-checked even
-// when trusted — path recovery chases those indices, so an out-of-range
-// entry would fault, not just mis-score (and the dense backend only exists
-// on small venues, keeping the scan cheap). The dist value scan runs only
+// MatrixFromFlat restores the dense KoE* Matrix adopting the dist table
+// without copying. Its values feed bounds and are never used as indices, so
+// a trusted restore checks only the dimensions; the value scan runs only
 // when !trusted.
-func MatrixFromFlat(pf *PathFinder, n int, dist []float64, prev []StateID, trusted bool) (*Matrix, error) {
+func MatrixFromFlat(pf *PathFinder, n int, dist []float64, trusted bool) (*Matrix, error) {
 	if n != pf.NumStates() {
 		return nil, fmt.Errorf("graph: flat matrix is %d×%d but the state graph has %d states", n, n, pf.NumStates())
 	}
-	if len(dist) != n*n || len(prev) != n*n {
-		return nil, fmt.Errorf("graph: flat matrix tables have %d/%d entries (want %d)", len(dist), len(prev), n*n)
-	}
-	for i, pv := range prev {
-		if pv != NoState && (int(pv) < 0 || int(pv) >= n) {
-			return nil, fmt.Errorf("graph: flat matrix prev[%d] references missing state %d", i, pv)
-		}
+	if len(dist) != n*n {
+		return nil, fmt.Errorf("graph: flat matrix table has %d entries (want %d)", len(dist), n*n)
 	}
 	if !trusted {
 		for i, d := range dist {
@@ -160,7 +153,7 @@ func MatrixFromFlat(pf *PathFinder, n int, dist []float64, prev []StateID, trust
 			}
 		}
 	}
-	return &Matrix{pf: pf, n: n, dist: dist, prev: prev}, nil
+	return &Matrix{staticPaths: staticPaths{pf}, n: n, dist: dist}, nil
 }
 
 // OracleFromFlat restores the hierarchical Oracle adopting the three
@@ -171,7 +164,7 @@ func MatrixFromFlat(pf *PathFinder, n int, dist []float64, prev []StateID, trust
 // toHub/fromHub/hubDist run only when !trusted (their values feed arithmetic
 // bounds, never indexing).
 func OracleFromFlat(pf *PathFinder, hubs []StateID, hubOff []int32, toHub, fromHub, hubDist []float64, trusted bool) (*Oracle, error) {
-	o := &Oracle{pf: pf, floors: pf.s.Floors()}
+	o := &Oracle{staticPaths: staticPaths{pf}, floors: pf.s.Floors()}
 	n := pf.NumStates()
 	o.floorOf = make([]int32, n)
 	for i := 0; i < n; i++ {

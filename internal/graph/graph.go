@@ -15,8 +15,10 @@
 //     plain Euclidean distance on one floor, and the cheapest combination of
 //     staircase doors and stairway lengths across floors.
 //
-//   - Matrix: precomputed all-pairs state distances with path
-//     reconstruction, the substrate of the KoE* variant (Section V-A3).
+//   - Matrix and Oracle: the KoE* distance backends (Section V-A3), exact
+//     all-pairs state distances or near-linear hub labels behind the
+//     DistanceSource seam. Neither stores paths: static paths are paused
+//     kernel runs (LazyTree).
 package graph
 
 import (
@@ -231,9 +233,11 @@ func (c Costs) blocked(d model.DoorID) bool { return c.Block != nil && c.Block(d
 
 // AllowsStatic reports whether a statically computed path through the hops
 // keeps its exact cost under these costs: no hop is blocked and none
-// carries a delay. A false result is PathIfAllowed's degrade-to-bound
-// signal — the static optimum may no longer be optimal and the caller must
-// recompute under the full cost model.
+// carries a delay. A false result is the degrade-to-bound signal of
+// DistanceSource.AppendStaticPathIfAllowed: the static optimum may no
+// longer be optimal, and the caller must recompute under the full cost
+// model. The path stays optimal otherwise: its own cost is unchanged while
+// every alternative can only have grown.
 func (c Costs) AllowsStatic(hops []Hop) bool {
 	for _, h := range hops {
 		if c.blocked(h.Door) || c.delay(h.Door) > 0 {

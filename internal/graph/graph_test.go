@@ -309,39 +309,6 @@ func TestMatrixAgreesWithDijkstra(t *testing.T) {
 	}
 }
 
-func TestMatrixPathReconstruction(t *testing.T) {
-	s, parts, doors := corridorSpace(t)
-	pf := NewPathFinder(s)
-	m := NewMatrix(pf)
-	a := pf.StateOf(doors[0], parts[1]) // at d0 entered h1
-	b := pf.StateOf(doors[1], parts[2]) // at d1 entered h2
-	hops, ok := m.Path(a, b)
-	if !ok || len(hops) != 1 || hops[0].Door != doors[1] {
-		t.Fatalf("Path = %+v ok=%v, want single hop through d1", hops, ok)
-	}
-	// Path re-walked must sum to the matrix distance.
-	if d := m.Dist(a, b); math.Abs(d-s.Door(doors[0]).Pos.Dist(s.Door(doors[1]).Pos)) > 1e-9 {
-		t.Errorf("Dist = %v", d)
-	}
-	// PathIfAllowed rejects paths through forbidden doors.
-	if _, _, ok := m.PathIfAllowed(a, b, ForbidOnly(func(d model.DoorID) bool { return d == doors[1] })); ok {
-		t.Error("PathIfAllowed returned a path through a forbidden door")
-	}
-	if _, _, ok := m.PathIfAllowed(a, b, Costs{}); !ok {
-		t.Error("PathIfAllowed rejected a clean path")
-	}
-}
-
-func TestMatrixDoorDist(t *testing.T) {
-	s, _, doors := corridorSpace(t)
-	pf := NewPathFinder(s)
-	m := NewMatrix(pf)
-	want := s.Door(doors[0]).Pos.Dist(s.Door(doors[1]).Pos)
-	if got := m.DoorDist(doors[0], doors[1]); math.Abs(got-want) > 1e-9 {
-		t.Errorf("DoorDist = %v, want %v", got, want)
-	}
-}
-
 func TestShortestToStates(t *testing.T) {
 	s, parts, doors := corridorSpace(t)
 	pf := NewPathFinder(s)

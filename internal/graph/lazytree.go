@@ -3,14 +3,14 @@ package graph
 import "math"
 
 // LazyTree is a paused static (zero-Costs) single-source kernel run: the
-// oracle-mode KoE* path cache. Where ShortestTreeWS exhausts the graph up
-// front, a LazyTree asks the kernel to settle only the requested target and
-// pauses there, resuming from the frozen frontier on the next request — so
-// one stamp tail pays only for the distance radius its expansion targets
-// actually reach. Dijkstra's settled prefix is invariant under pausing (the
-// kernel's strict total order makes the pop sequence unique), so every path
-// a LazyTree returns is hop-for-hop the path a full tree — and therefore
-// the dense matrix's stored parent chain — would yield.
+// one way KoE* recovers static paths, on either backend. Where
+// ShortestTreeWS exhausts the graph up front, a LazyTree asks the kernel
+// to settle only the requested target and pauses there, resuming from the
+// frozen frontier on the next request — so one stamp tail pays only for
+// the distance radius its expansion targets actually reach. Dijkstra's
+// settled prefix is invariant under pausing (the kernel's strict total
+// order makes the pop sequence unique), so every path a LazyTree returns is
+// hop-for-hop the path a full tree would yield.
 //
 // A LazyTree borrows its workspace's storage: any later run on the
 // workspace invalidates the tree, and resuming it then panics (the same
@@ -53,6 +53,20 @@ func (lt *LazyTree) AppendPathTo(dst []Hop, s StateID) ([]Hop, bool) {
 		return dst, false
 	}
 	return lt.tree.AppendPathTo(dst, s)
+}
+
+// AppendPathIfAllowed is AppendPathTo under the degrade-to-bound contract
+// of DistanceSource: the path and its static distance come back only when
+// no door on it is blocked or delayed under costs (Costs.AllowsStatic).
+// On ok == false dst may carry a partial suffix, which callers reusing a
+// buffer re-slice anyway.
+func (lt *LazyTree) AppendPathIfAllowed(dst []Hop, s StateID, costs Costs) ([]Hop, float64, bool) {
+	start := len(dst)
+	dst, ok := lt.AppendPathTo(dst, s)
+	if !ok || !costs.AllowsStatic(dst[start:]) {
+		return dst, 0, false
+	}
+	return dst, lt.tree.Dist(s), true
 }
 
 // Dist returns the static distance from src to s, resuming as needed;

@@ -7,10 +7,13 @@ import (
 	"ikrq/internal/model"
 )
 
-// TestMatrixPathEdgeCases covers the reconstruction corners: a degenerate
-// src==dst query, an unreachable target (disconnected space fragment), and
-// PathIfAllowed under blocked and delayed next-hops.
+// TestMatrixPathEdgeCases covers the static-path corners of the
+// DistanceSource seam on the matrix (the code is shared with the oracle): a
+// degenerate src==dst query, an unreachable target (disconnected space
+// fragment), and the degrade-to-bound rejection under blocked and delayed
+// next-hops.
 func TestMatrixPathEdgeCases(t *testing.T) {
+	ws := NewWorkspace()
 	t.Run("src==dst", func(t *testing.T) {
 		s, parts, doors := corridorSpace(t)
 		pf := NewPathFinder(s)
@@ -19,13 +22,9 @@ func TestMatrixPathEdgeCases(t *testing.T) {
 		if d := m.Dist(a, a); d != 0 {
 			t.Fatalf("Dist(a,a) = %v, want 0", d)
 		}
-		hops, ok := m.Path(a, a)
-		if !ok || len(hops) != 0 {
-			t.Fatalf("Path(a,a) = %+v ok=%v, want empty ok", hops, ok)
-		}
-		hops, dist, ok := m.PathIfAllowed(a, a, Costs{})
+		hops, dist, ok := m.AppendStaticPathIfAllowed(ws, nil, a, a, Costs{})
 		if !ok || len(hops) != 0 || dist != 0 {
-			t.Fatalf("PathIfAllowed(a,a) = %+v dist=%v ok=%v", hops, dist, ok)
+			t.Fatalf("static path a→a = %+v dist=%v ok=%v, want empty ok", hops, dist, ok)
 		}
 	})
 
@@ -39,11 +38,8 @@ func TestMatrixPathEdgeCases(t *testing.T) {
 		if d := m.Dist(a, b); !math.IsInf(d, 1) {
 			t.Fatalf("cross-fragment Dist = %v, want +Inf", d)
 		}
-		if hops, ok := m.Path(a, b); ok || hops != nil {
-			t.Fatalf("cross-fragment Path = %+v ok=%v, want nil false", hops, ok)
-		}
-		if _, _, ok := m.PathIfAllowed(a, b, Costs{}); ok {
-			t.Fatal("cross-fragment PathIfAllowed reported ok")
+		if hops, _, ok := m.AppendStaticPathIfAllowed(ws, nil, a, b, Costs{}); ok || hops != nil {
+			t.Fatalf("cross-fragment static path = %+v ok=%v, want nil false", hops, ok)
 		}
 	})
 
@@ -53,8 +49,8 @@ func TestMatrixPathEdgeCases(t *testing.T) {
 		m := NewMatrix(pf)
 		a := pf.StateOf(doors[0], parts[1]) // at d0 entered h1
 		b := pf.StateOf(doors[1], parts[2]) // at d1 entered h2: one hop via d1
-		if _, _, ok := m.PathIfAllowed(a, b, ForbidOnly(func(d model.DoorID) bool { return d == doors[1] })); ok {
-			t.Fatal("PathIfAllowed ignored a blocked on-path door")
+		if _, _, ok := m.AppendStaticPathIfAllowed(ws, nil, a, b, ForbidOnly(func(d model.DoorID) bool { return d == doors[1] })); ok {
+			t.Fatal("static path ignored a blocked on-path door")
 		}
 		delay := func(d model.DoorID) float64 {
 			if d == doors[1] {
@@ -62,10 +58,10 @@ func TestMatrixPathEdgeCases(t *testing.T) {
 			}
 			return 0
 		}
-		if _, _, ok := m.PathIfAllowed(a, b, Costs{Delay: delay}); ok {
-			t.Fatal("PathIfAllowed ignored a delayed on-path door (matrix path is no longer provably optimal)")
+		if _, _, ok := m.AppendStaticPathIfAllowed(ws, nil, a, b, Costs{Delay: delay}); ok {
+			t.Fatal("static path ignored a delayed on-path door (it is no longer provably optimal)")
 		}
-		// Blocking or delaying an off-path door leaves the stored path exact.
+		// Blocking or delaying an off-path door leaves the static path exact.
 		offPath := Costs{
 			Block: func(d model.DoorID) bool { return d == doors[2] },
 			Delay: func(d model.DoorID) float64 {
@@ -75,9 +71,9 @@ func TestMatrixPathEdgeCases(t *testing.T) {
 				return 0
 			},
 		}
-		hops, dist, ok := m.PathIfAllowed(a, b, offPath)
+		hops, dist, ok := m.AppendStaticPathIfAllowed(ws, nil, a, b, offPath)
 		if !ok || len(hops) != 1 || hops[0].Door != doors[1] || dist != m.Dist(a, b) {
-			t.Fatalf("off-path costs broke PathIfAllowed: %+v dist=%v ok=%v", hops, dist, ok)
+			t.Fatalf("off-path costs broke the static path: %+v dist=%v ok=%v", hops, dist, ok)
 		}
 	})
 }
@@ -93,16 +89,13 @@ func TestNewMatrixParallelDeterministic(t *testing.T) {
 			seq := newMatrixWorkers(pf, 1)
 			for _, workers := range []int{2, 4, 7} {
 				par := newMatrixWorkers(pf, workers)
-				if len(par.dist) != len(seq.dist) || len(par.prev) != len(seq.prev) {
+				if len(par.dist) != len(seq.dist) {
 					t.Fatalf("w=%d: table sizes diverged", workers)
 				}
 				for i := range seq.dist {
 					sd, pd := seq.dist[i], par.dist[i]
 					if sd != pd && !(math.IsInf(sd, 1) && math.IsInf(pd, 1)) {
 						t.Fatalf("w=%d: dist[%d] = %v, sequential %v", workers, i, pd, sd)
-					}
-					if seq.prev[i] != par.prev[i] {
-						t.Fatalf("w=%d: prev[%d] = %d, sequential %d", workers, i, par.prev[i], seq.prev[i])
 					}
 				}
 			}

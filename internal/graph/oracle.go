@@ -10,11 +10,12 @@ import (
 // DistanceSource is the KoE* distance backend seam: the static structure a
 // search engine consults for admissible lower bounds between states, for
 // static shortest paths (valid under an overlay exactly when no door on
-// them is blocked or delayed — PathIfAllowed's degrade-to-bound contract),
-// and for memory accounting. Two implementations exist: the dense all-pairs
-// Matrix (exact everywhere, Θ(states²) resident — the small-venue fast path
-// and the equality test oracle) and the hierarchical Oracle below
-// (near-linear resident, built for venues where the matrix cannot bake).
+// them is blocked or delayed — the degrade-to-bound contract of
+// Costs.AllowsStatic), and for memory accounting. Two implementations
+// exist: the dense all-pairs Matrix (exact everywhere, Θ(states²) resident
+// — the small-venue fast path and the equality test oracle) and the
+// hierarchical Oracle below (near-linear resident, built for venues where
+// the matrix cannot bake). Neither stores paths: both embed staticPaths.
 type DistanceSource interface {
 	// Dist returns an admissible lower bound of the static shortest
 	// distance from a to b; Exact-reporting sources return the exact value
@@ -22,10 +23,10 @@ type DistanceSource interface {
 	Dist(a, b StateID) float64
 	// AppendStaticPathIfAllowed appends the static shortest path from a to
 	// b onto dst iff no door on it is blocked or delayed under costs,
-	// returning the static distance. ws supplies kernel scratch for
-	// sources that recover paths on demand; the dense matrix ignores it.
-	// On ok == false the slice may carry a partial suffix past dst's
-	// original length (callers reusing a buffer re-slice it anyway).
+	// returning the static distance. ws supplies the kernel scratch the
+	// path is recovered in. On ok == false the slice may carry a partial
+	// suffix past dst's original length (callers reusing a buffer re-slice
+	// it anyway).
 	AppendStaticPathIfAllowed(ws *Workspace, dst []Hop, a, b StateID, costs Costs) ([]Hop, float64, bool)
 	// Bytes estimates resident table memory.
 	Bytes() int64
@@ -33,14 +34,23 @@ type DistanceSource interface {
 	Kind() string
 }
 
+// staticPaths is the static-path half of DistanceSource, shared by both
+// backends: the static optimum from a is a LazyTree on the caller's
+// workspace, settled only as far as b — the same paused kernel run the KoE*
+// searcher caches per stamp tail. The kernel's strict tie-break makes it
+// hop-for-hop the parent chain of a's full Dijkstra tree.
+type staticPaths struct{ pf *PathFinder }
+
+// AppendStaticPathIfAllowed implements DistanceSource.
+func (sp staticPaths) AppendStaticPathIfAllowed(ws *Workspace, dst []Hop, a, b StateID, costs Costs) ([]Hop, float64, bool) {
+	return sp.pf.LazyTreeWS(ws, a).AppendPathIfAllowed(dst, b, costs)
+}
+
+// Finder returns the PathFinder the backend was computed over.
+func (sp staticPaths) Finder() *PathFinder { return sp.pf }
+
 // Kind identifies the dense backend on the DistanceSource seam.
 func (m *Matrix) Kind() string { return "matrix" }
-
-// AppendStaticPathIfAllowed implements DistanceSource; the matrix has the
-// path precomputed, so the workspace is unused.
-func (m *Matrix) AppendStaticPathIfAllowed(_ *Workspace, dst []Hop, a, b StateID, costs Costs) ([]Hop, float64, bool) {
-	return m.AppendPathIfAllowed(dst, a, b, costs)
-}
 
 // Oracle is the hierarchical distance oracle: the near-linear replacement
 // for the dense Matrix on venues whose state count makes Θ(states²) tables
@@ -64,16 +74,14 @@ func (m *Matrix) AppendStaticPathIfAllowed(_ *Workspace, dst []Hop, a, b StateID
 // hub-split (landmark) lower bounds derived from the same per-floor labels —
 // routing *through* a hub is not admissible there, since the optimal
 // same-floor walk may avoid staircase doors entirely, but label differences
-// are (see DistExact and DESIGN.md §12). Path recovery is
-// always an on-demand kernel run (AppendStaticPathIfAllowed), which keeps
-// oracle routes hop-for-hop identical to dense-matrix routes: both read the
-// same deterministic shortest-path tree.
+// are (see DistExact and DESIGN.md §12). Static paths come from the
+// kernel through the embedded staticPaths, exactly as on the matrix.
 //
 // Memory is Θ(states·hubsPerFloor + |H|²): for a venue growing by adding
 // floors, hubsPerFloor is constant and |H| grows linearly, so the oracle
 // stays near-linear where the matrix grows quadratically.
 type Oracle struct {
-	pf     *PathFinder
+	staticPaths
 	floors int
 
 	floorOf  []int32 // per state: floor of the state's door
@@ -97,7 +105,7 @@ func NewOracle(pf *PathFinder) *Oracle {
 }
 
 func newOracleWorkers(pf *PathFinder, workers int) *Oracle {
-	o := &Oracle{pf: pf, floors: pf.s.Floors()}
+	o := &Oracle{staticPaths: staticPaths{pf}, floors: pf.s.Floors()}
 	n := pf.NumStates()
 
 	o.floorOf = make([]int32, n)
@@ -291,26 +299,6 @@ func (o *Oracle) DistExact(a, b StateID) (float64, bool) {
 	return best, true
 }
 
-// AppendStaticPathIfAllowed implements DistanceSource: the oracle stores no
-// paths, so it recovers the static optimum with a targeted kernel run on
-// the caller's workspace, then applies the same allowed-under-costs check
-// as Matrix.AppendPathIfAllowed. The kernel's deterministic tie-break makes
-// the recovered path identical to the dense matrix's stored parent chain.
-func (o *Oracle) AppendStaticPathIfAllowed(ws *Workspace, dst []Hop, a, b StateID, costs Costs) ([]Hop, float64, bool) {
-	var seeds [1]Seed
-	seeds[0] = Seed{State: a}
-	p, ok := o.pf.ShortestToStateWS(ws, seeds[:], b, Costs{})
-	if !ok {
-		return dst, 0, false
-	}
-	start := len(dst)
-	dst = append(dst, p.Hops...)
-	if !costs.AllowsStatic(dst[start:]) {
-		return dst, 0, false
-	}
-	return dst, p.Dist, true
-}
-
 // Bytes estimates the resident size of the oracle tables — the near-linear
 // counterpart of Matrix.Bytes in the scaling benchmarks.
 func (o *Oracle) Bytes() int64 {
@@ -324,6 +312,3 @@ func (o *Oracle) Kind() string { return "oracle" }
 // NumHubs returns the hub count (states of staircase doors), the |H| of the
 // oracle's size analysis.
 func (o *Oracle) NumHubs() int { return len(o.hubs) }
-
-// Finder returns the PathFinder the oracle was computed over.
-func (o *Oracle) Finder() *PathFinder { return o.pf }

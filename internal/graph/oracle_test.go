@@ -131,45 +131,6 @@ func TestOracleAdmissibility(t *testing.T) {
 	}
 }
 
-// TestOraclePathMatchesMatrix pins the byte-identity claim the search gate
-// depends on: the oracle's on-demand static path is hop-for-hop the dense
-// matrix's stored parent chain, and both apply the same degrade-to-bound
-// rejection under overlays.
-func TestOraclePathMatchesMatrix(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
-		s := randomMall(t, seed)
-		pf := NewPathFinder(s)
-		o := NewOracle(pf)
-		m := NewMatrix(pf)
-		rng := rand.New(rand.NewSource(seed * 104729))
-		overlays := sampleCosts(s, rng)
-		ws := NewWorkspace()
-		n := pf.NumStates()
-		for i := 0; i < 200; i++ {
-			a := StateID(rng.Intn(n))
-			b := StateID(rng.Intn(n))
-			for ci, costs := range overlays {
-				mh, md, mok := m.AppendPathIfAllowed(nil, a, b, costs)
-				oh, od, ook := o.AppendStaticPathIfAllowed(ws, nil, a, b, costs)
-				if mok != ook {
-					t.Fatalf("seed %d pair %v->%v overlay %d: matrix ok=%v oracle ok=%v",
-						seed, a, b, ci, mok, ook)
-				}
-				if !mok {
-					continue
-				}
-				if !reflect.DeepEqual(mh, oh) {
-					t.Fatalf("seed %d pair %v->%v overlay %d: paths differ\nmatrix: %+v\noracle: %+v",
-						seed, a, b, ci, mh, oh)
-				}
-				if math.Abs(md-od) > 1e-9*(1+md) {
-					t.Fatalf("seed %d pair %v->%v overlay %d: dist %v vs %v", seed, a, b, ci, md, od)
-				}
-			}
-		}
-	}
-}
-
 // TestNewOracleParallelDeterministic mirrors the matrix determinism gate:
 // the hub sweep's output must not depend on worker scheduling.
 func TestNewOracleParallelDeterministic(t *testing.T) {

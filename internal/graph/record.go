@@ -73,28 +73,19 @@ func (sk *Skeleton) Export() *SkeletonRecord {
 }
 
 // MatrixRecord is the serializable form of the KoE* all-pairs Matrix: the
-// row-major distance and parent-pointer tables (row a holds source a's
-// Dijkstra tree). It is by far the largest snapshot section — Θ(states²),
-// the same order the paper reports for KoE*'s memory in Fig. 14 — and also
-// the most expensive to recompute, so persisting it is what makes snapshot
-// loading beat a rebuild by a wide margin.
+// row-major distance table. It is by far the largest snapshot section —
+// Θ(states²), the same order the paper reports for KoE*'s memory in
+// Fig. 14 — and also the most expensive to recompute, so persisting it is
+// what makes snapshot loading beat a rebuild by a wide margin.
 type MatrixRecord struct {
 	N    int32
 	Dist []float64 // N² row-major, +Inf for unreachable
-	Prev []StateID // N² row-major, NoState for unreachable and the source
 }
 
-// Export captures the all-pairs tables as a record.
+// Export captures the distance table as a record.
 func (m *Matrix) Export() *MatrixRecord {
-	return &MatrixRecord{
-		N:    int32(m.n),
-		Dist: append([]float64(nil), m.dist...),
-		Prev: append([]StateID(nil), m.prev...),
-	}
+	return &MatrixRecord{N: int32(m.n), Dist: append([]float64(nil), m.dist...)}
 }
-
-// Finder returns the PathFinder the matrix was computed over.
-func (m *Matrix) Finder() *PathFinder { return m.pf }
 
 // OracleRecord is the serializable form of the hierarchical Oracle: the hub
 // enumeration plus the three exact distance tables. Unlike the matrix it is

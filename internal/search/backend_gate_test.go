@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"ikrq/internal/gen"
+	"ikrq/internal/keyword"
 	"ikrq/internal/model"
 	"ikrq/internal/search"
 )
@@ -142,17 +143,32 @@ func TestBackendGateReal(t *testing.T) {
 	backendGate(t, dense, oracle, reqs, conds, 50_000)
 }
 
-// TestOracleBackendConcurrentOverlays drives KoE* on one shared
-// oracle-backed engine from many goroutines, each under its own overlay,
-// and checks every answer against a sequential pass — the -race gate for
-// the per-searcher static-tree cache and the pooled static workspace.
+// TestOracleBackendConcurrentOverlays drives KoE* on one shared engine per
+// backend from many goroutines, each under its own overlay, and checks every
+// answer against a sequential pass — the -race gate for the per-searcher
+// static-tree cache and the pooled static workspace, which serve static
+// paths on both backends.
 func TestOracleBackendConcurrentOverlays(t *testing.T) {
 	mall, voc, idx, err := gen.SyntheticMall(2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := search.NewEngine(mall.Space, idx)
-	eng.PrecomputeOracle()
+	for _, backend := range []struct {
+		name       string
+		precompute func(*search.Engine)
+	}{
+		{"matrix", func(e *search.Engine) { e.PrecomputeMatrix() }},
+		{"oracle", func(e *search.Engine) { e.PrecomputeOracle() }},
+	} {
+		t.Run(backend.name, func(t *testing.T) {
+			eng := search.NewEngine(mall.Space, idx)
+			backend.precompute(eng)
+			concurrentOverlays(t, mall, voc, idx, eng)
+		})
+	}
+}
+
+func concurrentOverlays(t *testing.T, mall *gen.Mall, voc *gen.Vocabulary, idx *keyword.Index, eng *search.Engine) {
 	qg := gen.NewQueryGen(mall, idx, voc, eng.PathFinder(), 37)
 	cfg := gen.DefaultQueryConfig(37)
 	cfg.Instances = 2

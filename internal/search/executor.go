@@ -86,10 +86,10 @@ type execScratch struct {
 	// hold no references; release() leaves it alone.
 	ws *graph.Workspace
 
-	// staticWS backs the searcher's KoE*-oracle static-tree cache (see the
-	// searcher field docs); nil until a query on an oracle-backed engine
-	// first needs it. Like ws, its arrays hold no per-query references, so
-	// release() leaves it alone.
+	// staticWS backs the searcher's KoE* static-tree cache (see the
+	// searcher field docs); nil until a KoE* query first needs it. Like ws,
+	// its arrays hold no per-query references, so release() leaves it
+	// alone.
 	staticWS *graph.Workspace
 
 	// Per-expansion buffers mirrored into the searcher (see the field docs

@@ -27,12 +27,11 @@ func (sr *searcher) findKoE(si *stamp) []*stamp {
 	seeds := sr.ov.seeds(sr.e.pf, sr.koeSeeds(si))
 	costs := sr.costsFor(si)
 	// One shortest-path tree from the stamp serves every candidate
-	// partition and door (plain KoE); KoE* reads the matrix instead and
-	// only falls back to the tree on regularity collisions or when the
-	// overlay invalidates the precomputed path. The tree lives in the
-	// searcher's kernel workspace and dies with this expansion (the next
-	// Dijkstra — a KoE* recompute or a shortest-route completion —
-	// overwrites it).
+	// partition and door (plain KoE); KoE* splices static paths instead and
+	// recomputes only on regularity collisions or when the overlay
+	// invalidates the static path. The tree lives in the searcher's kernel
+	// workspace and dies with this expansion (the next Dijkstra — a KoE*
+	// recompute or a shortest-route completion — overwrites it).
 	var tree *graph.Tree
 	if !sr.opt.Precompute {
 		tree = sr.e.pf.ShortestTreeWS(sr.ws, seeds, costs)
@@ -173,11 +172,11 @@ func (sr *searcher) koeSeeds(si *stamp) []graph.Seed {
 }
 
 // koePath finds the shortest regular hop sequence from the stamp to the
-// target state. KoE* consults the precomputed distance backend first and
+// target state. KoE* splices the static shortest path first and
 // recomputes only when the static path collides with the route's doors
 // (Section V-A3) or when the conditions overlay invalidates it — a closed
-// or penalized door on the path voids the backend's exactness, so the tail
-// is recomputed on the fly under the full cost model; plain KoE reads the
+// or penalized door on the path voids its optimality, so the tail is
+// recomputed on the fly under the full cost model; plain KoE reads the
 // stamp's shortest-path tree.
 // All branches build the hop sequence into per-query pooled storage (the
 // searcher's hop buffer or the kernel workspace); the caller consumes it
@@ -211,28 +210,14 @@ func (sr *searcher) koePath(si *stamp, seeds []graph.Seed, tree *graph.Tree, tar
 }
 
 // staticPathIfAllowed resolves the static shortest path from the stamp
-// tail through the engine's KoE* backend, applying PathIfAllowed's
-// degrade-to-bound contract (ok is false when any door on the path is
-// blocked or delayed, and the caller recomputes under the full cost
-// model). The first KoE* query on an engine with no backend yet builds the
-// size-appropriate one here. Both backends yield hop-for-hop identical
-// paths: the matrix replays a stored parent chain, the oracle reconstructs
-// the same chain from a cached static tree of the deterministic kernel.
+// tail, ok only when no door on it is blocked or delayed under costs
+// (otherwise the caller recomputes under the full cost model). Neither KoE*
+// backend stores paths: one lazy static tree per stamp tail serves every
+// expansion target, settled only as far as the farthest target actually
+// requested, and the cache dies with the searcher's query. The tree lives
+// in its own workspace so tail recomputes in sr.ws cannot clobber it
+// mid-expansion.
 func (sr *searcher) staticPathIfAllowed(from, target graph.StateID, costs graph.Costs) ([]graph.Hop, bool) {
-	m := sr.e.MatrixIfReady()
-	if m == nil && sr.e.OracleIfReady() == nil {
-		m, _ = sr.e.distanceSource().(*graph.Matrix)
-	}
-	if m != nil {
-		hops, _, ok := m.AppendPathIfAllowed(sr.hopBuf[:0], from, target, costs)
-		sr.hopBuf = hops[:0] // adopt growth even on the partial-suffix failure path
-		return hops, ok
-	}
-	// Oracle backend: one lazy static tree per stamp tail serves every
-	// expansion target, settled only as far as the farthest target actually
-	// requested (the cache dies with the searcher's query). The tree lives
-	// in its own workspace so tail recomputes in sr.ws cannot clobber it
-	// mid-expansion.
 	if sr.staticWS == nil {
 		sr.staticWS = graph.NewWorkspace()
 	}
@@ -240,9 +225,9 @@ func (sr *searcher) staticPathIfAllowed(from, target graph.StateID, costs graph.
 		sr.staticTree = sr.e.pf.LazyTreeWS(sr.staticWS, from)
 		sr.staticSrc = from
 	}
-	hops, ok := sr.staticTree.AppendPathTo(sr.hopBuf[:0], target)
+	hops, _, ok := sr.staticTree.AppendPathIfAllowed(sr.hopBuf[:0], target, costs)
 	sr.hopBuf = hops[:0]
-	return hops, ok && costs.AllowsStatic(hops)
+	return hops, ok
 }
 
 // tailPos returns the geometric position of the stamp's tail item (the

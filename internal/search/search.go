@@ -206,8 +206,8 @@ type Stats struct {
 	PrunedClosed     int // expansions blocked by overlay closures (per screening, not per door)
 	PrunedBackend    int // KoE* targets dropped by the backend bound before path recovery
 
-	// Recomputations counts KoE* matrix paths rejected by the regularity
-	// check and recomputed on the fly.
+	// Recomputations counts KoE* static paths rejected by the regularity
+	// check (or invalidated by the overlay) and recomputed on the fly.
 	Recomputations int
 	// IrregularPaths counts spliced shortest paths discarded because they
 	// would repeat a door of the partial route non-consecutively.
@@ -328,7 +328,7 @@ type Engine struct {
 
 // DenseStateLimit is the state-count threshold of the automatic KoE*
 // backend choice: venues up to this size get the dense all-pairs Matrix
-// (exact everywhere, fastest path recovery, Θ(states²) resident — both
+// (exact everywhere, so the tightest KoE* bounds; Θ(states²) resident — both
 // reference malls fit comfortably), larger venues get the hierarchical
 // Oracle whose tables stay near-linear. Explicit PrecomputeMatrix and
 // PrecomputeOracle calls override the choice in either direction.

@@ -55,14 +55,13 @@ type searcher struct {
 	// tables and flat heap.
 	ws *graph.Workspace
 
-	// staticWS holds the KoE*-oracle static-path cache: when the engine's
-	// distance backend is the hierarchical oracle (which stores no paths),
-	// the stamp tail's static shortest-path tree grows lazily in this
-	// dedicated workspace — settled only as far as the expansion targets
-	// actually reach — and serves every target of that tail;
-	// staticTree/staticSrc tag the cached tree. The workspace is separate
-	// from ws because KoE* tail recomputes run there and would invalidate
-	// the tree. Allocated lazily — dense-matrix engines never pay for it.
+	// staticWS holds the KoE* static-path cache: the stamp tail's static
+	// shortest-path tree grows lazily in this dedicated workspace —
+	// settled only as far as the expansion targets actually reach — and
+	// serves every target of that tail; staticTree/staticSrc tag the
+	// cached tree. The workspace is separate from ws because KoE* tail
+	// recomputes run there and would invalidate the tree. Allocated on the
+	// first KoE* static path; other variants never pay for it.
 	staticWS   *graph.Workspace
 	staticTree *graph.LazyTree
 	staticSrc  graph.StateID

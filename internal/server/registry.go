@@ -103,7 +103,7 @@ func NewRegistry(maxResident int) *Registry {
 }
 
 func loadSnapshotFile(cfg VenueConfig) (*search.Engine, error) {
-	// OpenEngine serves v3 snapshots as views over an mmap where the
+	// OpenEngine serves snapshots as views over an mmap where the
 	// platform supports it — cold start touches only the pages it reads and
 	// co-resident loads of the same bake share the page cache. The registry
 	// owns the mapping lifetime: engines are Closed on eviction and swap.

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ikrq/internal/search"
 )
 
 // doJSON issues one request with a JSON body and returns status and body.
@@ -92,6 +94,56 @@ func TestV1V2RouteOracle(t *testing.T) {
 		}
 		if n1, n2 := canon(r1), canon(r2); !bytes.Equal(n1, n2) {
 			t.Errorf("case %d: v1 and v2 responses differ\n v1: %s\n v2: %s", i, n1, n2)
+		}
+	}
+}
+
+// TestTruncatedOnTheWire: a query that runs into Config.MaxExpansions still
+// answers 200 with what the search found, and says so with "truncated":
+// true in its stats, on v1 and v2 alike.
+func TestTruncatedOnTheWire(t *testing.T) {
+	const capExp = 3
+	_, ts, oracle := newBakedServer(t, Config{MaxExpansions: capExp})
+	wq := wireCases[1]
+	wq.Variant = `ToE\B`
+	// The same query in process under the same cap must truncate, or the
+	// wire checks below would prove nothing.
+	req, err := wq.BuildRequest(oracle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := search.OptionsFor(search.Variant(wq.Variant))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.MaxExpansions = capExp
+	if res, err := oracle.Search(req, opt); err != nil || !res.Stats.Truncated {
+		t.Fatalf("in-process search under the cap: truncated=%v err=%v, want a truncated result", res != nil && res.Stats.Truncated, err)
+	}
+
+	v1Body, err := json.Marshal(&wq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2Body, err := json.Marshal(&RouteRequestV2{Type: queryTypeRoute, QueryRequest: wq})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		api  string
+		post func(*testing.T, *httptest.Server, string, []byte) (int, []byte)
+		body []byte
+	}{{"v1", postQueryHTTP, v1Body}, {"v2", postV2, v2Body}} {
+		code, raw := tc.post(t, ts, "mall", tc.body)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.api, code, raw)
+		}
+		var resp QueryResponse
+		if err := json.Unmarshal(raw, &resp); err != nil {
+			t.Fatalf("%s: decoding response: %v", tc.api, err)
+		}
+		if !resp.Stats.Truncated || !bytes.Contains(raw, []byte(`"truncated":true`)) {
+			t.Errorf("%s: response does not report truncation: %s", tc.api, raw)
 		}
 	}
 }

@@ -282,7 +282,7 @@ type VenueStatus struct {
 	// (search.MemStats.TotalBytes and the KoE* backend kind); both are zero
 	// values while the venue is unloaded or evicted. HeapBytes and
 	// MappedBytes split the total by residency: heap-decoded tables vs
-	// views over an mmap'd v3 snapshot (page-cache shared).
+	// views over an mmap'd snapshot (page-cache shared).
 	Backend       string `json:"backend,omitempty"`
 	ResidentBytes int64  `json:"resident_bytes,omitempty"`
 	HeapBytes     int64  `json:"heap_bytes,omitempty"`

@@ -8,11 +8,13 @@ import (
 
 // The section payload codec: fixed-width little-endian primitives plus
 // length-prefixed strings. The writer appends to a growing buffer and
-// builds every payload; the reader decodes the parts read element by
-// element (the SPAC section and the KWRD string blob), walking a byte slice
-// with bounds checking on every access and recording the first failure
-// instead of panicking, which is what lets the snapshot reader guarantee
-// "corrupt input returns an error" (enforced by FuzzSnapshotDecode).
+// builds every payload. The reader is the one cursor every section parse
+// walks: it hands out fixed-width values (the SPAC section and the KWRD
+// string blob are decoded element by element) and typed windows over the
+// flat sections' bulk arrays, checks the bounds of every access, and
+// records the first failure instead of panicking, which is what lets the
+// snapshot reader guarantee "corrupt input returns an error" (enforced by
+// FuzzSnapshotDecode).
 
 type writer struct {
 	buf []byte
@@ -43,19 +45,24 @@ func (r *reader) fail(format string, args ...any) {
 	}
 }
 
-// take returns the next n bytes, or nil after recording a truncation error.
-func (r *reader) take(n int) []byte {
+// arr returns the window of the next n elements of size bytes each, or nil
+// after recording a truncation error. The bound is checked by division, so
+// a hostile n cannot overflow it.
+func (r *reader) arr(n, size int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if n < 0 || r.off+n > len(r.b) {
-		r.fail("need %d bytes at offset %d, have %d", n, r.off, len(r.b)-r.off)
+	if n < 0 || size <= 0 || n > (len(r.b)-r.off)/size {
+		r.fail("need %d×%dB at offset %d, have %d", n, size, r.off, len(r.b)-r.off)
 		return nil
 	}
-	s := r.b[r.off : r.off+n]
-	r.off += n
-	return s
+	w := r.b[r.off : r.off+n*size]
+	r.off += n * size
+	return w
 }
+
+// take returns the next n bytes.
+func (r *reader) take(n int) []byte { return r.arr(n, 1) }
 
 func (r *reader) u8() uint8 {
 	s := r.take(1)
@@ -73,38 +80,66 @@ func (r *reader) u32() uint32 {
 	return binary.LittleEndian.Uint32(s)
 }
 
-func (r *reader) i32() int32 { return int32(r.u32()) }
-
-func (r *reader) f64() float64 {
+func (r *reader) u64() uint64 {
 	s := r.take(8)
 	if s == nil {
 		return 0
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(s))
+	return binary.LittleEndian.Uint64(s)
 }
 
-// count reads a u32 element count and validates it against the bytes
-// actually remaining (minSize bytes per element), so corrupt counts are
-// rejected before any allocation is sized from them.
-func (r *reader) count(minSize int) int {
-	n := int(r.u32())
+func (r *reader) i32() int32 { return int32(r.u32()) }
+
+func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
+
+// count32 reads a u32 element count and count64 a u64 one; both validate
+// it against the bytes actually remaining (minSize bytes per element), so
+// corrupt counts are rejected before any allocation or window is sized
+// from them.
+func (r *reader) count32(minSize int) int { return r.fits(uint64(r.u32()), minSize) }
+func (r *reader) count64(minSize int) int { return r.fits(r.u64(), minSize) }
+
+func (r *reader) fits(n uint64, minSize int) int {
 	if r.err != nil {
 		return 0
 	}
-	if n < 0 || n*minSize > len(r.b)-r.off {
+	if n > uint64(len(r.b)-r.off)/uint64(minSize) {
 		r.fail("element count %d exceeds remaining %d bytes", n, len(r.b)-r.off)
 		return 0
 	}
-	return n
+	return int(n)
 }
 
 func (r *reader) str() string {
-	n := r.count(1)
-	s := r.take(n)
+	s := r.take(r.count32(1))
 	if s == nil {
 		return ""
 	}
 	return string(s)
+}
+
+// pad8 consumes zero padding up to the next 8-byte boundary.
+func (r *reader) pad8() {
+	if r.err != nil {
+		return
+	}
+	for r.off%8 != 0 {
+		if r.off >= len(r.b) || r.b[r.off] != 0 {
+			r.fail("bad alignment padding at offset %d", r.off)
+			return
+		}
+		r.off++
+	}
+}
+
+// rest returns everything left.
+func (r *reader) rest() []byte {
+	if r.err != nil {
+		return nil
+	}
+	w := r.b[r.off:]
+	r.off = len(r.b)
+	return w
 }
 
 // done reports the first recorded error, or complains about trailing bytes:

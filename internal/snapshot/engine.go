@@ -7,14 +7,14 @@ import (
 	"ikrq/internal/snapshot/mapping"
 )
 
-// SaveEngine writes e's immutable index layer to w in the current (v3,
-// flat) container format, which OpenEngine can later serve zero-copy over
-// an mmap. The KoE* backend sections (dense matrix and/or hierarchical
+// SaveEngine writes e's immutable index layer to w in the current (flat)
+// container format, which OpenEngine can later serve zero-copy over an
+// mmap. The KoE* backend sections (dense matrix and/or hierarchical
 // oracle) are included exactly when the engine has built them — call
 // Engine.Precompute first to bake a snapshot that spares every future load
 // the precomputation.
 func SaveEngine(w io.Writer, e *search.Engine) error {
-	return EncodeV3(w, exportEngine(e))
+	return Encode(w, exportEngine(e))
 }
 
 func exportEngine(e *search.Engine) *Snapshot {

@@ -14,12 +14,13 @@ import (
 	"ikrq/internal/snapshot/mapping"
 )
 
-// This file is the v3 flat container: a section directory up front and
-// payloads whose bulk arrays are stored little-endian in their in-memory
-// layout, 8-byte-aligned, so a loader can serve the big distance tables as
-// views straight over an mmap'd file (see internal/snapshot/mapping and
-// DESIGN.md §13) instead of decoding them element by element. One reader,
-// engineFromFlat, serves every load in one of two trust modes:
+// This file is the flat container (format v3 on): a section directory up
+// front and payloads whose bulk arrays are stored little-endian in their
+// in-memory layout, 8-byte-aligned, so a loader can serve the big distance
+// tables as views straight over an mmap'd file (see
+// internal/snapshot/mapping and DESIGN.md §13) instead of decoding them
+// element by element. One reader, engineFromFlat, serves every load in one
+// of two trust modes:
 //
 //   - trusted (OpenEngine over a real OS mapping on a little-endian host):
 //     bulk tables are aliased in place and handed to the FromFlat
@@ -31,21 +32,21 @@ import (
 //     section CRC is verified, the FromFlat value scans run, and the space
 //     is rebuilt from SPAC through the model builder, ignoring SPCD.
 //
-// v3 layout (all integers little-endian):
+// Layout (all integers little-endian):
 //
 //	offset  size  field
 //	0       8     magic "IKRQSNAP"
-//	8       2     format version (≥ 3)
-//	10      2     minimum reader version (3 for this layout)
+//	8       2     format version (≥ 4)
+//	10      2     minimum reader version (4 for this layout)
 //	12      2     section count n
 //	14      2     reserved, zero
 //	16      n×24  directory: tag(4) + CRC-32/IEEE(4) + offset(8) + length(8)
 //	then          payloads in directory order; each payload starts at the
 //	              next multiple of 8 (gap bytes zero), the file ends exactly
 //	              at the last payload's end
-const v3MinReader uint16 = 3
+const flatMinReader uint16 = 4
 
-// hostLittleEndian gates the zero-copy path: v3 arrays are stored
+// hostLittleEndian gates the zero-copy path: flat arrays are stored
 // little-endian, so only LE hosts may alias them. On BE hosts alias decodes
 // each array into a fresh slice and the reader runs untrusted. A variable,
 // not a constant, so tests can drive the copy mode on any host.
@@ -54,8 +55,8 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// EncodeV3 writes snap to w in the v3 flat container format.
-func EncodeV3(w io.Writer, snap *Snapshot) error {
+// Encode writes snap to w in the flat container format.
+func Encode(w io.Writer, snap *Snapshot) error {
 	if snap == nil || snap.Space == nil || snap.Keywords == nil ||
 		snap.PathFinder == nil || snap.Skeleton == nil {
 		return fmt.Errorf("snapshot: encode requires space, keyword, pathfinder and skeleton records")
@@ -91,7 +92,7 @@ func EncodeV3(w io.Writer, snap *Snapshot) error {
 	var hdr writer
 	hdr.buf = append(hdr.buf, Magic...)
 	hdr.buf = append(hdr.buf, byte(Version), byte(Version>>8))
-	hdr.buf = append(hdr.buf, byte(v3MinReader), byte(v3MinReader>>8))
+	hdr.buf = append(hdr.buf, byte(flatMinReader), byte(flatMinReader>>8))
 	hdr.buf = append(hdr.buf, byte(len(sections)), byte(len(sections)>>8))
 	hdr.buf = append(hdr.buf, 0, 0) // reserved
 	off := uint64(len(hdr.buf) + 24*len(sections))
@@ -258,9 +259,6 @@ func encodeMatrixFlat(rec *graph.MatrixRecord) []byte {
 	var w writer
 	w.u64(uint64(rec.N))
 	w.f64s(rec.Dist)
-	for _, v := range rec.Prev {
-		w.i32(int32(v))
-	}
 	return w.buf
 }
 
@@ -290,7 +288,7 @@ type flatSection struct {
 	b   []byte
 }
 
-// flatImage is a structurally validated v3 container: directory parsed,
+// flatImage is a structurally validated flat container: directory parsed,
 // offsets/alignment/gaps checked, known sections indexed by tag. Payload
 // CRCs and contents are NOT yet verified.
 type flatImage struct {
@@ -306,12 +304,12 @@ func knownTag(tag string) bool {
 	return false
 }
 
-// parseFlat validates the v3 header, directory and payload geometry. It
+// parseFlat validates the header, directory and payload geometry. It
 // touches only the header, the directory and the (≤7-byte) alignment gaps —
 // never the payload bodies.
 func parseFlat(b []byte) (*flatImage, error) {
 	if len(b) < 16 {
-		return nil, fmt.Errorf("%w: %d-byte stream is shorter than the v3 header", ErrCorrupt, len(b))
+		return nil, fmt.Errorf("%w: %d-byte stream is shorter than the header", ErrCorrupt, len(b))
 	}
 	if string(b[:len(Magic)]) != Magic {
 		return nil, ErrBadMagic
@@ -328,9 +326,10 @@ func parseFlat(b []byte) (*flatImage, error) {
 		return nil, fmt.Errorf("%w: snapshot has version %d and requires a reader of version ≥ %d; this build reads versions %d–%d",
 			ErrVersion, ver, minReader, MinDecodable, Version)
 	}
-	if minReader < v3MinReader {
-		// Min-reader ≤ 2 declared the retired sequential layout.
-		return nil, fmt.Errorf("%w: snapshot has version %d with min-reader %d (the sequential layout); re-bake it with this build",
+	if minReader < flatMinReader {
+		// Min-reader ≤ 2 declared the retired sequential layout, 3 the flat
+		// layout with a MATX parent table.
+		return nil, fmt.Errorf("%w: snapshot has version %d with min-reader %d (a retired layout); re-bake it with this build",
 			ErrVersion, ver, minReader)
 	}
 	skipUnknown := ver > Version
@@ -397,97 +396,6 @@ func (s *flatSection) checkCRC() error {
 	return nil
 }
 
-// fwalk walks a flat payload handing out typed sub-windows with bounds and
-// overflow checking; like the codec reader it records the first failure
-// instead of panicking.
-type fwalk struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (f *fwalk) fail(format string, args ...any) {
-	if f.err == nil {
-		f.err = fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
-	}
-}
-
-func (f *fwalk) u64() uint64 {
-	if f.err != nil {
-		return 0
-	}
-	if f.off+8 > len(f.b) {
-		f.fail("need 8 bytes at offset %d, have %d", f.off, len(f.b)-f.off)
-		return 0
-	}
-	b := f.b[f.off:]
-	f.off += 8
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-// count reads a u64 element count, guarding it against the bytes remaining
-// (minSize per element) so hostile counts cannot size anything.
-func (f *fwalk) count(minSize int) int {
-	v := f.u64()
-	if f.err != nil {
-		return 0
-	}
-	if v > uint64(len(f.b)-f.off)/uint64(minSize) {
-		f.fail("element count %d exceeds remaining %d bytes", v, len(f.b)-f.off)
-		return 0
-	}
-	return int(v)
-}
-
-// arr returns the window of n elements of size bytes each.
-func (f *fwalk) arr(n, size int) []byte {
-	if f.err != nil {
-		return nil
-	}
-	if n < 0 || size <= 0 || n > (len(f.b)-f.off)/size {
-		f.fail("array of %d×%dB at offset %d exceeds remaining %d bytes", n, size, f.off, len(f.b)-f.off)
-		return nil
-	}
-	w := f.b[f.off : f.off+n*size]
-	f.off += n * size
-	return w
-}
-
-// pad8 consumes zero padding up to the next 8-byte boundary.
-func (f *fwalk) pad8() {
-	if f.err != nil {
-		return
-	}
-	for f.off%8 != 0 {
-		if f.off >= len(f.b) || f.b[f.off] != 0 {
-			f.fail("bad alignment padding at offset %d", f.off)
-			return
-		}
-		f.off++
-	}
-}
-
-// rest returns everything left.
-func (f *fwalk) rest() []byte {
-	if f.err != nil {
-		return nil
-	}
-	w := f.b[f.off:]
-	f.off = len(f.b)
-	return w
-}
-
-func (f *fwalk) done() error {
-	if f.err != nil {
-		return f.err
-	}
-	if f.off != len(f.b) {
-		return fmt.Errorf("%w: %d trailing bytes in section", ErrCorrupt, len(f.b)-f.off)
-	}
-	return nil
-}
-
 // --- per-section flat views ---
 
 type spcdFlat struct {
@@ -499,9 +407,9 @@ type spcdFlat struct {
 }
 
 func parseSpcdFlat(b []byte) (*spcdFlat, error) {
-	f := &fwalk{b: b}
+	f := &reader{b: b}
 	v := &spcdFlat{}
-	v.nP = f.count(8) // each partition costs ≥ two 4-byte CSR offsets
+	v.nP = f.count64(8) // each partition costs ≥ two 4-byte CSR offsets
 	v.nD = int(f.u64())
 	v.nE = int(f.u64())
 	v.nL = int(f.u64())
@@ -533,9 +441,9 @@ type kwrdFlat struct {
 }
 
 func parseKwrdFlat(b []byte) (*kwrdFlat, error) {
-	f := &fwalk{b: b}
+	f := &reader{b: b}
 	v := &kwrdFlat{}
-	v.nI = f.count(4) // each i-word costs ≥ a 4-byte row offset
+	v.nI = f.count64(4) // each i-word costs ≥ a 4-byte row offset
 	v.nT = int(f.u64())
 	v.nP = int(f.u64())
 	v.nE = int(f.u64())
@@ -561,9 +469,9 @@ type pathFlat struct {
 }
 
 func parsePathFlat(b []byte) (*pathFlat, error) {
-	f := &fwalk{b: b}
+	f := &reader{b: b}
 	v := &pathFlat{}
-	v.nS = f.count(8) // a state is an 8-byte (door, part) pair
+	v.nS = f.count64(8) // a state is an 8-byte (door, part) pair
 	v.nA = int(f.u64())
 	if f.err == nil && v.nA < 0 {
 		f.fail("negative arc count")
@@ -586,9 +494,9 @@ type skelFlat struct {
 }
 
 func parseSkelFlat(b []byte) (*skelFlat, error) {
-	f := &fwalk{b: b}
+	f := &reader{b: b}
 	v := &skelFlat{}
-	v.n = f.count(4)
+	v.n = f.count64(4)
 	if f.err == nil && v.n > 1<<20 {
 		f.fail("skeleton door count %d is implausible", v.n)
 	}
@@ -602,22 +510,18 @@ func parseSkelFlat(b []byte) (*skelFlat, error) {
 }
 
 type matxFlat struct {
-	n          int
-	dist, prev []byte
+	n    int
+	dist []byte
 }
 
 func parseMatxFlat(b []byte) (*matxFlat, error) {
-	f := &fwalk{b: b}
+	f := &reader{b: b}
 	v := &matxFlat{}
 	v.n = int(f.u64())
-	if f.err == nil && (v.n < 0 || v.n > 1<<20 || (v.n > 0 && v.n*v.n > (len(b)-8)/12)) {
+	if f.err == nil && (v.n < 0 || v.n > 1<<20 || (v.n > 0 && v.n*v.n > (len(b)-8)/8)) {
 		f.fail("matrix dimension %d does not fit the payload", v.n)
 	}
 	v.dist = f.arr(v.n*v.n, 8)
-	// The prev table ends the section unpadded: the payload is 8+12n² bytes,
-	// which is not 8-aligned for odd n, and the container pads between
-	// sections, not inside them.
-	v.prev = f.arr(v.n*v.n, 4)
 	if err := f.done(); err != nil {
 		return nil, err
 	}
@@ -630,9 +534,9 @@ type orclFlat struct {
 }
 
 func parseOrclFlat(b []byte) (*orclFlat, error) {
-	f := &fwalk{b: b}
+	f := &reader{b: b}
 	v := &orclFlat{}
-	v.nH = f.count(4)
+	v.nH = f.count64(4)
 	v.nOff = int(f.u64())
 	v.nT = int(f.u64())
 	if f.err == nil && (v.nOff < 0 || v.nT < 0 || v.nH > 1<<20) {
@@ -664,7 +568,7 @@ func decodeStrings(r *reader, n int) []string {
 
 // alias returns a window of the image as a []T. On little-endian hosts it
 // reinterprets the bytes in place without copying: the caller guarantees
-// the window was produced by fwalk.arr(n, sizeof(T)), and the alignment
+// the window was produced by reader.arr(n, sizeof(T)), and the alignment
 // recheck guards the construction (mapping bases are 8-aligned and flat
 // arrays sit at 8-aligned offsets, so it only fires on misuse). On
 // big-endian hosts it decodes the little-endian elements into a fresh
@@ -786,7 +690,7 @@ func engineFromFlat(b []byte, trusted bool) (*search.Engine, int64, error) {
 			return nil, 0, fmt.Errorf("%w: restoring space: %w", ErrCorrupt, err)
 		}
 	} else {
-		// Untrusted loads (and v3 streams from writers that omit SPCD)
+		// Untrusted loads (and streams from writers that omit SPCD)
 		// replay the full space record through the validating builder.
 		srec, err := decodeSpaceMode(spac.b, false)
 		if err != nil {
@@ -890,15 +794,11 @@ func engineFromFlat(b []byte, trusted bool) (*search.Engine, int64, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		mprev, err := alias[graph.StateID](mv.prev, mv.n*mv.n)
-		if err != nil {
-			return nil, 0, err
-		}
-		mat, err = graph.MatrixFromFlat(pf, mv.n, mdist, mprev, trusted)
+		mat, err = graph.MatrixFromFlat(pf, mv.n, mdist, trusted)
 		if err != nil {
 			return nil, 0, fmt.Errorf("%w: restoring KoE* matrix: %w", ErrCorrupt, err)
 		}
-		aliased += int64(len(mv.dist) + len(mv.prev))
+		aliased += int64(len(mv.dist))
 	}
 
 	var orc *graph.Oracle

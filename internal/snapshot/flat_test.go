@@ -413,14 +413,14 @@ func prevEnd(b []byte, i int) int {
 	return int(off + length)
 }
 
-// TestV3FutureVersionFlat: a future version that keeps min-reader 3 stays
-// readable in both trust modes.
+// TestV3FutureVersionFlat: a future version that keeps the current
+// min-reader stays readable in both trust modes.
 func TestV3FutureVersionFlat(t *testing.T) {
 	e := tinyEngine(t)
 	e.PrecomputeMatrix()
 	data := snapshotBytes(t, e)
 	future := append([]byte(nil), data...)
-	future[8], future[9] = 9, 0 // version 9, min-reader stays 3
+	future[8], future[9] = 9, 0 // version 9, min-reader stays 4
 
 	loaded, err := snapshot.LoadEngine(bytes.NewReader(future))
 	if err != nil {

@@ -5,8 +5,8 @@
 // hierarchical oracle — so an engine can be built once, baked to a file,
 // and assembled on the next start without recomputation.
 //
-// There is one layout, the v3 flat container (see flat.go and DESIGN.md
-// §6, §13): a section directory up front and 8-byte-aligned little-endian
+// There is one layout, the flat container (see flat.go and DESIGN.md §6,
+// §13): a section directory up front and 8-byte-aligned little-endian
 // payloads that a loader can serve as views over an mmap'd file. The
 // SPAC, SPCD, KWRD, PATH and SKEL sections are written on every bake; MATX
 // and ORCL are present exactly when the engine had built that backend at
@@ -14,9 +14,12 @@
 //
 //	v1, v2: a sequential section stream. No longer read: both fail with
 //	    ErrVersion, and the file must be re-baked with this build.
-//	v3: the flat layout, declared via min-reader 3. A future version whose
-//	    streams remain readable by v3 readers keeps min-reader 3, under
-//	    which unknown sections are skipped instead of rejected.
+//	v3: the flat layout with a parent table in MATX, declared via
+//	    min-reader 3. No longer read (ErrVersion, re-bake).
+//	v4: MATX holds distances only, declared via min-reader 4. A future
+//	    version whose streams remain readable by v4 readers keeps
+//	    min-reader 4, under which unknown sections are skipped instead of
+//	    rejected.
 //
 // Decoding is otherwise strict: bad magic, an unreadable version, an
 // unknown tag, a checksum mismatch, truncation, or any malformed payload
@@ -39,10 +42,10 @@ const Magic = "IKRQSNAP"
 // Version and reads every version from MinDecodable up; newer streams are
 // readable exactly when they declare a min-reader version this build
 // satisfies (migration notes live in DESIGN.md §6).
-const Version uint16 = 3
+const Version uint16 = 4
 
 // MinDecodable is the oldest stream version this build still reads.
-const MinDecodable uint16 = 3
+const MinDecodable uint16 = 4
 
 // Section tags.
 const (
@@ -73,7 +76,7 @@ var (
 )
 
 // Snapshot holds the records of one engine's index layer, the input of
-// EncodeV3. Matrix and Oracle are nil when the snapshot carries no baked
+// Encode. Matrix and Oracle are nil when the snapshot carries no baked
 // KoE* backend of that kind.
 type Snapshot struct {
 	Space      *model.SpaceRecord
@@ -85,7 +88,7 @@ type Snapshot struct {
 
 	// Derived optionally carries the space's derived structures for the
 	// SPCD section, sparing the trusted loader the builder replay. When nil,
-	// EncodeV3 recomputes it from Space (deterministic, so the baked bytes
+	// Encode recomputes it from Space (deterministic, so the baked bytes
 	// are identical either way). The untrusted reader ignores SPCD: there
 	// the space is always rebuilt and revalidated from Space.
 	Derived *model.DerivedRecord
@@ -150,7 +153,7 @@ func decodeSpaceMode(b []byte, lite bool) (*model.SpaceRecord, error) {
 	// bounds(32) + floor(4) = 41 bytes, a door pos(20) + stair(1) + two
 	// empty ID lists(8) = 29, so hostile counts cannot size allocations
 	// beyond what the payload could actually hold.
-	np := r.count(41)
+	np := r.count32(41)
 	rec.Partitions = make([]model.PartitionRecord, 0, np)
 	for i := 0; i < np && r.err == nil; i++ {
 		var p model.PartitionRecord
@@ -163,7 +166,7 @@ func decodeSpaceMode(b []byte, lite bool) (*model.SpaceRecord, error) {
 		p.Bounds.Floor = int(r.i32())
 		rec.Partitions = append(rec.Partitions, p)
 	}
-	nd := r.count(29)
+	nd := r.count32(29)
 	rec.Doors = make([]model.DoorRecord, 0, nd)
 	for i := 0; i < nd && r.err == nil; i++ {
 		var d model.DoorRecord
@@ -171,7 +174,7 @@ func decodeSpaceMode(b []byte, lite bool) (*model.SpaceRecord, error) {
 		d.Pos.Y = r.f64()
 		d.Pos.Floor = int(r.i32())
 		d.Stair = r.u8() != 0
-		ne := r.count(4)
+		ne := r.count32(4)
 		if lite {
 			r.take(4 * ne)
 		} else {
@@ -179,7 +182,7 @@ func decodeSpaceMode(b []byte, lite bool) (*model.SpaceRecord, error) {
 				d.Enterable = append(d.Enterable, model.PartitionID(r.i32()))
 			}
 		}
-		nl := r.count(4)
+		nl := r.count32(4)
 		if lite {
 			r.take(4 * nl)
 		} else {
@@ -189,7 +192,7 @@ func decodeSpaceMode(b []byte, lite bool) (*model.SpaceRecord, error) {
 		}
 		rec.Doors = append(rec.Doors, d)
 	}
-	ns := r.count(17)
+	ns := r.count32(17)
 	for i := 0; i < ns && r.err == nil; i++ {
 		var sw model.Stairway
 		sw.From = model.DoorID(r.i32())

@@ -333,8 +333,9 @@ func TestSnapshotOracleBackendRoundTrip(t *testing.T) {
 // TestPreV3StreamsRejected: the sequential v1/v2 layout is no longer read.
 // Both headers must fail with ErrVersion and a re-bake hint in every load
 // mode — never be misparsed. The v1 header has no min-reader field, so its
-// section count sits where v3 keeps min-reader; a count of 3 would pass for
-// a v3 min-reader if the version were not checked first.
+// section count sits where the flat layout keeps min-reader; a count of 4
+// would pass for the current min-reader if the version were not checked
+// first.
 func TestPreV3StreamsRejected(t *testing.T) {
 	e := tinyEngine(t)
 	e.PrecomputeMatrix()
@@ -344,9 +345,11 @@ func TestPreV3StreamsRejected(t *testing.T) {
 		ver, minReaderOrNum uint16
 	}{
 		{"v1 with 3 sections", 1, 3},
+		{"v1 with 4 sections", 1, 4},
 		{"v1 with 6 sections", 1, 6},
 		{"v2", 2, 2},
-		{"future version declaring the sequential layout", 4, 2},
+		{"future version declaring the sequential layout", 5, 2},
+		{"future version declaring the v3 layout", 5, 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -367,26 +370,67 @@ func TestPreV3StreamsRejected(t *testing.T) {
 	}
 }
 
-// appendSection re-lays a v3 stream with one more section at the end of
-// the directory, recomputing every payload offset and the new section's
-// CRC.
-func appendSection(b []byte, tag string, payload []byte) []byte {
-	type section struct{ head, body []byte } // head: tag + CRC
-	n := int(binary.LittleEndian.Uint16(b[12:]))
+// TestV3StreamsRejected: a v3 bake — the flat layout with a parent table
+// after MATX's distances — fails with ErrVersion and a re-bake hint in both
+// trust modes. Relabelled with the current header, the same bytes are
+// ErrCorrupt: the v3 MATX payload is never misread as distances.
+func TestV3StreamsRejected(t *testing.T) {
+	e := tinyEngine(t)
+	n := e.PrecomputeMatrix().Finder().NumStates()
+	b := snapshotBytes(t, e)
+	secs := sections(b)
+	for i := range secs {
+		if secs[i].tag == "MATX" {
+			prev := bytes.Repeat([]byte{0xff}, 4*n*n) // NoState everywhere
+			secs[i].body = append(append([]byte(nil), secs[i].body...), prev...)
+		}
+	}
+	v3 := relayout(b[:16], secs)
+	binary.LittleEndian.PutUint16(v3[8:], 3)
+	binary.LittleEndian.PutUint16(v3[10:], 3)
+	_, err := snapshot.LoadEngine(bytes.NewReader(v3))
+	if !errors.Is(err, snapshot.ErrVersion) || !strings.Contains(err.Error(), "re-bake") {
+		t.Fatalf("LoadEngine on a v3 bake: got %v, want ErrVersion with a re-bake hint", err)
+	}
+	if _, err := snapshot.EngineFromFlatTrusted(v3); !errors.Is(err, snapshot.ErrVersion) {
+		t.Fatalf("trusted reader on a v3 bake: got %v, want ErrVersion", err)
+	}
+
+	binary.LittleEndian.PutUint16(v3[8:], snapshot.Version)
+	binary.LittleEndian.PutUint16(v3[10:], snapshot.MinDecodable)
+	if _, err := snapshot.LoadEngine(bytes.NewReader(v3)); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("LoadEngine on a relabelled v3 MATX: got %v, want ErrCorrupt", err)
+	}
+	if _, err := snapshot.EngineFromFlatTrusted(v3); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("trusted reader on a relabelled v3 MATX: got %v, want ErrCorrupt", err)
+	}
+}
+
+type section struct {
+	tag  string
+	body []byte
+}
+
+// sections splits a flat stream into its directory's sections.
+func sections(b []byte) []section {
 	var secs []section
-	for i := 0; i < n; i++ {
+	for i := 0; i < int(binary.LittleEndian.Uint16(b[12:])); i++ {
 		e := b[16+24*i:]
 		off, length := binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
-		secs = append(secs, section{e[:8], b[off : off+length]})
+		secs = append(secs, section{string(e[:4]), b[off : off+length]})
 	}
-	head := binary.LittleEndian.AppendUint32([]byte(tag), crc32.ChecksumIEEE(payload))
-	secs = append(secs, section{head, payload})
+	return secs
+}
 
-	out := append([]byte(nil), b[:16]...)
+// relayout lays secs out as a flat stream behind the 16-byte header hdr,
+// with the section count, every offset and every CRC recomputed.
+func relayout(hdr []byte, secs []section) []byte {
+	out := append([]byte(nil), hdr[:16]...)
 	binary.LittleEndian.PutUint16(out[12:], uint16(len(secs)))
 	off := (16 + 24*len(secs) + 7) &^ 7
 	for _, s := range secs {
-		out = append(out, s.head...)
+		out = append(out, s.tag...)
+		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(s.body))
 		out = binary.LittleEndian.AppendUint64(out, uint64(off))
 		out = binary.LittleEndian.AppendUint64(out, uint64(len(s.body)))
 		off = (off + len(s.body) + 7) &^ 7
@@ -400,6 +444,12 @@ func appendSection(b []byte, tag string, payload []byte) []byte {
 	return out
 }
 
+// appendSection re-lays a flat stream with one more section at the end of
+// the directory.
+func appendSection(b []byte, tag string, payload []byte) []byte {
+	return relayout(b[:16], append(sections(b), section{tag, payload}))
+}
+
 // TestDecodeFutureVersion checks the forward-compatibility promise: a
 // stream from a future version remains readable as long as it declares a
 // min-reader this build satisfies, with unknown sections skipped — but
@@ -410,7 +460,7 @@ func TestDecodeFutureVersion(t *testing.T) {
 	base := snapshotBytes(t, e)
 
 	future := appendSection(base, "ZZZZ", []byte("from the future"))
-	future[8], future[9] = 4, 0 // version 4, min-reader stays 3
+	future[8], future[9] = 5, 0 // version 5, min-reader stays 4
 	loaded, err := snapshot.LoadEngine(bytes.NewReader(future))
 	if err != nil {
 		t.Fatalf("LoadEngine future version: %v", err)
