@@ -81,8 +81,8 @@ func (d AllocDiff) String() string {
 }
 
 // DiffAllocs compares a freshly measured report against the committed
-// baseline and returns every per-variant comparison plus the failing
-// subset. Reports from different suites or ToE\P caps measure different
+// baseline and returns every per-variant and kernel-row comparison plus
+// the failing subset (rows the baseline lacks are not compared). Reports from different suites or ToE\P caps measure different
 // work and refuse to compare. The matrix build is only enforced when both
 // reports ran at the same GOMAXPROCS — its parallel construction allocates
 // per worker, so alloc counts are only comparable at equal worker counts.
@@ -124,6 +124,9 @@ func DiffAllocs(baseline, current *PerfReport) (all []AllocDiff, regressed []All
 		return nil
 	}
 	if err := cmp(baseline.Variants, current.Variants); err != nil {
+		return nil, nil, err
+	}
+	if err := cmp(baseline.Kernel, current.Kernel); err != nil {
 		return nil, nil, err
 	}
 	if baseline.GoMaxProcs == current.GoMaxProcs {

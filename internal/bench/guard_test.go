@@ -141,3 +141,32 @@ func TestDiffAllocsEnforcesExpansions(t *testing.T) {
 		}
 	}
 }
+
+// TestDiffAllocsEnforcesKernelRows: the kernel rows are exact-matched on
+// allocations and work counts like the variants, a baseline without them
+// (recorded before they existed) compares only what it has, and a fresh
+// run missing a baselined kernel row is refused.
+func TestDiffAllocsEnforcesKernelRows(t *testing.T) {
+	kernel := func(settled int64) []PerfEntry {
+		return []PerfEntry{{Name: "KernelSweep", Iterations: 100, Expansions: settled}}
+	}
+	base := guardReport(map[string]int64{"ToE": 801}, 600, 1)
+	base.Kernel = kernel(86912)
+	cur := guardReport(map[string]int64{"ToE": 801}, 600, 1)
+	cur.Kernel = kernel(86912)
+	if _, regressed, err := DiffAllocs(base, cur); err != nil || len(regressed) != 0 {
+		t.Fatalf("clean kernel rows: regressed %v, err %v", regressed, err)
+	}
+	cur.Kernel = kernel(86913)
+	if _, regressed, _ := DiffAllocs(base, cur); len(regressed) != 1 || regressed[0].Name != "KernelSweep" {
+		t.Fatalf("work-count drift: regressed %v, want the KernelSweep row", regressed)
+	}
+	old := guardReport(map[string]int64{"ToE": 801}, 600, 1)
+	if all, regressed, err := DiffAllocs(old, cur); err != nil || len(regressed) != 0 || len(all) != 2 {
+		t.Fatalf("baseline without kernel rows: %d comparisons, regressed %v, err %v", len(all), regressed, err)
+	}
+	cur.Kernel = nil
+	if _, _, err := DiffAllocs(base, cur); err == nil {
+		t.Fatal("a fresh run missing a baselined kernel row was compared")
+	}
+}

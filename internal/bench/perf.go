@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"testing"
 
@@ -14,8 +15,9 @@ import (
 
 // This file is the machine-readable perf surface: RunPerf measures the
 // per-query hot path of every Table III variant plus the all-pairs matrix
-// build on the standard 2-floor synthetic workload, and PerfReport
-// marshals the result as BENCH.json. The committed BENCH.json at the repo
+// build on the standard 2-floor synthetic workload, and the graph kernel
+// on the simulated real mall, and PerfReport marshals the result as
+// BENCH.json. The committed BENCH.json at the repo
 // root is regenerated with `ikrqbench -benchjson BENCH.json` whenever the
 // kernel changes, so the allocation/latency trajectory is tracked in
 // version control instead of scattered across PR descriptions.
@@ -32,7 +34,8 @@ type PerfEntry struct {
 	// one pass of the request batch — a deterministic prune-power axis the
 	// guard exact-matches alongside allocations, so a bound that silently
 	// loosens (more expansions for the same routes) fails CI even when
-	// wall-clock noise hides it.
+	// wall-clock noise hides it. The kernel entries carry their own work
+	// count here (see PerfReport.Kernel).
 	Expansions int64 `json:"expansions,omitempty"`
 }
 
@@ -62,6 +65,15 @@ type PerfReport struct {
 	// MatrixBuild measures one full all-pairs KoE* matrix construction
 	// (parallel across GoMaxProcs workers), per build.
 	MatrixBuild PerfEntry `json:"matrix_build"`
+
+	// Kernel measures the graph kernel on the simulated real mall (seed
+	// 1): KernelSweep is one exhaustive static Dijkstra run, from evenly
+	// spaced source states, and its work count the states those runs
+	// settle; SequenceBatch is one sequence query through the engine, and
+	// its work count the kernel stages the batch runs
+	// (SequenceStats.Dijkstras). Values are per run and per query; the work
+	// counts are per batch pass, exact-matched like expansions.
+	Kernel []PerfEntry `json:"kernel,omitempty"`
 }
 
 // VenueMeta is the venue-size block shared by the perf and scale reports.
@@ -112,7 +124,87 @@ func RunPerf(cfg Config) (*PerfReport, error) {
 		}
 	})
 	rep.MatrixBuild = perQuery("NewMatrix", r, 1)
+	rep.Kernel, err = measureKernel()
+	if err != nil {
+		return nil, err
+	}
 	return rep, nil
+}
+
+// The kernel entries' batch sizes: source states per sweep pass, sequence
+// queries per batch pass.
+const (
+	kernelSweepSources = 32
+	kernelSequences    = 8
+)
+
+// measureKernel benchmarks the kernel sweep and the sequence batch on the
+// real mall. The workload is fixed (seed 1, whatever -seed says), so the
+// work counts stay comparable across reports.
+func measureKernel() ([]PerfEntry, error) {
+	w, err := NewEnv(Config{Seed: 1}).Real()
+	if err != nil {
+		return nil, err
+	}
+	pf := w.Engine.PathFinder()
+	n := pf.NumStates()
+	seeds := make([][]graph.Seed, kernelSweepSources)
+	for i := range seeds {
+		seeds[i] = []graph.Seed{{State: graph.StateID(i * n / kernelSweepSources)}}
+	}
+	ws := graph.NewWorkspace()
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, sd := range seeds {
+				pf.ShortestTreeWS(ws, sd, graph.Costs{})
+			}
+		}
+	})
+	sweep := perQuery("KernelSweep", r, len(seeds))
+	for _, sd := range seeds {
+		t := pf.ShortestTreeWS(ws, sd, graph.Costs{})
+		for s := 0; s < n; s++ {
+			if !math.IsInf(t.Dist(graph.StateID(s)), 1) {
+				sweep.Expansions++ // an exhaustive run settles every reached state once
+			}
+		}
+	}
+
+	sp := gen.NewSampler(w.Mall.Space, w.Index, pf, 7)
+	reqs, err := sp.SequenceInstances(kernelSequences, gen.DefaultSequenceSampleConfig())
+	if err != nil {
+		return nil, err
+	}
+	// The untimed pass that counts the work also pays the engine's
+	// first-query initialization, which would otherwise fill the
+	// benchmark's first round and stop it at one iteration.
+	var stages int64
+	for _, req := range reqs {
+		res, err := w.Engine.SearchSequence(req)
+		if err != nil {
+			return nil, fmt.Errorf("bench: sequence batch: %w", err)
+		}
+		stages += int64(res.Stats.Dijkstras)
+	}
+	var seqErr error
+	r = testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, req := range reqs {
+				if _, err := w.Engine.SearchSequence(req); err != nil {
+					seqErr = err
+					b.FailNow()
+				}
+			}
+		}
+	})
+	if seqErr != nil {
+		return nil, fmt.Errorf("bench: sequence batch: %w", seqErr)
+	}
+	seq := perQuery("SequenceBatch", r, len(reqs))
+	seq.Expansions = stages
+	return []PerfEntry{sweep, seq}, nil
 }
 
 // measureVariants benchmarks the request batch on every Table III variant.
@@ -187,4 +279,7 @@ func (r *PerfReport) Fprint(w io.Writer) {
 	}
 	e := r.MatrixBuild
 	fmt.Fprintf(w, "%-12s %14d %14d %14d\n", e.Name, e.NsPerOp, e.BytesPerOp, e.AllocsPerOp)
+	for _, e := range r.Kernel {
+		fmt.Fprintf(w, "%-12s %14d %14d %14d %12d\n", e.Name, e.NsPerOp, e.BytesPerOp, e.AllocsPerOp, e.Expansions)
+	}
 }

@@ -57,7 +57,7 @@ type ScalePoint struct {
 	DenseKoEStarExpansions  int64 `json:"dense_koestar_expansions,omitempty"`
 
 	// Snapshot cold start at this scale: the oracle engine is baked to a
-	// temp file and SnapshotColdV3Ms times snapshot.OpenEngine (zero-copy
+	// temp file and SnapshotColdMs times snapshot.OpenEngine (zero-copy
 	// over an mmap) from file to first answered probe query, best of three.
 	// The probe is a cheap ToE query: it proves the engine serves, while
 	// keeping the metric about load cost rather than the KoE* query cost
@@ -65,7 +65,7 @@ type ScalePoint struct {
 	// residency of the opened engine (0 on platforms without mmap);
 	// SnapshotBytes the file size.
 	SnapshotBytes       int64   `json:"snapshot_bytes,omitempty"`
-	SnapshotColdV3Ms    float64 `json:"snapshot_cold_v3_ms,omitempty"`
+	SnapshotColdMs      float64 `json:"snapshot_cold_ms,omitempty"`
 	SnapshotMappedBytes int64   `json:"snapshot_mapped_bytes,omitempty"`
 }
 
@@ -150,7 +150,7 @@ func RunScale(cfg Config, quick bool) (*ScaleReport, error) {
 			return nil, fmt.Errorf("bench: mega venue %d×%d oracle KoE*: %w", floors, shops, err)
 		}
 
-		pt.SnapshotColdV3Ms, pt.SnapshotMappedBytes, pt.SnapshotBytes, err = snapshotColdStart(engO, reqs[0])
+		pt.SnapshotColdMs, pt.SnapshotMappedBytes, pt.SnapshotBytes, err = snapshotColdStart(engO, reqs[0])
 		if err != nil {
 			return nil, fmt.Errorf("bench: mega venue %d×%d snapshot cold start: %w", floors, shops, err)
 		}
@@ -296,14 +296,14 @@ func (r *ScaleReport) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "%7s %6s %7s %7s %6s %12s %12s %12s %12s %10s %10s %10s %10s %10s %10s %10s\n",
 		"floors", "shops", "parts", "states", "hubs",
 		"orc build ms", "orc bytes", "dense bytes", "dense bld ms", "orc p50ms", "dense p50ms", "orc exps", "dense exps",
-		"snap bytes", "v3 cold ms", "mapped B")
+		"snap bytes", "cold ms", "mapped B")
 	for _, p := range r.Points {
 		fmt.Fprintf(w, "%7d %6d %7d %7d %6d %12.1f %12d %12d %12.1f %10.2f %10.2f %10d %10d %10d %10.2f %10d\n",
 			p.Floors, p.ShopsPerFloor, p.Partitions, p.States, p.Hubs,
 			p.OracleBuildMs, p.OracleBytes, p.DenseBytes, p.DenseBuildMs,
 			p.OracleKoEStarP50Ms, p.DenseKoEStarP50Ms,
 			p.OracleKoEStarExpansions, p.DenseKoEStarExpansions,
-			p.SnapshotBytes, p.SnapshotColdV3Ms, p.SnapshotMappedBytes)
+			p.SnapshotBytes, p.SnapshotColdMs, p.SnapshotMappedBytes)
 	}
 }
 

@@ -1,5 +1,7 @@
 package graph
 
+import "ikrq/internal/geom"
+
 // Test-only exports for the external graph_test oracles.
 
 // ReferenceTreeWS runs the seed kernel (refkernel_test.go) from the seeds
@@ -19,4 +21,11 @@ func (t *Tree) Parent(s StateID) StateID {
 		return NoState
 	}
 	return t.ws.parent[s]
+}
+
+// ReferenceLowerBound returns the pre-hoist |a,b|L over sk
+// (refskeleton_test.go), the reference the mall-level bound oracle diffs
+// Skeleton.LowerBound against bit for bit.
+func (sk *Skeleton) ReferenceLowerBound() func(a, b geom.Point) float64 {
+	return newRefSkeleton(sk).lowerBound
 }

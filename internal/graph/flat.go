@@ -28,7 +28,9 @@ import (
 // arc targets and weights grouped by source state with per-state counts.
 // The adjacency lists are always materialized on the heap (the in-memory
 // arc layout is padded and cannot alias disk), so it validates everything
-// in both trust modes, arc weights included.
+// in both trust modes, arc weights included, and so is the state order:
+// states must be strictly increasing in (door, partition), the numbering
+// NewPathFinder produces and the kernel's tie-break relies on.
 func PathFinderFromFlat(s *model.Space, states []int32, arcCounts []int32, arcTo []int32, arcW []float64) (*PathFinder, error) {
 	if len(states)%2 != 0 {
 		return nil, fmt.Errorf("graph: flat state table has odd length %d", len(states))
@@ -57,6 +59,11 @@ func PathFinderFromFlat(s *model.Space, states []int32, arcCounts []int32, arcTo
 		}
 		if int(p) < 0 || int(p) >= s.NumPartitions() {
 			return nil, fmt.Errorf("graph: state %d references missing partition %d", i, p)
+		}
+		if i > 0 {
+			if pd, pp := states[2*i-2], states[2*i-1]; d < pd || d == pd && p <= pp {
+				return nil, fmt.Errorf("graph: state %d (door %d, partition %d) does not follow (%d, %d) in (door, partition) order", i, d, p, pd, pp)
+			}
 		}
 		pf.states[i] = state{door: model.DoorID(d), part: model.PartitionID(p)}
 		deg[d]++
@@ -99,28 +106,25 @@ func PathFinderFromFlat(s *model.Space, states []int32, arcCounts []int32, arcTo
 }
 
 // SkeletonFromFlat restores a Skeleton adopting dist as its δs2s closure
-// without copying. The door list is always validated (it is small and every
-// entry is used as an index); the n² cell scan runs only when !trusted.
+// without copying. The door list must be the space's floor-major staircase
+// door enumeration exactly (O(stair doors), checked in both trust modes,
+// as OracleFromFlat checks its hubs): LowerBound reads each floor's doors
+// as one index range, so a list that drops, adds or reorders a door would
+// pair distances with the wrong doors. The n² cell scan runs only when
+// !trusted.
 func SkeletonFromFlat(s *model.Space, doors []int32, dist []float64, trusted bool) (*Skeleton, error) {
 	n := len(doors)
 	if len(dist) != n*n {
 		return nil, fmt.Errorf("graph: flat skeleton has %d doors but %d distances (want %d)", n, len(dist), n*n)
 	}
-	sk := &Skeleton{s: s, idx: make(map[model.DoorID]int, n)}
-	sk.doors = make([]model.DoorID, 0, n)
+	sk := newSkeletonTables(s)
+	if n != len(sk.doors) {
+		return nil, fmt.Errorf("graph: flat skeleton lists %d doors, the space has %d staircase doors", n, len(sk.doors))
+	}
 	for i, d := range doors {
-		if int(d) < 0 || int(d) >= s.NumDoors() {
-			return nil, fmt.Errorf("graph: flat skeleton references missing door %d", d)
+		if model.DoorID(d) != sk.doors[i] {
+			return nil, fmt.Errorf("graph: flat skeleton door %d is %d, the space enumerates %d", i, d, sk.doors[i])
 		}
-		id := model.DoorID(d)
-		if !s.Door(id).Stair {
-			return nil, fmt.Errorf("graph: flat skeleton lists non-stair door %d", d)
-		}
-		if _, dup := sk.idx[id]; dup {
-			return nil, fmt.Errorf("graph: flat skeleton lists door %d twice", d)
-		}
-		sk.idx[id] = i
-		sk.doors = append(sk.doors, id)
 	}
 	if !trusted {
 		for i := 0; i < n; i++ {

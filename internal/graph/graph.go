@@ -68,7 +68,9 @@ func NewPathFinder(s *model.Space) *PathFinder {
 		s:          s,
 		doorStates: make([][]StateID, s.NumDoors()),
 	}
-	// Enumerate states: one per (door, enterable partition).
+	// Enumerate states: one per (door, enterable partition), in strictly
+	// increasing (door, partition) order — doors ascend and Enterable is
+	// sorted. The kernel's tie-break (settle) rests on this numbering.
 	for _, d := range s.Doors() {
 		for _, v := range d.Enterable() {
 			id := StateID(len(pf.states))
@@ -267,16 +269,21 @@ func (pf *PathFinder) dijkstra(ws *Workspace, seeds []Seed, costs Costs, targets
 // start begins a run on ws: the previous run's tables are invalidated and
 // the seeds enter the frontier with their given costs, regardless of costs
 // (their legality — and any delay owed for passing the seed door — is the
-// caller's concern).
+// caller's concern). A −0 cost enters as +0: the queue orders distances by
+// bit pattern, where −0 would sort after every other key.
 func (pf *PathFinder) start(ws *Workspace, seeds []Seed) {
 	ws.begin(len(pf.states))
 	for si, sd := range seeds {
 		if sd.State == NoState {
 			continue
 		}
-		if sd.Cost < ws.distAt(sd.State) {
-			ws.set(sd.State, sd.Cost, NoState, int32(si))
-			ws.heapPush(pf.item(sd.State, sd.Cost))
+		cost := sd.Cost
+		if cost == 0 {
+			cost = 0 // −0 → +0
+		}
+		if cost < ws.distAt(sd.State) {
+			ws.set(sd.State, cost, NoState, int32(si))
+			ws.push(sd.State, cost)
 		}
 	}
 }
@@ -297,13 +304,17 @@ func (pf *PathFinder) start(ws *Workspace, seeds []Seed) {
 // distances; callers read targets and the states on their parent chains,
 // all of which settled before them.
 //
-// Ties on distance break on the arrival state's (door, partition), which
-// makes the chosen shortest-path tree deterministic and invariant under any
-// order-preserving renumbering of doors — the property the closure-oracle
-// tests rely on when comparing against a rebuilt, door-filtered space. The
-// tie-break is a strict total order over live queue items, so the pop
-// sequence — and with it every settled dist/parent entry — is the seed
-// kernel's, independent of heap arity and of where a run pauses (the graph
+// Ties on distance break on the arrival state's ID. States are numbered in
+// strictly increasing (door, partition) order — NewPathFinder enumerates
+// doors in ID order and each door's sorted Enterable list, and
+// PathFinderFromFlat rejects any other table — so the tie order is the
+// seed kernel's (door, partition) order. That makes the chosen
+// shortest-path tree deterministic and invariant under any order-preserving
+// renumbering of doors, the property the closure-oracle tests rely on when
+// comparing against a rebuilt, door-filtered space. (dist, state) is a
+// strict total order over live queue entries, so the pop sequence — and
+// with it every settled dist/parent entry — is the seed kernel's,
+// independent of the queue's layout and of where a run pauses (the graph
 // oracles diff it against the seed kernel kept in the tests).
 func (pf *PathFinder) settle(ws *Workspace, adj [][]arc, costs Costs, targets []StateID) {
 	remaining := 0
@@ -319,15 +330,15 @@ func (pf *PathFinder) settle(ws *Workspace, adj [][]arc, costs Costs, targets []
 	// Zero Costs (LazyTree, the hub sweep, the matrix sweep) skip the
 	// arrival door's lookup.
 	static := costs.Block == nil && costs.Delay == nil
-	for len(ws.heap) > 0 {
-		it := ws.heapPop()
-		if it.dist > ws.dist[it.state] { // stale entry; mark is set for every pushed state
+	for ws.qMask != 0 {
+		u, du := ws.pop()
+		if du > ws.dist[u] { // stale entry; mark is set for every pushed state
 			continue
 		}
-		ws.settled[it.state] = ws.epoch
-		seed := ws.seedOf[it.state]
-		for _, a := range adj[it.state] {
-			nd := it.dist + a.w
+		ws.settled[u] = ws.epoch
+		seed := ws.seedOf[u]
+		for _, a := range adj[u] {
+			nd := du + a.w
 			if !static {
 				door := pf.states[a.to].door
 				if costs.blocked(door) {
@@ -336,11 +347,11 @@ func (pf *PathFinder) settle(ws *Workspace, adj [][]arc, costs Costs, targets []
 				nd += costs.delay(door)
 			}
 			if nd < ws.distAt(a.to) {
-				ws.set(a.to, nd, it.state, seed)
-				ws.heapPush(pf.item(a.to, nd))
+				ws.set(a.to, nd, u, seed)
+				ws.push(a.to, nd)
 			}
 		}
-		if remaining > 0 && ws.target[it.state] == ws.epoch {
+		if remaining > 0 && ws.target[u] == ws.epoch {
 			if remaining--; remaining == 0 {
 				return // every requested target is final
 			}
@@ -357,12 +368,6 @@ func (pf *PathFinder) getWS() *Workspace {
 }
 
 func (pf *PathFinder) putWS(ws *Workspace) { pf.wsPool.Put(ws) }
-
-// item builds a heap entry carrying the state's (door, partition) tiebreak.
-func (pf *PathFinder) item(s StateID, d float64) heapItem {
-	st := pf.states[s]
-	return heapItem{state: s, dist: d, door: st.door, part: st.part}
-}
 
 // reconstructInto appends the hop sequence from the seeds to target onto
 // dst (reversing in place, so dst's existing prefix is preserved) and
@@ -618,15 +623,4 @@ func RegularHops(hops []Hop) bool {
 		seen[h.Door] = i
 	}
 	return true
-}
-
-type heapItem struct {
-	state StateID
-	dist  float64
-	// door and part order equal-distance pops deterministically. Comparing
-	// doors (not StateIDs) keeps the order invariant under door-preserving
-	// renumberings, so a space rebuilt without some doors explores ties the
-	// same way the overlaid original does.
-	door model.DoorID
-	part model.PartitionID
 }

@@ -229,10 +229,10 @@ func TestSkeletonCrossFloor(t *testing.T) {
 	if got := sk.LowerBound(a, b); math.Abs(got-want) > 1e-9 {
 		t.Errorf("LowerBound = %v, want %v", got, want)
 	}
-	if got := sk.S2S(stairDoors[0], stairDoors[1]); math.Abs(got-20) > 1e-9 {
+	if got := s2s(sk, stairDoors[0], stairDoors[1]); math.Abs(got-20) > 1e-9 {
 		t.Errorf("δs2s = %v, want 20", got)
 	}
-	if got := sk.S2S(stairDoors[0], model.DoorID(999)); !math.IsInf(got, 1) {
+	if got := s2s(sk, stairDoors[0], model.DoorID(999)); !math.IsInf(got, 1) {
 		t.Errorf("δs2s to unknown door = %v, want +Inf", got)
 	}
 }
@@ -337,4 +337,62 @@ func TestStateOfMissing(t *testing.T) {
 		t.Errorf("StateOf(d0, shop) = %v, want NoState", sid)
 	}
 	_ = s
+}
+
+// wideStairSpace stacks two hallways joined by the given number of
+// staircases, each with one door per floor and a stairway between them:
+// more staircase doors per floor than LowerBound's chunk when stairs >
+// lbChunk.
+func wideStairSpace(t *testing.T, stairs int) *model.Space {
+	t.Helper()
+	b := model.NewBuilder()
+	w := float64(10 * stairs)
+	var doors [2][]model.DoorID
+	for f := 0; f < 2; f++ {
+		hall := b.AddPartition("hall", model.KindHallway, geom.R(0, 0, w, 10, f))
+		for k := 0; k < stairs; k++ {
+			x := float64(10 * k)
+			st := b.AddPartition("stair", model.KindStaircase, geom.R(x, 10, x+10, 15, f))
+			doors[f] = append(doors[f], b.AddDoor(geom.Pt(x+5, 10, f), st, hall))
+		}
+	}
+	for k := 0; k < stairs; k++ {
+		b.AddStairway(doors[0][k], doors[1][k], float64(5+k%7))
+	}
+	s, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	return s
+}
+
+// TestSkeletonLowerBoundChunks runs floors with fewer, exactly as many and
+// more staircase doors than LowerBound's stack chunk: every cross-floor
+// bound must equal the pre-hoist reference bit for bit, and no call may
+// allocate.
+func TestSkeletonLowerBoundChunks(t *testing.T) {
+	for _, stairs := range []int{3, lbChunk, lbChunk + 6, 2*lbChunk + 1} {
+		s := wideStairSpace(t, stairs)
+		sk := NewSkeleton(s)
+		ref := newRefSkeleton(sk)
+		rng := geom.NewRand(uint64(stairs))
+		w := float64(10 * stairs)
+		for i := 0; i < 200; i++ {
+			a := geom.Pt(rng.InRange(0, w), rng.InRange(0, 15), i%2)
+			b := geom.Pt(rng.InRange(0, w), rng.InRange(0, 15), 1-i%2)
+			got, want := sk.LowerBound(a, b), ref.lowerBound(a, b)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%d stairs: LowerBound(%v, %v) = %v, reference %v", stairs, a, b, got, want)
+			}
+		}
+		a, b := geom.Pt(1, 1, 0), geom.Pt(w-1, 1, 1)
+		if n := testing.AllocsPerRun(100, func() { sk.LowerBound(a, b) }); n != 0 {
+			t.Fatalf("%d stairs: LowerBound allocates %v times per call", stairs, n)
+		}
+	}
+	// A floor outside the space has no staircase doors: no bound.
+	sk := NewSkeleton(wideStairSpace(t, 3))
+	if got := sk.LowerBound(geom.Pt(1, 1, 0), geom.Pt(1, 1, 5)); !math.IsInf(got, 1) {
+		t.Fatalf("bound to a floor outside the space = %v, want +Inf", got)
+	}
 }

@@ -90,21 +90,31 @@ func kernelCostCases(s *model.Space) map[string]Costs {
 
 // TestKernelMatchesReference diffs the workspace kernel against the seed
 // kernel state by state: same reachability, distances, parents and seed
-// attribution for every source state and every pair of source states under
-// every cost case. One workspace per kernel is reused across all runs, so the test
-// also exercises the O(1) epoch reset between unrelated queries.
+// attribution for every source state and every ordered pair of source
+// states under every cost case. One workspace per kernel is reused across
+// all runs, so the test also exercises the O(1) epoch reset between
+// unrelated queries.
 func TestKernelMatchesReference(t *testing.T) {
 	for name, s := range kernelSpaces(t) {
 		t.Run(name, func(t *testing.T) {
 			pf := NewPathFinder(s)
 			ws, ref := NewWorkspace(), NewWorkspace()
-			// Every single source, then every pair of sources at equal
-			// cost, so ties between seeds reach the tie-break too.
+			// Every single source, then every ordered pair of sources at
+			// equal cost, so ties between seeds reach the tie-break too.
+			// Seeds enter the queue in list order, so the pairs listed
+			// against state order ([b, a] with a < b) push equal-distance
+			// entries in reverse: a queue that pops ties in insertion
+			// order (FIFO) or its reverse (LIFO) instead of by state
+			// differs from the reference on one of the two orders (the
+			// stairtie space makes the difference visible in the
+			// parents).
 			var seedSets [][]Seed
 			for a := 0; a < pf.NumStates(); a++ {
 				seedSets = append(seedSets, []Seed{{State: StateID(a), Cost: 1.25, EmitHop: true}})
-				for b := a + 1; b < pf.NumStates(); b++ {
-					seedSets = append(seedSets, []Seed{{State: StateID(a), EmitHop: true}, {State: StateID(b)}})
+				for b := 0; b < pf.NumStates(); b++ {
+					if b != a {
+						seedSets = append(seedSets, []Seed{{State: StateID(a), EmitHop: true}, {State: StateID(b)}})
+					}
 				}
 			}
 			for costName, costs := range kernelCostCases(s) {
@@ -229,4 +239,37 @@ func TestTreeReadAfterReusePanics(t *testing.T) {
 		}
 	}()
 	tree.Dist(0)
+}
+
+// TestKernelNegativeZeroSeed: a −0 seed cost runs exactly like +0. The
+// queue orders distances by bit pattern, where −0 would sort after every
+// other key, so start normalises it; the tables must match bit for bit,
+// the seed's own distance included.
+func TestKernelNegativeZeroSeed(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for name, s := range kernelSpaces(t) {
+		t.Run(name, func(t *testing.T) {
+			pf := NewPathFinder(s)
+			pos, neg := NewWorkspace(), NewWorkspace()
+			for a := 0; a < pf.NumStates(); a++ {
+				other := StateID((a + 1) % pf.NumStates())
+				pf.dijkstra(pos, []Seed{{State: StateID(a)}, {State: other, Cost: 0.5}}, Costs{}, nil)
+				pf.dijkstra(neg, []Seed{{State: StateID(a), Cost: negZero}, {State: other, Cost: 0.5}}, Costs{}, nil)
+				for st := 0; st < pf.NumStates(); st++ {
+					sid := StateID(st)
+					if dp, dn := pos.distAt(sid), neg.distAt(sid); math.Float64bits(dp) != math.Float64bits(dn) {
+						t.Fatalf("src %d state %d: dist %v (%#x) under a −0 seed, %v (%#x) under +0",
+							a, st, dn, math.Float64bits(dn), dp, math.Float64bits(dp))
+					}
+					if math.IsInf(pos.distAt(sid), 1) {
+						continue
+					}
+					if pos.parent[sid] != neg.parent[sid] || pos.seedOf[sid] != neg.seedOf[sid] {
+						t.Fatalf("src %d state %d: parent/seed %d/%d under a −0 seed, %d/%d under +0",
+							a, st, neg.parent[sid], neg.seedOf[sid], pos.parent[sid], pos.seedOf[sid])
+					}
+				}
+			}
+		})
+	}
 }

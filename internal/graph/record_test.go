@@ -125,7 +125,7 @@ func TestSkeletonRecordRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("SkeletonFromFlat: %v", err)
 		}
-		if d1, d2 := sk.S2S(stairDoors[0], stairDoors[1]), got.S2S(stairDoors[0], stairDoors[1]); d1 != d2 {
+		if d1, d2 := s2s(sk, stairDoors[0], stairDoors[1]), s2s(got, stairDoors[0], stairDoors[1]); d1 != d2 {
 			t.Fatalf("S2S differs: %v vs %v", d1, d2)
 		}
 		a := geom.Pt(5, 5, 0)
@@ -225,4 +225,78 @@ func TestMatrixFromFlatRejectsBadInput(t *testing.T) {
 			}
 		}
 	})
+}
+
+// reindexSkeleton re-lays a skeleton record over the old door indices in
+// sel, carrying each door's δs2s row and column along: the result is
+// internally consistent, so only the enumeration check can reject it.
+func reindexSkeleton(rec *SkeletonRecord, sel []int) *SkeletonRecord {
+	n := len(rec.Doors)
+	out := &SkeletonRecord{Dist: make([]float64, len(sel)*len(sel))}
+	for i, oi := range sel {
+		out.Doors = append(out.Doors, rec.Doors[oi])
+		for j, oj := range sel {
+			v := rec.Dist[oi*n+oj]
+			if i == j {
+				v = 0
+			}
+			out.Dist[i*len(sel)+j] = v
+		}
+	}
+	return out
+}
+
+// TestSkeletonFromFlatRequiresEnumeration: a restored skeleton must list
+// exactly the space's floor-major staircase doors. A list that drops a
+// door, adds one, or swaps two (each with a consistent δs2s table) is
+// rejected in both trust modes: LowerBound reads each floor's doors as one
+// index range, and a missing door's bound would read another door's row.
+func TestSkeletonFromFlatRequiresEnumeration(t *testing.T) {
+	s := wideStairSpace(t, 3) // doors 0–2 on floor 0, 3–5 on floor 1
+	sk := NewSkeleton(s)
+	cases := []struct {
+		name string
+		sel  []int
+	}{
+		{"dropped door", []int{0, 1, 2, 3, 5}},
+		{"extra door", []int{0, 1, 2, 3, 4, 5, 5}},
+		{"swapped pair", []int{3, 1, 2, 0, 4, 5}},
+		{"swapped on one floor", []int{1, 0, 2, 3, 4, 5}},
+	}
+	trustModes(t, func(t *testing.T, trusted bool) {
+		rec := reindexSkeleton(sk.Export(), []int{0, 1, 2, 3, 4, 5})
+		if _, err := SkeletonFromFlat(s, skeletonDoors(rec), rec.Dist, trusted); err != nil {
+			t.Fatalf("identity re-layout rejected: %v", err)
+		}
+		for _, tc := range cases {
+			rec := reindexSkeleton(sk.Export(), tc.sel)
+			if _, err := SkeletonFromFlat(s, skeletonDoors(rec), rec.Dist, trusted); err == nil {
+				t.Errorf("%s: accepted", tc.name)
+			}
+		}
+	})
+}
+
+// TestPathFinderFromFlatRejectsStateOrder: the kernel breaks distance ties
+// on state ID, which is its (door, partition) order only when states are
+// numbered in that order, so a state table out of order or with a repeated
+// state is rejected even when every index in it is valid.
+func TestPathFinderFromFlatRejectsStateOrder(t *testing.T) {
+	s, _ := towerSpace(t)
+	pf := NewPathFinder(s)
+	cases := []struct {
+		name   string
+		mutate func(*PathFinderRecord)
+	}{
+		{"states swapped", func(r *PathFinderRecord) { r.States[0], r.States[1] = r.States[1], r.States[0] }},
+		{"doors out of order", func(r *PathFinderRecord) { r.States[0], r.States[2] = r.States[2], r.States[0] }},
+		{"state repeated", func(r *PathFinderRecord) { r.States[1] = r.States[0] }},
+	}
+	for _, tc := range cases {
+		rec := pf.Export()
+		tc.mutate(rec)
+		if _, err := pathFinderFromRecord(s, rec); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
 }

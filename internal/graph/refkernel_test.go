@@ -3,11 +3,13 @@ package graph
 import (
 	"container/heap"
 	"math"
+
+	"ikrq/internal/model"
 )
 
-// This file keeps the seed shortest-path kernel verbatim, as a test-only
-// reference: freshly allocated O(states) tables per run and
-// container/heap's interface-typed binary heap. The kernel oracles (here
+// This file keeps the seed shortest-path kernel, as a test-only reference:
+// freshly allocated O(states) tables per run and container/heap's
+// interface-typed binary heap with its (dist, door, partition) order. The kernel oracles (here
 // and, through export_test.go, the mall-level oracle in package graph_test)
 // diff the workspace kernel against it state by state.
 
@@ -35,11 +37,11 @@ func (pf *PathFinder) refDijkstra(ws *Workspace, seeds []Seed, costs Costs) {
 			dist[sd.State] = sd.Cost
 			seedOf[sd.State] = int32(si)
 			parent[sd.State] = NoState
-			heap.Push(pq, pf.item(sd.State, sd.Cost))
+			heap.Push(pq, pf.refItem(sd.State, sd.Cost))
 		}
 	}
 	for pq.Len() > 0 {
-		it := heap.Pop(pq).(heapItem)
+		it := heap.Pop(pq).(refItem)
 		if it.dist > dist[it.state] {
 			continue
 		}
@@ -53,7 +55,7 @@ func (pf *PathFinder) refDijkstra(ws *Workspace, seeds []Seed, costs Costs) {
 				dist[a.to] = nd
 				parent[a.to] = it.state
 				seedOf[a.to] = seedOf[it.state]
-				heap.Push(pq, pf.item(a.to, nd))
+				heap.Push(pq, pf.refItem(a.to, nd))
 			}
 		}
 	}
@@ -65,11 +67,25 @@ func (pf *PathFinder) refDijkstra(ws *Workspace, seeds []Seed, costs Costs) {
 	}
 }
 
+// refItem is the seed kernel's queue entry: the state, its tentative
+// distance and the (door, partition) it breaks distance ties on.
+type refItem struct {
+	state StateID
+	dist  float64
+	door  model.DoorID
+	part  model.PartitionID
+}
+
+func (pf *PathFinder) refItem(s StateID, d float64) refItem {
+	st := pf.states[s]
+	return refItem{state: s, dist: d, door: st.door, part: st.part}
+}
+
 // refHeap is the seed's container/heap priority queue (boxed items, binary
-// layout) with the same (dist, door, partition) tie-break as the workspace
-// kernel's flat heap. Less spells the order out instead of calling
-// heapLess, so a defect in the kernel's comparison diffs against it.
-type refHeap []heapItem
+// layout) ordered by (dist, door, partition). The workspace kernel breaks
+// ties on state ID instead, which is the same order only through the
+// state-numbering invariant (settle), so the oracles check that too.
+type refHeap []refItem
 
 func (h refHeap) Len() int { return len(h) }
 func (h refHeap) Less(i, j int) bool {
@@ -83,7 +99,7 @@ func (h refHeap) Less(i, j int) bool {
 	return a.part < b.part
 }
 func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x any)   { *h = append(*h, x.(heapItem)) }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(refItem)) }
 func (h *refHeap) Pop() any {
 	old := *h
 	n := len(old)

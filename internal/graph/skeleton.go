@@ -20,37 +20,49 @@ import (
 // The value is a true lower bound of the indoor route distance, which makes
 // Pruning Rules 1–4 sound.
 type Skeleton struct {
-	s     *model.Space
-	doors []model.DoorID       // all staircase doors
-	idx   map[model.DoorID]int // door -> matrix index
+	s *model.Space
+	// doors lists the staircase doors floor-major, in the space's
+	// StairDoorsOnFloor enumeration: floor f's doors are matrix indices
+	// off[f]..off[f+1]. pos holds their positions.
+	doors []model.DoorID
+	off   []int32
+	pos   []geom.Point
 	// d is δs2s, Floyd–Warshall closed, flat row-major (stride len(doors)):
 	// one allocation, and the LowerBound hot loop walks a contiguous row
-	// instead of chasing per-row slice headers.
+	// segment per floor instead of chasing per-row slice headers.
 	d []float64
 }
 
-// at returns δs2s by matrix index.
-func (sk *Skeleton) at(i, j int) float64 { return sk.d[i*len(sk.doors)+j] }
-
 // Bytes estimates the resident size of the skeleton tables — the δs2s
-// closure, the door list and the door-index map — for the serving layer's
-// per-venue memory accounting.
+// closure, the door list, the door positions and the floor offsets — for
+// the serving layer's per-venue memory accounting.
 func (sk *Skeleton) Bytes() int64 {
 	n := int64(len(sk.doors))
-	return n*n*8 + n*4 + n*48 // closure + doors + amortized map entries
+	return n*n*8 + n*4 + n*24 + int64(len(sk.off))*4
+}
+
+// newSkeletonTables lays out the space's staircase doors floor-major with
+// their floor offsets and positions: the enumeration both NewSkeleton and
+// SkeletonFromFlat build on.
+func newSkeletonTables(s *model.Space) *Skeleton {
+	sk := &Skeleton{s: s, off: make([]int32, s.Floors()+1)}
+	for f := 0; f < s.Floors(); f++ {
+		sk.off[f] = int32(len(sk.doors))
+		sk.doors = append(sk.doors, s.StairDoorsOnFloor(f)...)
+	}
+	sk.off[s.Floors()] = int32(len(sk.doors))
+	sk.pos = make([]geom.Point, len(sk.doors))
+	for i, d := range sk.doors {
+		sk.pos[i] = s.Door(d).Pos
+	}
+	return sk
 }
 
 // NewSkeleton computes δs2s for the space's staircase doors with
 // Floyd–Warshall. The staircase-door count is small (staircases × floors),
 // so the cubic closure is cheap and done once per space.
 func NewSkeleton(s *model.Space) *Skeleton {
-	sk := &Skeleton{s: s, idx: make(map[model.DoorID]int)}
-	for f := 0; f < s.Floors(); f++ {
-		for _, d := range s.StairDoorsOnFloor(f) {
-			sk.idx[d] = len(sk.doors)
-			sk.doors = append(sk.doors, d)
-		}
-	}
+	sk := newSkeletonTables(s)
 	n := len(sk.doors)
 	sk.d = make([]float64, n*n)
 	for i := 0; i < n; i++ {
@@ -64,8 +76,7 @@ func NewSkeleton(s *model.Space) *Skeleton {
 	// staircase doors on one floor).
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			a := s.Door(sk.doors[i]).Pos
-			b := s.Door(sk.doors[j]).Pos
+			a, b := sk.pos[i], sk.pos[j]
 			if a.Floor != b.Floor {
 				continue
 			}
@@ -77,9 +88,13 @@ func NewSkeleton(s *model.Space) *Skeleton {
 		}
 	}
 	// Stairway edges carry their exact walking length.
+	idx := make(map[model.DoorID]int, n)
+	for i, d := range sk.doors {
+		idx[d] = i
+	}
 	for _, sw := range s.Stairways() {
-		i, iok := sk.idx[sw.From]
-		j, jok := sk.idx[sw.To]
+		i, iok := idx[sw.From]
+		j, jok := idx[sw.To]
 		if !iok || !jok {
 			continue
 		}
@@ -106,31 +121,47 @@ func NewSkeleton(s *model.Space) *Skeleton {
 	return sk
 }
 
-// S2S returns δs2s between two staircase doors, +Inf if either door is not
-// part of the skeleton or they are not connected.
-func (sk *Skeleton) S2S(a, b model.DoorID) float64 {
-	i, iok := sk.idx[a]
-	j, jok := sk.idx[b]
-	if !iok || !jok {
-		return math.Inf(1)
+// floorDoors returns the matrix index range of floor f's staircase doors,
+// empty for a floor outside the space.
+func (sk *Skeleton) floorDoors(f int) (lo, hi int) {
+	if f < 0 || f+1 >= len(sk.off) {
+		return 0, 0
 	}
-	return sk.at(i, j)
+	return int(sk.off[f]), int(sk.off[f+1])
 }
 
-// LowerBound returns |a,b|L.
+// lbChunk is how many of b's staircase doors LowerBound handles per pass:
+// their planar distances sit in a stack array, so no call allocates, and a
+// floor with more staircase doors is taken in chunks.
+const lbChunk = 64
+
+// LowerBound returns |a,b|L. Across floors it minimizes
+// (|a,sdA| + δs2s(sdA,sdB)) + |sdB,b| over staircase doors sdA on a's floor
+// and sdB on b's, summed in that order for every pair, with each planar
+// distance computed once per call. Keep the sum's order and math.Hypot
+// (geom.PlanarDist): regrouping it, or sqrt(dx*dx+dy*dy), can move a bound
+// by an ULP, and rounding up makes it inadmissible.
 func (sk *Skeleton) LowerBound(a, b geom.Point) float64 {
 	if a.Floor == b.Floor {
 		return a.PlanarDist(b)
 	}
+	a0, a1 := sk.floorDoors(a.Floor)
+	b0, b1 := sk.floorDoors(b.Floor)
+	n := len(sk.doors)
 	best := math.Inf(1)
-	for _, sdA := range sk.s.StairDoorsOnFloor(a.Floor) {
-		da := a.PlanarDist(sk.s.Door(sdA).Pos)
-		ia := sk.idx[sdA]
-		for _, sdB := range sk.s.StairDoorsOnFloor(b.Floor) {
-			ib := sk.idx[sdB]
-			v := da + sk.at(ia, ib) + b.PlanarDist(sk.s.Door(sdB).Pos)
-			if v < best {
-				best = v
+	var db [lbChunk]float64
+	for c0 := b0; c0 < b1; c0 += lbChunk {
+		c1 := min(c0+lbChunk, b1)
+		tail := db[:c1-c0]
+		for j := range tail {
+			tail[j] = b.PlanarDist(sk.pos[c0+j])
+		}
+		for i := a0; i < a1; i++ {
+			da := a.PlanarDist(sk.pos[i])
+			for j, s2s := range sk.d[i*n+c0 : i*n+c1] {
+				if v := da + s2s + tail[j]; v < best {
+					best = v
+				}
 			}
 		}
 	}

@@ -68,8 +68,10 @@ func closureOracle(t *testing.T, eng *search.Engine, reqs []search.Request, clos
 // sameRoutesModuloRemap compares an overlay result (original door IDs)
 // against a rebuilt-engine result (filtered door IDs) through the remap.
 // Scores and distances must match exactly: both engines execute identical
-// float operations in identical order, which the deterministic
-// (dist, door, partition) tie-breaking of the distance stack guarantees.
+// float operations in identical order, which the deterministic tie-breaking
+// of the distance stack guarantees. The kernel breaks ties on state ID,
+// and states are numbered in (door, partition) order, which the rebuild's
+// order-preserving door renumbering keeps.
 func sameRoutesModuloRemap(got, want *search.Result, remap []model.DoorID) error {
 	if len(got.Routes) != len(want.Routes) {
 		return fmt.Errorf("%d routes vs %d", len(got.Routes), len(want.Routes))

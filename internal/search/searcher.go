@@ -1,6 +1,7 @@
 package search
 
 import (
+	"container/heap"
 	"context"
 	"math"
 
@@ -225,7 +226,7 @@ func (sr *searcher) run() {
 			sr.stats.Truncated = true
 			break
 		}
-		si := heapPop(&sr.queue)
+		si := heap.Pop(&sr.queue).(*stamp)
 		sr.stats.Pops++
 		var es []*stamp
 		if sr.opt.Algorithm == KoE {
@@ -313,7 +314,7 @@ func (sr *searcher) nextSeq() int64 {
 }
 
 func (sr *searcher) push(s *stamp) {
-	heapPush(&sr.queue, s)
+	heap.Push(&sr.queue, s)
 	if len(sr.queue) > sr.stats.PeakQueue {
 		sr.stats.PeakQueue = len(sr.queue)
 	}

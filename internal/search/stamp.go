@@ -1,7 +1,6 @@
 package search
 
 import (
-	"container/heap"
 	"slices"
 
 	"ikrq/internal/model"
@@ -401,12 +400,6 @@ func lessDoors(a, b *route.Node) bool {
 	}
 	return len(da) < len(db)
 }
-
-// heapPush wraps container/heap for the searcher.
-func heapPush(h *stampHeap, s *stamp) { heap.Push(h, s) }
-
-// heapPop wraps container/heap for the searcher.
-func heapPop(h *stampHeap) *stamp { return heap.Pop(h).(*stamp) }
 
 // copySims clones a similarity vector into garbage-collected memory; used
 // where the copy escapes the query (results) or no arena is available.

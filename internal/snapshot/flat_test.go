@@ -397,6 +397,72 @@ func TestV3TrustModesSplitOnValues(t *testing.T) {
 	}
 }
 
+// TestForgedSkeletonRejected: a SKEL section whose door list is not the
+// space's staircase-door enumeration — a door dropped, or two swapped —
+// fails with ErrCorrupt in both trust modes, even with a consistent δs2s
+// table and every CRC recomputed. The bounds would otherwise read another
+// door's distances for the missing one and prune real routes.
+func TestForgedSkeletonRejected(t *testing.T) {
+	data := snapshotBytes(t, tinyEngine(t))
+	var doors []uint32
+	for _, sec := range sections(data) {
+		if sec.tag == "SKEL" {
+			n := int(binary.LittleEndian.Uint64(sec.body))
+			for i := 0; i < n; i++ {
+				doors = append(doors, binary.LittleEndian.Uint32(sec.body[8+4*i:]))
+			}
+		}
+	}
+	if len(doors) < 2 {
+		t.Fatalf("tiny engine's skeleton has %d doors, the forgeries need 2", len(doors))
+	}
+	// skel lays out a SKEL payload over the given doors with a δs2s table
+	// that is zero on the diagonal and 20 elsewhere.
+	skel := func(doors []uint32) []byte {
+		b := binary.LittleEndian.AppendUint64(nil, uint64(len(doors)))
+		for _, d := range doors {
+			b = binary.LittleEndian.AppendUint32(b, d)
+		}
+		for len(b)%8 != 0 {
+			b = append(b, 0)
+		}
+		for i := range doors {
+			for j := range doors {
+				v := 20.0
+				if i == j {
+					v = 0
+				}
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+			}
+		}
+		return b
+	}
+	cases := []struct {
+		name  string
+		doors []uint32
+	}{
+		{"dropped door", doors[:len(doors)-1]},
+		{"swapped doors", append([]uint32{doors[1], doors[0]}, doors[2:]...)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			secs := sections(data)
+			for i := range secs {
+				if secs[i].tag == "SKEL" {
+					secs[i].body = skel(tc.doors)
+				}
+			}
+			forged := relayout(data[:16], secs)
+			if _, err := snapshot.LoadEngine(bytes.NewReader(forged)); !errors.Is(err, snapshot.ErrCorrupt) {
+				t.Fatalf("LoadEngine: got %v, want ErrCorrupt", err)
+			}
+			if _, err := snapshot.EngineFromFlatTrusted(forged); !errors.Is(err, snapshot.ErrCorrupt) {
+				t.Fatalf("trusted reader: got %v, want ErrCorrupt", err)
+			}
+		})
+	}
+}
+
 // prevEnd returns where section i's predecessor payload ends (the first
 // padding byte before section i); the directory end for i == 0.
 func prevEnd(b []byte, i int) int {
