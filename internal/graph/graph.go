@@ -263,7 +263,7 @@ func (c Costs) delay(d model.DoorID) float64 {
 // exhaust the graph (ShortestTreeWS, DistancesFromPoint, the matrix sweep).
 func (pf *PathFinder) dijkstra(ws *Workspace, seeds []Seed, costs Costs, targets []StateID) {
 	pf.start(ws, seeds)
-	pf.settle(ws, pf.adj, costs, targets)
+	pf.settle(ws, pf.adj, costs, targets, nil)
 }
 
 // start begins a run on ws: the previous run's tables are invalidated and
@@ -304,6 +304,17 @@ func (pf *PathFinder) start(ws *Workspace, seeds []Seed) {
 // distances; callers read targets and the states on their parent chains,
 // all of which settled before them.
 //
+// legs, when non-nil, gives each target a final leg (a point search: the
+// answer is the target least in dist+leg, earlier targets winning ties),
+// and the run also stops once du + (least leg among unsettled targets) is
+// greater than the best dist+leg among settled ones, where du is the
+// distance just settled. That point stop is exact: every unsettled target
+// t ends at dist(t) ≥ du, and float addition is monotone, so fl(dist(t) +
+// leg(t)) ≥ fl(du + leg(t)) ≥ fl(du + minLeg) > best — no unsettled target
+// can beat or tie the best, whatever the list order. Callers of a point
+// search read only settled targets, and never resume it: its unsettled
+// targets stay marked.
+//
 // Ties on distance break on the arrival state's ID. States are numbered in
 // strictly increasing (door, partition) order — NewPathFinder enumerates
 // doors in ID order and each door's sorted Enterable list, and
@@ -316,7 +327,7 @@ func (pf *PathFinder) start(ws *Workspace, seeds []Seed) {
 // with it every settled dist/parent entry — is the seed kernel's,
 // independent of the queue's layout and of where a run pauses (the graph
 // oracles diff it against the seed kernel kept in the tests).
-func (pf *PathFinder) settle(ws *Workspace, adj [][]arc, costs Costs, targets []StateID) {
+func (pf *PathFinder) settle(ws *Workspace, adj [][]arc, costs Costs, targets []StateID, legs []float64) {
 	remaining := 0
 	for _, t := range targets {
 		if t != NoState && ws.settled[t] != ws.epoch && ws.target[t] != ws.epoch {
@@ -327,8 +338,13 @@ func (pf *PathFinder) settle(ws *Workspace, adj [][]arc, costs Costs, targets []
 	if len(targets) > 0 && remaining == 0 {
 		return
 	}
-	// Zero Costs (LazyTree, the hub sweep, the matrix sweep) skip the
-	// arrival door's lookup.
+	// Without legs best stays +Inf, so the point stop never fires.
+	best, minLeg := math.Inf(1), math.Inf(1)
+	if legs != nil {
+		best, minLeg = ws.pointStop(targets, legs)
+	}
+	// Zero Costs (static LazyTrees, the hub sweep, the matrix sweep) skip
+	// the arrival door's lookup.
 	static := costs.Block == nil && costs.Delay == nil
 	for ws.qMask != 0 {
 		u, du := ws.pop()
@@ -355,8 +371,31 @@ func (pf *PathFinder) settle(ws *Workspace, adj [][]arc, costs Costs, targets []
 			if remaining--; remaining == 0 {
 				return // every requested target is final
 			}
+			if legs != nil {
+				best, minLeg = ws.pointStop(targets, legs)
+			}
+		}
+		if du+minLeg > best {
+			return // point stop: no unsettled target can beat or tie best
 		}
 	}
+}
+
+// pointStop returns the point stop's two terms over targets and their
+// legs: the least dist+leg among settled targets and the least leg among
+// the others (each +Inf over an empty set).
+func (ws *Workspace) pointStop(targets []StateID, legs []float64) (best, minLeg float64) {
+	best, minLeg = math.Inf(1), math.Inf(1)
+	for i, t := range targets {
+		switch {
+		case t == NoState:
+		case ws.settled[t] == ws.epoch:
+			best = min(best, ws.dist[t]+legs[i])
+		default:
+			minLeg = min(minLeg, legs[i])
+		}
+	}
+	return best, minLeg
 }
 
 // getWS draws a pooled workspace for PointToPoint and DistancesFromPoint.
@@ -446,18 +485,20 @@ type Tree struct {
 // tree (itself stored in the workspace) borrows the workspace's tables and
 // is invalidated by its next run.
 func (pf *PathFinder) ShortestTreeWS(ws *Workspace, seeds []Seed, costs Costs) *Tree {
-	return pf.ShortestTreeToStatesWS(ws, seeds, nil, costs)
+	return pf.ShortestTreeToStatesWS(ws, seeds, nil, nil, costs)
 }
 
 // ShortestTreeToStatesWS is ShortestTreeWS with target-driven early
 // termination: the run stops once every reachable target is settled, so the
-// returned tree's Dist/AppendPathTo/Seed are exact for the targets (and for
-// any state that settled before them) but not for states the truncated
-// frontier never settled. The sequence planner uses this to read distances
-// to every entry state of a candidate-partition union from one Dijkstra
-// without exhausting the graph.
-func (pf *PathFinder) ShortestTreeToStatesWS(ws *Workspace, seeds []Seed, targets []StateID, costs Costs) *Tree {
-	pf.dijkstra(ws, seeds, costs, targets)
+// returned tree answers for the targets and for every state that settled
+// before them. The sequence planner uses this to read distances to every
+// entry state of a candidate-partition union from one Dijkstra without
+// exhausting the graph. Non-nil legs, one per target, make the run a point
+// search that may stop earlier (settle's point stop); Nearest then reads
+// its answer.
+func (pf *PathFinder) ShortestTreeToStatesWS(ws *Workspace, seeds []Seed, targets []StateID, legs []float64, costs Costs) *Tree {
+	pf.start(ws, seeds)
+	pf.settle(ws, pf.adj, costs, targets, legs)
 	ws.tree = Tree{pf: pf, ws: ws, epoch: ws.epoch, seeds: seeds}
 	return &ws.tree
 }
@@ -468,19 +509,29 @@ func (t *Tree) check() {
 	}
 }
 
-// Dist returns the tree distance to a state (+Inf when unreachable).
-func (t *Tree) Dist(s StateID) float64 {
+// settled reports whether s settled in the tree's run: its distance,
+// parent chain and seed are final. A targeted run leaves the states beyond
+// its stop unsettled, an exhaustive one only the unreachable states.
+func (t *Tree) settled(s StateID) bool {
 	t.check()
-	return t.ws.distAt(s)
+	return s != NoState && t.ws.settled[s] == t.epoch
+}
+
+// Dist returns the tree distance to a state, +Inf when it did not settle
+// (unreachable, or beyond where a targeted run stopped).
+func (t *Tree) Dist(s StateID) float64 {
+	if !t.settled(s) {
+		return math.Inf(1)
+	}
+	return t.ws.dist[s]
 }
 
 // Seed returns the index (into the seed slice the tree was built from) of
-// the seed whose shortest path reaches state s, or -1 when s is unreachable.
-// Chained searches use this to attribute a settled target back to the label
-// that fed it.
+// the seed whose shortest path reaches state s, or -1 when s did not
+// settle. Chained searches use this to attribute a settled target back to
+// the label that fed it.
 func (t *Tree) Seed(s StateID) int {
-	t.check()
-	if s == NoState || math.IsInf(t.ws.distAt(s), 1) {
+	if !t.settled(s) {
 		return -1
 	}
 	return int(t.ws.seedOf[s])
@@ -488,68 +539,43 @@ func (t *Tree) Seed(s StateID) int {
 
 // AppendPathTo reconstructs the hop sequence to a state into a
 // caller-owned buffer; it returns dst unchanged and ok=false when the state
-// is unreachable.
+// did not settle.
 func (t *Tree) AppendPathTo(dst []Hop, s StateID) ([]Hop, bool) {
-	t.check()
-	if s == NoState || math.IsInf(t.ws.distAt(s), 1) {
+	if !t.settled(s) {
 		return dst, false
 	}
 	return t.pf.reconstructInto(dst, t.ws, s, t.seeds), true
 }
 
-// ShortestToStatesWS finds the cheapest path from the seeds to any of the
-// target states (ties break on list order) on a caller-owned workspace. It
-// returns the best target and path, or ok=false when none is reachable. The
-// target set drives early termination: the run stops once every reachable
-// target is settled instead of exhausting the graph. The returned path's
-// hops borrow the workspace and are valid until its next run.
-func (pf *PathFinder) ShortestToStatesWS(ws *Workspace, seeds []Seed, targets []StateID, costs Costs) (StateID, Path, bool) {
-	pf.dijkstra(ws, seeds, costs, targets)
+// Nearest is a point search's answer: the target least in dist+leg among
+// those that settled, the earlier one on ties, when that sum is below
+// bound; NoState and bound otherwise. Read on a point-stopped tree (legs
+// passed to ShortestTreeToStatesWS) it equals the exhaustive answer, since
+// the stop leaves only targets that cannot beat or tie it.
+func (t *Tree) Nearest(targets []StateID, legs []float64, bound float64) (StateID, float64) {
 	best := NoState
-	bestD := math.Inf(1)
-	for _, t := range targets {
-		if t == NoState {
-			continue
-		}
-		if d := ws.distAt(t); d < bestD {
-			bestD = d
-			best = t
+	for i, s := range targets {
+		if d := t.Dist(s) + legs[i]; d < bound {
+			best, bound = s, d
 		}
 	}
-	if best == NoState {
-		return NoState, Path{}, false
-	}
-	ws.hops = pf.reconstructInto(ws.hops[:0], ws, best, seeds)
-	return best, Path{Hops: ws.hops, Dist: bestD}, true
-}
-
-// ShortestToStateWS finds the cheapest path from the seeds to one state,
-// with single-target early termination; the path's hops borrow the
-// workspace.
-func (pf *PathFinder) ShortestToStateWS(ws *Workspace, seeds []Seed, target StateID, costs Costs) (Path, bool) {
-	ws.tbuf = append(ws.tbuf[:0], target)
-	_, p, ok := pf.ShortestToStatesWS(ws, seeds, ws.tbuf, costs)
-	return p, ok
+	return best, bound
 }
 
 // ShortestToPointWS finds the cheapest route from the seeds to point pt,
 // whose host partition must be hostPt: the route ends at some door state
-// (d, hostPt) plus the in-partition leg |d, pt|. The run terminates once
-// every entry state of pt's host partition is settled (all of them,
-// because the final door-to-point leg differs per state); the path's hops
+// (d, hostPt) plus the in-partition leg |d, pt|. The run is a point search
+// over the entry states of pt's host partition with those legs, so it
+// stops as soon as no unsettled entry state can win; the path's hops
 // borrow the workspace.
 func (pf *PathFinder) ShortestToPointWS(ws *Workspace, seeds []Seed, pt geom.Point, hostPt model.PartitionID, costs Costs) (Path, bool) {
 	ws.tbuf = pf.appendTargetStatesForPoint(ws.tbuf[:0], hostPt)
-	pf.dijkstra(ws, seeds, costs, ws.tbuf)
-	best := NoState
-	bestD := math.Inf(1)
+	ws.legs = ws.legs[:0]
 	for _, sid := range ws.tbuf {
-		leg := pf.s.Door(pf.states[sid].door).Pos.Dist(pt)
-		if d := ws.distAt(sid) + leg; d < bestD {
-			bestD = d
-			best = sid
-		}
+		ws.legs = append(ws.legs, pf.s.Door(pf.states[sid].door).Pos.Dist(pt))
 	}
+	t := pf.ShortestTreeToStatesWS(ws, seeds, ws.tbuf, ws.legs, costs)
+	best, bestD := t.Nearest(ws.tbuf, ws.legs, math.Inf(1))
 	if best == NoState {
 		return Path{}, false
 	}

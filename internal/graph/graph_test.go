@@ -314,18 +314,18 @@ func TestShortestToStates(t *testing.T) {
 	pf := NewPathFinder(s)
 	ps := geom.Pt(2, 5, 0)
 	target := pf.StateOf(doors[2], parts[3]) // door d2 entered into shop
-	got, path, ok := pf.ShortestToStatesWS(NewWorkspace(), pf.SeedsFromPoint(ps),
-		[]StateID{target}, Costs{})
-	if !ok || got != target {
-		t.Fatalf("ShortestToStates failed: ok=%v", ok)
+	run := pf.LazyTreeWS(NewWorkspace(), pf.SeedsFromPoint(ps), Costs{})
+	hops, ok := run.AppendPathTo(nil, target)
+	if !ok {
+		t.Fatal("paused run did not reach the shop door")
 	}
 	want := ps.Dist(s.Door(doors[0]).Pos) +
 		s.Door(doors[0]).Pos.Dist(s.Door(doors[2]).Pos)
-	if math.Abs(path.Dist-want) > 1e-9 {
-		t.Errorf("dist = %v, want %v", path.Dist, want)
+	if d := run.Dist(target); math.Abs(d-want) > 1e-9 {
+		t.Errorf("dist = %v, want %v", d, want)
 	}
-	if len(path.Hops) != 2 {
-		t.Errorf("hops = %+v", path.Hops)
+	if len(hops) != 2 {
+		t.Errorf("hops = %+v", hops)
 	}
 }
 

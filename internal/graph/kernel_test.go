@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -146,48 +148,67 @@ func TestKernelMatchesReference(t *testing.T) {
 	}
 }
 
-// TestKernelEarlyTerminationExact asserts the target-set early exit returns
-// exactly the full run's answer: for every (source, target) pair the
-// targeted run's distance and reconstructed hop sequence equal the seed
-// kernel's exhaustive tree, including unreachable targets (which degrade to
-// full exhaustion, not a wrong answer). A LazyTree per source, resumed over
-// every target in turn, must give the same answers.
+// TestKernelEarlyTerminationExact asserts the kernel's early exits give
+// exactly the exhaustive answer, on every hand-built space under every cost
+// case, from single seeds and from label-style seed sets at distinct costs:
+//
+//   - Paused runs. For every target, a fresh run stopped at it and one run
+//     resumed over all targets in shuffled order must each return the seed
+//     kernel's distance and hop sequence, including unreachable targets
+//     (which degrade to full exhaustion, not a wrong answer).
+//   - Point stops. A point search over a target list with per-target legs
+//     must return the reference's answer: the least dist+leg, the earlier
+//     target on ties. The leg sets include legs so large that every sum
+//     rounds to the same value, so a stop that fires on a tie (>= for >)
+//     answers with the nearest target instead of the first listed one.
 func TestKernelEarlyTerminationExact(t *testing.T) {
+	// The hand-built tie: from ps in the corridor's h0, the far target is
+	// listed before the near one and both sums round to 2⁶⁰. The near
+	// target settles first; the far one must still win on list order.
+	t.Run("tie", func(t *testing.T) {
+		s, parts, doors := corridorSpace(t)
+		pf := NewPathFinder(s)
+		near, far := pf.StateOf(doors[0], parts[1]), pf.StateOf(doors[1], parts[2])
+		targets, legs := []StateID{far, near}, []float64{1 << 60, 1 << 60}
+		tree := pf.ShortestTreeToStatesWS(NewWorkspace(), pf.SeedsFromPoint(geom.Pt(2, 5, 0)), targets, legs, Costs{})
+		if got, d := tree.Nearest(targets, legs, math.Inf(1)); got != far || d != 1<<60 {
+			t.Fatalf("point search answered %d at %v, want the first-listed tie %d at 2^60", got, d, far)
+		}
+	})
 	for name, s := range kernelSpaces(t) {
 		t.Run(name, func(t *testing.T) {
 			pf := NewPathFinder(s)
-			ws, wsLazy, wsRef := NewWorkspace(), NewWorkspace(), NewWorkspace()
-			for src := 0; src < pf.NumStates(); src++ {
-				seeds := []Seed{{State: StateID(src), EmitHop: true}}
-				pf.refDijkstra(wsRef, seeds, Costs{})
-				ref := Tree{pf: pf, ws: wsRef, epoch: wsRef.epoch, seeds: seeds}
-				lazy := pf.LazyTreeWS(wsLazy, StateID(src))
-				lazyRef := Tree{pf: pf, ws: wsRef, epoch: wsRef.epoch, seeds: []Seed{{State: StateID(src)}}}
-				for dst := 0; dst < pf.NumStates(); dst++ {
-					lazyHops, okL := lazy.AppendPathTo(nil, StateID(dst))
-					wantLazy, okLW := lazyRef.AppendPathTo(nil, StateID(dst))
-					if okL != okLW || !slices.Equal(lazyHops, wantLazy) || lazy.Dist(StateID(dst)) != ref.Dist(StateID(dst)) {
-						t.Fatalf("%d->%d: lazy (%v, %v, %v) vs ref (%v, %v, %v)", src, dst,
-							lazyHops, okL, lazy.Dist(StateID(dst)), wantLazy, okLW, ref.Dist(StateID(dst)))
-					}
-					got, okG := pf.ShortestToStateWS(ws, seeds, StateID(dst), Costs{})
-					wantHops, okW := ref.AppendPathTo(nil, StateID(dst))
-					if okG != okW {
-						t.Fatalf("%d->%d: ok %v vs ref %v", src, dst, okG, okW)
-					}
-					if !okG {
-						continue
-					}
-					if want := ref.Dist(StateID(dst)); got.Dist != want {
-						t.Fatalf("%d->%d: dist %v vs ref %v", src, dst, got.Dist, want)
-					}
-					if len(got.Hops) != len(wantHops) {
-						t.Fatalf("%d->%d: %d hops vs ref %d", src, dst, len(got.Hops), len(wantHops))
-					}
-					for i := range got.Hops {
-						if got.Hops[i] != wantHops[i] {
-							t.Fatalf("%d->%d hop %d: %+v vs ref %+v", src, dst, i, got.Hops[i], wantHops[i])
+			n := pf.NumStates()
+			rng := rand.New(rand.NewSource(int64(n)))
+			ws, wsFresh, wsRef := NewWorkspace(), NewWorkspace(), NewWorkspace()
+			var seedSets [][]Seed
+			for a := 0; a < n; a++ {
+				seedSets = append(seedSets,
+					[]Seed{{State: StateID(a), EmitHop: true}},
+					[]Seed{{State: StateID(a), Cost: 0.5}, {State: StateID((a + 1) % n), Cost: 3.25, EmitHop: true}, {State: StateID((a + n/2) % n), Cost: 1.75}})
+			}
+			for costName, costs := range kernelCostCases(s) {
+				for i, seeds := range seedSets {
+					ref := pf.ReferenceTreeWS(wsRef, seeds, costs)
+					resumed := pf.LazyTreeWS(ws, seeds, costs)
+					for _, dst := range rng.Perm(n) {
+						tgt := StateID(dst)
+						wantHops, wantOK := ref.AppendPathTo(nil, tgt)
+						for kind, lt := range map[string]*LazyTree{"resumed": resumed, "fresh": pf.LazyTreeWS(wsFresh, seeds, costs)} {
+							hops, ok := lt.AppendPathTo(nil, tgt)
+							if ok != wantOK || !slices.Equal(hops, wantHops) || lt.Dist(tgt) != ref.Dist(tgt) {
+								t.Fatalf("%s seeds %d -> %d (%s run): (%v, %v, %v), reference (%v, %v, %v)", costName, i, dst, kind,
+									hops, ok, lt.Dist(tgt), wantHops, wantOK, ref.Dist(tgt))
+							}
 						}
+					}
+					targets := make([]StateID, 0, n)
+					for _, st := range rng.Perm(n)[:1+rng.Intn(n)] {
+						targets = append(targets, StateID(st))
+					}
+					for legName, legs := range PointLegCases(ref, targets) {
+						label := fmt.Sprintf("%s seeds %d %s legs", costName, i, legName)
+						CheckPointStop(t, label, pf, ws, seeds, targets, legs, costs, ref)
 					}
 				}
 			}
@@ -203,16 +224,14 @@ func TestWorkspaceEpochWrap(t *testing.T) {
 	ws := NewWorkspace()
 	target := pf.StateOf(doors[2], parts[3])
 	seeds := []Seed{{State: pf.StateOf(doors[0], parts[1])}}
-	want, ok := pf.ShortestToStateWS(ws, seeds, target, Costs{})
-	if !ok {
+	wantDist := pf.LazyTreeWS(ws, seeds, Costs{}).Dist(target)
+	if math.IsInf(wantDist, 1) {
 		t.Fatal("corridor target unreachable")
 	}
-	wantDist := want.Dist
 	ws.epoch = ^uint32(0) - 1 // two runs from wrapping
 	for i := 0; i < 4; i++ {
-		got, ok := pf.ShortestToStateWS(ws, seeds, target, Costs{})
-		if !ok || got.Dist != wantDist {
-			t.Fatalf("run %d across epoch wrap: dist %v ok=%v, want %v", i, got.Dist, ok, wantDist)
+		if got := pf.LazyTreeWS(ws, seeds, Costs{}).Dist(target); got != wantDist {
+			t.Fatalf("run %d across epoch wrap: dist %v, want %v", i, got, wantDist)
 		}
 	}
 	if ws.epoch == 0 {

@@ -2,52 +2,57 @@ package graph
 
 import "math"
 
-// LazyTree is a paused static (zero-Costs) single-source kernel run: the
-// one way KoE* recovers static paths, on either backend. Where
-// ShortestTreeWS exhausts the graph up front, a LazyTree asks the kernel
-// to settle only the requested target and pauses there, resuming from the
-// frozen frontier on the next request — so one stamp tail pays only for
-// the distance radius its expansion targets actually reach. Dijkstra's
-// settled prefix is invariant under pausing (the kernel's strict total
-// order makes the pop sequence unique), so every path a LazyTree returns is
-// hop-for-hop the path a full tree would yield.
+// LazyTree is a paused kernel run from a seed set under a cost model.
+// Where ShortestTreeWS exhausts the graph up front, a LazyTree asks the
+// kernel to settle only the requested target and pauses there, resuming
+// from the frozen frontier on the next request — so a run pays only for the
+// distance radius its targets actually reach. Dijkstra's settled prefix is
+// invariant under pausing (the kernel's strict total order makes the pop
+// sequence unique), so every path a LazyTree returns is hop-for-hop the
+// path a full tree — or a fresh run stopped at that target — would yield.
+//
+// KoE* recovers static paths from single-state runs under zero Costs, on
+// either backend, and every KoE expansion reads its paths from one run
+// from the stamp's seeds under the stamp's costs.
 //
 // A LazyTree borrows its workspace's storage: any later run on the
 // workspace invalidates the tree, and resuming it then panics (the same
 // contract as Tree).
 type LazyTree struct {
-	tree Tree
-	seed [1]Seed
+	tree  Tree
+	costs Costs
+	seeds []Seed // the run's copy of its seeds, read by path reconstruction
 }
 
-// LazyTreeWS starts a lazy static run from src on ws, claiming the
-// workspace until its next run. The returned tree is borrowed workspace
-// state, like ShortestTreeWS's.
-func (pf *PathFinder) LazyTreeWS(ws *Workspace, src StateID) *LazyTree {
+// LazyTreeWS starts a paused run from seeds under costs on ws, claiming
+// the workspace until its next run. The tree keeps its own copy of the
+// seeds, so the caller may reuse the slice. The returned tree is borrowed
+// workspace state, like ShortestTreeWS's.
+func (pf *PathFinder) LazyTreeWS(ws *Workspace, seeds []Seed, costs Costs) *LazyTree {
 	lt := &ws.ltree
-	lt.seed[0] = Seed{State: src}
-	pf.start(ws, lt.seed[:])
-	lt.tree = Tree{pf: pf, ws: ws, epoch: ws.epoch, seeds: lt.seed[:]}
+	lt.seeds = append(lt.seeds[:0], seeds...)
+	lt.costs = costs
+	pf.start(ws, lt.seeds)
+	lt.tree = Tree{pf: pf, ws: ws, epoch: ws.epoch, seeds: lt.seeds}
 	return lt
 }
 
 // resume runs the paused kernel until s settles; false means s is
-// unreachable from src (the frontier drained first).
+// unreachable from the seeds (the frontier drained first).
 func (lt *LazyTree) resume(s StateID) bool {
 	t := &lt.tree
-	t.check()
-	ws := t.ws
-	if ws.settled[s] != ws.epoch {
+	if !t.settled(s) {
+		ws := t.ws
 		ws.tbuf = append(ws.tbuf[:0], s)
-		t.pf.settle(ws, t.pf.adj, Costs{}, ws.tbuf)
+		t.pf.settle(ws, t.pf.adj, lt.costs, ws.tbuf, nil)
 	}
-	return ws.settled[s] == ws.epoch
+	return t.settled(s)
 }
 
-// AppendPathTo appends the static shortest hop sequence from src to s
-// (excluding src's own hop, as Tree.AppendPathTo over an EmitHop-less
-// seed), resuming the paused run as far as needed. ok is false when s is
-// unreachable from src.
+// AppendPathTo appends the shortest hop sequence from the seeds to s (a
+// seed's own door only when its EmitHop is set, as Tree.AppendPathTo),
+// resuming the paused run as far as needed. ok is false when s is
+// unreachable.
 func (lt *LazyTree) AppendPathTo(dst []Hop, s StateID) ([]Hop, bool) {
 	if !lt.resume(s) {
 		return dst, false
@@ -55,11 +60,11 @@ func (lt *LazyTree) AppendPathTo(dst []Hop, s StateID) ([]Hop, bool) {
 	return lt.tree.AppendPathTo(dst, s)
 }
 
-// AppendPathIfAllowed is AppendPathTo under the degrade-to-bound contract
-// of DistanceSource: the path and its static distance come back only when
-// no door on it is blocked or delayed under costs (Costs.AllowsStatic).
-// On ok == false dst may carry a partial suffix, which callers reusing a
-// buffer re-slice anyway.
+// AppendPathIfAllowed is AppendPathTo on a zero-Costs run under the
+// degrade-to-bound contract of DistanceSource: the path and its static
+// distance come back only when no door on it is blocked or delayed under
+// costs (Costs.AllowsStatic). On ok == false dst may carry a partial
+// suffix, which callers reusing a buffer re-slice anyway.
 func (lt *LazyTree) AppendPathIfAllowed(dst []Hop, s StateID, costs Costs) ([]Hop, float64, bool) {
 	start := len(dst)
 	dst, ok := lt.AppendPathTo(dst, s)
@@ -69,8 +74,8 @@ func (lt *LazyTree) AppendPathIfAllowed(dst []Hop, s StateID, costs Costs) ([]Ho
 	return dst, lt.tree.Dist(s), true
 }
 
-// Dist returns the static distance from src to s, resuming as needed;
-// +Inf when unreachable.
+// Dist returns the run's distance to s, resuming as needed; +Inf when
+// unreachable.
 func (lt *LazyTree) Dist(s StateID) float64 {
 	if !lt.resume(s) {
 		return math.Inf(1)

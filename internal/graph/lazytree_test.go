@@ -22,7 +22,7 @@ func TestLazyTreeMatchesFullTree(t *testing.T) {
 		for trial := 0; trial < 8; trial++ {
 			src := StateID(rng.Intn(n))
 			full := pf.ShortestTreeWS(NewWorkspace(), []Seed{{State: src}}, Costs{})
-			lt := pf.LazyTreeWS(NewWorkspace(), src)
+			lt := pf.LazyTreeWS(NewWorkspace(), []Seed{{State: src}}, Costs{})
 			// Random target order, with repeats: repeats must hit the
 			// settled fast path and still answer identically.
 			for q := 0; q < 2*n; q++ {
@@ -51,7 +51,7 @@ func TestLazyTreeInvalidatedPanics(t *testing.T) {
 	s := randomMall(t, 3)
 	pf := NewPathFinder(s)
 	ws := NewWorkspace()
-	lt := pf.LazyTreeWS(ws, 0)
+	lt := pf.LazyTreeWS(ws, []Seed{{State: 0}}, Costs{})
 	lt.Dist(StateID(pf.NumStates() - 1))
 	pf.ShortestTreeWS(ws, []Seed{{State: 1}}, Costs{})
 	defer func() {

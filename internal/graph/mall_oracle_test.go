@@ -69,6 +69,15 @@ func stateOracle(t *testing.T, pf *graph.PathFinder, qg *gen.QueryGen, cfg gen.Q
 	for _, r := range reqs {
 		seedSets = append(seedSets, pf.SeedsFromPoint(r.Ps), pf.SeedsFromPoint(r.Pt))
 	}
+	// Label sets, the shape of the sequence planner's stage seeds: a
+	// partition's entry states at distinct costs, none emitting its door.
+	for k := 0; k < 4; k++ {
+		var labels []graph.Seed
+		for j, st := range appendEntryStates(nil, pf, model.PartitionID((2*k+1)*s.NumPartitions()/8)) {
+			labels = append(labels, graph.Seed{State: st, Cost: 2.5*float64(j) + 0.75})
+		}
+		seedSets = append(seedSets, labels)
+	}
 	// Target sets: the entry states of a few partitions each, the shape
 	// the sequence planner requests.
 	var targetSets [][]graph.StateID
@@ -81,7 +90,7 @@ func stateOracle(t *testing.T, pf *graph.PathFinder, qg *gen.QueryGen, cfg gen.Q
 		targetSets = append(targetSets, set)
 	}
 
-	ws, wsRef := graph.NewWorkspace(), graph.NewWorkspace()
+	ws, wsFresh, wsRef := graph.NewWorkspace(), graph.NewWorkspace(), graph.NewWorkspace()
 	for _, oc := range oracleOverlays(s, condSeed) {
 		costs := graph.Costs{}
 		if oc.cond != nil {
@@ -90,7 +99,7 @@ func stateOracle(t *testing.T, pf *graph.PathFinder, qg *gen.QueryGen, cfg gen.Q
 		for i, seeds := range seedSets {
 			ref := pf.ReferenceTreeWS(wsRef, seeds, costs)
 			checkTables(t, oc.name, i, pf, pf.ShortestTreeWS(ws, seeds, costs), ref)
-			checkSingleTargets(t, oc.name, i, pf, ws, seeds, costs, ref)
+			checkPausedRun(t, oc.name, i, pf, ws, wsFresh, seeds, costs, ref)
 			for j, targets := range targetSets {
 				checkTargetSet(t, oc.name, i, j, pf, ws, seeds, targets, costs, ref)
 			}
@@ -166,24 +175,29 @@ func checkPath(t *testing.T, label string, got graph.Path, ok bool, wantDist flo
 	}
 }
 
-// checkSingleTargets runs single-target early-terminating searches to
-// evenly spaced states.
-func checkSingleTargets(t *testing.T, overlay string, run int, pf *graph.PathFinder, ws *graph.Workspace, seeds []graph.Seed, costs graph.Costs, ref *graph.Tree) {
+// checkPausedRun resumes one paused run from the seeds under costs over 16
+// evenly spaced targets in a scattered order, and starts a fresh run per
+// target on wsFresh: both must answer every target with the reference's
+// distance and hop sequence.
+func checkPausedRun(t *testing.T, overlay string, run int, pf *graph.PathFinder, ws, wsFresh *graph.Workspace, seeds []graph.Seed, costs graph.Costs, ref *graph.Tree) {
 	t.Helper()
 	const targets = 16
+	resumed := pf.LazyTreeWS(ws, seeds, costs)
 	for k := 0; k < targets; k++ {
-		tgt := graph.StateID((k*pf.NumStates() + run) / targets % pf.NumStates())
-		got, ok := pf.ShortestToStateWS(ws, seeds, tgt, costs)
-		checkPath(t, labelf(overlay, run, "state", int(tgt)), got, ok, ref.Dist(tgt), ref, tgt)
+		tgt := graph.StateID(((k*7)%targets*pf.NumStates() + run) / targets % pf.NumStates())
+		for kind, lt := range map[string]*graph.LazyTree{"resumed": resumed, "fresh": pf.LazyTreeWS(wsFresh, seeds, costs)} {
+			hops, ok := lt.AppendPathTo(nil, tgt)
+			checkPath(t, labelf(overlay, run, kind, int(tgt)), graph.Path{Hops: hops, Dist: lt.Dist(tgt)}, ok, ref.Dist(tgt), ref, tgt)
+		}
 	}
 }
 
 // checkTargetSet runs one target set both ways the kernel serves it: a
-// paused tree read at every target, and the cheapest-target search (ties
-// break on list order).
+// paused tree read at every target, and point searches over the set under
+// every leg case.
 func checkTargetSet(t *testing.T, overlay string, run, set int, pf *graph.PathFinder, ws *graph.Workspace, seeds []graph.Seed, targets []graph.StateID, costs graph.Costs, ref *graph.Tree) {
 	t.Helper()
-	tree := pf.ShortestTreeToStatesWS(ws, seeds, targets, costs)
+	tree := pf.ShortestTreeToStatesWS(ws, seeds, targets, nil, costs)
 	for _, tgt := range targets {
 		label := labelf(overlay, run, "set-tree", int(tgt))
 		if g, w := tree.Dist(tgt), ref.Dist(tgt); g != w {
@@ -195,20 +209,8 @@ func checkTargetSet(t *testing.T, overlay string, run, set int, pf *graph.PathFi
 		hops, ok := tree.AppendPathTo(nil, tgt)
 		checkPath(t, label, graph.Path{Hops: hops, Dist: tree.Dist(tgt)}, ok, ref.Dist(tgt), ref, tgt)
 	}
-	best, bestD := graph.NoState, math.Inf(1)
-	for _, tgt := range targets {
-		if d := ref.Dist(tgt); d < bestD {
-			best, bestD = tgt, d
-		}
-	}
-	gotBest, got, ok := pf.ShortestToStatesWS(ws, seeds, targets, costs)
-	if gotBest != best {
-		t.Fatalf("%s: best target %d, reference %d", labelf(overlay, run, "set", set), gotBest, best)
-	}
-	if best != graph.NoState {
-		checkPath(t, labelf(overlay, run, "set", set), got, ok, bestD, ref, best)
-	} else if ok {
-		t.Fatalf("%s: found a path to an unreachable set", labelf(overlay, run, "set", set))
+	for legName, legs := range graph.PointLegCases(ref, targets) {
+		graph.CheckPointStop(t, labelf(overlay, run, "point-stop "+legName, set), pf, ws, seeds, targets, legs, costs, ref)
 	}
 }
 
@@ -247,7 +249,7 @@ func checkLazyTree(t *testing.T, pf *graph.PathFinder, ws, wsRef *graph.Workspac
 		src := graph.StateID((2*i + 1) * n / 12)
 		seeds := []graph.Seed{{State: src}}
 		ref := pf.ReferenceTreeWS(wsRef, seeds, graph.Costs{})
-		lt := pf.LazyTreeWS(ws, src)
+		lt := pf.LazyTreeWS(ws, seeds, graph.Costs{})
 		for k := 0; k < 24; k++ {
 			tgt := graph.StateID((k * 7919 * (i + 1)) % n)
 			label := labelf("lazy", i, "state", int(tgt))

@@ -43,7 +43,7 @@ type staticPaths struct{ pf *PathFinder }
 
 // AppendStaticPathIfAllowed implements DistanceSource.
 func (sp staticPaths) AppendStaticPathIfAllowed(ws *Workspace, dst []Hop, a, b StateID, costs Costs) ([]Hop, float64, bool) {
-	return sp.pf.LazyTreeWS(ws, a).AppendPathIfAllowed(dst, b, costs)
+	return sp.pf.LazyTreeWS(ws, []Seed{{State: a}}, Costs{}).AppendPathIfAllowed(dst, b, costs)
 }
 
 // Finder returns the PathFinder the backend was computed over.
@@ -200,7 +200,7 @@ func newOracleWorkers(pf *PathFinder, workers int) *Oracle {
 		// Backward: δ(· → hub) via the reverse graph fills the toHub
 		// column for hub's own floor.
 		pf.start(ws, seed[:])
-		pf.settle(ws, radj, Costs{}, nil)
+		pf.settle(ws, radj, Costs{}, nil, nil)
 		for _, a := range floorStates[f] {
 			o.toHub[o.stateOff[a]+local] = ws.distAt(a)
 		}

@@ -63,6 +63,7 @@ func (pf *PathFinder) refDijkstra(ws *Workspace, seeds []Seed, costs Costs) {
 	for i := range dist {
 		if !math.IsInf(dist[i], 1) {
 			ws.set(StateID(i), dist[i], parent[i], seedOf[i])
+			ws.settled[i] = ws.epoch // an exhaustive run settles every reached state
 		}
 	}
 }

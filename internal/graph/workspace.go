@@ -35,23 +35,22 @@ type Workspace struct {
 	target []uint32
 	epoch  uint32
 
-	// q is the node pool of the monotone radix queue (push, pop): bucket
-	// b is the list headed by qHead[b] when bit b of qMask is set, nodes
-	// link through qNode.next, and popped nodes are reused from the qFree
-	// chain. qLast is the bit pattern of the last popped distance.
-	q     []qNode
-	qHead [64]int32
+	// qb[b] is bucket b of the monotone radix queue (push, pop): a
+	// contiguous slice of (key, state) entries, non-empty exactly when bit b
+	// of qMask is set. qLast is the key of the last popped distance. The
+	// buckets keep their capacity across runs.
+	qb    [64][]qEntry
 	qMask uint64
-	qFree int32
 	qLast uint64
 
 	// tree backs the Tree returned by ShortestTreeWS; ltree backs the
-	// LazyTree returned by LazyTreeWS; tbuf and hops are reusable
-	// target-list and path-reconstruction buffers for the point, state and
-	// lazy entry points.
+	// LazyTree returned by LazyTreeWS; tbuf, legs and hops are reusable
+	// target, leg and path-reconstruction buffers for the point and lazy
+	// entry points.
 	tree  Tree
 	ltree LazyTree
 	tbuf  []StateID
+	legs  []float64
 	hops  []Hop
 }
 
@@ -69,10 +68,6 @@ func (ws *Workspace) begin(n int) {
 		ws.mark = make([]uint32, n)
 		ws.settled = make([]uint32, n)
 		ws.target = make([]uint32, n)
-		// Sized once with the tables: a run's queue rarely holds more
-		// entries than there are states, so steady-state runs never grow
-		// it.
-		ws.q = make([]qNode, 0, n)
 	} else {
 		ws.dist = ws.dist[:n]
 		ws.parent = ws.parent[:n]
@@ -88,8 +83,11 @@ func (ws *Workspace) begin(n int) {
 		clear(ws.target[:cap(ws.target)])
 		ws.epoch = 1
 	}
-	ws.q = ws.q[:0]
-	ws.qMask, ws.qFree, ws.qLast = 0, -1, 0
+	for m := ws.qMask; m != 0; m &= m - 1 { // a paused run leaves entries
+		b := bits.TrailingZeros64(m)
+		ws.qb[b] = ws.qb[b][:0]
+	}
+	ws.qMask, ws.qLast = 0, 0
 }
 
 // distAt returns the run's distance to s, +Inf when s was not reached.
@@ -108,12 +106,11 @@ func (ws *Workspace) set(s StateID, d float64, parent StateID, seed int32) {
 	ws.seedOf[s] = seed
 }
 
-// qNode is one queue entry: a state at a tentative distance, linked into
-// its bucket's list (next is a q index, -1 ending the list).
-type qNode struct {
+// qEntry is one queue entry: a state at a tentative distance, keyed by
+// the distance's bit pattern.
+type qEntry struct {
+	key   uint64
 	state StateID
-	next  int32
-	dist  float64
 }
 
 // The kernel queue is a monotone radix heap over the bit patterns of the
@@ -133,20 +130,9 @@ type qNode struct {
 // push enters state s at tentative distance d, which must not be below
 // the last popped distance.
 func (ws *Workspace) push(s StateID, d float64) {
-	b := bits.Len64(math.Float64bits(d) ^ ws.qLast)
-	i := ws.qFree
-	if i >= 0 {
-		ws.qFree = ws.q[i].next
-	} else {
-		i = int32(len(ws.q))
-		ws.q = append(ws.q, qNode{})
-	}
-	next := int32(-1)
-	if ws.qMask&(1<<b) != 0 {
-		next = ws.qHead[b]
-	}
-	ws.q[i] = qNode{state: s, next: next, dist: d}
-	ws.qHead[b] = i
+	key := math.Float64bits(d)
+	b := bits.Len64(key ^ ws.qLast)
+	ws.qb[b] = append(ws.qb[b], qEntry{key: key, state: s})
 	ws.qMask |= 1 << b
 }
 
@@ -156,23 +142,20 @@ func (ws *Workspace) pop() (StateID, float64) {
 	if ws.qMask&1 == 0 {
 		ws.refill()
 	}
-	head := ws.qHead[0]
-	best, bestPrev := head, int32(-1)
-	for prev, i := head, ws.q[head].next; i >= 0; prev, i = i, ws.q[i].next {
-		if ws.q[i].state < ws.q[best].state {
-			best, bestPrev = i, prev
+	b0 := ws.qb[0]
+	best := 0
+	for i := 1; i < len(b0); i++ {
+		if b0[i].state < b0[best].state {
+			best = i
 		}
 	}
-	n := &ws.q[best]
-	if bestPrev >= 0 {
-		ws.q[bestPrev].next = n.next
-	} else if ws.qHead[0] = n.next; n.next < 0 {
+	s, last := b0[best].state, len(b0)-1
+	b0[best] = b0[last]
+	ws.qb[0] = b0[:last]
+	if last == 0 {
 		ws.qMask &^= 1
 	}
-	s, d := n.state, n.dist
-	n.next = ws.qFree
-	ws.qFree = best
-	return s, d
+	return s, math.Float64frombits(ws.qLast)
 }
 
 // refill empties the lowest non-empty bucket around its least key, which
@@ -183,24 +166,17 @@ func (ws *Workspace) pop() (StateID, float64) {
 // on every bit they were placed by.
 func (ws *Workspace) refill() {
 	b := bits.TrailingZeros64(ws.qMask)
-	head := ws.qHead[b]
-	ws.qMask &^= 1 << b
-	m := uint64(math.MaxUint64)
-	for i := head; i >= 0; i = ws.q[i].next {
-		m = min(m, math.Float64bits(ws.q[i].dist))
+	src := ws.qb[b]
+	m := src[0].key
+	for _, e := range src[1:] {
+		m = min(m, e.key)
 	}
 	ws.qLast = m
-	for i := head; i >= 0; {
-		n := &ws.q[i]
-		next := n.next
-		nb := bits.Len64(math.Float64bits(n.dist) ^ m)
-		if ws.qMask&(1<<nb) != 0 {
-			n.next = ws.qHead[nb]
-		} else {
-			n.next = -1
-		}
-		ws.qHead[nb] = i
+	for _, e := range src {
+		nb := bits.Len64(e.key ^ m) // < b: appends never touch src
+		ws.qb[nb] = append(ws.qb[nb], e)
 		ws.qMask |= 1 << nb
-		i = next
 	}
+	ws.qb[b] = src[:0]
+	ws.qMask &^= 1 << b
 }

@@ -104,6 +104,12 @@ type execScratch struct {
 	koeTargets []model.PartitionID
 	koeRemoved partSet
 
+	// routeDoors and bounds back the searcher's route door set and
+	// PartitionBound memo (see the field docs there): epoch-stamped, so
+	// neither needs clearing.
+	routeDoors doorSet
+	bounds     boundMemo
+
 	// ptStates/ptLegs back the searcher's KoE* backend-bound target tables
 	// (plain values, capacity retained across queries).
 	ptStates []graph.StateID
@@ -178,8 +184,11 @@ func (sc *execScratch) prepare(e *Engine, q *keyword.Query, req Request, opt Opt
 		commitBuf:    sc.commit[:0],
 		koeTargetBuf: sc.koeTargets[:0],
 		koeRemoved:   &sc.koeRemoved,
+		routeDoors:   &sc.routeDoors,
+		bounds:       &sc.bounds,
 		scratch:      sc,
 	}
+	sc.bounds.reset(e.s.NumPartitions())
 	sr.maxRho = q.MaxRelevance()
 	sr.cap = req.Delta * (1 + opt.SoftDeltaSlack)
 	sr.gamma = opt.PopularityWeight
@@ -325,20 +334,26 @@ func (a *arena[T]) alloc() *T {
 	}
 }
 
-// partSet is an epoch-stamped dense partition set — the graph.Workspace
-// trick applied to the searcher's key-partition bookkeeping. Membership is
-// mark[v] == epoch, so reset is one epoch bump instead of an O(n) clear or a
-// hash-map wipe, add/remove/contains are single array accesses, and the mark
-// array (plain uint32s, no references) needs no release-time clearing.
-// Epoch 0 is never live: reset starts at 1 and wraps back to 1 after an O(n)
-// clear once per 2³² resets, and remove writes 0.
-type partSet struct {
+// idSet is an epoch-stamped dense set of partition or door IDs — the
+// graph.Workspace trick applied to the searcher's bookkeeping. Membership
+// is mark[v] == epoch, so reset is one epoch bump instead of an O(n) clear
+// or a hash-map wipe, add/remove/contains are single array accesses, and
+// the mark array (plain uint32s, no references) needs no release-time
+// clearing. Epoch 0 is never live: reset starts at 1 and wraps back to 1
+// after an O(n) clear once per 2³² resets, and remove writes 0.
+type idSet[K model.PartitionID | model.DoorID] struct {
 	mark  []uint32
 	epoch uint32
 }
 
-// reset empties the set and (re)sizes it for n partitions.
-func (s *partSet) reset(n int) {
+// partSet and doorSet are the searcher's partition and door sets.
+type (
+	partSet = idSet[model.PartitionID]
+	doorSet = idSet[model.DoorID]
+)
+
+// reset empties the set and (re)sizes it for n IDs.
+func (s *idSet[K]) reset(n int) {
 	if cap(s.mark) < n {
 		s.mark = make([]uint32, n)
 		s.epoch = 1
@@ -352,8 +367,29 @@ func (s *partSet) reset(n int) {
 	}
 }
 
-func (s *partSet) add(v model.PartitionID)    { s.mark[v] = s.epoch }
-func (s *partSet) remove(v model.PartitionID) { s.mark[v] = 0 }
-func (s *partSet) contains(v model.PartitionID) bool {
-	return s.mark[v] == s.epoch
+func (s *idSet[K]) add(v K)           { s.mark[v] = s.epoch }
+func (s *idSet[K]) remove(v K)        { s.mark[v] = 0 }
+func (s *idSet[K]) contains(v K) bool { return s.mark[v] == s.epoch }
+
+// boundMemo is a per-partition table of bounds valid for one query: a
+// partition's value is set when the partSet holds it, so reset is O(1).
+type boundMemo struct {
+	set partSet
+	val []float64
+}
+
+// reset empties the memo and (re)sizes it for n partitions.
+func (m *boundMemo) reset(n int) {
+	m.set.reset(n)
+	if cap(m.val) < n {
+		m.val = make([]float64, n)
+	}
+	m.val = m.val[:n]
+}
+
+func (m *boundMemo) get(v model.PartitionID) (float64, bool) { return m.val[v], m.set.contains(v) }
+
+func (m *boundMemo) put(v model.PartitionID, b float64) {
+	m.set.add(v)
+	m.val[v] = b
 }

@@ -26,19 +26,17 @@ func (sr *searcher) findKoE(si *stamp) []*stamp {
 
 	seeds := sr.ov.seeds(sr.e.pf, sr.koeSeeds(si))
 	costs := sr.costsFor(si)
-	// One shortest-path tree from the stamp serves every candidate
-	// partition and door (plain KoE); KoE* splices static paths instead and
-	// recomputes only on regularity collisions or when the overlay
-	// invalidates the static path. The tree lives in the searcher's kernel
-	// workspace and dies with this expansion (the next Dijkstra — a KoE*
-	// recompute or a shortest-route completion — overwrites it).
-	var tree *graph.Tree
-	if !sr.opt.Precompute {
-		tree = sr.e.pf.ShortestTreeWS(sr.ws, seeds, costs)
-	}
-	// The stamp's tail state, for the KoE* backend-bound pre-path gate.
+	// The expansion reads its shortest paths from at most one paused run
+	// from the stamp under costs: plain KoE every path, KoE* the start
+	// stamp's and every recompute, while static paths come from the
+	// backends. koePath starts it on the searcher's workspace at the first
+	// path it needs, and it dies with this expansion: connect's
+	// completions reuse the workspace only after find has returned.
+	sr.koeRun = nil
+	// The stamp's tail state: the source of KoE* static paths and of the
+	// backend-bound pre-path gate (NoState for the start stamp).
 	from := graph.NoState
-	if sr.bbSrc != nil && si.tail() != model.NoDoor {
+	if si.tail() != model.NoDoor {
 		from = sr.e.pf.StateOf(si.tail(), si.v)
 	}
 	es := sr.esBuf[:0]
@@ -46,14 +44,19 @@ func (sr *searcher) findKoE(si *stamp) []*stamp {
 		// Pruning Rule 3 (lines 9–10): remove hopeless partitions from the
 		// global set P for the rest of the query.
 		if !sr.opt.DisableDistancePruning {
-			if sr.e.sk.PartitionBound(sr.req.Ps, vj, sr.req.Pt) > sr.cap {
+			bound := sr.partitionBound(vj)
+			if bound > sr.cap {
 				sr.keyAlive.remove(vj)
 				sr.stats.PrunedRule3++
 				continue
 			}
 			// Distance constraint check (line 11): continuing from the
-			// current position through vj and on to pt must fit in Δ.
-			if si.dist()+sr.e.sk.ViaBound(sr.tailPos(si), vj, sr.req.Pt) > sr.cap {
+			// current position through vj and on to pt must fit in Δ. The
+			// start stamp's position is ps, so its via bound is Rule 3's.
+			if si.tail() != model.NoDoor {
+				bound = sr.e.sk.ViaBound(sr.tailPos(si), vj, sr.req.Pt)
+			}
+			if si.dist()+bound > sr.cap {
 				sr.stats.PrunedDelta++
 				continue
 			}
@@ -86,7 +89,7 @@ func (sr *searcher) findKoE(si *stamp) []*stamp {
 					continue
 				}
 			}
-			hops, ok := sr.koePath(si, seeds, tree, target, costs)
+			hops, ok := sr.koePath(from, seeds, target, costs)
 			if !ok || len(hops) == 0 {
 				continue
 			}
@@ -171,40 +174,31 @@ func (sr *searcher) koeSeeds(si *stamp) []graph.Seed {
 	return sr.seedBuf
 }
 
-// koePath finds the shortest regular hop sequence from the stamp to the
-// target state. KoE* splices the static shortest path first and
-// recomputes only when the static path collides with the route's doors
-// (Section V-A3) or when the conditions overlay invalidates it — a closed
-// or penalized door on the path voids its optimality, so the tail is
-// recomputed on the fly under the full cost model; plain KoE reads the
-// stamp's shortest-path tree.
-// All branches build the hop sequence into per-query pooled storage (the
-// searcher's hop buffer or the kernel workspace); the caller consumes it
-// before the next path is requested.
-func (sr *searcher) koePath(si *stamp, seeds []graph.Seed, tree *graph.Tree, target graph.StateID, costs graph.Costs) ([]graph.Hop, bool) {
-	if sr.opt.Precompute {
-		if si.tail() != model.NoDoor {
-			from := sr.e.pf.StateOf(si.tail(), si.v)
-			if from != graph.NoState {
-				if from == target {
-					return nil, false
-				}
-				hops, ok := sr.staticPathIfAllowed(from, target, costs)
-				if ok {
-					return hops, true
-				}
-				sr.stats.Recomputations++
-			}
-		}
-		// Early termination: the recompute settles only the target state
-		// instead of exhausting the graph (the KoE* static-tail fallback).
-		path, ok := sr.e.pf.ShortestToStateWS(sr.ws, seeds, target, costs)
-		if !ok {
+// koePath finds the shortest regular hop sequence from the stamp (tail
+// state from, seeds) to the target state. KoE* splices the static shortest
+// path first and recomputes only when the static path collides with the
+// route's doors (Section V-A3) or when the conditions overlay invalidates
+// it — a closed or penalized door on the path voids its optimality, so the
+// tail is recomputed under the full cost model. Recomputes, the start
+// stamp's paths (it has no tail state, so no static path) and every plain
+// KoE path read the expansion's paused run, started here on first use.
+// Every branch builds the hop sequence into per-query pooled storage (the
+// searcher's hop buffer); the caller consumes it before the next path is
+// requested.
+func (sr *searcher) koePath(from graph.StateID, seeds []graph.Seed, target graph.StateID, costs graph.Costs) ([]graph.Hop, bool) {
+	if sr.opt.Precompute && from != graph.NoState {
+		if from == target {
 			return nil, false
 		}
-		return path.Hops, true
+		if hops, ok := sr.staticPathIfAllowed(from, target, costs); ok {
+			return hops, true
+		}
+		sr.stats.Recomputations++
 	}
-	hops, ok := tree.AppendPathTo(sr.hopBuf[:0], target)
+	if sr.koeRun == nil {
+		sr.koeRun = sr.e.pf.LazyTreeWS(sr.ws, seeds, costs)
+	}
+	hops, ok := sr.koeRun.AppendPathTo(sr.hopBuf[:0], target)
 	sr.hopBuf = hops[:0]
 	return hops, ok
 }
@@ -215,14 +209,14 @@ func (sr *searcher) koePath(si *stamp, seeds []graph.Seed, tree *graph.Tree, tar
 // backend stores paths: one lazy static tree per stamp tail serves every
 // expansion target, settled only as far as the farthest target actually
 // requested, and the cache dies with the searcher's query. The tree lives
-// in its own workspace so tail recomputes in sr.ws cannot clobber it
-// mid-expansion.
+// in its own workspace so the expansion's paused run in sr.ws cannot
+// clobber it, and stamps that share a tail share it.
 func (sr *searcher) staticPathIfAllowed(from, target graph.StateID, costs graph.Costs) ([]graph.Hop, bool) {
 	if sr.staticWS == nil {
 		sr.staticWS = graph.NewWorkspace()
 	}
 	if sr.staticTree == nil || sr.staticSrc != from {
-		sr.staticTree = sr.e.pf.LazyTreeWS(sr.staticWS, from)
+		sr.staticTree = sr.e.pf.LazyTreeWS(sr.staticWS, []graph.Seed{{State: from}}, graph.Costs{})
 		sr.staticSrc = from
 	}
 	hops, _, ok := sr.staticTree.AppendPathIfAllowed(sr.hopBuf[:0], target, costs)

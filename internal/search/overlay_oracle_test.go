@@ -166,8 +166,10 @@ func TestClosureOracleReal(t *testing.T) {
 // TestConcurrentDistinctOverlays shares one engine between goroutines that
 // each search with a different Conditions overlay, and requires every
 // result to match its serial reference byte for byte — pooled scratch
-// must never leak one query's overlay door sets into another. Run
-// under -race in CI.
+// must never leak one query's overlay door sets into another. Workers
+// rotate through ToE, KoE and KoE*, so the KoE family's per-expansion
+// paused run, its route door set and the PartitionBound memo run beside
+// ToE on the same pool. Run under -race in CI.
 func TestConcurrentDistinctOverlays(t *testing.T) {
 	mall, voc, idx, err := gen.SyntheticMall(2, 11)
 	if err != nil {
@@ -184,7 +186,15 @@ func TestConcurrentDistinctOverlays(t *testing.T) {
 
 	const workers = 6
 	scfg := gen.ConditionsConfig{Closures: 3, Delays: 3, MinDelay: 5, MaxDelay: 50}
-	opt := search.Options{Algorithm: search.ToE}
+	variants := []search.Variant{search.VariantToE, search.VariantKoE, search.VariantKoEStar}
+	opts := make([]search.Options, workers)
+	for w := range opts {
+		opt, err := search.OptionsFor(variants[w%len(variants)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts[w] = opt
+	}
 
 	// Per-worker overlaid requests and their serial reference results.
 	reqs := make([][]search.Request, workers)
@@ -196,7 +206,7 @@ func TestConcurrentDistinctOverlays(t *testing.T) {
 			reqs[w] = append(reqs[w], r)
 		}
 		for _, r := range reqs[w] {
-			res, err := eng.Search(r, opt)
+			res, err := eng.Search(r, opts[w])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -212,13 +222,13 @@ func TestConcurrentDistinctOverlays(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 3; round++ {
 				for i, r := range reqs[w] {
-					res, err := eng.Search(r, opt)
+					res, err := eng.Search(r, opts[w])
 					if err != nil {
 						errs[w] = err
 						return
 					}
 					if !reflect.DeepEqual(res.Routes, want[w][i].Routes) {
-						errs[w] = fmt.Errorf("worker %d round %d req %d: routes diverged from serial reference", w, round, i)
+						errs[w] = fmt.Errorf("worker %d (%s) round %d req %d: routes diverged from serial reference", w, variants[w%len(variants)], round, i)
 						return
 					}
 				}

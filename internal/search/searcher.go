@@ -51,21 +51,34 @@ type searcher struct {
 	keyAlive *partSet
 
 	// ws is the searcher's shortest-path kernel workspace, owned by the
-	// scratch bundle: every Dijkstra the query runs (KoE trees, KoE* tail
-	// recomputes, shortest-route completions) reuses its epoch-stamped
-	// tables and flat heap.
-	ws *graph.Workspace
+	// scratch bundle: every Dijkstra the query runs (each KoE expansion's
+	// paused run, shortest-route completions) reuses its epoch-stamped
+	// tables and radix queue. koeRun is the current KoE expansion's paused
+	// run on it, nil until the expansion's first path (see findKoE).
+	ws     *graph.Workspace
+	koeRun *graph.LazyTree
 
 	// staticWS holds the KoE* static-path cache: the stamp tail's static
 	// shortest-path tree grows lazily in this dedicated workspace —
 	// settled only as far as the expansion targets actually reach — and
 	// serves every target of that tail; staticTree/staticSrc tag the
-	// cached tree. The workspace is separate from ws because KoE* tail
-	// recomputes run there and would invalidate the tree. Allocated on the
-	// first KoE* static path; other variants never pay for it.
+	// cached tree. The workspace is separate from ws because the
+	// expansion's paused run lives there and would invalidate the tree.
+	// Allocated on the first KoE* static path; other variants never pay
+	// for it.
 	staticWS   *graph.Workspace
 	staticTree *graph.LazyTree
 	staticSrc  graph.StateID
+
+	// routeDoors is the door set of the stamp costsFor last ran for, filled
+	// once per call: the regularity filter of that stamp's Costs and of
+	// spliceIsRegular read it instead of walking the route. A Costs built
+	// for one stamp is therefore invalid once costsFor runs for another.
+	routeDoors *doorSet
+
+	// bounds memoises Pruning Rule 3's PartitionBound(ps, v, pt) per
+	// partition: within a query it depends on v alone.
+	bounds *boundMemo
 
 	// Reused per-expansion buffers. Their contents never survive one find
 	// or connect step: seedBuf holds the current expansion's Dijkstra
@@ -496,6 +509,10 @@ func (sr *searcher) stairHopDistance(cur *stamp, dl model.DoorID) float64 {
 	return best
 }
 
+// spliceIsRegular reports whether hops may extend si: internally regular,
+// and reusing none of the route's doors except the immediate self-loop on
+// its tail. It reads the route door set, which the caller's costsFor(si)
+// filled.
 func (sr *searcher) spliceIsRegular(si *stamp, hops []graph.Hop) bool {
 	if !graph.RegularHops(hops) {
 		return false
@@ -505,33 +522,42 @@ func (sr *searcher) spliceIsRegular(si *stamp, hops []graph.Hop) bool {
 		if h.Door == tail && i == 0 {
 			continue // immediate self-loop on the tail is the allowed repeat
 		}
-		if si.node.ContainsDoor(h.Door) {
+		if sr.routeDoors.contains(h.Door) {
 			return false
 		}
 	}
 	return true
 }
 
-// forbiddenFor returns the regularity door filter for paths continuing a
-// stamp: doors already on the route are excluded, except the tail itself
-// (its only legal reuse, the immediate self-loop, is validated by
-// spliceIsRegular afterwards).
-func (sr *searcher) forbiddenFor(si *stamp) graph.Forbidden {
-	tail := si.tail()
-	node := si.node
-	return func(d model.DoorID) bool {
-		if d == tail {
-			return false
+// costsFor returns the query-time cost model for shortest paths continuing
+// a stamp: the overlay's closed doors and traversal penalties plus the
+// regularity exclusions — doors already on the route, except the tail
+// itself (its only legal reuse, the immediate self-loop, is validated by
+// spliceIsRegular afterwards). It refills the route door set for si, so it
+// invalidates the Costs of any earlier stamp (see routeDoors).
+func (sr *searcher) costsFor(si *stamp) graph.Costs {
+	doors := sr.routeDoors
+	doors.reset(sr.e.s.NumDoors())
+	for n := si.node; n != nil; n = n.Parent {
+		if n.Door != model.NoDoor {
+			doors.add(n.Door)
 		}
-		return node.ContainsDoor(d)
 	}
+	tail := si.tail()
+	return sr.ov.costs(func(d model.DoorID) bool {
+		return d != tail && doors.contains(d)
+	})
 }
 
-// costsFor returns the query-time cost model for shortest paths continuing
-// a stamp: the regularity exclusions plus the overlay's closed doors and
-// traversal penalties.
-func (sr *searcher) costsFor(si *stamp) graph.Costs {
-	return sr.ov.costs(sr.forbiddenFor(si))
+// partitionBound returns Pruning Rule 3's bound PartitionBound(ps, v, pt),
+// computed once per partition and query.
+func (sr *searcher) partitionBound(v model.PartitionID) float64 {
+	if b, ok := sr.bounds.get(v); ok {
+		return b
+	}
+	b := sr.e.sk.PartitionBound(sr.req.Ps, v, sr.req.Pt)
+	sr.bounds.put(v, b)
+	return b
 }
 
 // offerComplete runs the acceptance checks shared by every completion site

@@ -352,23 +352,25 @@ func (c *seqChain) extractLabels(t *graph.Tree, v model.PartitionID, dst []seqLa
 
 // finish completes a position to pt: the chained stage to the terminal
 // partition's entry states plus the exact |door, pt| legs, with the direct
-// in-partition segment when the walk never left ps's host partition. The
-// strict < keeps ties deterministic (direct beats routed, earlier EnterDoors
-// entries beat later), matching ShortestToPointWS. Returns +Inf when pt is
-// unreachable.
-func (c *seqChain) finish(ws *graph.Workspace, seeds []graph.Seed, inPlace bool) (dist float64, best graph.StateID, tree *graph.Tree) {
-	tree = c.e.pf.ShortestTreeToStatesWS(ws, seeds, c.ptState, c.costs)
+// in-partition segment when the walk never left ps's host partition. With
+// pointStop the stage is a point search over those legs and stops once no
+// unsettled entry state can win (the planner); without, it settles every
+// entry state (the exhaustive baseline, so that the planner-vs-baseline
+// gate checks the stop). Tree.Nearest's strict < keeps ties deterministic
+// (direct beats routed, earlier EnterDoors entries beat later), matching
+// ShortestToPointWS. Returns +Inf when pt is unreachable.
+func (c *seqChain) finish(ws *graph.Workspace, seeds []graph.Seed, inPlace, pointStop bool) (dist float64, best graph.StateID, tree *graph.Tree) {
+	var legs []float64
+	if pointStop {
+		legs = c.ptLegs
+	}
+	tree = c.e.pf.ShortestTreeToStatesWS(ws, seeds, c.ptState, legs, c.costs)
 	c.stats.Dijkstras++
-	best = graph.NoState
 	dist = math.Inf(1)
 	if inPlace && c.hostPt == c.hostPs {
 		dist = c.req.Ps.Dist(c.req.Pt)
 	}
-	for i, st := range c.ptState {
-		if d := tree.Dist(st) + c.ptLegs[i]; d < dist {
-			dist, best = d, st
-		}
-	}
+	best, dist = tree.Nearest(c.ptState, c.ptLegs, dist)
 	return dist, best, tree
 }
 
@@ -439,7 +441,7 @@ func (e *Engine) sequenceUncached(ctx context.Context, sc *execScratch, req Sequ
 			}
 			if len(targetBuf) > 0 {
 				seedBuf = c.prefixSeeds(seedBuf, &p)
-				tree = e.pf.ShortestTreeToStatesWS(c.ws, seedBuf, targetBuf, c.costs)
+				tree = e.pf.ShortestTreeToStatesWS(c.ws, seedBuf, targetBuf, nil, c.costs)
 				res.Stats.Dijkstras++
 			}
 			for i, v := range c.cands[j] {
@@ -511,7 +513,7 @@ func (e *Engine) sequenceUncached(ctx context.Context, sc *execScratch, req Sequ
 			return nil, err
 		}
 		seedBuf = c.prefixSeeds(seedBuf, &p)
-		dist, best, tree := c.finish(c.ws, seedBuf, p.inPlace)
+		dist, best, tree := c.finish(c.ws, seedBuf, p.inPlace, true)
 		if dist > req.Delta {
 			res.Stats.PrunedDelta++
 			continue

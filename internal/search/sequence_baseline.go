@@ -8,8 +8,10 @@ package search
 // Because both sides build stage seeds in the same label order and read the
 // same settled Dijkstra distances, every surviving plan's distance — and
 // with it the ranked Routes slice — is byte-identical to the planner's
-// (DESIGN.md §14). The baseline also keeps the reference route
-// reconstruction, buildRoute, which re-runs a plan's stages where the
+// (DESIGN.md §14). Its finish stages settle every terminal entry state,
+// where the planner's stop at their answer (the kernel's point stop), so
+// the gate checks that stop too. The baseline also keeps the reference
+// route reconstruction, buildRoute, which re-runs a plan's stages where the
 // planner reads its stage records back.
 
 import (
@@ -120,7 +122,7 @@ func (c *seqChain) evalPlan(waypoints []model.PartitionID, seedBuf *[]graph.Seed
 			*seedBuf = labelSeeds(*seedBuf, labels)
 		}
 		*targetBuf = c.appendEntryStates((*targetBuf)[:0], v)
-		tree := c.e.pf.ShortestTreeToStatesWS(c.ws, *seedBuf, *targetBuf, c.costs)
+		tree := c.e.pf.ShortestTreeToStatesWS(c.ws, *seedBuf, *targetBuf, nil, c.costs)
 		c.stats.Dijkstras++
 		labels = c.extractLabels(tree, v, nil)
 		if len(labels) == 0 {
@@ -133,7 +135,7 @@ func (c *seqChain) evalPlan(waypoints []model.PartitionID, seedBuf *[]graph.Seed
 	} else {
 		*seedBuf = labelSeeds(*seedBuf, labels)
 	}
-	dist, _, _ := c.finish(c.ws, *seedBuf, inPlace)
+	dist, _, _ := c.finish(c.ws, *seedBuf, inPlace, false)
 	return dist, !math.IsInf(dist, 1)
 }
 
@@ -162,7 +164,7 @@ func (c *seqChain) buildRoute(p *seqPlan) SequenceRoute {
 			seeds = labelSeeds(nil, labels)
 		}
 		targets := c.appendEntryStates(nil, v)
-		tree := c.e.pf.ShortestTreeToStatesWS(graph.NewWorkspace(), seeds, targets, c.costs)
+		tree := c.e.pf.ShortestTreeToStatesWS(graph.NewWorkspace(), seeds, targets, nil, c.costs)
 		c.stats.Dijkstras++
 		labels = c.extractLabels(tree, v, nil)
 		stages = append(stages, seqStage{tree: tree, labels: labels})
@@ -174,7 +176,7 @@ func (c *seqChain) buildRoute(p *seqPlan) SequenceRoute {
 	} else {
 		seeds = labelSeeds(nil, labels)
 	}
-	_, best, ftree := c.finish(graph.NewWorkspace(), seeds, inPlace)
+	_, best, ftree := c.finish(graph.NewWorkspace(), seeds, inPlace, false)
 	if best == graph.NoState {
 		// The direct ps→pt segment won (possible only when every leg was
 		// satisfied in place and both points share a partition): no doors.
