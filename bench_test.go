@@ -90,7 +90,7 @@ func benchSearchVariant(b *testing.B, v search.Variant) {
 		b.Fatal(err)
 	}
 	if opt.Precompute {
-		w.Engine.PrecomputeMatrix() // pay the build outside the timer
+		w.Engine.Precompute() // pay the build outside the timer
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -14,8 +14,8 @@
 // regression without editing code.
 //
 // With -benchjson the harness skips the figure suite and instead measures
-// the per-query hot path of every Table III variant plus the all-pairs
-// matrix build, writing machine-readable per-variant ns/op, B/op and
+// the per-query hot path of every Table III variant plus the graph
+// kernel, writing machine-readable per-variant ns/op, B/op and
 // allocs/op to the given file (the BENCH.json tracked at the repo root)
 // and a summary table to stdout. -benchdiff re-measures the same sweep and
 // exits non-zero if allocs/op drifted from the given baseline in either
@@ -28,9 +28,9 @@
 // intentionally explosive — the paper itself measures it at up to 10^6 ms.
 //
 // With -scale (or -scalejson) the harness sweeps mega venues of growing
-// size and measures both KoE* backends: oracle bake time and resident
-// bytes against the dense matrix's (analytic above a state cap), plus
-// per-query KoE* latency on each. -scalejson writes BENCH_SCALE.json, the
+// size and measures the KoE* oracle: bake time and resident bytes against
+// an all-pairs matrix's analytic footprint, plus per-query KoE* latency and
+// expansions. -scalejson writes BENCH_SCALE.json, the
 // advisory scaling record committed at the repo root; -quick stops the
 // sweep at CI-sized venues.
 //
@@ -76,7 +76,7 @@ func mainImpl() int {
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 		benchJSON  = flag.String("benchjson", "", "measure the Table III hot paths and write per-variant ns/op, B/op, allocs/op to this file (BENCH.json)")
 		benchDiff  = flag.String("benchdiff", "", "re-measure the hot paths and fail (exit 1) if allocs/op regressed against this baseline BENCH.json; ns/op is advisory")
-		scale      = flag.Bool("scale", false, "run the venue-size scaling sweep (oracle vs dense KoE* backend) and print a table")
+		scale      = flag.Bool("scale", false, "run the venue-size scaling sweep (KoE* oracle bake, memory and latency) and print a table")
 		scaleJSON  = flag.String("scalejson", "", "run the scaling sweep and write the report to this file (BENCH_SCALE.json)")
 	)
 	flag.Parse()

@@ -21,7 +21,7 @@
 //
 // Venues load lazily on first query (or eagerly with -warm); -max-resident
 // caps how many engines stay in memory at once, evicting the
-// least-recently-used idle venue. v4 snapshots are served zero-copy over an
+// least-recently-used idle venue. v5 snapshots are served zero-copy over an
 // mmap where the platform supports it — /v1/venues reports each venue's
 // heap_bytes/mapped_bytes split — and a re-baked snapshot can be swapped in
 // under live traffic with the reload endpoint (in-flight queries drain on

@@ -10,10 +10,9 @@
 //	ikrqgen -real -snapshot mall.ikrq             # bake a snapshot incl. the KoE* backend
 //	ikrqgen -floors 14 -shops-per-floor 141 -snapshot mega.ikrq
 //
-// A bake always includes the KoE* distance backend the engine picks by
-// venue size (Engine.Precompute): the dense all-pairs matrix up to
-// search.DenseStateLimit states — both reference malls — and the
-// hierarchical oracle beyond, e.g. for the 14-floor mega venue above.
+// A bake always includes the KoE* distance backend (Engine.Precompute), the
+// hierarchical oracle, whose tables stay near-linear in the venue's states
+// from the 2-floor synthetic mall to the 14-floor mega venue above.
 package main
 
 import (
@@ -88,7 +87,7 @@ func run() int {
 	return cli.ExitOK
 }
 
-// bake builds the engine and its size-picked KoE* distance backend and
+// bake builds the engine and its KoE* distance backend and
 // writes the mmap-servable snapshot, reporting the end-to-end time and what
 // each stage cost so operators can see what a load will save. The stages
 // are disjoint spans of the total.

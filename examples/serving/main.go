@@ -52,7 +52,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// ---- Bake: engine (with the KoE* matrix) to a snapshot file.
+	// ---- Bake: engine (with the KoE* oracle) to a snapshot file.
 	dir, err := os.MkdirTemp("", "ikrq-serving")
 	if err != nil {
 		log.Fatal(err)
@@ -60,7 +60,7 @@ func main() {
 	defer os.RemoveAll(dir)
 	snap := filepath.Join(dir, "demo.ikrq")
 	eng := ikrq.NewEngine(space, index)
-	eng.PrecomputeMatrix()
+	eng.Precompute()
 	f, err := os.Create(snap)
 	if err != nil {
 		log.Fatal(err)

@@ -50,18 +50,16 @@
 //
 // # Eager vs. lazy KoE* distance backend
 //
-// The KoE* variant routes over a precomputed distance backend: the dense
-// all-pairs matrix on small venues (exact everywhere, Θ(states²)
-// resident), the hierarchical oracle on large ones (near-linear resident;
-// see DESIGN.md §10). By default an engine builds the size-appropriate
-// backend lazily on the first KoE* query: workloads that never run KoE*
-// pay nothing, but that first query absorbs the full build sweep.
-// Engine.Precompute forces it eagerly (PrecomputeMatrix and
-// PrecomputeOracle pick a specific kind) — call one at service start-up to
-// keep construction cost out of serving latency, and before SaveSnapshot
-// to bake the backend into the snapshot so loaded engines never compute it
-// at all. SaveSnapshot includes the backend
-// section exactly when the engine has built one.
+// The KoE* variant routes over a precomputed distance backend, the
+// hierarchical oracle: exact hub labels per floor, near-linear resident
+// where an all-pairs matrix would be Θ(states²) (see DESIGN.md §10). By
+// default an engine builds it lazily on the first KoE* query: workloads
+// that never run KoE* pay nothing, but that first query absorbs the full
+// build sweep. Engine.Precompute forces it eagerly — call it at service
+// start-up to keep construction cost out of serving latency, and before
+// SaveSnapshot to bake the backend into the snapshot so loaded engines
+// never compute it at all. SaveSnapshot includes the backend section
+// exactly when the engine has built one.
 //
 // # Live venue conditions
 //
@@ -256,8 +254,8 @@ func NewKeywordBuilder(numPartitions int) *KeywordBuilder {
 type (
 	// Engine runs IKRQ queries against one space + keyword index. Besides
 	// Search and SearchBatch it exposes the index-layer seams used by
-	// snapshotting: Engine.Precompute forces the size-appropriate KoE*
-	// distance backend eagerly (see the package docs for the eager-vs-lazy
+	// snapshotting: Engine.Precompute forces the KoE* distance backend
+	// eagerly (see the package docs for the eager-vs-lazy
 	// tradeoff), and SaveSnapshot / LoadEngine persist and restore the
 	// whole index layer.
 	Engine = search.Engine
@@ -328,7 +326,7 @@ func NewEngine(s *Space, x *KeywordIndex) *Engine { return search.NewEngine(s, x
 // SaveSnapshot writes the engine's immutable index layer — space, keyword
 // index, state graph, skeleton, and the KoE* distance backend if the
 // engine has built one (call Engine.Precompute first to force it) — to w
-// in the current (v4, flat) snapshot format, which OpenEngine can serve
+// in the current (v5, flat) snapshot format, which OpenEngine can serve
 // zero-copy over an mmap (see internal/snapshot and DESIGN.md §6, §13).
 func SaveSnapshot(w io.Writer, e *Engine) error { return snapshot.SaveEngine(w, e) }
 
@@ -337,7 +335,7 @@ func SaveSnapshot(w io.Writer, e *Engine) error { return snapshot.SaveEngine(w, 
 // onto the heap and checks everything: every section checksum, every
 // table value, and the space topology replayed through the model builder,
 // so it doubles as the bit-rot check for a bake. Corrupt, truncated, older
-// (pre-v4, which must be re-baked) or newer-versioned input is rejected
+// (pre-v5, which must be re-baked) or newer-versioned input is rejected
 // with an error. A loaded engine returns results identical to one freshly
 // built over the same space and keyword index.
 func LoadEngine(r io.Reader) (*Engine, error) { return snapshot.LoadEngine(r) }

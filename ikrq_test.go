@@ -78,7 +78,7 @@ func TestFacadeVariants(t *testing.T) {
 
 func TestFacadeSnapshotRoundTrip(t *testing.T) {
 	engine, req := buildFacadeMall(t)
-	engine.PrecomputeMatrix()
+	engine.Precompute()
 
 	var buf bytes.Buffer
 	if err := ikrq.SaveSnapshot(&buf, engine); err != nil {

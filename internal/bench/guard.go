@@ -82,10 +82,9 @@ func (d AllocDiff) String() string {
 
 // DiffAllocs compares a freshly measured report against the committed
 // baseline and returns every per-variant and kernel-row comparison plus
-// the failing subset (rows the baseline lacks are not compared). Reports from different suites or ToE\P caps measure different
-// work and refuse to compare. The matrix build is only enforced when both
-// reports ran at the same GOMAXPROCS — its parallel construction allocates
-// per worker, so alloc counts are only comparable at equal worker counts.
+// the failing subset (rows the baseline lacks are not compared). Reports
+// from different suites or ToE\P caps measure different work and refuse to
+// compare.
 func DiffAllocs(baseline, current *PerfReport) (all []AllocDiff, regressed []AllocDiff, err error) {
 	if baseline.Suite != current.Suite {
 		return nil, nil, fmt.Errorf("bench: baseline suite %q vs current %q; not comparable", baseline.Suite, current.Suite)
@@ -128,11 +127,6 @@ func DiffAllocs(baseline, current *PerfReport) (all []AllocDiff, regressed []All
 	}
 	if err := cmp(baseline.Kernel, current.Kernel); err != nil {
 		return nil, nil, err
-	}
-	if baseline.GoMaxProcs == current.GoMaxProcs {
-		if err := cmp([]PerfEntry{baseline.MatrixBuild}, []PerfEntry{current.MatrixBuild}); err != nil {
-			return nil, nil, err
-		}
 	}
 	return all, regressed, nil
 }

@@ -5,12 +5,11 @@ import (
 	"testing"
 )
 
-func guardReport(allocs map[string]int64, iters int, gomaxprocs int) *PerfReport {
+func guardReport(allocs map[string]int64, iters int) *PerfReport {
 	rep := &PerfReport{
 		Suite:         "synthetic-2floor/table3",
-		GoMaxProcs:    gomaxprocs,
+		GoMaxProcs:    1,
 		CapExpansions: 50000,
-		MatrixBuild:   PerfEntry{Name: "NewMatrix", AllocsPerOp: 17, NsPerOp: 1000, Iterations: 10},
 	}
 	for name, a := range allocs {
 		rep.Variants = append(rep.Variants, PerfEntry{Name: name, AllocsPerOp: a, NsPerOp: 5000, Iterations: iters})
@@ -19,8 +18,8 @@ func guardReport(allocs map[string]int64, iters int, gomaxprocs int) *PerfReport
 }
 
 func TestDiffAllocsCleanRun(t *testing.T) {
-	base := guardReport(map[string]int64{"ToE": 801, "KoE": 122}, 600, 1)
-	cur := guardReport(map[string]int64{"ToE": 801, "KoE": 122}, 900, 1)
+	base := guardReport(map[string]int64{"ToE": 801, "KoE": 122}, 600)
+	cur := guardReport(map[string]int64{"ToE": 801, "KoE": 122}, 900)
 	all, regressed, err := DiffAllocs(base, cur)
 	if err != nil {
 		t.Fatal(err)
@@ -28,15 +27,15 @@ func TestDiffAllocsCleanRun(t *testing.T) {
 	if len(regressed) != 0 {
 		t.Fatalf("clean run regressed: %v", regressed)
 	}
-	// 2 variants + the matrix build (equal GOMAXPROCS).
-	if len(all) != 3 {
-		t.Fatalf("expected 3 comparisons, got %d: %v", len(all), all)
+	// One comparison per variant.
+	if len(all) != 2 {
+		t.Fatalf("expected 2 comparisons, got %d: %v", len(all), all)
 	}
 }
 
 func TestDiffAllocsCatchesRegression(t *testing.T) {
-	base := guardReport(map[string]int64{"ToE": 801, "KoE": 122}, 600, 1)
-	cur := guardReport(map[string]int64{"ToE": 801, "KoE": 123}, 600, 1)
+	base := guardReport(map[string]int64{"ToE": 801, "KoE": 122}, 600)
+	cur := guardReport(map[string]int64{"ToE": 801, "KoE": 123}, 600)
 	_, regressed, err := DiffAllocs(base, cur)
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +50,7 @@ func TestDiffAllocsCatchesRegression(t *testing.T) {
 		t.Errorf("diff row not marked: %s", regressed[0])
 	}
 
-	cur = guardReport(map[string]int64{"ToE": 800, "KoE": 122}, 600, 1)
+	cur = guardReport(map[string]int64{"ToE": 800, "KoE": 122}, 600)
 	if _, regressed, _ = DiffAllocs(base, cur); len(regressed) != 1 {
 		t.Fatalf("alloc improvement must also flag a stale baseline, got %v", regressed)
 	}
@@ -60,8 +59,8 @@ func TestDiffAllocsCatchesRegression(t *testing.T) {
 func TestDiffAllocsLowIterationTolerance(t *testing.T) {
 	// ToE\P-style entries (5 iterations) amortize one-time pool warmup
 	// over a tiny N; 1% slack absorbs that but not a structural change.
-	base := guardReport(map[string]int64{`ToE\P`: 92000}, 5, 1)
-	cur := guardReport(map[string]int64{`ToE\P`: 92500}, 5, 1)
+	base := guardReport(map[string]int64{`ToE\P`: 92000}, 5)
+	cur := guardReport(map[string]int64{`ToE\P`: 92500}, 5)
 	_, regressed, err := DiffAllocs(base, cur)
 	if err != nil {
 		t.Fatal(err)
@@ -69,51 +68,33 @@ func TestDiffAllocsLowIterationTolerance(t *testing.T) {
 	if len(regressed) != 0 {
 		t.Fatalf("within-tolerance low-iteration delta regressed: %v", regressed)
 	}
-	cur = guardReport(map[string]int64{`ToE\P`: 94000}, 5, 1)
+	cur = guardReport(map[string]int64{`ToE\P`: 94000}, 5)
 	if _, regressed, _ = DiffAllocs(base, cur); len(regressed) == 0 {
 		t.Fatal("2% alloc growth slipped past the low-iteration tolerance")
 	}
 }
 
 func TestDiffAllocsRefusesMismatchedRuns(t *testing.T) {
-	base := guardReport(map[string]int64{"ToE": 801}, 600, 1)
-	other := guardReport(map[string]int64{"ToE": 801}, 600, 1)
+	base := guardReport(map[string]int64{"ToE": 801}, 600)
+	other := guardReport(map[string]int64{"ToE": 801}, 600)
 	other.Suite = "real-mall/table3"
 	if _, _, err := DiffAllocs(base, other); err == nil {
 		t.Error("suite mismatch accepted")
 	}
-	other = guardReport(map[string]int64{"ToE": 801}, 600, 1)
+	other = guardReport(map[string]int64{"ToE": 801}, 600)
 	other.CapExpansions = 300000
 	if _, _, err := DiffAllocs(base, other); err == nil {
 		t.Error("cap mismatch accepted")
 	}
-	other = guardReport(map[string]int64{"KoE": 122}, 600, 1)
+	other = guardReport(map[string]int64{"KoE": 122}, 600)
 	if _, _, err := DiffAllocs(base, other); err == nil {
 		t.Error("missing variant accepted")
 	}
 }
 
-func TestDiffAllocsMatrixOnlyAtEqualGoMaxProcs(t *testing.T) {
-	base := guardReport(map[string]int64{"ToE": 801}, 600, 1)
-	cur := guardReport(map[string]int64{"ToE": 801}, 600, 4)
-	cur.MatrixBuild.AllocsPerOp = 68 // per-worker workspaces: 4× workers
-	all, regressed, err := DiffAllocs(base, cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regressed) != 0 {
-		t.Fatalf("matrix alloc delta across GOMAXPROCS flagged: %v", regressed)
-	}
-	for _, d := range all {
-		if d.Name == "NewMatrix" {
-			t.Fatal("matrix compared despite differing GOMAXPROCS")
-		}
-	}
-}
-
 func TestDiffAllocsEnforcesExpansions(t *testing.T) {
 	withExp := func(exp int64) *PerfReport {
-		rep := guardReport(map[string]int64{"KoE*": 122}, 600, 1)
+		rep := guardReport(map[string]int64{"KoE*": 122}, 600)
 		rep.Variants[0].Expansions = exp
 		return rep
 	}
@@ -150,9 +131,9 @@ func TestDiffAllocsEnforcesKernelRows(t *testing.T) {
 	kernel := func(settled int64) []PerfEntry {
 		return []PerfEntry{{Name: "KernelSweep", Iterations: 100, Expansions: settled}}
 	}
-	base := guardReport(map[string]int64{"ToE": 801}, 600, 1)
+	base := guardReport(map[string]int64{"ToE": 801}, 600)
 	base.Kernel = kernel(86912)
-	cur := guardReport(map[string]int64{"ToE": 801}, 600, 1)
+	cur := guardReport(map[string]int64{"ToE": 801}, 600)
 	cur.Kernel = kernel(86912)
 	if _, regressed, err := DiffAllocs(base, cur); err != nil || len(regressed) != 0 {
 		t.Fatalf("clean kernel rows: regressed %v, err %v", regressed, err)
@@ -161,8 +142,8 @@ func TestDiffAllocsEnforcesKernelRows(t *testing.T) {
 	if _, regressed, _ := DiffAllocs(base, cur); len(regressed) != 1 || regressed[0].Name != "KernelSweep" {
 		t.Fatalf("work-count drift: regressed %v, want the KernelSweep row", regressed)
 	}
-	old := guardReport(map[string]int64{"ToE": 801}, 600, 1)
-	if all, regressed, err := DiffAllocs(old, cur); err != nil || len(regressed) != 0 || len(all) != 2 {
+	old := guardReport(map[string]int64{"ToE": 801}, 600)
+	if all, regressed, err := DiffAllocs(old, cur); err != nil || len(regressed) != 0 || len(all) != 1 {
 		t.Fatalf("baseline without kernel rows: %d comparisons, regressed %v, err %v", len(all), regressed, err)
 	}
 	cur.Kernel = nil

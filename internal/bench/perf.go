@@ -14,13 +14,12 @@ import (
 )
 
 // This file is the machine-readable perf surface: RunPerf measures the
-// per-query hot path of every Table III variant plus the all-pairs matrix
-// build on the standard 2-floor synthetic workload, and the graph kernel
-// on the simulated real mall, and PerfReport marshals the result as
-// BENCH.json. The committed BENCH.json at the repo
-// root is regenerated with `ikrqbench -benchjson BENCH.json` whenever the
-// kernel changes, so the allocation/latency trajectory is tracked in
-// version control instead of scattered across PR descriptions.
+// per-query hot path of every Table III variant on the standard 2-floor
+// synthetic workload, and the graph kernel on the simulated real mall, and
+// PerfReport marshals the result as BENCH.json. The committed BENCH.json at
+// the repo root is regenerated with `ikrqbench -benchjson BENCH.json`
+// whenever the kernel changes, so the allocation/latency trajectory is
+// tracked in version control instead of scattered across PR descriptions.
 
 // PerfEntry is one measured configuration. Values are per query (the
 // benchmark loop runs a fixed request batch per iteration and divides).
@@ -61,10 +60,6 @@ type PerfReport struct {
 
 	// Variants holds one entry per Table III variant, per query.
 	Variants []PerfEntry `json:"variants"`
-
-	// MatrixBuild measures one full all-pairs KoE* matrix construction
-	// (parallel across GoMaxProcs workers), per build.
-	MatrixBuild PerfEntry `json:"matrix_build"`
 
 	// Kernel measures the graph kernel on the simulated real mall (seed
 	// 1): KernelSweep is one exhaustive static Dijkstra run, from evenly
@@ -116,14 +111,6 @@ func RunPerf(cfg Config) (*PerfReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	pf := w.Engine.PathFinder()
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			graph.NewMatrix(pf)
-		}
-	})
-	rep.MatrixBuild = perQuery("NewMatrix", r, 1)
 	rep.Kernel, err = measureKernel()
 	if err != nil {
 		return nil, err
@@ -219,7 +206,7 @@ func measureVariants(eng *search.Engine, reqs []search.Request, capExpansions in
 			opt.MaxExpansions = capExpansions // keep the unpruned variant finite
 		}
 		if opt.Precompute {
-			eng.PrecomputeMatrix() // pay the build outside the timer
+			eng.Precompute() // pay the build outside the timer
 		}
 		var searchErr error
 		r := testing.Benchmark(func(b *testing.B) {
@@ -277,8 +264,6 @@ func (r *PerfReport) Fprint(w io.Writer) {
 	for _, e := range r.Variants {
 		fmt.Fprintf(w, "%-12s %14d %14d %14d %12d\n", e.Name, e.NsPerOp, e.BytesPerOp, e.AllocsPerOp, e.Expansions)
 	}
-	e := r.MatrixBuild
-	fmt.Fprintf(w, "%-12s %14d %14d %14d\n", e.Name, e.NsPerOp, e.BytesPerOp, e.AllocsPerOp)
 	for _, e := range r.Kernel {
 		fmt.Fprintf(w, "%-12s %14d %14d %14d %12d\n", e.Name, e.NsPerOp, e.BytesPerOp, e.AllocsPerOp, e.Expansions)
 	}

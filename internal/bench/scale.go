@@ -17,14 +17,13 @@ import (
 )
 
 // This file is the venue-size scaling surface behind BENCH_SCALE.json: for
-// a sweep of mega venues it measures what the hierarchical oracle was built
-// to fix — backend bake time and resident bytes, which are quadratic in
-// states for the dense matrix and near-linear for the oracle — plus KoE*
-// per-query latency on each backend so the latency price of the smaller
-// tables is tracked alongside the win. The committed BENCH_SCALE.json is
-// advisory (absolute numbers are machine-bound); CI's scale-smoke job
-// re-runs the quick sweep to catch structural regressions (a bake that no
-// longer finishes, resident bytes that went quadratic again).
+// a sweep of mega venues it measures the KoE* backend — the hierarchical
+// oracle's bake time and resident bytes, near-linear in states where an
+// all-pairs matrix is quadratic — plus KoE* per-query latency and work.
+// The committed BENCH_SCALE.json is advisory (absolute numbers are
+// machine-bound); CI's scale-smoke job re-runs the quick sweep to catch
+// structural regressions (a bake that no longer finishes, resident bytes
+// that went quadratic).
 
 // ScalePoint is one venue size in the sweep.
 type ScalePoint struct {
@@ -38,23 +37,17 @@ type ScalePoint struct {
 	OracleBuildMs float64 `json:"oracle_build_ms"`
 	OracleBytes   int64   `json:"oracle_bytes"`
 
-	// DenseBytes is the analytic resident size of the matrix
-	// (graph.MatrixBytes, the formula Matrix.Bytes reports);
-	// DenseBuildMs measures an actual build, -1 where States exceeded the
-	// sweep's dense-build cap (the venues the oracle exists for).
-	DenseBytes   int64   `json:"dense_bytes"`
-	DenseBuildMs float64 `json:"dense_build_ms"`
+	// DenseBytes is the analytic resident size an all-pairs distance
+	// matrix would need, 8·States² bytes: the Θ(states²) KoE* memory of
+	// the paper's Fig. 14, which Check holds the oracle ≥10x under.
+	DenseBytes int64 `json:"dense_bytes"`
 
 	OracleKoEStarP50Ms float64 `json:"oracle_koestar_p50_ms"`
-	DenseKoEStarP50Ms  float64 `json:"dense_koestar_p50_ms"` // -1 above the cap
 
 	// Total stamp expansions (Stats.Pops) over one pass of the point's
 	// request batch — deterministic on the fixed workload, so the committed
-	// numbers pin KoE* prune power at scale. The two backends legitimately
-	// differ (exact matrix distances prune at least as hard as the oracle's
-	// lower bounds); dense is -1 above the build cap.
+	// numbers pin KoE* prune power at scale.
 	OracleKoEStarExpansions int64 `json:"oracle_koestar_expansions,omitempty"`
-	DenseKoEStarExpansions  int64 `json:"dense_koestar_expansions,omitempty"`
 
 	// Snapshot cold start at this scale: the oracle engine is baked to a
 	// temp file and SnapshotColdMs times snapshot.OpenEngine (zero-copy
@@ -76,13 +69,12 @@ type ScaleReport struct {
 	GoVersion  string       `json:"go_version"`
 	Queries    int          `json:"queries_per_point"`
 	Runs       int          `json:"runs_per_query"`
-	DenseCap   int          `json:"dense_build_state_cap"`
 	Points     []ScalePoint `json:"points"`
 }
 
 // ScaleSizes returns the venue sizes the sweep bakes: quick stops where CI
 // wall clocks stay comfortable, the full sweep continues to a venue whose
-// dense matrix would be multiple gigabytes.
+// all-pairs matrix would be multiple gigabytes.
 func ScaleSizes(quick bool) [][2]int {
 	sizes := [][2]int{{2, 96}, {4, 96}, {8, 96}, {14, 141}}
 	if !quick {
@@ -91,21 +83,14 @@ func ScaleSizes(quick bool) [][2]int {
 	return sizes
 }
 
-// RunScale measures the sweep. The dense matrix is built (and its KoE* p50
-// measured) only while states stay under denseCap; its resident bytes are
-// reported analytically at every size.
+// RunScale measures the sweep.
 func RunScale(cfg Config, quick bool) (*ScaleReport, error) {
-	denseCap := 8000
-	if quick {
-		denseCap = 4000
-	}
 	rep := &ScaleReport{
 		Suite:      "mega-venue/koestar-scaling",
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		GoVersion:  runtime.Version(),
 		Queries:    cfg.Instances,
 		Runs:       cfg.Runs,
-		DenseCap:   denseCap,
 	}
 	for _, sz := range ScaleSizes(quick) {
 		floors, shops := sz[0], sz[1]
@@ -115,23 +100,20 @@ func RunScale(cfg Config, quick bool) (*ScaleReport, error) {
 		}
 		engO := search.NewEngine(m.Space, x)
 		t0 := time.Now()
-		orc := engO.PrecomputeOracle()
+		orc := engO.Precompute().(*graph.Oracle)
 		oracleBuild := time.Since(t0)
 
 		n := engO.PathFinder().NumStates()
 		pt := ScalePoint{
-			Floors:                 floors,
-			ShopsPerFloor:          shops,
-			Partitions:             m.Space.NumPartitions(),
-			Doors:                  m.Space.NumDoors(),
-			States:                 n,
-			Hubs:                   orc.NumHubs(),
-			OracleBuildMs:          ms(oracleBuild),
-			OracleBytes:            orc.Bytes(),
-			DenseBytes:             graph.MatrixBytes(n),
-			DenseBuildMs:           -1,
-			DenseKoEStarP50Ms:      -1,
-			DenseKoEStarExpansions: -1,
+			Floors:        floors,
+			ShopsPerFloor: shops,
+			Partitions:    m.Space.NumPartitions(),
+			Doors:         m.Space.NumDoors(),
+			States:        n,
+			Hubs:          orc.NumHubs(),
+			OracleBuildMs: ms(oracleBuild),
+			OracleBytes:   orc.Bytes(),
+			DenseBytes:    int64(n) * int64(n) * 8,
 		}
 
 		qg := gen.NewQueryGen(m, x, v, engO.PathFinder(), cfg.Seed+33)
@@ -153,17 +135,6 @@ func RunScale(cfg Config, quick bool) (*ScaleReport, error) {
 		pt.SnapshotColdMs, pt.SnapshotMappedBytes, pt.SnapshotBytes, err = snapshotColdStart(engO, reqs[0])
 		if err != nil {
 			return nil, fmt.Errorf("bench: mega venue %d×%d snapshot cold start: %w", floors, shops, err)
-		}
-
-		if n <= denseCap {
-			engD := search.NewEngine(m.Space, x)
-			t1 := time.Now()
-			engD.PrecomputeMatrix()
-			pt.DenseBuildMs = ms(time.Since(t1))
-			pt.DenseKoEStarP50Ms, pt.DenseKoEStarExpansions, err = koeStarP50(engD, reqs, opt, cfg.Runs)
-			if err != nil {
-				return nil, fmt.Errorf("bench: mega venue %d×%d dense KoE*: %w", floors, shops, err)
-			}
 		}
 		rep.Points = append(rep.Points, pt)
 	}
@@ -257,8 +228,9 @@ func koeStarP50(eng *search.Engine, reqs []search.Request, opt search.Options, r
 
 // Check validates the structural properties the sweep gates in CI: every
 // point completed its oracle bake and queries, and at the largest venue the
-// oracle tables undercut the dense matrix's analytic footprint by at least
-// 10x — the near-linear-vs-quadratic separation the oracle exists for.
+// oracle tables undercut an all-pairs matrix's analytic footprint by at
+// least 10x — the near-linear-vs-quadratic separation the oracle exists
+// for.
 // Wall-clock figures are deliberately not checked (shared runners time too
 // noisily to gate on).
 func (r *ScaleReport) Check() error {
@@ -291,18 +263,17 @@ func (r *ScaleReport) WriteJSON(w io.Writer) error {
 
 // Fprint prints a human-readable summary table of the report.
 func (r *ScaleReport) Fprint(w io.Writer) {
-	fmt.Fprintf(w, "scale suite %s (GOMAXPROCS=%d, %s, %d queries × %d runs per point, dense cap %d states)\n",
-		r.Suite, r.GoMaxProcs, r.GoVersion, r.Queries, r.Runs, r.DenseCap)
-	fmt.Fprintf(w, "%7s %6s %7s %7s %6s %12s %12s %12s %12s %10s %10s %10s %10s %10s %10s %10s\n",
+	fmt.Fprintf(w, "scale suite %s (GOMAXPROCS=%d, %s, %d queries × %d runs per point)\n",
+		r.Suite, r.GoMaxProcs, r.GoVersion, r.Queries, r.Runs)
+	fmt.Fprintf(w, "%7s %6s %7s %7s %6s %12s %12s %12s %10s %10s %10s %10s %10s\n",
 		"floors", "shops", "parts", "states", "hubs",
-		"orc build ms", "orc bytes", "dense bytes", "dense bld ms", "orc p50ms", "dense p50ms", "orc exps", "dense exps",
+		"orc build ms", "orc bytes", "dense bytes", "orc p50ms", "orc exps",
 		"snap bytes", "cold ms", "mapped B")
 	for _, p := range r.Points {
-		fmt.Fprintf(w, "%7d %6d %7d %7d %6d %12.1f %12d %12d %12.1f %10.2f %10.2f %10d %10d %10d %10.2f %10d\n",
+		fmt.Fprintf(w, "%7d %6d %7d %7d %6d %12.1f %12d %12d %10.2f %10d %10d %10.2f %10d\n",
 			p.Floors, p.ShopsPerFloor, p.Partitions, p.States, p.Hubs,
-			p.OracleBuildMs, p.OracleBytes, p.DenseBytes, p.DenseBuildMs,
-			p.OracleKoEStarP50Ms, p.DenseKoEStarP50Ms,
-			p.OracleKoEStarExpansions, p.DenseKoEStarExpansions,
+			p.OracleBuildMs, p.OracleBytes, p.DenseBytes,
+			p.OracleKoEStarP50Ms, p.OracleKoEStarExpansions,
 			p.SnapshotBytes, p.SnapshotColdMs, p.SnapshotMappedBytes)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ikrq/internal/gen"
-	"ikrq/internal/graph"
 	"ikrq/internal/model"
 	"ikrq/internal/search"
 	"ikrq/internal/snapshot"
@@ -21,8 +20,8 @@ type SnapshotReport struct {
 	Bytes int64
 
 	// Backend is the kind of KoE* distance backend the bake carries
-	// ("matrix", "oracle"), or "" when it carries none and the first KoE*
-	// query builds one.
+	// ("oracle"), or "" when it carries none and the first KoE* query
+	// builds one.
 	Backend string
 
 	// OpenTime is the cold start through snapshot.OpenEngine — the serving
@@ -139,15 +138,12 @@ func RunSnapshot(path string, cfg Config, cond *model.Conditions) (*SnapshotRepo
 	return rep, nil
 }
 
-// rebuild derives eng's index layer from scratch, with a KoE* backend of
-// the kind eng carries (none when it carries none).
+// rebuild derives eng's index layer from scratch, with the KoE* backend
+// when eng carries one.
 func rebuild(eng *search.Engine) *search.Engine {
 	e := search.NewEngine(eng.Space(), eng.Keywords())
-	switch eng.DistanceSourceIfReady().(type) {
-	case *graph.Matrix:
-		e.PrecomputeMatrix()
-	case *graph.Oracle:
-		e.PrecomputeOracle()
+	if eng.DistanceSourceIfReady() != nil {
+		e.Precompute()
 	}
 	return e
 }

@@ -14,15 +14,15 @@ import (
 
 // TestRunSnapshotOracleBake runs the snapshot report on an oracle bake of
 // the 2-floor synthetic mall. The report must name the baked backend, and
-// the rebuild it times against must derive the same kind — not skip the
-// very build the snapshot exists to save.
+// the rebuild it times against must derive it too — not skip the very
+// build the snapshot exists to save.
 func TestRunSnapshotOracleBake(t *testing.T) {
 	mall, _, idx, err := gen.SyntheticMall(2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := search.NewEngine(mall.Space, idx)
-	eng.PrecomputeOracle()
+	eng.Precompute()
 	path := filepath.Join(t.TempDir(), "mall.ikrq")
 	f, err := os.Create(path)
 	if err != nil {
@@ -56,7 +56,7 @@ func TestRunSnapshotOracleBake(t *testing.T) {
 	}
 	defer opened.Close()
 	rebuilt := rebuild(opened)
-	if rebuilt.OracleIfReady() == nil || rebuilt.MatrixIfReady() != nil {
-		t.Error("the rebuild of an oracle bake did not derive an oracle, and only an oracle")
+	if ds := rebuilt.DistanceSourceIfReady(); ds == nil || ds.Kind() != "oracle" {
+		t.Error("the rebuild of an oracle bake did not derive an oracle")
 	}
 }

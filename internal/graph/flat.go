@@ -139,27 +139,6 @@ func SkeletonFromFlat(s *model.Space, doors []int32, dist []float64, trusted boo
 	return sk, nil
 }
 
-// MatrixFromFlat restores the dense KoE* Matrix adopting the dist table
-// without copying. Its values feed bounds and are never used as indices, so
-// a trusted restore checks only the dimensions; the value scan runs only
-// when !trusted.
-func MatrixFromFlat(pf *PathFinder, n int, dist []float64, trusted bool) (*Matrix, error) {
-	if n != pf.NumStates() {
-		return nil, fmt.Errorf("graph: flat matrix is %d×%d but the state graph has %d states", n, n, pf.NumStates())
-	}
-	if len(dist) != n*n {
-		return nil, fmt.Errorf("graph: flat matrix table has %d entries (want %d)", len(dist), n*n)
-	}
-	if !trusted {
-		for i, d := range dist {
-			if d < 0 || math.IsNaN(d) {
-				return nil, fmt.Errorf("graph: flat matrix dist[%d] is invalid: %v", i, d)
-			}
-		}
-	}
-	return &Matrix{staticPaths: staticPaths{pf}, n: n, dist: dist}, nil
-}
-
 // OracleFromFlat restores the hierarchical Oracle adopting the three
 // distance tables without copying. The hub enumeration is recomputed from
 // the finder and compared exactly (O(states) — the derived floorOf/stateOff
@@ -168,7 +147,7 @@ func MatrixFromFlat(pf *PathFinder, n int, dist []float64, trusted bool) (*Matri
 // toHub/fromHub/hubDist run only when !trusted (their values feed arithmetic
 // bounds, never indexing).
 func OracleFromFlat(pf *PathFinder, hubs []StateID, hubOff []int32, toHub, fromHub, hubDist []float64, trusted bool) (*Oracle, error) {
-	o := &Oracle{staticPaths: staticPaths{pf}, floors: pf.s.Floors()}
+	o := &Oracle{pf: pf, floors: pf.s.Floors()}
 	n := pf.NumStates()
 	o.floorOf = make([]int32, n)
 	for i := 0; i < n; i++ {

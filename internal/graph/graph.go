@@ -15,10 +15,9 @@
 //     plain Euclidean distance on one floor, and the cheapest combination of
 //     staircase doors and stairway lengths across floors.
 //
-//   - Matrix and Oracle: the KoE* distance backends (Section V-A3), exact
-//     all-pairs state distances or near-linear hub labels behind the
-//     DistanceSource seam. Neither stores paths: static paths are paused
-//     kernel runs (LazyTree).
+//   - Oracle: the KoE* distance backend (Section V-A3), near-linear hub
+//     labels behind the DistanceSource seam. It stores no paths: static
+//     paths are paused kernel runs (LazyTree).
 package graph
 
 import (
@@ -218,7 +217,7 @@ type Forbidden func(model.DoorID) bool
 // Because Block only removes edges and Delay only increases arc costs,
 // distances computed under the zero Costs are admissible lower bounds of
 // distances under any non-zero Costs — the invariant that keeps the
-// statically built Skeleton bounds and Matrix entries sound under live
+// statically built Skeleton bounds and Oracle labels sound under live
 // venue conditions (DESIGN.md §7).
 type Costs struct {
 	// Block reports doors that may not be traversed. nil blocks nothing.
@@ -260,7 +259,7 @@ func (c Costs) delay(d model.DoorID) float64 {
 // per-state distances, parent states and originating seed indices, all
 // epoch-stamped so the workspace resets in O(1) between runs. With targets
 // the run pauses once every reachable target has settled; nil targets
-// exhaust the graph (ShortestTreeWS, DistancesFromPoint, the matrix sweep).
+// exhaust the graph (ShortestTreeWS, DistancesFromPoint, the hub sweep).
 func (pf *PathFinder) dijkstra(ws *Workspace, seeds []Seed, costs Costs, targets []StateID) {
 	pf.start(ws, seeds)
 	pf.settle(ws, pf.adj, costs, targets, nil)
@@ -343,7 +342,7 @@ func (pf *PathFinder) settle(ws *Workspace, adj [][]arc, costs Costs, targets []
 	if legs != nil {
 		best, minLeg = ws.pointStop(targets, legs)
 	}
-	// Zero Costs (static LazyTrees, the hub sweep, the matrix sweep) skip
+	// Zero Costs (static LazyTrees, the hub sweep) skip
 	// the arrival door's lookup.
 	static := costs.Block == nil && costs.Delay == nil
 	for ws.qMask != 0 {

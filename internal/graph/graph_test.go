@@ -286,29 +286,6 @@ func TestPartitionBound(t *testing.T) {
 	}
 }
 
-func TestMatrixAgreesWithDijkstra(t *testing.T) {
-	s, _, _ := corridorSpace(t)
-	pf := NewPathFinder(s)
-	m := NewMatrix(pf)
-	ws := NewWorkspace()
-	for a := 0; a < pf.NumStates(); a++ {
-		pf.dijkstra(ws, []Seed{{State: StateID(a)}}, Costs{}, nil)
-		for b := 0; b < pf.NumStates(); b++ {
-			md := m.Dist(StateID(a), StateID(b))
-			db := ws.distAt(StateID(b))
-			if math.IsInf(db, 1) != math.IsInf(md, 1) {
-				t.Fatalf("reachability mismatch %d->%d", a, b)
-			}
-			if !math.IsInf(md, 1) && math.Abs(md-db) > 1e-9 {
-				t.Fatalf("matrix %d->%d = %v, dijkstra %v", a, b, md, db)
-			}
-		}
-	}
-	if m.Bytes() <= 0 {
-		t.Error("Bytes() not positive")
-	}
-}
-
 func TestShortestToStates(t *testing.T) {
 	s, parts, doors := corridorSpace(t)
 	pf := NewPathFinder(s)

@@ -11,11 +11,9 @@ import (
 // search engine consults for admissible lower bounds between states, for
 // static shortest paths (valid under an overlay exactly when no door on
 // them is blocked or delayed — the degrade-to-bound contract of
-// Costs.AllowsStatic), and for memory accounting. Two implementations
-// exist: the dense all-pairs Matrix (exact everywhere, Θ(states²) resident
-// — the small-venue fast path and the equality test oracle) and the
-// hierarchical Oracle below (near-linear resident, built for venues where
-// the matrix cannot bake). Neither stores paths: both embed staticPaths.
+// Costs.AllowsStatic), and for memory accounting. The hierarchical Oracle
+// below is the one implementation the engine builds; the search tests
+// inject an exact dense table through the same seam as their reference.
 type DistanceSource interface {
 	// Dist returns an admissible lower bound of the static shortest
 	// distance from a to b; Exact-reporting sources return the exact value
@@ -28,33 +26,17 @@ type DistanceSource interface {
 	// suffix past dst's original length (callers reusing a buffer re-slice
 	// it anyway).
 	AppendStaticPathIfAllowed(ws *Workspace, dst []Hop, a, b StateID, costs Costs) ([]Hop, float64, bool)
+	// Finder returns the PathFinder the backend was computed over.
+	Finder() *PathFinder
 	// Bytes estimates resident table memory.
 	Bytes() int64
-	// Kind names the backend ("matrix" or "oracle") for observability.
+	// Kind names the backend ("oracle") for observability.
 	Kind() string
 }
 
-// staticPaths is the static-path half of DistanceSource, shared by both
-// backends: the static optimum from a is a LazyTree on the caller's
-// workspace, settled only as far as b — the same paused kernel run the KoE*
-// searcher caches per stamp tail. The kernel's strict tie-break makes it
-// hop-for-hop the parent chain of a's full Dijkstra tree.
-type staticPaths struct{ pf *PathFinder }
-
-// AppendStaticPathIfAllowed implements DistanceSource.
-func (sp staticPaths) AppendStaticPathIfAllowed(ws *Workspace, dst []Hop, a, b StateID, costs Costs) ([]Hop, float64, bool) {
-	return sp.pf.LazyTreeWS(ws, []Seed{{State: a}}, Costs{}).AppendPathIfAllowed(dst, b, costs)
-}
-
-// Finder returns the PathFinder the backend was computed over.
-func (sp staticPaths) Finder() *PathFinder { return sp.pf }
-
-// Kind identifies the dense backend on the DistanceSource seam.
-func (m *Matrix) Kind() string { return "matrix" }
-
-// Oracle is the hierarchical distance oracle: the near-linear replacement
-// for the dense Matrix on venues whose state count makes Θ(states²) tables
-// unbakeable. It exploits the floor structure the Skeleton already encodes:
+// Oracle is the hierarchical distance oracle, the engine's KoE* backend:
+// near-linear tables where an all-pairs matrix would hold Θ(states²)
+// distances. It exploits the floor structure the Skeleton already encodes:
 // every cross-floor walk must leave its start floor through a stairway arc,
 // and stairway arcs depart from and arrive at states of staircase doors —
 // the oracle's hubs.
@@ -74,14 +56,14 @@ func (m *Matrix) Kind() string { return "matrix" }
 // hub-split (landmark) lower bounds derived from the same per-floor labels —
 // routing *through* a hub is not admissible there, since the optimal
 // same-floor walk may avoid staircase doors entirely, but label differences
-// are (see DistExact and DESIGN.md §12). Static paths come from the
-// kernel through the embedded staticPaths, exactly as on the matrix.
+// are (see DistExact and DESIGN.md §12). The oracle stores no paths: a
+// static path is a paused kernel run (AppendStaticPathIfAllowed).
 //
 // Memory is Θ(states·hubsPerFloor + |H|²): for a venue growing by adding
 // floors, hubsPerFloor is constant and |H| grows linearly, so the oracle
-// stays near-linear where the matrix grows quadratically.
+// stays near-linear where an all-pairs matrix grows quadratically.
 type Oracle struct {
-	staticPaths
+	pf     *PathFinder
 	floors int
 
 	floorOf  []int32 // per state: floor of the state's door
@@ -97,15 +79,15 @@ type Oracle struct {
 
 // NewOracle builds the oracle with two full-graph Dijkstras per hub (one
 // forward, one backward over a locally built reverse adjacency), fanned out
-// over GOMAXPROCS workers like the matrix sweep. Distances are unique per
-// (source, target) regardless of tie-breaking, so the build is
-// deterministic under any scheduling (asserted by the oracle tests).
+// over GOMAXPROCS workers. Distances are unique per (source, target)
+// regardless of tie-breaking, so the build is deterministic under any
+// scheduling (asserted by the oracle tests).
 func NewOracle(pf *PathFinder) *Oracle {
 	return newOracleWorkers(pf, runtime.GOMAXPROCS(0))
 }
 
 func newOracleWorkers(pf *PathFinder, workers int) *Oracle {
-	o := &Oracle{staticPaths: staticPaths{pf}, floors: pf.s.Floors()}
+	o := &Oracle{pf: pf, floors: pf.s.Floors()}
 	n := pf.NumStates()
 
 	o.floorOf = make([]int32, n)
@@ -299,8 +281,20 @@ func (o *Oracle) DistExact(a, b StateID) (float64, bool) {
 	return best, true
 }
 
-// Bytes estimates the resident size of the oracle tables — the near-linear
-// counterpart of Matrix.Bytes in the scaling benchmarks.
+// AppendStaticPathIfAllowed implements DistanceSource. The static optimum
+// from a is a LazyTree on the caller's workspace, settled only as far as b —
+// the same paused kernel run the KoE* searcher caches per stamp tail. The
+// kernel's strict tie-break makes it hop-for-hop the parent chain of a's
+// full Dijkstra tree.
+func (o *Oracle) AppendStaticPathIfAllowed(ws *Workspace, dst []Hop, a, b StateID, costs Costs) ([]Hop, float64, bool) {
+	return o.pf.LazyTreeWS(ws, []Seed{{State: a}}, Costs{}).AppendPathIfAllowed(dst, b, costs)
+}
+
+// Finder returns the PathFinder the oracle was computed over.
+func (o *Oracle) Finder() *PathFinder { return o.pf }
+
+// Bytes estimates the resident size of the oracle tables, which the
+// scaling benchmarks set against an all-pairs matrix's 8·states² bytes.
 func (o *Oracle) Bytes() int64 {
 	return int64(len(o.toHub)+len(o.fromHub)+len(o.hubDist))*8 +
 		int64(len(o.hubs)+len(o.floorOf)+len(o.stateOff)+len(o.hubOff))*4

@@ -131,8 +131,8 @@ func TestOracleAdmissibility(t *testing.T) {
 	}
 }
 
-// TestNewOracleParallelDeterministic mirrors the matrix determinism gate:
-// the hub sweep's output must not depend on worker scheduling.
+// TestNewOracleParallelDeterministic is the parallel-build gate: the hub
+// sweep's output must not depend on worker scheduling.
 func TestNewOracleParallelDeterministic(t *testing.T) {
 	s := randomMall(t, 3)
 	pf := NewPathFinder(s)
@@ -143,6 +143,75 @@ func TestNewOracleParallelDeterministic(t *testing.T) {
 			t.Fatalf("oracle build with %d workers differs from sequential", workers)
 		}
 	}
+}
+
+// TestMatrixPathEdgeCases (named for the dense matrix it was first written
+// against; the static-path code it covers is the oracle's) covers the
+// static-path corners of the DistanceSource seam: a degenerate src==dst
+// query, an unreachable target (disconnected space fragment), and the
+// degrade-to-bound rejection under blocked and delayed next-hops.
+func TestMatrixPathEdgeCases(t *testing.T) {
+	ws := NewWorkspace()
+	t.Run("src==dst", func(t *testing.T) {
+		s, parts, doors := corridorSpace(t)
+		pf := NewPathFinder(s)
+		o := NewOracle(pf)
+		a := pf.StateOf(doors[0], parts[1])
+		if d := o.Dist(a, a); d != 0 {
+			t.Fatalf("Dist(a,a) = %v, want 0", d)
+		}
+		hops, dist, ok := o.AppendStaticPathIfAllowed(ws, nil, a, a, Costs{})
+		if !ok || len(hops) != 0 || dist != 0 {
+			t.Fatalf("static path a→a = %+v dist=%v ok=%v, want empty ok", hops, dist, ok)
+		}
+	})
+
+	t.Run("unreachable", func(t *testing.T) {
+		s := splitSpace(t)
+		pf := NewPathFinder(s)
+		o := NewOracle(pf)
+		// States of door 0 and door 1 live in disconnected fragments.
+		a := pf.StatesOfDoor(0)[0]
+		b := pf.StatesOfDoor(1)[0]
+		if hops, _, ok := o.AppendStaticPathIfAllowed(ws, nil, a, b, Costs{}); ok || hops != nil {
+			t.Fatalf("cross-fragment static path = %+v ok=%v, want nil false", hops, ok)
+		}
+	})
+
+	t.Run("blocked-and-delayed-next-hop", func(t *testing.T) {
+		s, parts, doors := corridorSpace(t)
+		pf := NewPathFinder(s)
+		o := NewOracle(pf)
+		a := pf.StateOf(doors[0], parts[1]) // at d0 entered h1
+		b := pf.StateOf(doors[1], parts[2]) // at d1 entered h2: one hop via d1
+		if _, _, ok := o.AppendStaticPathIfAllowed(ws, nil, a, b, ForbidOnly(func(d model.DoorID) bool { return d == doors[1] })); ok {
+			t.Fatal("static path ignored a blocked on-path door")
+		}
+		delay := func(d model.DoorID) float64 {
+			if d == doors[1] {
+				return 3
+			}
+			return 0
+		}
+		if _, _, ok := o.AppendStaticPathIfAllowed(ws, nil, a, b, Costs{Delay: delay}); ok {
+			t.Fatal("static path ignored a delayed on-path door (it is no longer provably optimal)")
+		}
+		// Blocking or delaying an off-path door leaves the static path exact.
+		offPath := Costs{
+			Block: func(d model.DoorID) bool { return d == doors[2] },
+			Delay: func(d model.DoorID) float64 {
+				if d == doors[2] {
+					return 9
+				}
+				return 0
+			},
+		}
+		want := pf.ShortestTreeWS(NewWorkspace(), []Seed{{State: a}}, Costs{}).Dist(b)
+		hops, dist, ok := o.AppendStaticPathIfAllowed(ws, nil, a, b, offPath)
+		if !ok || len(hops) != 1 || hops[0].Door != doors[1] || dist != want {
+			t.Fatalf("off-path costs broke the static path: %+v dist=%v (want %v) ok=%v", hops, dist, want, ok)
+		}
+	})
 }
 
 func oracleFromRecord(pf *PathFinder, rec *OracleRecord, trusted bool) (*Oracle, error) {

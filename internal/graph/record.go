@@ -72,25 +72,10 @@ func (sk *Skeleton) Export() *SkeletonRecord {
 	}
 }
 
-// MatrixRecord is the serializable form of the KoE* all-pairs Matrix: the
-// row-major distance table. It is by far the largest snapshot section —
-// Θ(states²), the same order the paper reports for KoE*'s memory in
-// Fig. 14 — and also the most expensive to recompute, so persisting it is
-// what makes snapshot loading beat a rebuild by a wide margin.
-type MatrixRecord struct {
-	N    int32
-	Dist []float64 // N² row-major, +Inf for unreachable
-}
-
-// Export captures the distance table as a record.
-func (m *Matrix) Export() *MatrixRecord {
-	return &MatrixRecord{N: int32(m.n), Dist: append([]float64(nil), m.dist...)}
-}
-
 // OracleRecord is the serializable form of the hierarchical Oracle: the hub
-// enumeration plus the three exact distance tables. Unlike the matrix it is
-// near-linear in states, so persisting it costs little and spares loads the
-// 2|H| Dijkstra sweep.
+// enumeration plus the three exact distance tables. It is near-linear in
+// states, so persisting it costs little and spares loads the 2|H| Dijkstra
+// sweep.
 type OracleRecord struct {
 	Hubs    []StateID // hub states grouped by floor
 	HubOff  []int32   // len floors+1

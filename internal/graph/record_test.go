@@ -174,59 +174,6 @@ func TestSkeletonFromFlatRejectsBadInput(t *testing.T) {
 	})
 }
 
-func TestMatrixRecordRoundTrip(t *testing.T) {
-	s, _ := towerSpace(t)
-	pf := NewPathFinder(s)
-	m := NewMatrix(pf)
-	trustModes(t, func(t *testing.T, trusted bool) {
-		rec := m.Export()
-		got, err := MatrixFromFlat(pf, int(rec.N), rec.Dist, trusted)
-		if err != nil {
-			t.Fatalf("MatrixFromFlat: %v", err)
-		}
-		if got.Finder() != pf {
-			t.Fatal("restored matrix lost its pathfinder")
-		}
-		n := pf.NumStates()
-		for a := 0; a < n; a++ {
-			for b := 0; b < n; b++ {
-				d1, d2 := m.Dist(StateID(a), StateID(b)), got.Dist(StateID(a), StateID(b))
-				if d1 != d2 && !(math.IsInf(d1, 1) && math.IsInf(d2, 1)) {
-					t.Fatalf("Dist(%d,%d) differs: %v vs %v", a, b, d1, d2)
-				}
-			}
-		}
-	})
-}
-
-// TestMatrixFromFlatRejectsBadInput: the dimensions are checked in both
-// modes, the distance scan runs only untrusted.
-func TestMatrixFromFlatRejectsBadInput(t *testing.T) {
-	s, _ := towerSpace(t)
-	pf := NewPathFinder(s)
-	m := NewMatrix(pf)
-	cases := []struct {
-		name      string
-		valueOnly bool
-		mutate    func(*MatrixRecord)
-	}{
-		{"dimension mismatch", false, func(r *MatrixRecord) { r.N-- }},
-		{"short dist table", false, func(r *MatrixRecord) { r.Dist = r.Dist[:3] }},
-		{"negative distance", true, func(r *MatrixRecord) { r.Dist[1] = -1 }},
-		{"NaN distance", true, func(r *MatrixRecord) { r.Dist[1] = math.NaN() }},
-	}
-	trustModes(t, func(t *testing.T, trusted bool) {
-		for _, tc := range cases {
-			rec := m.Export()
-			tc.mutate(rec)
-			_, err := MatrixFromFlat(pf, int(rec.N), rec.Dist, trusted)
-			if accept := trusted && tc.valueOnly; accept != (err == nil) {
-				t.Errorf("%s: accepted=%v, want %v (err %v)", tc.name, err == nil, accept, err)
-			}
-		}
-	})
-}
-
 // reindexSkeleton re-lays a skeleton record over the old door indices in
 // sel, carrying each door's δs2s row and column along: the result is
 // internally consistent, so only the enumeration check can reject it.

@@ -9,7 +9,7 @@ import (
 // per-state dist/parent/seedOf tables, the monotone radix queue and the
 // target-set bookkeeping of one Dijkstra run. A workspace is sized on first
 // use and never shrinks, so a long-lived owner (a pooled scratch bundle,
-// a matrix-build worker) pays the O(states) allocations once and every
+// a hub-sweep worker) pays the O(states) allocations once and every
 // subsequent run is allocation-free.
 //
 // Resets are O(1): instead of refilling dist with +Inf and parent with

@@ -14,7 +14,7 @@ import (
 // rebuilt. The key invariant the whole distance stack is designed around:
 // an overlay only REMOVES edges (closures) or INCREASES costs (penalties),
 // so every statically precomputed lower bound — the skeleton distance |·|L
-// behind Pruning Rules 1–3 and the KoE* all-pairs matrix — remains an
+// behind Pruning Rules 1–3 and the KoE* distance oracle — remains an
 // admissible lower bound of the overlaid distance. Search under an overlay
 // therefore stays exact without touching the index (see DESIGN.md §7).
 //
@@ -76,9 +76,10 @@ func (c *Conditions) Empty() bool {
 	return c == nil || (len(c.closed) == 0 && len(c.delays) == 0)
 }
 
-// HasDelays reports whether any door carries a penalty. Nil-safe. The KoE*
-// matrix stays an exact-distance source under a closure-only overlay but
-// degrades to a lower-bound source once delays exist (see graph.Matrix).
+// HasDelays reports whether any door carries a penalty. Nil-safe. Static
+// distances stay exact under a closure-only overlay for every path that
+// avoids the closed doors, but delays make any path through a delayed door
+// longer than its static length (see graph.Costs.AllowsStatic).
 func (c *Conditions) HasDelays() bool { return c != nil && len(c.delays) > 0 }
 
 // NumClosed returns the number of closed doors. Nil-safe.

@@ -18,7 +18,7 @@ type BatchOptions struct {
 
 // SearchBatch runs every request under the same options, fanning the batch
 // over a pool of workers that share the engine's immutable index layer —
-// including the lazily built KoE* matrix, which is forced once before the
+// including the lazily built KoE* backend, which is forced once before the
 // fan-out so workers never race to build it — and draw per-query scratch
 // from the engine's scratch pool.
 //

@@ -74,10 +74,10 @@ func TestSearchBatchMatchesSerialLoop(t *testing.T) {
 
 // TestConcurrentSearchMatchesSerial hammers one engine from many goroutines
 // — mixing direct Search calls and SearchBatch slices, including KoE* whose
-// matrix initializes lazily under the race — and asserts every result equals
+// backend initializes lazily under the race — and asserts every result equals
 // the serial reference. Run with -race this is the concurrency-safety gate.
 func TestConcurrentSearchMatchesSerial(t *testing.T) {
-	e := testMall(t) // fresh engine: Matrix() not yet built
+	e := testMall(t) // fresh engine: KoE* backend not yet built
 	reqs := batchCases()
 	opts := []Options{
 		{Algorithm: ToE},
@@ -172,7 +172,7 @@ func TestPooledScratchReuseIsDeterministic(t *testing.T) {
 // first search runs on never-used scratch.
 func brandNewEngine(t testing.TB, e *Engine) *Engine {
 	t.Helper()
-	ne, err := NewEngineFromParts(e.s, e.x, e.pf, e.sk, e.MatrixIfReady(), e.OracleIfReady())
+	ne, err := NewEngineFromParts(e.s, e.x, e.pf, e.sk, e.DistanceSourceIfReady())
 	if err != nil {
 		t.Fatal(err)
 	}

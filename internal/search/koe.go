@@ -76,7 +76,8 @@ func (sr *searcher) findKoE(si *stamp) []*stamp {
 			// cap even under these optimistic bounds are dropped before path
 			// recovery — the expensive part of a KoE* expansion — and rem
 			// then tightens Rules 1 and 4 below, so hopeless stamps never
-			// enter the queue at all.
+			// enter the queue at all. koePath tests the bound once more
+			// with the exact static jump before it pays for a recompute.
 			rem := 0.0
 			if sr.bbSrc != nil {
 				rem = sr.backendRemaining(target)
@@ -89,7 +90,7 @@ func (sr *searcher) findKoE(si *stamp) []*stamp {
 					continue
 				}
 			}
-			hops, ok := sr.koePath(from, seeds, target, costs)
+			hops, ok := sr.koePath(si, from, seeds, target, costs, rem)
 			if !ok || len(hops) == 0 {
 				continue
 			}
@@ -174,7 +175,7 @@ func (sr *searcher) koeSeeds(si *stamp) []graph.Seed {
 	return sr.seedBuf
 }
 
-// koePath finds the shortest regular hop sequence from the stamp (tail
+// koePath finds the shortest regular hop sequence from stamp si (tail
 // state from, seeds) to the target state. KoE* splices the static shortest
 // path first and recomputes only when the static path collides with the
 // route's doors (Section V-A3) or when the conditions overlay invalidates
@@ -185,13 +186,25 @@ func (sr *searcher) koeSeeds(si *stamp) []graph.Seed {
 // Every branch builds the hop sequence into per-query pooled storage (the
 // searcher's hop buffer); the caller consumes it before the next path is
 // requested.
-func (sr *searcher) koePath(from graph.StateID, seeds []graph.Seed, target graph.StateID, costs graph.Costs) ([]graph.Hop, bool) {
+//
+// rem is findKoE's backend lower bound on the walk after the target. A
+// rejected static path still settled the exact static distance d of the
+// jump, and a recompute can only be longer — route doors are blocked,
+// overlay penalties only add — so a target with si.dist() + (rem + d) over
+// the cap is dropped here as a backend-bound prune: Rule 1 would drop
+// whatever the recompute returned (DESIGN.md §12).
+func (sr *searcher) koePath(si *stamp, from graph.StateID, seeds []graph.Seed, target graph.StateID, costs graph.Costs, rem float64) ([]graph.Hop, bool) {
 	if sr.opt.Precompute && from != graph.NoState {
 		if from == target {
 			return nil, false
 		}
-		if hops, ok := sr.staticPathIfAllowed(from, target, costs); ok {
+		hops, d, ok := sr.staticPathIfAllowed(from, target, costs)
+		if ok {
 			return hops, true
+		}
+		if sr.bbSrc != nil && si.dist()+(rem+d) > sr.cap {
+			sr.stats.PrunedBackend++
+			return nil, false
 		}
 		sr.stats.Recomputations++
 	}
@@ -204,14 +217,16 @@ func (sr *searcher) koePath(from graph.StateID, seeds []graph.Seed, target graph
 }
 
 // staticPathIfAllowed resolves the static shortest path from the stamp
-// tail, ok only when no door on it is blocked or delayed under costs
-// (otherwise the caller recomputes under the full cost model). Neither KoE*
-// backend stores paths: one lazy static tree per stamp tail serves every
-// expansion target, settled only as far as the farthest target actually
-// requested, and the cache dies with the searcher's query. The tree lives
-// in its own workspace so the expansion's paused run in sr.ws cannot
-// clobber it, and stamps that share a tail share it.
-func (sr *searcher) staticPathIfAllowed(from, target graph.StateID, costs graph.Costs) ([]graph.Hop, bool) {
+// tail and its static distance d, ok only when no door on it is blocked or
+// delayed under costs (otherwise the caller recomputes under the full cost
+// model). d is exact either way: +Inf when the target is statically
+// unreachable. The KoE* backend stores no paths: one lazy static tree per
+// stamp tail serves every expansion target, settled only as far as the
+// farthest target actually requested, and the cache dies with the
+// searcher's query. The tree lives in its own workspace so the expansion's
+// paused run in sr.ws cannot clobber it, and stamps that share a tail
+// share it.
+func (sr *searcher) staticPathIfAllowed(from, target graph.StateID, costs graph.Costs) ([]graph.Hop, float64, bool) {
 	if sr.staticWS == nil {
 		sr.staticWS = graph.NewWorkspace()
 	}
@@ -219,9 +234,12 @@ func (sr *searcher) staticPathIfAllowed(from, target graph.StateID, costs graph.
 		sr.staticTree = sr.e.pf.LazyTreeWS(sr.staticWS, []graph.Seed{{State: from}}, graph.Costs{})
 		sr.staticSrc = from
 	}
-	hops, _, ok := sr.staticTree.AppendPathIfAllowed(sr.hopBuf[:0], target, costs)
+	hops, d, ok := sr.staticTree.AppendPathIfAllowed(sr.hopBuf[:0], target, costs)
 	sr.hopBuf = hops[:0]
-	return hops, ok
+	if !ok {
+		d = sr.staticTree.Dist(target) // settled (or drained) by the call above
+	}
+	return hops, d, ok
 }
 
 // tailPos returns the geometric position of the stamp's tail item (the

@@ -126,7 +126,7 @@ func TestClosureOracleSynthetic(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := search.NewEngine(mall.Space, idx)
-	eng.PrecomputeMatrix() // overlay queries must survive a full static matrix
+	eng.Precompute() // overlay queries must survive the static KoE* backend
 	qg := gen.NewQueryGen(mall, idx, voc, eng.PathFinder(), 23)
 	cfg := gen.DefaultQueryConfig(23)
 	cfg.Instances = 3

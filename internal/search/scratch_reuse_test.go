@@ -21,7 +21,7 @@ func TestFreshSearcherMatchesPooled(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := search.NewEngine(mall.Space, idx)
-	eng.PrecomputeMatrix()
+	eng.Precompute()
 	qg := gen.NewQueryGen(mall, idx, voc, eng.PathFinder(), 31)
 	cfg := gen.DefaultQueryConfig(31)
 	cfg.Instances = 2
@@ -79,7 +79,7 @@ func TestMixedKindScratchReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := search.NewEngine(mall.Space, idx)
-	eng.PrecomputeMatrix()
+	eng.Precompute()
 	qg := gen.NewQueryGen(mall, idx, voc, eng.PathFinder(), 37)
 	qcfg := gen.DefaultQueryConfig(37)
 	qcfg.Instances = 3
@@ -149,11 +149,11 @@ func TestMixedKindScratchReuse(t *testing.T) {
 	}
 }
 
-// brandNew assembles an engine over eng's index layer and KoE* matrix whose
-// scratch pool has never run a query.
+// brandNew assembles an engine over eng's index layer and KoE* backend
+// whose scratch pool has never run a query.
 func brandNew(t *testing.T, eng *search.Engine) *search.Engine {
 	t.Helper()
-	ne, err := search.NewEngineFromParts(eng.Space(), eng.Keywords(), eng.PathFinder(), eng.Skeleton(), eng.MatrixIfReady(), eng.OracleIfReady())
+	ne, err := search.NewEngineFromParts(eng.Space(), eng.Keywords(), eng.PathFinder(), eng.Skeleton(), eng.DistanceSourceIfReady())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,8 +57,9 @@ type Options struct {
 	// routes; Search rejects the combination.
 	DisablePrime bool
 
-	// Precompute makes KoE consult an all-pairs shortest-route matrix and
-	// recompute only on regularity failures (KoE*). Only valid with KoE.
+	// Precompute makes KoE splice precomputed static shortest routes — the
+	// hierarchical distance oracle's bounds and paths (see graph.Oracle) —
+	// and recompute only on regularity failures (KoE*). Only valid with KoE.
 	Precompute bool
 
 	// DisableBackendBound turns off KoE*'s backend-bound pruning: the
@@ -214,7 +215,7 @@ type Stats struct {
 	IrregularPaths int
 
 	// EstBytes estimates the search's resident memory: live stamps,
-	// the prime table, and (for KoE*) the precomputed matrix.
+	// the prime table, and (for KoE*) the distance backend's tables.
 	EstBytes int64
 
 	// Truncated is set when MaxExpansions fired before the queue drained.
@@ -278,13 +279,11 @@ type Engine struct {
 	pf *graph.PathFinder
 	sk *graph.Skeleton
 
-	// The KoE* distance backend slots: at most one build of each kind,
-	// guarded by distMu; hot-path reads are lock-free atomic loads. When
-	// neither is ready, distanceSource picks by venue size — the dense
-	// matrix up to DenseStateLimit states, the hierarchical oracle beyond.
-	distMu sync.Mutex
-	mat    atomic.Pointer[graph.Matrix]
-	orc    atomic.Pointer[graph.Oracle]
+	// backend is the KoE* distance backend: the hierarchical oracle, built
+	// at most once under distMu unless NewEngineFromParts supplied one.
+	// Hot-path reads are lock-free atomic loads.
+	distMu  sync.Mutex
+	backend atomic.Pointer[graph.DistanceSource]
 
 	qcache *keyword.QueryCache
 
@@ -326,14 +325,6 @@ type Engine struct {
 	mapClose     func() error
 }
 
-// DenseStateLimit is the state-count threshold of the automatic KoE*
-// backend choice: venues up to this size get the dense all-pairs Matrix
-// (exact everywhere, so the tightest KoE* bounds; Θ(states²) resident — both
-// reference malls fit comfortably), larger venues get the hierarchical
-// Oracle whose tables stay near-linear. Explicit PrecomputeMatrix and
-// PrecomputeOracle calls override the choice in either direction.
-const DenseStateLimit = 3072
-
 // defaultQueryCacheCap bounds the engine's compiled-query cache. Compiled
 // queries are small (a few candidate sets plus lookup maps), so a few
 // hundred cover a realistic hot set of repeated storefront keyword lists.
@@ -342,19 +333,19 @@ const defaultQueryCacheCap = 256
 // NewEngine builds an engine for the given space and keyword index,
 // deriving every distance structure from scratch: the state-graph
 // PathFinder, the skeleton lower bounds, and (lazily, on first KoE* query
-// or PrecomputeMatrix call) the all-pairs matrix. To skip the derivation —
-// e.g. when loading a baked snapshot — use NewEngineFromParts.
+// or Precompute call) the hierarchical distance oracle. To skip the
+// derivation — e.g. when loading a baked snapshot — use NewEngineFromParts.
 func NewEngine(s *model.Space, x *keyword.Index) *Engine {
-	return assemble(s, x, graph.NewPathFinder(s), graph.NewSkeleton(s), nil, nil)
+	return assemble(s, x, graph.NewPathFinder(s), graph.NewSkeleton(s), nil)
 }
 
 // NewEngineFromParts assembles an engine from an already-built index layer
 // instead of deriving it: the space, keyword index, state-graph pathfinder
-// and skeleton are adopted as-is, and mat/orc (optional, may be nil) seed
-// the KoE* backend slots so no query ever pays the precomputation. It is
-// the assembly path behind snapshot loading and validates that the parts
+// and skeleton are adopted as-is, and ds (optional, may be nil) becomes the
+// KoE* distance backend so no query ever pays the precomputation. It is the
+// assembly path behind snapshot loading and validates that the parts
 // belong together.
-func NewEngineFromParts(s *model.Space, x *keyword.Index, pf *graph.PathFinder, sk *graph.Skeleton, mat *graph.Matrix, orc *graph.Oracle) (*Engine, error) {
+func NewEngineFromParts(s *model.Space, x *keyword.Index, pf *graph.PathFinder, sk *graph.Skeleton, ds graph.DistanceSource) (*Engine, error) {
 	if s == nil || x == nil || pf == nil || sk == nil {
 		return nil, errors.New("search: NewEngineFromParts requires space, index, pathfinder and skeleton")
 	}
@@ -365,24 +356,17 @@ func NewEngineFromParts(s *model.Space, x *keyword.Index, pf *graph.PathFinder, 
 		return nil, fmt.Errorf("search: keyword index covers %d partitions, space has %d",
 			x.NumPartitions(), s.NumPartitions())
 	}
-	if mat != nil && mat.Finder() != pf {
-		return nil, errors.New("search: matrix was computed over a different state graph")
+	if ds != nil && ds.Finder() != pf {
+		return nil, errors.New("search: KoE* backend was computed over a different state graph")
 	}
-	if orc != nil && orc.Finder() != pf {
-		return nil, errors.New("search: oracle was computed over a different state graph")
-	}
-	e := assemble(s, x, pf, sk, mat, orc)
-	return e, nil
+	return assemble(s, x, pf, sk, ds), nil
 }
 
 // assemble wires the execution layer around an index layer.
-func assemble(s *model.Space, x *keyword.Index, pf *graph.PathFinder, sk *graph.Skeleton, mat *graph.Matrix, orc *graph.Oracle) *Engine {
+func assemble(s *model.Space, x *keyword.Index, pf *graph.PathFinder, sk *graph.Skeleton, ds graph.DistanceSource) *Engine {
 	e := &Engine{s: s, x: x, pf: pf, sk: sk}
-	if mat != nil {
-		e.mat.Store(mat)
-	}
-	if orc != nil {
-		e.orc.Store(orc)
+	if ds != nil {
+		e.backend.Store(&ds)
 	}
 	e.qcache = keyword.NewQueryCache(x, defaultQueryCacheCap)
 	e.pool.New = func() any { return new(execScratch) }
@@ -480,69 +464,21 @@ func (e *Engine) PathFinder() *graph.PathFinder { return e.pf }
 // Skeleton exposes the engine's lower-bound distance structure.
 func (e *Engine) Skeleton() *graph.Skeleton { return e.sk }
 
-// Precompute builds the KoE* distance backend eagerly — the dense matrix
-// or the hierarchical oracle, chosen by venue size against DenseStateLimit
-// — and returns it. By default the backend is built lazily on the first
-// KoE* query, which keeps engines cheap for workloads that never run KoE*
-// but makes that first query pay the precomputation; services bake it at
-// start-up (or at snapshot time, see internal/snapshot) so serving latency
-// never includes index construction.
+// Precompute builds the KoE* distance backend — the hierarchical oracle —
+// eagerly and returns it. By default the backend is built lazily on the
+// first KoE* query, which keeps engines cheap for workloads that never run
+// KoE* but makes that first query pay the precomputation; services bake it
+// at start-up (or at snapshot time, see internal/snapshot) so serving
+// latency never includes index construction.
 func (e *Engine) Precompute() graph.DistanceSource { return e.distanceSource() }
 
-// PrecomputeMatrix forces the dense all-pairs matrix eagerly and returns
-// it, regardless of venue size; most callers want Precompute (size-aware)
-// instead.
-func (e *Engine) PrecomputeMatrix() *graph.Matrix {
-	if m := e.mat.Load(); m != nil {
-		return m
-	}
-	e.distMu.Lock()
-	defer e.distMu.Unlock()
-	if m := e.mat.Load(); m != nil {
-		return m
-	}
-	m := graph.NewMatrix(e.pf)
-	e.mat.Store(m)
-	return m
-}
-
-// PrecomputeOracle forces the hierarchical oracle eagerly and returns it,
-// regardless of venue size (the equality gate tests force it on small
-// malls); most callers want Precompute.
-func (e *Engine) PrecomputeOracle() *graph.Oracle {
-	if o := e.orc.Load(); o != nil {
-		return o
-	}
-	e.distMu.Lock()
-	defer e.distMu.Unlock()
-	if o := e.orc.Load(); o != nil {
-		return o
-	}
-	o := graph.NewOracle(e.pf)
-	e.orc.Store(o)
-	return o
-}
-
-// MatrixIfReady returns the dense matrix if it has already been built (or
-// was supplied via NewEngineFromParts), without triggering the computation.
-// Snapshot writing uses it to persist the matrix exactly when the engine
-// has one.
-func (e *Engine) MatrixIfReady() *graph.Matrix { return e.mat.Load() }
-
-// OracleIfReady is MatrixIfReady for the hierarchical oracle.
-func (e *Engine) OracleIfReady() *graph.Oracle { return e.orc.Load() }
-
-// DistanceSourceIfReady returns whichever KoE* backend is already built
-// (the dense matrix wins when both are), or nil. Observability endpoints
-// use it to report resident memory without forcing a build.
+// DistanceSourceIfReady returns the KoE* backend if it has already been
+// built (or was supplied via NewEngineFromParts), or nil, without
+// triggering the build. Snapshot writing persists it exactly when the
+// engine has one, and observability endpoints report its resident memory.
 func (e *Engine) DistanceSourceIfReady() graph.DistanceSource {
-	// Note the typed-nil guard: returning e.mat.Load() directly would wrap
-	// a nil *Matrix in a non-nil interface.
-	if m := e.mat.Load(); m != nil {
-		return m
-	}
-	if o := e.orc.Load(); o != nil {
-		return o
+	if p := e.backend.Load(); p != nil {
+		return *p
 	}
 	return nil
 }
@@ -558,8 +494,8 @@ type MemStats struct {
 	SkeletonBytes int64 `json:"skeleton_bytes"`
 	IndexBytes    int64 `json:"index_bytes"`
 
-	// Backend is the DistanceSource kind ("matrix", "oracle") or "" while
-	// no KoE* backend has been built; BackendBytes is 0 in that case.
+	// Backend is the DistanceSource kind ("oracle") or "" while no KoE*
+	// backend has been built; BackendBytes is 0 in that case.
 	Backend      string `json:"backend,omitempty"`
 	BackendBytes int64  `json:"backend_bytes"`
 
@@ -591,32 +527,20 @@ func (e *Engine) MemStats() MemStats {
 	return ms
 }
 
-// distanceSource returns the engine's KoE* backend, building the
-// size-appropriate one on first demand. An already-built backend of either
-// kind is used as-is (the dense matrix preferred when both exist).
+// distanceSource returns the engine's KoE* backend, building the oracle on
+// first demand.
 func (e *Engine) distanceSource() graph.DistanceSource {
-	if m := e.mat.Load(); m != nil {
-		return m
-	}
-	if o := e.orc.Load(); o != nil {
-		return o
+	if ds := e.DistanceSourceIfReady(); ds != nil {
+		return ds
 	}
 	e.distMu.Lock()
 	defer e.distMu.Unlock()
-	if m := e.mat.Load(); m != nil {
-		return m
+	if ds := e.DistanceSourceIfReady(); ds != nil {
+		return ds
 	}
-	if o := e.orc.Load(); o != nil {
-		return o
-	}
-	if e.pf.NumStates() <= DenseStateLimit {
-		m := graph.NewMatrix(e.pf)
-		e.mat.Store(m)
-		return m
-	}
-	o := graph.NewOracle(e.pf)
-	e.orc.Store(o)
-	return o
+	var ds graph.DistanceSource = graph.NewOracle(e.pf)
+	e.backend.Store(&ds)
+	return ds
 }
 
 // Validate reports the first problem with a request, or nil.

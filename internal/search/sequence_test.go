@@ -76,7 +76,7 @@ func TestSequenceOracleSynthetic(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := search.NewEngine(mall.Space, idx)
-	eng.PrecomputeMatrix()
+	eng.Precompute()
 	reqs := sequenceInstances(t, eng, 23, 4, gen.DefaultSequenceSampleConfig())
 	sequenceOracle(t, eng, reqs, sequenceOverlays(mall.Space, 1013))
 }

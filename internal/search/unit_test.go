@@ -166,7 +166,7 @@ func TestStatsCountersPerVariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	if star.Stats.EstBytes <= full.Stats.EstBytes {
-		t.Errorf("KoE* memory estimate %d not above ToE %d (matrix missing?)",
+		t.Errorf("KoE* memory estimate %d not above ToE %d (backend missing?)",
 			star.Stats.EstBytes, full.Stats.EstBytes)
 	}
 }

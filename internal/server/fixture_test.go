@@ -71,13 +71,13 @@ func testSpace(t testing.TB) (*model.Space, *keyword.Index) {
 	return s, x
 }
 
-// testEngine builds an engine over the fixture mall with the KoE* matrix
+// testEngine builds an engine over the fixture mall with the KoE* backend
 // precomputed, so KoE* queries never pay the build mid-test.
 func testEngine(t testing.TB) *search.Engine {
 	t.Helper()
 	s, x := testSpace(t)
 	e := search.NewEngine(s, x)
-	e.PrecomputeMatrix()
+	e.Precompute()
 	return e
 }
 

@@ -3,16 +3,16 @@ package snapshot
 import (
 	"io"
 
+	"ikrq/internal/graph"
 	"ikrq/internal/search"
 	"ikrq/internal/snapshot/mapping"
 )
 
 // SaveEngine writes e's immutable index layer to w in the current (flat)
 // container format, which OpenEngine can later serve zero-copy over an
-// mmap. The KoE* backend sections (dense matrix and/or hierarchical
-// oracle) are included exactly when the engine has built them — call
-// Engine.Precompute first to bake a snapshot that spares every future load
-// the precomputation.
+// mmap. The KoE* backend section (the hierarchical oracle) is included
+// exactly when the engine has built it — call Engine.Precompute first to
+// bake a snapshot that spares every future load the precomputation.
 func SaveEngine(w io.Writer, e *search.Engine) error {
 	return Encode(w, exportEngine(e))
 }
@@ -25,10 +25,7 @@ func exportEngine(e *search.Engine) *Snapshot {
 		PathFinder: e.PathFinder().Export(),
 		Skeleton:   e.Skeleton().Export(),
 	}
-	if m := e.MatrixIfReady(); m != nil {
-		snap.Matrix = m.Export()
-	}
-	if o := e.OracleIfReady(); o != nil {
+	if o, ok := e.DistanceSourceIfReady().(*graph.Oracle); ok {
 		snap.Oracle = o.Export()
 	}
 	return snap

@@ -36,7 +36,7 @@ import (
 //
 //	offset  size  field
 //	0       8     magic "IKRQSNAP"
-//	8       2     format version (≥ 4)
+//	8       2     format version (≥ 5)
 //	10      2     minimum reader version (4 for this layout)
 //	12      2     section count n
 //	14      2     reserved, zero
@@ -81,9 +81,6 @@ func Encode(w io.Writer, snap *Snapshot) error {
 		{tagKeywords, encodeKeywordsFlat(snap.Keywords)},
 		{tagPathFinder, encodePathFinderFlat(snap.PathFinder)},
 		{tagSkeleton, encodeSkeletonFlat(snap.Skeleton)},
-	}
-	if snap.Matrix != nil {
-		sections = append(sections, section{tagMatrix, encodeMatrixFlat(snap.Matrix)})
 	}
 	if snap.Oracle != nil {
 		sections = append(sections, section{tagOracle, encodeOracleFlat(snap.Oracle)})
@@ -255,13 +252,6 @@ func encodeSkeletonFlat(rec *graph.SkeletonRecord) []byte {
 	return w.buf
 }
 
-func encodeMatrixFlat(rec *graph.MatrixRecord) []byte {
-	var w writer
-	w.u64(uint64(rec.N))
-	w.f64s(rec.Dist)
-	return w.buf
-}
-
 func encodeOracleFlat(rec *graph.OracleRecord) []byte {
 	var w writer
 	w.u64(uint64(len(rec.Hubs)))
@@ -298,7 +288,7 @@ type flatImage struct {
 
 func knownTag(tag string) bool {
 	switch tag {
-	case tagSpace, tagDerived, tagKeywords, tagPathFinder, tagSkeleton, tagMatrix, tagOracle:
+	case tagSpace, tagDerived, tagKeywords, tagPathFinder, tagSkeleton, tagOracle:
 		return true
 	}
 	return false
@@ -328,7 +318,7 @@ func parseFlat(b []byte) (*flatImage, error) {
 	}
 	if minReader < flatMinReader {
 		// Min-reader ≤ 2 declared the retired sequential layout, 3 the flat
-		// layout with a MATX parent table.
+		// layout whose dense KoE* matrix section carried a parent table.
 		return nil, fmt.Errorf("%w: snapshot has version %d with min-reader %d (a retired layout); re-bake it with this build",
 			ErrVersion, ver, minReader)
 	}
@@ -509,25 +499,6 @@ func parseSkelFlat(b []byte) (*skelFlat, error) {
 	return v, nil
 }
 
-type matxFlat struct {
-	n    int
-	dist []byte
-}
-
-func parseMatxFlat(b []byte) (*matxFlat, error) {
-	f := &reader{b: b}
-	v := &matxFlat{}
-	v.n = int(f.u64())
-	if f.err == nil && (v.n < 0 || v.n > 1<<20 || (v.n > 0 && v.n*v.n > (len(b)-8)/8)) {
-		f.fail("matrix dimension %d does not fit the payload", v.n)
-	}
-	v.dist = f.arr(v.n*v.n, 8)
-	if err := f.done(); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
 type orclFlat struct {
 	nH, nOff, nT                          int
 	hubs, hubOff, toHub, fromHub, hubDist []byte
@@ -612,7 +583,7 @@ func alias[T any](b []byte, n int) ([]T, error) {
 // sections read in full anyway (space, keywords, pathfinder — their
 // contents are materialized or validated element by element), adopt the
 // baked SPCD structures, and skip the FromFlat value scans: checksumming
-// or scanning the bulk tables (derived space, skeleton, matrix, oracle)
+// or scanning the bulk tables (derived space, skeleton, oracle)
 // would fault in every page of the mapping. Their CRCs are still written at
 // bake time and verified by untrusted loads and the fuzz gate (see
 // DESIGN.md §13). Untrusted loads verify every section CRC, run every
@@ -784,24 +755,7 @@ func engineFromFlat(b []byte, trusted bool) (*search.Engine, int64, error) {
 	}
 	aliased += int64(len(sv.dist))
 
-	var mat *graph.Matrix
-	if sec := img.byTag[tagMatrix]; sec != nil {
-		mv, err := parseMatxFlat(sec.b)
-		if err != nil {
-			return nil, 0, fmt.Errorf("section %s: %w", tagMatrix, err)
-		}
-		mdist, err := alias[float64](mv.dist, mv.n*mv.n)
-		if err != nil {
-			return nil, 0, err
-		}
-		mat, err = graph.MatrixFromFlat(pf, mv.n, mdist, trusted)
-		if err != nil {
-			return nil, 0, fmt.Errorf("%w: restoring KoE* matrix: %w", ErrCorrupt, err)
-		}
-		aliased += int64(len(mv.dist))
-	}
-
-	var orc *graph.Oracle
+	var ds graph.DistanceSource
 	if sec := img.byTag[tagOracle]; sec != nil {
 		ov, err := parseOrclFlat(sec.b)
 		if err != nil {
@@ -827,14 +781,15 @@ func engineFromFlat(b []byte, trusted bool) (*search.Engine, int64, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		orc, err = graph.OracleFromFlat(pf, hubs, hubOff, toHub, fromHub, hubDist, trusted)
+		orc, err := graph.OracleFromFlat(pf, hubs, hubOff, toHub, fromHub, hubDist, trusted)
 		if err != nil {
 			return nil, 0, fmt.Errorf("%w: restoring KoE* oracle: %w", ErrCorrupt, err)
 		}
+		ds = orc
 		aliased += int64(len(ov.toHub) + len(ov.fromHub) + len(ov.hubDist))
 	}
 
-	e, err := search.NewEngineFromParts(s, x, pf, sk, mat, orc)
+	e, err := search.NewEngineFromParts(s, x, pf, sk, ds)
 	if err != nil {
 		return nil, 0, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}

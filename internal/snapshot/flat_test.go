@@ -120,23 +120,13 @@ func makeRequests(t *testing.T, mall *gen.Mall, voc *gen.Vocabulary, eng *search
 	return reqs
 }
 
-func TestFlatEquivalenceSyntheticMatrix(t *testing.T) {
-	mall, voc, idx, err := gen.SyntheticMall(2, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := search.NewEngine(mall.Space, idx)
-	eng.PrecomputeMatrix()
-	flatEquivalence(t, eng, makeRequests(t, mall, voc, eng, 3), 50_000)
-}
-
 func TestFlatEquivalenceSyntheticOracle(t *testing.T) {
 	mall, voc, idx, err := gen.SyntheticMall(2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := search.NewEngine(mall.Space, idx)
-	eng.PrecomputeOracle()
+	eng.Precompute()
 	flatEquivalence(t, eng, makeRequests(t, mall, voc, eng, 2), 50_000)
 }
 
@@ -149,17 +139,17 @@ func TestFlatEquivalenceReal(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := search.NewEngine(mall.Space, idx)
-	eng.PrecomputeOracle()
+	eng.Precompute()
 	flatEquivalence(t, eng, makeRequests(t, mall, voc, eng, 2), 50_000)
 }
 
-// TestOpenEngineResidency pins the MemStats split: a v3 file opened through
-// the serving path reports its bulk tables as mapped bytes on platforms
-// with mmap support, and everything as heap where the loader degraded to a
-// plain read.
+// TestOpenEngineResidency pins the MemStats split: a flat file opened
+// through the serving path reports its bulk tables as mapped bytes on
+// platforms with mmap support, and everything as heap where the loader
+// degraded to a plain read.
 func TestOpenEngineResidency(t *testing.T) {
 	e := tinyEngine(t)
-	e.PrecomputeMatrix()
+	e.Precompute()
 	path := filepath.Join(t.TempDir(), "tiny.ikrq")
 	if err := os.WriteFile(path, snapshotBytes(t, e), 0o644); err != nil {
 		t.Fatal(err)
@@ -175,7 +165,7 @@ func TestOpenEngineResidency(t *testing.T) {
 	}
 	if runtime.GOOS == "linux" {
 		if ms.MappedBytes == 0 {
-			t.Fatal("v3 file opened on linux reports no mapped bytes")
+			t.Fatal("flat file opened on linux reports no mapped bytes")
 		}
 	} else if ms.MappedBytes != 0 {
 		t.Fatalf("no-mmap platform reports %d mapped bytes", ms.MappedBytes)
@@ -202,7 +192,7 @@ func TestMappingFromBytesAligned(t *testing.T) {
 	}
 }
 
-// findSection locates section tag's directory entry in a v3 stream and
+// findSection locates section tag's directory entry in a flat stream and
 // returns the entry offset plus the payload offset and length it declares.
 func findSection(b []byte, tag string) (entry, off, length int, ok bool) {
 	n := int(b[12]) | int(b[13])<<8
@@ -247,13 +237,13 @@ func fixCRC(t *testing.T, b []byte, tag string) {
 	}
 }
 
-// TestV3RejectsCorrupt drives hostile v3 streams through both trust modes:
-// LoadEngine must return a structured error wrapping the right sentinel,
-// and the trusted reader must also error — never panic — on everything its
-// structural validation covers.
+// TestV3RejectsCorrupt drives hostile flat streams through both trust
+// modes: LoadEngine must return a structured error wrapping the right
+// sentinel, and the trusted reader must also error — never panic — on
+// everything its structural validation covers.
 func TestV3RejectsCorrupt(t *testing.T) {
 	e := tinyEngine(t)
-	e.PrecomputeMatrix()
+	e.Precompute()
 	data := snapshotBytes(t, e)
 
 	cases := []struct {
@@ -277,7 +267,7 @@ func TestV3RejectsCorrupt(t *testing.T) {
 			return b
 		}, snapshot.ErrCorrupt},
 		{"unknown section tag", func(t *testing.T, b []byte) []byte {
-			entry, _, _ := dirEntry(t, b, "MATX")
+			entry, _, _ := dirEntry(t, b, "ORCL")
 			b[entry] = 'Z'
 			return b
 		}, snapshot.ErrCorrupt},
@@ -286,12 +276,14 @@ func TestV3RejectsCorrupt(t *testing.T) {
 			b[off+length/2] ^= 0xff
 			return b
 		}, snapshot.ErrChecksum},
+		// Named for the dense-matrix section this case corrupted until
+		// ORCL became the one KoE* backend section.
 		{"matrix count overflow", func(t *testing.T, b []byte) []byte {
-			_, off, _ := dirEntry(t, b, "MATX")
+			_, off, _ := dirEntry(t, b, "ORCL")
 			for j := 0; j < 8; j++ {
-				b[off+j] = 0xff // n = 2^64-1 states
+				b[off+j] = 0xff // 2^64-1 hubs
 			}
-			fixCRC(t, b, "MATX")
+			fixCRC(t, b, "ORCL")
 			return b
 		}, snapshot.ErrCorrupt},
 		{"pathfinder count overflow", func(t *testing.T, b []byte) []byte {
@@ -360,29 +352,33 @@ func TestV3RejectsCorrupt(t *testing.T) {
 
 // TestV3TrustModesSplitOnValues pins the trusted-validation contract at the
 // container level (DESIGN.md §13): a bulk-table value that is wrong but
-// cannot fault — a NaN matrix distance, a nonzero skeleton diagonal — is
+// cannot fault — a NaN oracle label, a nonzero skeleton diagonal — is
 // rejected by LoadEngine's value scans, and accepted by the trusted reader,
 // which skips both those scans and the bulk-section CRCs.
 func TestV3TrustModesSplitOnValues(t *testing.T) {
 	e := tinyEngine(t)
-	e.PrecomputeMatrix()
+	e.Precompute()
 	data := snapshotBytes(t, e)
+	_, orcl, _ := dirEntry(t, data, "ORCL")
+	nHubs := int(binary.LittleEndian.Uint64(data[orcl:]))
+	nOff := int(binary.LittleEndian.Uint64(data[orcl+8:]))
+	pad8 := func(n int) int { return (n + 7) &^ 7 }
 	cases := []struct {
 		name, tag string
 		cell      int // byte offset into the payload of an f64 cell
+		v         float64
 	}{
-		{"NaN matrix distance", "MATX", 8 + 8},       // past u64 n: dist[1]
-		{"nonzero skeleton diagonal", "SKEL", 8 + 8}, // past u64 n and 2 doors: dist[0][0]
+		// Past the three u64 counts, the hub list and the floor offsets:
+		// toHub[0], the first state's label to its first hub. (The case
+		// keeps the name it had on the retired dense-matrix section.)
+		{"NaN matrix distance", "ORCL", 24 + pad8(4*nHubs) + pad8(4*nOff), math.NaN()},
+		{"nonzero skeleton diagonal", "SKEL", 8 + 8, 3}, // past u64 n and 2 doors: dist[0][0]
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			b := append([]byte(nil), data...)
 			_, off, _ := dirEntry(t, b, tc.tag)
-			v := math.NaN()
-			if tc.tag == "SKEL" {
-				v = 3
-			}
-			binary.LittleEndian.PutUint64(b[off+tc.cell:], math.Float64bits(v))
+			binary.LittleEndian.PutUint64(b[off+tc.cell:], math.Float64bits(tc.v))
 			if _, err := snapshot.LoadEngine(bytes.NewReader(b)); !errors.Is(err, snapshot.ErrChecksum) {
 				t.Fatalf("LoadEngine without CRC fix: got %v, want ErrChecksum", err)
 			}
@@ -480,10 +476,10 @@ func prevEnd(b []byte, i int) int {
 }
 
 // TestV3FutureVersionFlat: a future version that keeps the current
-// min-reader stays readable in both trust modes.
+// min-reader stays readable in both trust modes, its ORCL section adopted.
 func TestV3FutureVersionFlat(t *testing.T) {
 	e := tinyEngine(t)
-	e.PrecomputeMatrix()
+	e.Precompute()
 	data := snapshotBytes(t, e)
 	future := append([]byte(nil), data...)
 	future[8], future[9] = 9, 0 // version 9, min-reader stays 4
@@ -492,10 +488,16 @@ func TestV3FutureVersionFlat(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadEngine future flat version: %v", err)
 	}
+	if loaded.DistanceSourceIfReady() == nil {
+		t.Fatal("LoadEngine on a future flat version lost the ORCL section")
+	}
 	loaded.Close()
 	trusted, err := snapshot.EngineFromFlatTrusted(future)
 	if err != nil {
 		t.Fatalf("trusted reader on a future flat version: %v", err)
+	}
+	if trusted.DistanceSourceIfReady() == nil {
+		t.Fatal("trusted reader on a future flat version lost the ORCL section")
 	}
 	trusted.Close()
 }

@@ -13,16 +13,14 @@ import (
 // panic, hang, or let an invalid structure reach the search layer. The
 // untrusted mode (LoadEngine) checks every CRC and value; the trusted mode
 // skips the bulk CRCs and value scans, so its structural checks over SPCD,
-// SKEL, MATX and ORCL have to hold on their own.
+// SKEL and ORCL have to hold on their own.
 func FuzzSnapshotDecode(f *testing.F) {
 	e := tinyEngine(f)
-	e.PrecomputeMatrix()
+	e.Precompute()
 	valid := snapshotBytes(f, e)
-	eo := tinyEngine(f)
-	eo.PrecomputeOracle()
 
 	f.Add(valid)
-	f.Add(snapshotBytes(f, eo))
+	f.Add(snapshotBytes(f, tinyEngine(f))) // no KoE* backend section
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:12])
 	f.Add([]byte(snapshot.Magic))

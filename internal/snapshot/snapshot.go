@@ -1,25 +1,30 @@
 // Package snapshot defines the versioned binary container that persists an
 // IKRQ engine's immutable index layer — the indoor space, the keyword
 // index, the state-graph pathfinder, the skeleton lower-bound closure and
-// (optionally) a KoE* distance backend: the dense all-pairs matrix or the
-// hierarchical oracle — so an engine can be built once, baked to a file,
-// and assembled on the next start without recomputation.
+// (optionally) the KoE* distance backend, the hierarchical oracle — so an
+// engine can be built once, baked to a file, and assembled on the next
+// start without recomputation.
 //
 // There is one layout, the flat container (see flat.go and DESIGN.md §6,
 // §13): a section directory up front and 8-byte-aligned little-endian
 // payloads that a loader can serve as views over an mmap'd file. The
-// SPAC, SPCD, KWRD, PATH and SKEL sections are written on every bake; MATX
-// and ORCL are present exactly when the engine had built that backend at
-// save time. Version history:
+// SPAC, SPCD, KWRD, PATH and SKEL sections are written on every bake; ORCL
+// is present exactly when the engine had built its KoE* backend at save
+// time. Version history:
 //
 //	v1, v2: a sequential section stream. No longer read: both fail with
 //	    ErrVersion, and the file must be re-baked with this build.
-//	v3: the flat layout with a parent table in MATX, declared via
-//	    min-reader 3. No longer read (ErrVersion, re-bake).
-//	v4: MATX holds distances only, declared via min-reader 4. A future
-//	    version whose streams remain readable by v4 readers keeps
-//	    min-reader 4, under which unknown sections are skipped instead of
-//	    rejected.
+//	v3: the flat layout, with a section for the dense all-pairs KoE*
+//	    matrix that carried a parent table, declared via min-reader 3. No
+//	    longer read (ErrVersion, re-bake).
+//	v4: the dense matrix section held distances only, declared via
+//	    min-reader 4. No longer read (ErrVersion, re-bake): a v4 bake may
+//	    carry the matrix section.
+//	v5: no dense matrix section; the oracle is the one KoE* backend.
+//	    Still declared via min-reader 4, since a v4 reader reads a v5
+//	    stream correctly. A future version whose streams remain readable
+//	    by this build keeps min-reader ≤ 5, under which unknown sections
+//	    are skipped instead of rejected.
 //
 // Decoding is otherwise strict: bad magic, an unreadable version, an
 // unknown tag, a checksum mismatch, truncation, or any malformed payload
@@ -42,10 +47,10 @@ const Magic = "IKRQSNAP"
 // Version and reads every version from MinDecodable up; newer streams are
 // readable exactly when they declare a min-reader version this build
 // satisfies (migration notes live in DESIGN.md §6).
-const Version uint16 = 4
+const Version uint16 = 5
 
 // MinDecodable is the oldest stream version this build still reads.
-const MinDecodable uint16 = 4
+const MinDecodable uint16 = 5
 
 // Section tags.
 const (
@@ -54,7 +59,6 @@ const (
 	tagKeywords   = "KWRD"
 	tagPathFinder = "PATH"
 	tagSkeleton   = "SKEL"
-	tagMatrix     = "MATX"
 	tagOracle     = "ORCL"
 )
 
@@ -76,14 +80,12 @@ var (
 )
 
 // Snapshot holds the records of one engine's index layer, the input of
-// Encode. Matrix and Oracle are nil when the snapshot carries no baked
-// KoE* backend of that kind.
+// Encode. Oracle is nil when the snapshot carries no baked KoE* backend.
 type Snapshot struct {
 	Space      *model.SpaceRecord
 	Keywords   *keyword.IndexRecord
 	PathFinder *graph.PathFinderRecord
 	Skeleton   *graph.SkeletonRecord
-	Matrix     *graph.MatrixRecord
 	Oracle     *graph.OracleRecord
 
 	// Derived optionally carries the space's derived structures for the

@@ -32,11 +32,11 @@ go build -o "$workdir/ikrqgen" ./cmd/ikrqgen
 go build -o "$workdir/ikrqd" ./cmd/ikrqd
 
 echo "== bake"
-# 880 states, under search.DenseStateLimit: the bake carries the dense
-# KoE* matrix the engine picks by size.
+# Every bake carries the KoE* backend, the hierarchical oracle, so served
+# KoE* queries never pay its build.
 bake_out=$("$workdir/ikrqgen" -floors 2 -seed 1 -snapshot "$workdir/mall.ikrq")
 echo "$bake_out"
-grep -q 'KoE\* matrix' <<<"$bake_out" || { echo "FAIL: the 2-floor bake did not pick the dense matrix"; exit 1; }
+grep -q 'KoE\* oracle' <<<"$bake_out" || { echo "FAIL: the 2-floor bake carries no KoE* oracle"; exit 1; }
 
 # The generated vocabulary is seed-deterministic gibberish; pull the two
 # most widely assigned t-words from the JSON dump of the same space so the
