@@ -151,9 +151,11 @@ type Measurement struct {
 // Workers < 1 (a zero-value Config) is clamped to the contention-free 1.
 //
 // Methodology note: the engine's compiled-query cache means repeat runs of
-// an instance skip CompileQuery, which the seed paid on every run. Compile
-// cost is microseconds against millisecond-scale searches, so figure shapes
-// are unaffected, but absolute per-query times now amortize compilation.
+// an instance skip CompileQuery, which the seed paid on every run, so
+// absolute per-query times amortize compilation. A real-mall compile takes
+// about 9 µs against route searches of about 190 µs, and the cache lowers
+// every variant's time by the same amount, so figure shapes are
+// unaffected.
 func (e *Env) measure(w *Workload, reqs []search.Request, opt search.Options) (Measurement, error) {
 	var m Measurement
 	workers := e.Cfg.Workers

@@ -81,10 +81,10 @@ func (d AllocDiff) String() string {
 }
 
 // DiffAllocs compares a freshly measured report against the committed
-// baseline and returns every per-variant and kernel-row comparison plus
-// the failing subset (rows the baseline lacks are not compared). Reports
-// from different suites or ToE\P caps measure different work and refuse to
-// compare.
+// baseline and returns every per-variant, kernel-row and keyword-row
+// comparison plus the failing subset (rows the baseline lacks are not
+// compared). Reports from different suites or ToE\P caps measure different
+// work and refuse to compare.
 func DiffAllocs(baseline, current *PerfReport) (all []AllocDiff, regressed []AllocDiff, err error) {
 	if baseline.Suite != current.Suite {
 		return nil, nil, fmt.Errorf("bench: baseline suite %q vs current %q; not comparable", baseline.Suite, current.Suite)
@@ -126,6 +126,9 @@ func DiffAllocs(baseline, current *PerfReport) (all []AllocDiff, regressed []All
 		return nil, nil, err
 	}
 	if err := cmp(baseline.Kernel, current.Kernel); err != nil {
+		return nil, nil, err
+	}
+	if err := cmp(baseline.Keyword, current.Keyword); err != nil {
 		return nil, nil, err
 	}
 	return all, regressed, nil

@@ -151,3 +151,25 @@ func TestDiffAllocsEnforcesKernelRows(t *testing.T) {
 		t.Fatal("a fresh run missing a baselined kernel row was compared")
 	}
 }
+
+// TestDiffAllocsEnforcesKeywordRow: the keyword row's allocations and its
+// Σ|κ(wQ)| work count are exact-matched like the kernel rows.
+func TestDiffAllocsEnforcesKeywordRow(t *testing.T) {
+	row := func(allocs, cands int64) []PerfEntry {
+		return []PerfEntry{{Name: "KeywordCompile", Iterations: 100, AllocsPerOp: allocs, Expansions: cands}}
+	}
+	base := guardReport(map[string]int64{"ToE": 801}, 600)
+	base.Keyword = row(42, 900)
+	for _, tc := range []struct {
+		allocs, cands int64
+		regressed     bool
+	}{{42, 900, false}, {43, 900, true}, {42, 901, true}} {
+		cur := guardReport(map[string]int64{"ToE": 801}, 600)
+		cur.Keyword = row(tc.allocs, tc.cands)
+		all, regressed, err := DiffAllocs(base, cur)
+		if err != nil || len(all) != 2 || (len(regressed) == 1) != tc.regressed {
+			t.Fatalf("allocs %d, candidates %d: %d comparisons, regressed %v, err %v",
+				tc.allocs, tc.cands, len(all), regressed, err)
+		}
+	}
+}

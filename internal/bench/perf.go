@@ -69,6 +69,13 @@ type PerfReport struct {
 	// (SequenceStats.Dijkstras). Values are per run and per query; the work
 	// counts are per batch pass, exact-matched like expansions.
 	Kernel []PerfEntry `json:"kernel,omitempty"`
+
+	// Keyword measures query compilation on the same real mall:
+	// KeywordCompile is one Index.CompileQuery, outside the engine's query
+	// cache, per Table IV query of a fixed batch (QueryGen seed 5, query
+	// config seed 6), and its work count is Σ|κ(wQ)| over the batch,
+	// exact-matched like expansions.
+	Keyword []PerfEntry `json:"keyword,omitempty"`
 }
 
 // VenueMeta is the venue-size block shared by the perf and scale reports.
@@ -111,7 +118,17 @@ func RunPerf(cfg Config) (*PerfReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep.Kernel, err = measureKernel()
+	// The real-mall rows use a fixed workload (seed 1, whatever -seed
+	// says), so their work counts stay comparable across reports.
+	real, err := NewEnv(Config{Seed: 1}).Real()
+	if err != nil {
+		return nil, err
+	}
+	rep.Kernel, err = measureKernel(real)
+	if err != nil {
+		return nil, err
+	}
+	rep.Keyword, err = measureKeyword(real)
 	if err != nil {
 		return nil, err
 	}
@@ -126,13 +143,8 @@ const (
 )
 
 // measureKernel benchmarks the kernel sweep and the sequence batch on the
-// real mall. The workload is fixed (seed 1, whatever -seed says), so the
-// work counts stay comparable across reports.
-func measureKernel() ([]PerfEntry, error) {
-	w, err := NewEnv(Config{Seed: 1}).Real()
-	if err != nil {
-		return nil, err
-	}
+// real mall.
+func measureKernel(w *Workload) ([]PerfEntry, error) {
 	pf := w.Engine.PathFinder()
 	n := pf.NumStates()
 	seeds := make([][]graph.Seed, kernelSweepSources)
@@ -192,6 +204,35 @@ func measureKernel() ([]PerfEntry, error) {
 	seq := perQuery("SequenceBatch", r, len(reqs))
 	seq.Expansions = stages
 	return []PerfEntry{sweep, seq}, nil
+}
+
+// keywordQueries is the keyword entry's batch size.
+const keywordQueries = 64
+
+// measureKeyword benchmarks query compilation on the real mall.
+func measureKeyword(w *Workload) ([]PerfEntry, error) {
+	qg := gen.NewQueryGen(w.Mall, w.Index, w.Vocab, w.Engine.PathFinder(), 5)
+	cfg := w.QueryConfig(6)
+	cfg.Instances = keywordQueries
+	reqs, err := qg.Instances(cfg)
+	if err != nil {
+		return nil, err
+	}
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, req := range reqs {
+				w.Index.CompileQuery(req.QW, req.Tau)
+			}
+		}
+	})
+	e := perQuery("KeywordCompile", r, len(reqs))
+	for _, req := range reqs {
+		for _, cs := range w.Index.CompileQuery(req.QW, req.Tau).Sets {
+			e.Expansions += int64(len(cs.Entries))
+		}
+	}
+	return []PerfEntry{e}, nil
 }
 
 // measureVariants benchmarks the request batch on every Table III variant.
@@ -264,7 +305,7 @@ func (r *PerfReport) Fprint(w io.Writer) {
 	for _, e := range r.Variants {
 		fmt.Fprintf(w, "%-12s %14d %14d %14d %12d\n", e.Name, e.NsPerOp, e.BytesPerOp, e.AllocsPerOp, e.Expansions)
 	}
-	for _, e := range r.Kernel {
+	for _, e := range append(r.Kernel, r.Keyword...) {
 		fmt.Fprintf(w, "%-12s %14d %14d %14d %12d\n", e.Name, e.NsPerOp, e.BytesPerOp, e.AllocsPerOp, e.Expansions)
 	}
 }

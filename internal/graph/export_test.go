@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ikrq/internal/geom"
+	"ikrq/internal/model"
 )
 
 // Test-only exports for the external graph_test oracles.
@@ -34,6 +35,13 @@ func (t *Tree) Parent(s StateID) StateID {
 // Skeleton.LowerBound against bit for bit.
 func (sk *Skeleton) ReferenceLowerBound() func(a, b geom.Point) float64 {
 	return newRefSkeleton(sk).lowerBound
+}
+
+// ReferencePartitionBound returns the point-locating δ(ps, v, pt) over sk
+// (refskeleton_test.go), the reference the mall-level bound oracle diffs
+// the host-taking Skeleton.PartitionBound against bit for bit.
+func (sk *Skeleton) ReferencePartitionBound() func(ps geom.Point, v model.PartitionID, pt geom.Point) float64 {
+	return newRefSkeleton(sk).partitionBound
 }
 
 // PointLegCases are the leg sets the kernel oracles run point searches

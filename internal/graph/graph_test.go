@@ -266,20 +266,23 @@ func TestPartitionBound(t *testing.T) {
 	sk := NewSkeleton(s)
 	ps := geom.Pt(2, 5, 0)
 	pt := geom.Pt(28, 5, 0)
+	bound := func(v model.PartitionID, pt geom.Point) float64 {
+		return sk.PartitionBound(ps, s.HostPartition(ps), v, pt, s.HostPartition(pt))
+	}
 	// Through the dead-end shop: enter and leave through d2, paying the
 	// self-loop, plus the straight legs.
 	want := ps.Dist(s.Door(doors[2]).Pos) + s.SelfLoopDist(doors[2], parts[3]) + s.Door(doors[2]).Pos.Dist(pt)
-	if got := sk.PartitionBound(ps, parts[3], pt); math.Abs(got-want) > 1e-9 {
+	if got := bound(parts[3], pt); math.Abs(got-want) > 1e-9 {
 		t.Errorf("PartitionBound via shop = %v, want %v", got, want)
 	}
 	// Through h1: straight-line legs via its doors; must be ≤ the direct
 	// route distance.
-	if got := sk.PartitionBound(ps, parts[1], pt); got > 26+1e-9 {
+	if got := bound(parts[1], pt); got > 26+1e-9 {
 		t.Errorf("PartitionBound via h1 = %v, want ≤ 26", got)
 	}
 	// When the partition hosts pt the crossing term is dropped.
 	ptInH1 := geom.Pt(15, 5, 0)
-	got := sk.PartitionBound(ps, parts[1], ptInH1)
+	got := bound(parts[1], ptInH1)
 	want = ps.Dist(s.Door(doors[0]).Pos) + s.Door(doors[0]).Pos.Dist(ptInH1)
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("PartitionBound to host of pt = %v, want %v", got, want)

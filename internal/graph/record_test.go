@@ -133,9 +133,10 @@ func TestSkeletonRecordRoundTrip(t *testing.T) {
 		if d1, d2 := sk.LowerBound(a, b), got.LowerBound(a, b); d1 != d2 {
 			t.Fatalf("LowerBound differs: %v vs %v", d1, d2)
 		}
+		ha, hb := s.HostPartition(a), s.HostPartition(b)
 		for v := 0; v < s.NumPartitions(); v++ {
 			id := model.PartitionID(v)
-			if d1, d2 := sk.PartitionBound(a, id, b), got.PartitionBound(a, id, b); d1 != d2 {
+			if d1, d2 := sk.PartitionBound(a, ha, id, b, hb), got.PartitionBound(a, ha, id, b, hb); d1 != d2 {
 				t.Fatalf("PartitionBound via %d differs: %v vs %v", v, d1, d2)
 			}
 		}

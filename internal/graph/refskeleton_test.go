@@ -7,11 +7,13 @@ import (
 	"ikrq/internal/model"
 )
 
-// This file keeps Skeleton.LowerBound as it was before its stair-door work
-// was hoisted, as a test-only reference: it walks the space's staircase
-// doors per floor, looks each door's matrix index up in a map, and
-// recomputes |sdB, b| inside the double loop. The bound oracles require the
-// hoisted loop to return the same float64, bit for bit.
+// This file keeps two skeleton bounds as test-only references. LowerBound
+// as it was before its stair-door work was hoisted: it walks the space's
+// staircase doors per floor, looks each door's matrix index up in a map,
+// and recomputes |sdB, b| inside the double loop. PartitionBound as it was
+// before it took its host partitions: it point-locates ps and pt itself.
+// The bound oracles require the current code to return the same float64,
+// bit for bit.
 
 // refSkeleton pairs a skeleton with the door → matrix index map the
 // reference bound reads.
@@ -43,6 +45,47 @@ func (r *refSkeleton) lowerBound(a, b geom.Point) float64 {
 			v := da + sk.d[ia*n+ib] + b.PlanarDist(sk.s.Door(sdB).Pos)
 			if v < best {
 				best = v
+			}
+		}
+	}
+	return best
+}
+
+// partitionBound is the reference δ(ps, v, pt), point-locating both
+// endpoints on every call.
+func (r *refSkeleton) partitionBound(ps geom.Point, v model.PartitionID, pt geom.Point) float64 {
+	sk := r.sk
+	s := sk.s
+	part := s.Partition(v)
+	best := math.Inf(1)
+	if s.HostPartition(pt) == v {
+		for _, di := range part.EnterDoors() {
+			b := sk.LowerBound(ps, s.Door(di).Pos) + s.Door(di).Pos.Dist(pt)
+			if b < best {
+				best = b
+			}
+		}
+		return best
+	}
+	if s.HostPartition(ps) == v {
+		for _, dj := range part.LeaveDoors() {
+			b := ps.Dist(s.Door(dj).Pos) + sk.LowerBound(s.Door(dj).Pos, pt)
+			if b < best {
+				best = b
+			}
+		}
+		return best
+	}
+	for _, di := range part.EnterDoors() {
+		head := sk.LowerBound(ps, s.Door(di).Pos)
+		for _, dj := range part.LeaveDoors() {
+			cross := s.D2DDistVia(di, dj, v)
+			if math.IsInf(cross, 1) {
+				continue
+			}
+			b := head + cross + sk.LowerBound(s.Door(dj).Pos, pt)
+			if b < best {
+				best = b
 			}
 		}
 	}

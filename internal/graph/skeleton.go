@@ -175,12 +175,18 @@ func (sk *Skeleton) LowerBound(a, b geom.Point) float64 {
 //	  |ps,di|L + δd2d(di,dj) + |dj,pt|L
 //
 // with the refinement that when v hosts pt (resp. ps) the route may end
-// (resp. start) inside v, dropping the crossing term.
-func (sk *Skeleton) PartitionBound(ps geom.Point, v model.PartitionID, pt geom.Point) float64 {
+// (resp. start) inside v, dropping the crossing term. hostPs and hostPt are
+// Space.HostPartition of ps and pt, which every caller's query already
+// holds; the bound point-locates neither.
+//
+// With ps a route item's position instead of the start point, the same
+// bound is KoE's δLB(x, v, pt) (Algorithm 6 line 11): continuing from x
+// through v and then to pt.
+func (sk *Skeleton) PartitionBound(ps geom.Point, hostPs, v model.PartitionID, pt geom.Point, hostPt model.PartitionID) float64 {
 	s := sk.s
 	part := s.Partition(v)
 	best := math.Inf(1)
-	if s.HostPartition(pt) == v {
+	if hostPt == v {
 		for _, di := range part.EnterDoors() {
 			b := sk.LowerBound(ps, s.Door(di).Pos) + s.Door(di).Pos.Dist(pt)
 			if b < best {
@@ -189,7 +195,7 @@ func (sk *Skeleton) PartitionBound(ps geom.Point, v model.PartitionID, pt geom.P
 		}
 		return best
 	}
-	if s.HostPartition(ps) == v {
+	if hostPs == v {
 		for _, dj := range part.LeaveDoors() {
 			b := ps.Dist(s.Door(dj).Pos) + sk.LowerBound(s.Door(dj).Pos, pt)
 			if b < best {
@@ -212,11 +218,4 @@ func (sk *Skeleton) PartitionBound(ps geom.Point, v model.PartitionID, pt geom.P
 		}
 	}
 	return best
-}
-
-// ViaBound returns δLB(x, v, pt) used by KoE's distance-constraint check
-// (Algorithm 6 line 11): the lower bound of continuing from item position x
-// through partition v and then to pt.
-func (sk *Skeleton) ViaBound(x geom.Point, v model.PartitionID, pt geom.Point) float64 {
-	return sk.PartitionBound(x, v, pt)
 }

@@ -1,8 +1,9 @@
 package keyword
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"ikrq/internal/model"
 )
@@ -19,59 +20,58 @@ type CandidateSet struct {
 	// Entries sorted by descending similarity, ties broken by word ID so
 	// results are deterministic.
 	Entries []Candidate
-
-	// simTab is the dense IWordID-indexed similarity table: simTab[w] holds
-	// the similarity of member i-word w and 0 for non-members. Every kept
-	// candidate has similarity > 0 (direct matches score 1, indirect matches
-	// survive only above τ ≥ 0), so membership and similarity share one array
-	// load — the map the set used to carry is gone from the probe path.
-	simTab []float64
-	// words caches κ(wQ).Wi in Entries order so Words() is allocation-free.
-	words []IWordID
 }
 
 // Sim returns the similarity of i-word w in the set, or 0 when w is not a
-// matching i-word of the query keyword.
+// matching i-word of the query keyword. It scans Entries, a few candidates
+// per keyword; the search probes the Query's dense tables instead.
 func (cs *CandidateSet) Sim(w IWordID) float64 {
-	if w < 0 || int(w) >= len(cs.simTab) {
-		return 0
+	for _, e := range cs.Entries {
+		if e.Word == w {
+			return e.Sim
+		}
 	}
-	return cs.simTab[w]
+	return 0
 }
 
-// Contains reports whether w ∈ κ(wQ).Wi.
+// Contains reports whether w ∈ κ(wQ).Wi. Every kept candidate has
+// similarity > 0: direct matches score 1, and indirect ones share at least
+// one t-word with U.
 func (cs *CandidateSet) Contains(w IWordID) bool { return cs.Sim(w) > 0 }
 
 // Words returns κ(wQ).Wi, the matching i-words, in descending-similarity
-// order. The slice is computed once at construction and owned by the set;
-// callers must not mutate it.
-func (cs *CandidateSet) Words() []IWordID { return cs.words }
-
-// finish derives the sorted Entries and cached word list from a filled
-// similarity table.
-func (cs *CandidateSet) finish() {
-	n := 0
-	for _, s := range cs.simTab {
-		if s > 0 {
-			n++
-		}
-	}
-	cs.Entries = make([]Candidate, 0, n)
-	for w, s := range cs.simTab {
-		if s > 0 {
-			cs.Entries = append(cs.Entries, Candidate{Word: IWordID(w), Sim: s})
-		}
-	}
-	sort.Slice(cs.Entries, func(i, j int) bool {
-		if cs.Entries[i].Sim != cs.Entries[j].Sim {
-			return cs.Entries[i].Sim > cs.Entries[j].Sim
-		}
-		return cs.Entries[i].Word < cs.Entries[j].Word
-	})
-	cs.words = make([]IWordID, len(cs.Entries))
+// order, as a new slice.
+func (cs *CandidateSet) Words() []IWordID {
+	ws := make([]IWordID, len(cs.Entries))
 	for i, e := range cs.Entries {
-		cs.words[i] = e.Word
+		ws[i] = e.Word
 	}
+	return ws
+}
+
+// compileScratch is the dense working state of κ(wQ)'s counting pass:
+// inU marks U's t-words (listed in u), inter[w] counts |I2T(w) ∩ U|, and
+// touched lists every i-word whose count left zero. reset clears only the
+// entries one keyword touched, so one scratch serves a whole query.
+type compileScratch struct {
+	inU     []bool
+	u       []TWordID
+	inter   []int32
+	touched []IWordID
+}
+
+func (x *Index) newCompileScratch() *compileScratch {
+	return &compileScratch{inU: make([]bool, x.NumTWords()), inter: make([]int32, x.NumIWords())}
+}
+
+func (sc *compileScratch) reset() {
+	for _, t := range sc.u {
+		sc.inU[t] = false
+	}
+	for _, w := range sc.touched {
+		sc.inter[w] = 0
+	}
+	sc.u, sc.touched = sc.u[:0], sc.touched[:0]
 }
 
 // CandidateIWords computes κ(wQ) for a raw query keyword (Definition 4).
@@ -85,68 +85,62 @@ func (cs *CandidateSet) finish() {
 //     |I2T(w”)∩U| / |I2T(w”)∪U|, kept only when the similarity exceeds τ.
 //   - unknown word: empty set.
 func (x *Index) CandidateIWords(wQ string, tau float64) *CandidateSet {
-	cs := &CandidateSet{simTab: make([]float64, x.NumIWords())}
-
-	if iw, ok := x.LookupIWord(wQ); ok {
-		cs.simTab[iw] = 1
-		cs.finish()
-		return cs
-	}
-
-	tw, ok := x.LookupTWord(wQ)
-	if !ok {
-		cs.finish()
-		return cs
-	}
-
-	direct := x.t2i[tw]
-	for _, wi := range direct {
-		cs.simTab[wi] = 1
-	}
-
-	// U = union of the t-words of every direct matching i-word.
-	union := make(map[TWordID]struct{})
-	for _, wi := range direct {
-		for _, t := range x.i2t[wi] {
-			union[t] = struct{}{}
-		}
-	}
-
-	// Indirect candidates are i-words sharing at least one t-word with U.
-	// Enumerate them through T2I so we never scan the full vocabulary.
-	seen := make(map[IWordID]struct{})
-	for t := range union {
-		for _, wi := range x.t2i[t] {
-			if _, dup := seen[wi]; dup {
-				continue
-			}
-			seen[wi] = struct{}{}
-			if cs.simTab[wi] > 0 { // direct match, similarity already 1
-				continue
-			}
-			s := x.jaccardWithUnion(wi, union)
-			if s > tau {
-				cs.simTab[wi] = s
-			}
-		}
-	}
-	cs.finish()
-	return cs
+	return x.candidateIWords(wQ, tau, x.newCompileScratch())
 }
 
-// jaccardWithUnion computes |I2T(w)∩U| / |I2T(w)∪U|.
-func (x *Index) jaccardWithUnion(w IWordID, union map[TWordID]struct{}) float64 {
-	inter := 0
-	for _, t := range x.i2t[w] {
-		if _, ok := union[t]; ok {
-			inter++
+// candidateIWords is CandidateIWords on a lent scratch, which it leaves
+// reset. The Jaccard numerators come from one counting pass: each t ∈ U
+// adds 1 to inter[w] for every w ∈ T2I(t). T2I is the exact, strictly
+// sorted inverse of I2T (IndexBuilder and IndexFromFlat both guarantee
+// it), so inter[w] = |I2T(w) ∩ U| for every i-word sharing a t-word with
+// U, the denominator is |U| + |I2T(w)| − inter[w], and no other i-word can
+// score above 0.
+func (x *Index) candidateIWords(wQ string, tau float64, sc *compileScratch) *CandidateSet {
+	cs := &CandidateSet{}
+	if iw, ok := x.LookupIWord(wQ); ok {
+		cs.Entries = []Candidate{{Word: iw, Sim: 1}}
+		return cs
+	}
+	tw, ok := x.LookupTWord(wQ)
+	if !ok {
+		return cs
+	}
+	defer sc.reset()
+	direct := x.t2i[tw]
+	for _, wi := range direct {
+		for _, t := range x.i2t[wi] {
+			if !sc.inU[t] {
+				sc.inU[t] = true
+				sc.u = append(sc.u, t)
+			}
 		}
 	}
-	unionSize := len(union) + len(x.i2t[w]) - inter
-	if unionSize == 0 {
-		return 0
+	for _, t := range sc.u {
+		for _, wi := range x.t2i[t] {
+			if sc.inter[wi] == 0 {
+				sc.touched = append(sc.touched, wi)
+			}
+			sc.inter[wi]++
+		}
 	}
-	return float64(inter) / float64(unionSize)
+	// Direct matches score 1. Each shares wQ with U, so the pass touched
+	// it; a count of −1 keeps it out of the indirect scoring below.
+	for _, wi := range direct {
+		cs.Entries = append(cs.Entries, Candidate{Word: wi, Sim: 1})
+		sc.inter[wi] = -1
+	}
+	for _, wi := range sc.touched {
+		if inter := int(sc.inter[wi]); inter > 0 {
+			s := float64(inter) / float64(len(sc.u)+len(x.i2t[wi])-inter)
+			if s > tau {
+				cs.Entries = append(cs.Entries, Candidate{Word: wi, Sim: s})
+			}
+		}
+	}
+	slices.SortFunc(cs.Entries, func(a, b Candidate) int {
+		return cmp.Or(cmp.Compare(b.Sim, a.Sim), cmp.Compare(a.Word, b.Word))
+	})
+	return cs
 }
 
 // Query is a compiled query keyword list: per-keyword candidate sets plus
@@ -194,8 +188,9 @@ func (x *Index) CompileQuery(qw []string, tau float64) *Query {
 	}
 	nw := x.NumIWords()
 	counts := make([]int32, nw+1)
+	sc := x.newCompileScratch()
 	for i, w := range qw {
-		cs := x.CandidateIWords(w, tau)
+		cs := x.candidateIWords(w, tau, sc)
 		q.Sets[i] = cs
 		for _, e := range cs.Entries {
 			counts[e.Word+1]++
@@ -212,7 +207,7 @@ func (x *Index) CompileQuery(qw []string, tau float64) *Query {
 	}
 	q.matchOff = counts
 	q.matchList = make([]match, counts[nw])
-	cursor := make([]int32, nw)
+	cursor := sc.inter // all zero again after the last reset
 	for i := range q.Sets {
 		for _, e := range q.Sets[i].Entries {
 			w := e.Word
@@ -220,7 +215,7 @@ func (x *Index) CompileQuery(qw []string, tau float64) *Query {
 			cursor[w]++
 		}
 	}
-	sort.Slice(q.keyParts, func(i, j int) bool { return q.keyParts[i] < q.keyParts[j] })
+	slices.Sort(q.keyParts)
 	return q
 }
 

@@ -1,10 +1,11 @@
 package keyword
 
-// Equivalence tests for the dense similarity/match tables: every probe the
-// search issues against a compiled query (Sim, Contains, IsCandidate,
-// IsKeyPartition, Absorb, WouldImprove) must agree with a map-based
-// reference model rebuilt from the public Entries, over randomized
-// vocabularies and query mixes of i-words, t-words, and unknown words.
+// Equivalence tests for the dense match tables: every probe the search
+// issues against a compiled query (IsCandidate, IsKeyPartition, Absorb,
+// WouldImprove), and the candidate sets' Sim, Contains and Words, must
+// agree with a map-based reference model rebuilt from the public Entries,
+// over randomized vocabularies and query mixes of i-words, t-words, and
+// unknown words.
 
 import (
 	"fmt"

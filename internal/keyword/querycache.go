@@ -9,12 +9,13 @@ import (
 )
 
 // QueryCache is a bounded, concurrency-safe LRU cache of compiled queries.
-// CompileQuery walks T2I/I2T and I2P for every keyword, which dominates the
-// fixed cost of small queries; a service answering repeated or similar
-// requests (the same storefront keywords with the same τ) shares that work
-// across calls. Compiled queries are immutable after construction — the
-// search only reads them and writes into caller-owned sims vectors — so one
-// *Query may safely back any number of concurrent searches.
+// CompileQuery counts each keyword's candidates over T2I/I2T and builds the
+// query's dense match and key-partition tables, microseconds per query; a
+// service answering repeated requests (the same storefront keywords with
+// the same τ) shares that work, and the tables, across calls. Compiled
+// queries are immutable after construction — the search only reads them
+// and writes into caller-owned sims vectors — so one *Query may safely
+// back any number of concurrent searches.
 //
 // The cache key is the exact keyword sequence plus the bit pattern of τ.
 // Keyword order is part of the key on purpose: Query.Sets and the sims

@@ -104,11 +104,13 @@ type execScratch struct {
 	koeTargets []model.PartitionID
 	koeRemoved partSet
 
-	// routeDoors and bounds back the searcher's route door set and
-	// PartitionBound memo (see the field docs there): epoch-stamped, so
-	// neither needs clearing.
+	// routeDoors and the memos back the searcher's route door set and
+	// per-query bound memos (see the field docs there): epoch-stamped, so
+	// none needs clearing.
 	routeDoors doorSet
-	bounds     boundMemo
+	bounds     memo[model.PartitionID, float64]
+	lbToPt     memo[model.DoorID, float64]
+	doorHosts  memo[model.DoorID, model.PartitionID]
 
 	// ptStates/ptLegs back the searcher's KoE* backend-bound target tables
 	// (plain values, capacity retained across queries).
@@ -186,9 +188,13 @@ func (sc *execScratch) prepare(e *Engine, q *keyword.Query, req Request, opt Opt
 		koeRemoved:   &sc.koeRemoved,
 		routeDoors:   &sc.routeDoors,
 		bounds:       &sc.bounds,
+		lbToPtMemo:   &sc.lbToPt,
+		doorHosts:    &sc.doorHosts,
 		scratch:      sc,
 	}
 	sc.bounds.reset(e.s.NumPartitions())
+	sc.lbToPt.reset(nd)
+	sc.doorHosts.reset(nd)
 	sr.maxRho = q.MaxRelevance()
 	sr.cap = req.Delta * (1 + opt.SoftDeltaSlack)
 	sr.gamma = opt.PopularityWeight
@@ -371,25 +377,25 @@ func (s *idSet[K]) add(v K)           { s.mark[v] = s.epoch }
 func (s *idSet[K]) remove(v K)        { s.mark[v] = 0 }
 func (s *idSet[K]) contains(v K) bool { return s.mark[v] == s.epoch }
 
-// boundMemo is a per-partition table of bounds valid for one query: a
-// partition's value is set when the partSet holds it, so reset is O(1).
-type boundMemo struct {
-	set partSet
-	val []float64
+// memo is a per-ID table of values valid for one query: an ID's value is
+// set when the idSet holds it, so reset is O(1).
+type memo[K model.PartitionID | model.DoorID, V any] struct {
+	set idSet[K]
+	val []V
 }
 
-// reset empties the memo and (re)sizes it for n partitions.
-func (m *boundMemo) reset(n int) {
+// reset empties the memo and (re)sizes it for n IDs.
+func (m *memo[K, V]) reset(n int) {
 	m.set.reset(n)
 	if cap(m.val) < n {
-		m.val = make([]float64, n)
+		m.val = make([]V, n)
 	}
 	m.val = m.val[:n]
 }
 
-func (m *boundMemo) get(v model.PartitionID) (float64, bool) { return m.val[v], m.set.contains(v) }
+func (m *memo[K, V]) get(k K) (V, bool) { return m.val[k], m.set.contains(k) }
 
-func (m *boundMemo) put(v model.PartitionID, b float64) {
-	m.set.add(v)
-	m.val[v] = b
+func (m *memo[K, V]) put(k K, v V) {
+	m.set.add(k)
+	m.val[k] = v
 }

@@ -1,7 +1,6 @@
 package search
 
 import (
-	"ikrq/internal/geom"
 	"ikrq/internal/graph"
 	"ikrq/internal/keyword"
 	"ikrq/internal/model"
@@ -54,7 +53,7 @@ func (sr *searcher) findKoE(si *stamp) []*stamp {
 			// current position through vj and on to pt must fit in Δ. The
 			// start stamp's position is ps, so its via bound is Rule 3's.
 			if si.tail() != model.NoDoor {
-				bound = sr.e.sk.ViaBound(sr.tailPos(si), vj, sr.req.Pt)
+				bound = sr.viaBound(si.tail(), vj)
 			}
 			if si.dist()+bound > sr.cap {
 				sr.stats.PrunedDelta++
@@ -240,13 +239,4 @@ func (sr *searcher) staticPathIfAllowed(from, target graph.StateID, costs graph.
 		d = sr.staticTree.Dist(target) // settled (or drained) by the call above
 	}
 	return hops, d, ok
-}
-
-// tailPos returns the geometric position of the stamp's tail item (the
-// start point for the initial stamp).
-func (sr *searcher) tailPos(si *stamp) geom.Point {
-	if si.tail() == model.NoDoor {
-		return sr.req.Ps
-	}
-	return sr.e.s.Door(si.tail()).Pos
 }

@@ -77,8 +77,12 @@ type searcher struct {
 	routeDoors *doorSet
 
 	// bounds memoises Pruning Rule 3's PartitionBound(ps, v, pt) per
-	// partition: within a query it depends on v alone.
-	bounds *boundMemo
+	// partition: within a query it depends on v alone. lbToPtMemo holds
+	// |d, pt|L per door, and doorHosts the host partition of each via
+	// door's position (see lbToPt and viaBound).
+	bounds     *memo[model.PartitionID, float64]
+	lbToPtMemo *memo[model.DoorID, float64]
+	doorHosts  *memo[model.DoorID, model.PartitionID]
 
 	// Reused per-expansion buffers. Their contents never survive one find
 	// or connect step: seedBuf holds the current expansion's Dijkstra
@@ -369,8 +373,7 @@ func (sr *searcher) screenDoor(d model.DoorID) bool {
 	if sr.dn[d] {
 		return true
 	}
-	pos := sr.e.s.Door(d).Pos
-	if sr.e.sk.LowerBound(sr.req.Ps, pos)+sr.ov.penalty(d)+sr.e.sk.LowerBound(pos, sr.req.Pt) > sr.cap {
+	if sr.e.sk.LowerBound(sr.req.Ps, sr.e.s.Door(d).Pos)+sr.ov.penalty(d)+sr.lbToPt(d) > sr.cap {
 		sr.df[d] = true
 		sr.stats.PrunedRule2++
 		return false
@@ -379,9 +382,16 @@ func (sr *searcher) screenDoor(d model.DoorID) bool {
 	return true
 }
 
-// lbToPt returns |d, pt|L.
+// lbToPt returns |d, pt|L, computed once per door and query: screenDoor's
+// Rule 2 bound fills it, and the first use fills it for a door the screen
+// skipped (the distance-pruning ablation screens nothing).
 func (sr *searcher) lbToPt(d model.DoorID) float64 {
-	return sr.e.sk.LowerBound(sr.e.s.Door(d).Pos, sr.req.Pt)
+	if b, ok := sr.lbToPtMemo.get(d); ok {
+		return b
+	}
+	b := sr.e.sk.LowerBound(sr.e.s.Door(d).Pos, sr.req.Pt)
+	sr.lbToPtMemo.put(d, b)
+	return b
 }
 
 // makeStamp extends si through door dl into partition vj at cumulative
@@ -555,9 +565,24 @@ func (sr *searcher) partitionBound(v model.PartitionID) float64 {
 	if b, ok := sr.bounds.get(v); ok {
 		return b
 	}
-	b := sr.e.sk.PartitionBound(sr.req.Ps, v, sr.req.Pt)
+	b := sr.e.sk.PartitionBound(sr.req.Ps, sr.hostPs, v, sr.req.Pt, sr.hostPt)
 	sr.bounds.put(v, b)
 	return b
+}
+
+// viaBound returns KoE's distance-constraint bound δLB(x, v, pt)
+// (Algorithm 6 line 11) from the position x of door d, a stamp's tail.
+// Space.HostPartition(x) picks the lowest-ID partition containing x, which
+// need not be one of d's own partitions, so it is point-located once per
+// door and query rather than derived from the door.
+func (sr *searcher) viaBound(d model.DoorID, v model.PartitionID) float64 {
+	x := sr.e.s.Door(d).Pos
+	host, ok := sr.doorHosts.get(d)
+	if !ok {
+		host = sr.e.s.HostPartition(x)
+		sr.doorHosts.put(d, host)
+	}
+	return sr.e.sk.PartitionBound(x, host, v, sr.req.Pt, sr.hostPt)
 }
 
 // offerComplete runs the acceptance checks shared by every completion site
