@@ -23,9 +23,10 @@
 // noisily to gate on); CI runs it against the committed BENCH.json.
 //
 // Without -fig every figure runs in presentation order. -quick shrinks the
-// workload for a fast smoke pass. Full ToE\P figures run under an
-// expansion cap (reported in the output) because the unpruned variant is
-// intentionally explosive — the paper itself measures it at up to 10^6 ms.
+// workload for a fast smoke pass. Every figure variant runs under an
+// expansion cap, noted in the output wherever it truncates a run: the
+// unpruned ToE\P is intentionally explosive — the paper itself measures it
+// at up to 10^6 ms — and Rule 4 cannot prune before k routes complete.
 //
 // With -scale (or -scalejson) the harness sweeps mega venues of growing
 // size and measures the KoE* oracle: bake time and resident bytes against
@@ -67,7 +68,7 @@ func mainImpl() int {
 		seed       = flag.Uint64("seed", 1, "workload seed")
 		instances  = flag.Int("instances", 0, "query instances per setting (default: paper's 10, quick: 3)")
 		runs       = flag.Int("runs", 0, "runs per instance (default: paper's 5, quick: 1)")
-		cap        = flag.Int("cap", 0, "expansion cap for ToE\\P (default 300000, quick 50000)")
+		cap        = flag.Int("cap", 0, "expansion cap of every figure variant and of the -benchjson ToE\\P rows (default 300000, quick 50000)")
 		workers    = flag.Int("workers", 1, "batch-executor workers per figure cell (>1 shortens sweeps but adds timing contention)")
 		snap       = flag.String("snapshot", "", "benchmark serving from this baked snapshot instead of the figure suite")
 		closeStr   = flag.String("close", "", "with -snapshot: closed doors overlaid on every query, e.g. \"3,17\"")

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"ikrq/internal/search"
 )
 
 func quickEnv(t testing.TB) *Env {
@@ -31,6 +33,23 @@ func TestFigurePrinting(t *testing.T) {
 	}
 	if f.SeriesByName("ToE") == nil || f.SeriesByName("nope") != nil {
 		t.Error("SeriesByName wrong")
+	}
+}
+
+// TestOptionsForCapsEveryVariant: every figure variant runs under the
+// expansion cap, not only the unpruned ToE\P. Rule 4 cannot prune before k
+// routes complete, so a pruned variant can run away too: one Fig12
+// instance of the quick workload did under ToE.
+func TestOptionsForCapsEveryVariant(t *testing.T) {
+	e := NewEnv(QuickConfig(1))
+	for _, v := range search.Variants() {
+		opt, err := e.optionsFor(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opt.MaxExpansions != e.Cfg.CapExpansions {
+			t.Errorf("%s: MaxExpansions %d, want the cap %d", v, opt.MaxExpansions, e.Cfg.CapExpansions)
+		}
 	}
 }
 

@@ -28,9 +28,11 @@ type Config struct {
 	Instances int
 	Runs      int
 
-	// CapExpansions bounds the intentionally unpruned ToE\P runs (the
-	// paper lets them run for up to ~10^6 ms; the cap keeps the harness
-	// finite and is reported alongside the results).
+	// CapExpansions bounds the expansions of every variant's run, as the
+	// daemon's work cap does. The unpruned ToE\P needs it most (the paper
+	// lets it run for up to ~10^6 ms), but a pruned variant can run away
+	// too: Rule 4 cannot prune before k routes complete. A series that a
+	// cap truncated says so in its note.
 	CapExpansions int
 
 	// Workers is the concurrency of the batch executor the harness feeds
@@ -191,16 +193,13 @@ func (e *Env) measure(w *Workload, reqs []search.Request, opt search.Options) (M
 	return m, nil
 }
 
-// optionsFor builds the Options for a variant, applying the expansion cap
-// to the unpruned ToE\P configuration.
+// optionsFor builds the Options for a variant under the expansion cap.
 func (e *Env) optionsFor(v search.Variant) (search.Options, error) {
 	opt, err := search.OptionsFor(v)
 	if err != nil {
 		return opt, err
 	}
-	if opt.DisablePrime {
-		opt.MaxExpansions = e.Cfg.CapExpansions
-	}
+	opt.MaxExpansions = e.Cfg.CapExpansions
 	return opt, nil
 }
 

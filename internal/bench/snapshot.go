@@ -121,9 +121,6 @@ func RunSnapshot(path string, cfg Config, cond *model.Conditions) (*SnapshotRepo
 			return nil, err
 		}
 		series := Series{Name: string(v)}
-		if opt.MaxExpansions > 0 {
-			series.Note = fmt.Sprintf("capped at %d expansions", opt.MaxExpansions)
-		}
 		for i, req := range reqs {
 			m, err := env.measure(w, []search.Request{req}, opt)
 			if err != nil {
@@ -131,6 +128,9 @@ func RunSnapshot(path string, cfg Config, cond *model.Conditions) (*SnapshotRepo
 			}
 			series.X = append(series.X, float64(i))
 			series.Y = append(series.Y, ms(m.AvgTime))
+			if m.Truncated > 0 {
+				series.Note = fmt.Sprintf("capped at %d expansions", opt.MaxExpansions)
+			}
 		}
 		fig.Series = append(fig.Series, series)
 	}

@@ -7,12 +7,12 @@ import (
 	"ikrq/internal/model"
 )
 
-// This file is the restore half of the graph layer's snapshot seam (the
-// records in record.go are the export half): the FromFlat constructors
-// adopt the caller's slices directly — when the caller hands views over an
-// mmap'd snapshot (see internal/snapshot/mapping), the big distance tables
-// are served straight from the page cache and never copied onto the heap.
-// They are the only way back from a snapshot.
+// This file is the read half of the graph layer's snapshot seam (record.go
+// is the write half): the FromFlat constructors take a structure's tables
+// back and adopt the caller's slices directly — when the caller hands views
+// over an mmap'd snapshot (see internal/snapshot/mapping), the big distance
+// tables are served straight from the page cache and never copied onto the
+// heap. They are the only way back from a snapshot.
 //
 // Validation contract: structural properties that memory safety depends on
 // (table lengths, every stored index that is later used to address a slice)
@@ -23,15 +23,14 @@ import (
 // loads pass trusted=true and keep cold start O(pages actually touched);
 // every other load passes trusted=false and gets the full value checks.
 
-// PathFinderFromFlat restores a PathFinder from columnar state and arc
-// tables: states holds (door, part) int32 pairs interleaved, arcTo/arcW the
-// arc targets and weights grouped by source state with per-state counts.
-// The adjacency lists are always materialized on the heap (the in-memory
-// arc layout is padded and cannot alias disk), so it validates everything
-// in both trust modes, arc weights included, and so is the state order:
-// states must be strictly increasing in (door, partition), the numbering
-// NewPathFinder produces and the kernel's tie-break relies on.
-func PathFinderFromFlat(s *model.Space, states []int32, arcCounts []int32, arcTo []int32, arcW []float64) (*PathFinder, error) {
+// PathFinderFromFlat restores a PathFinder from its tables. The adjacency
+// lists are always materialized on the heap (the in-memory arc layout is
+// padded and cannot alias disk), so it validates everything in both trust
+// modes, arc weights included, and so is the state order: states must be
+// strictly increasing in (door, partition), the numbering NewPathFinder
+// produces and the kernel's tie-break relies on.
+func PathFinderFromFlat(s *model.Space, t PathFinderTables) (*PathFinder, error) {
+	states, arcCounts, arcTo, arcW := t.States, t.ArcCounts, t.ArcTo, t.ArcW
 	if len(states)%2 != 0 {
 		return nil, fmt.Errorf("graph: flat state table has odd length %d", len(states))
 	}
@@ -105,14 +104,15 @@ func PathFinderFromFlat(s *model.Space, states []int32, arcCounts []int32, arcTo
 	return pf, nil
 }
 
-// SkeletonFromFlat restores a Skeleton adopting dist as its δs2s closure
-// without copying. The door list must be the space's floor-major staircase
-// door enumeration exactly (O(stair doors), checked in both trust modes,
-// as OracleFromFlat checks its hubs): LowerBound reads each floor's doors
-// as one index range, so a list that drops, adds or reorders a door would
+// SkeletonFromFlat restores a Skeleton adopting t.Dist as its δs2s closure
+// without copying. t.Doors must be the space's floor-major staircase door
+// enumeration exactly (O(stair doors), checked in both trust modes, as
+// OracleFromFlat checks its hubs): LowerBound reads each floor's doors as
+// one index range, so a list that drops, adds or reorders a door would
 // pair distances with the wrong doors. The n² cell scan runs only when
 // !trusted.
-func SkeletonFromFlat(s *model.Space, doors []int32, dist []float64, trusted bool) (*Skeleton, error) {
+func SkeletonFromFlat(s *model.Space, t SkeletonTables, trusted bool) (*Skeleton, error) {
+	doors, dist := t.Doors, t.Dist
 	n := len(doors)
 	if len(dist) != n*n {
 		return nil, fmt.Errorf("graph: flat skeleton has %d doors but %d distances (want %d)", n, len(dist), n*n)
@@ -122,7 +122,7 @@ func SkeletonFromFlat(s *model.Space, doors []int32, dist []float64, trusted boo
 		return nil, fmt.Errorf("graph: flat skeleton lists %d doors, the space has %d staircase doors", n, len(sk.doors))
 	}
 	for i, d := range doors {
-		if model.DoorID(d) != sk.doors[i] {
+		if d != sk.doors[i] {
 			return nil, fmt.Errorf("graph: flat skeleton door %d is %d, the space enumerates %d", i, d, sk.doors[i])
 		}
 	}
@@ -142,11 +142,12 @@ func SkeletonFromFlat(s *model.Space, doors []int32, dist []float64, trusted boo
 // OracleFromFlat restores the hierarchical Oracle adopting the three
 // distance tables without copying. The hub enumeration is recomputed from
 // the finder and compared exactly (O(states) — the derived floorOf/stateOff
-// tables come out of the same sweep), so a record from a different space is
+// tables come out of the same sweep), so tables from a different space are
 // rejected in either mode; the per-element value scans over
-// toHub/fromHub/hubDist run only when !trusted (their values feed arithmetic
-// bounds, never indexing).
-func OracleFromFlat(pf *PathFinder, hubs []StateID, hubOff []int32, toHub, fromHub, hubDist []float64, trusted bool) (*Oracle, error) {
+// ToHub/FromHub/HubDist run only when !trusted (their values feed
+// arithmetic bounds, never indexing).
+func OracleFromFlat(pf *PathFinder, t OracleTables, trusted bool) (*Oracle, error) {
+	hubs, hubOff, toHub, fromHub, hubDist := t.Hubs, t.HubOff, t.ToHub, t.FromHub, t.HubDist
 	o := &Oracle{pf: pf, floors: pf.s.Floors()}
 	n := pf.NumStates()
 	o.floorOf = make([]int32, n)

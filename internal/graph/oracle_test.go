@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ikrq/internal/geom"
@@ -139,7 +140,7 @@ func TestNewOracleParallelDeterministic(t *testing.T) {
 	seq := newOracleWorkers(pf, 1)
 	for _, workers := range []int{2, 4, 8} {
 		par := newOracleWorkers(pf, workers)
-		if !reflect.DeepEqual(seq.Export(), par.Export()) {
+		if !reflect.DeepEqual(seq.Tables(), par.Tables()) {
 			t.Fatalf("oracle build with %d workers differs from sequential", workers)
 		}
 	}
@@ -214,29 +215,37 @@ func TestMatrixPathEdgeCases(t *testing.T) {
 	})
 }
 
-func oracleFromRecord(pf *PathFinder, rec *OracleRecord, trusted bool) (*Oracle, error) {
-	return OracleFromFlat(pf, rec.Hubs, rec.HubOff, rec.ToHub, rec.FromHub, rec.HubDist, trusted)
+// clone copies the oracle's tables, which are its own, so a test can forge
+// them.
+func (t OracleTables) clone() OracleTables {
+	return OracleTables{
+		Hubs:    slices.Clone(t.Hubs),
+		HubOff:  slices.Clone(t.HubOff),
+		ToHub:   slices.Clone(t.ToHub),
+		FromHub: slices.Clone(t.FromHub),
+		HubDist: slices.Clone(t.HubDist),
+	}
 }
 
-// TestOracleRecordRoundTrip: Export → OracleFromFlat reproduces the oracle
-// bit-for-bit, and a record from a different space is rejected in both
+// TestOracleRecordRoundTrip: Tables → OracleFromFlat reproduces the oracle
+// bit-for-bit, and tables from a different space are rejected in both
 // trust modes (the hub enumeration is recomputed and compared either way).
 func TestOracleRecordRoundTrip(t *testing.T) {
 	s := randomMall(t, 5)
 	pf := NewPathFinder(s)
 	o := NewOracle(pf)
-	rec := o.Export()
+	rec := o.Tables().clone()
 	other := NewPathFinder(randomMall(t, 6))
 	trustModes(t, func(t *testing.T, trusted bool) {
-		got, err := oracleFromRecord(pf, rec, trusted)
+		got, err := OracleFromFlat(pf, rec, trusted)
 		if err != nil {
 			t.Fatalf("OracleFromFlat: %v", err)
 		}
-		if !reflect.DeepEqual(got.Export(), rec) {
+		if !reflect.DeepEqual(got.Tables(), o.Tables()) {
 			t.Fatal("round-tripped oracle differs")
 		}
-		if _, err := oracleFromRecord(other, rec, trusted); err == nil {
-			t.Fatal("record from a different space accepted")
+		if _, err := OracleFromFlat(other, rec, trusted); err == nil {
+			t.Fatal("tables from a different space accepted")
 		}
 	})
 }
@@ -254,22 +263,22 @@ func TestOracleFromFlatRejectsBadInput(t *testing.T) {
 	cases := []struct {
 		name      string
 		valueOnly bool
-		mutate    func(*OracleRecord)
+		mutate    func(*OracleTables)
 	}{
-		{"missing hub", false, func(r *OracleRecord) { r.Hubs = r.Hubs[:len(r.Hubs)-1] }},
-		{"wrong hub", false, func(r *OracleRecord) { r.Hubs[0] = r.Hubs[1] }},
-		{"wrong floor offset", false, func(r *OracleRecord) { r.HubOff[1]++ }},
-		{"short toHub table", false, func(r *OracleRecord) { r.ToHub = r.ToHub[:len(r.ToHub)-1] }},
-		{"short hubDist table", false, func(r *OracleRecord) { r.HubDist = r.HubDist[1:] }},
-		{"negative toHub", true, func(r *OracleRecord) { r.ToHub[0] = -1 }},
-		{"NaN fromHub", true, func(r *OracleRecord) { r.FromHub[0] = math.NaN() }},
-		{"nonzero hubDist diagonal", true, func(r *OracleRecord) { r.HubDist[0] = 2 }},
+		{"missing hub", false, func(r *OracleTables) { r.Hubs = r.Hubs[:len(r.Hubs)-1] }},
+		{"wrong hub", false, func(r *OracleTables) { r.Hubs[0] = r.Hubs[1] }},
+		{"wrong floor offset", false, func(r *OracleTables) { r.HubOff[1]++ }},
+		{"short toHub table", false, func(r *OracleTables) { r.ToHub = r.ToHub[:len(r.ToHub)-1] }},
+		{"short hubDist table", false, func(r *OracleTables) { r.HubDist = r.HubDist[1:] }},
+		{"negative toHub", true, func(r *OracleTables) { r.ToHub[0] = -1 }},
+		{"NaN fromHub", true, func(r *OracleTables) { r.FromHub[0] = math.NaN() }},
+		{"nonzero hubDist diagonal", true, func(r *OracleTables) { r.HubDist[0] = 2 }},
 	}
 	trustModes(t, func(t *testing.T, trusted bool) {
 		for _, tc := range cases {
-			rec := o.Export()
-			tc.mutate(rec)
-			_, err := oracleFromRecord(pf, rec, trusted)
+			tb := o.Tables().clone()
+			tc.mutate(&tb)
+			_, err := OracleFromFlat(pf, tb, trusted)
 			if accept := trusted && tc.valueOnly; accept != (err == nil) {
 				t.Errorf("%s: accepted=%v, want %v (err %v)", tc.name, err == nil, accept, err)
 			}

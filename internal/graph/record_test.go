@@ -3,38 +3,19 @@ package graph
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ikrq/internal/geom"
 	"ikrq/internal/model"
 )
 
-// The snapshot seam round-trips each structure through Export and its
-// FromFlat constructor. The helpers below lay a record out as the columnar
-// tables the snapshot reader hands FromFlat.
+// The snapshot seam round-trips each structure through Tables and its
+// FromFlat constructor. A skeleton's tables are its own, so tests that forge
+// input clone them first.
 
-func pathFinderColumns(rec *PathFinderRecord) (states, arcCounts, arcTo []int32, arcW []float64) {
-	for _, st := range rec.States {
-		states = append(states, int32(st.Door), int32(st.Part))
-	}
-	for _, a := range rec.Arcs {
-		arcTo = append(arcTo, int32(a.To))
-		arcW = append(arcW, a.W)
-	}
-	return states, rec.ArcCounts, arcTo, arcW
-}
-
-func pathFinderFromRecord(s *model.Space, rec *PathFinderRecord) (*PathFinder, error) {
-	states, arcCounts, arcTo, arcW := pathFinderColumns(rec)
-	return PathFinderFromFlat(s, states, arcCounts, arcTo, arcW)
-}
-
-func skeletonDoors(rec *SkeletonRecord) []int32 {
-	doors := make([]int32, len(rec.Doors))
-	for i, d := range rec.Doors {
-		doors[i] = int32(d)
-	}
-	return doors
+func (t SkeletonTables) clone() SkeletonTables {
+	return SkeletonTables{Doors: slices.Clone(t.Doors), Dist: slices.Clone(t.Dist)}
 }
 
 // trustModes runs fn under both FromFlat validation modes.
@@ -51,7 +32,7 @@ func trustModes(t *testing.T, fn func(t *testing.T, trusted bool)) {
 func TestPathFinderRecordRoundTrip(t *testing.T) {
 	s, _ := towerSpace(t)
 	pf := NewPathFinder(s)
-	got, err := pathFinderFromRecord(s, pf.Export())
+	got, err := PathFinderFromFlat(s, pf.Tables())
 	if err != nil {
 		t.Fatalf("PathFinderFromFlat: %v", err)
 	}
@@ -87,32 +68,27 @@ func TestPathFinderFromFlatRejectsBadInput(t *testing.T) {
 	pf := NewPathFinder(s)
 	cases := []struct {
 		name   string
-		mutate func(*PathFinderRecord)
+		mutate func(*PathFinderTables)
 	}{
-		{"count mismatch", func(r *PathFinderRecord) { r.ArcCounts = r.ArcCounts[:1] }},
-		{"missing door", func(r *PathFinderRecord) { r.States[0].Door = 99 }},
-		{"missing partition", func(r *PathFinderRecord) { r.States[0].Part = 99 }},
-		{"arc overflow", func(r *PathFinderRecord) { r.ArcCounts[0] += 5 }},
-		{"negative arc count", func(r *PathFinderRecord) { r.ArcCounts[0] = -1 }},
-		{"unclaimed arcs", func(r *PathFinderRecord) { r.ArcCounts[0] -= 1 }},
-		{"arc to missing state", func(r *PathFinderRecord) { r.Arcs[0].To = 9999 }},
-		{"negative weight", func(r *PathFinderRecord) { r.Arcs[0].W = -1 }},
-		{"NaN weight", func(r *PathFinderRecord) { r.Arcs[0].W = math.NaN() }},
-		{"infinite weight", func(r *PathFinderRecord) { r.Arcs[0].W = math.Inf(1) }},
+		{"count mismatch", func(r *PathFinderTables) { r.ArcCounts = r.ArcCounts[:1] }},
+		{"missing door", func(r *PathFinderTables) { r.States[0] = 99 }},
+		{"missing partition", func(r *PathFinderTables) { r.States[1] = 99 }},
+		{"arc overflow", func(r *PathFinderTables) { r.ArcCounts[0] += 5 }},
+		{"negative arc count", func(r *PathFinderTables) { r.ArcCounts[0] = -1 }},
+		{"unclaimed arcs", func(r *PathFinderTables) { r.ArcCounts[0] -= 1 }},
+		{"arc to missing state", func(r *PathFinderTables) { r.ArcTo[0] = 9999 }},
+		{"negative weight", func(r *PathFinderTables) { r.ArcW[0] = -1 }},
+		{"NaN weight", func(r *PathFinderTables) { r.ArcW[0] = math.NaN() }},
+		{"infinite weight", func(r *PathFinderTables) { r.ArcW[0] = math.Inf(1) }},
+		{"odd-length state table", func(r *PathFinderTables) { r.States = r.States[:len(r.States)-1] }},
+		{"arc target and weight tables of different lengths", func(r *PathFinderTables) { r.ArcW = r.ArcW[:len(r.ArcW)-1] }},
 	}
 	for _, tc := range cases {
-		rec := pf.Export()
-		tc.mutate(rec)
-		if _, err := pathFinderFromRecord(s, rec); err == nil {
+		tb := pf.Tables()
+		tc.mutate(&tb)
+		if _, err := PathFinderFromFlat(s, tb); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
-	}
-	states, counts, to, w := pathFinderColumns(pf.Export())
-	if _, err := PathFinderFromFlat(s, states[:len(states)-1], counts, to, w); err == nil {
-		t.Error("odd-length state table accepted")
-	}
-	if _, err := PathFinderFromFlat(s, states, counts, to, w[:len(w)-1]); err == nil {
-		t.Error("arc target and weight tables of different lengths accepted")
 	}
 }
 
@@ -120,8 +96,7 @@ func TestSkeletonRecordRoundTrip(t *testing.T) {
 	s, stairDoors := towerSpace(t)
 	sk := NewSkeleton(s)
 	trustModes(t, func(t *testing.T, trusted bool) {
-		rec := sk.Export()
-		got, err := SkeletonFromFlat(s, skeletonDoors(rec), rec.Dist, trusted)
+		got, err := SkeletonFromFlat(s, sk.Tables(), trusted)
 		if err != nil {
 			t.Fatalf("SkeletonFromFlat: %v", err)
 		}
@@ -152,22 +127,22 @@ func TestSkeletonFromFlatRejectsBadInput(t *testing.T) {
 	cases := []struct {
 		name      string
 		valueOnly bool
-		mutate    func(*SkeletonRecord)
+		mutate    func(*SkeletonTables)
 	}{
-		{"size mismatch", false, func(r *SkeletonRecord) { r.Dist = r.Dist[:1] }},
-		{"missing door", false, func(r *SkeletonRecord) { r.Doors[0] = 99 }},
-		{"negative door", false, func(r *SkeletonRecord) { r.Doors[0] = -1 }},
-		{"non-stair door", false, func(r *SkeletonRecord) { r.Doors[0] = 0 }},
-		{"duplicate door", false, func(r *SkeletonRecord) { r.Doors[1] = r.Doors[0] }},
-		{"negative distance", true, func(r *SkeletonRecord) { r.Dist[1] = -4 }},
-		{"NaN distance", true, func(r *SkeletonRecord) { r.Dist[1] = math.NaN() }},
-		{"nonzero diagonal", true, func(r *SkeletonRecord) { r.Dist[0] = 3 }},
+		{"size mismatch", false, func(r *SkeletonTables) { r.Dist = r.Dist[:1] }},
+		{"missing door", false, func(r *SkeletonTables) { r.Doors[0] = 99 }},
+		{"negative door", false, func(r *SkeletonTables) { r.Doors[0] = -1 }},
+		{"non-stair door", false, func(r *SkeletonTables) { r.Doors[0] = 0 }},
+		{"duplicate door", false, func(r *SkeletonTables) { r.Doors[1] = r.Doors[0] }},
+		{"negative distance", true, func(r *SkeletonTables) { r.Dist[1] = -4 }},
+		{"NaN distance", true, func(r *SkeletonTables) { r.Dist[1] = math.NaN() }},
+		{"nonzero diagonal", true, func(r *SkeletonTables) { r.Dist[0] = 3 }},
 	}
 	trustModes(t, func(t *testing.T, trusted bool) {
 		for _, tc := range cases {
-			rec := sk.Export()
-			tc.mutate(rec)
-			_, err := SkeletonFromFlat(s, skeletonDoors(rec), rec.Dist, trusted)
+			tb := sk.Tables().clone()
+			tc.mutate(&tb)
+			_, err := SkeletonFromFlat(s, tb, trusted)
 			if accept := trusted && tc.valueOnly; accept != (err == nil) {
 				t.Errorf("%s: accepted=%v, want %v (err %v)", tc.name, err == nil, accept, err)
 			}
@@ -175,12 +150,12 @@ func TestSkeletonFromFlatRejectsBadInput(t *testing.T) {
 	})
 }
 
-// reindexSkeleton re-lays a skeleton record over the old door indices in
+// reindexSkeleton re-lays skeleton tables over the old door indices in
 // sel, carrying each door's δs2s row and column along: the result is
 // internally consistent, so only the enumeration check can reject it.
-func reindexSkeleton(rec *SkeletonRecord, sel []int) *SkeletonRecord {
+func reindexSkeleton(rec SkeletonTables, sel []int) SkeletonTables {
 	n := len(rec.Doors)
-	out := &SkeletonRecord{Dist: make([]float64, len(sel)*len(sel))}
+	out := SkeletonTables{Dist: make([]float64, len(sel)*len(sel))}
 	for i, oi := range sel {
 		out.Doors = append(out.Doors, rec.Doors[oi])
 		for j, oj := range sel {
@@ -212,13 +187,11 @@ func TestSkeletonFromFlatRequiresEnumeration(t *testing.T) {
 		{"swapped on one floor", []int{1, 0, 2, 3, 4, 5}},
 	}
 	trustModes(t, func(t *testing.T, trusted bool) {
-		rec := reindexSkeleton(sk.Export(), []int{0, 1, 2, 3, 4, 5})
-		if _, err := SkeletonFromFlat(s, skeletonDoors(rec), rec.Dist, trusted); err != nil {
+		if _, err := SkeletonFromFlat(s, reindexSkeleton(sk.Tables(), []int{0, 1, 2, 3, 4, 5}), trusted); err != nil {
 			t.Fatalf("identity re-layout rejected: %v", err)
 		}
 		for _, tc := range cases {
-			rec := reindexSkeleton(sk.Export(), tc.sel)
-			if _, err := SkeletonFromFlat(s, skeletonDoors(rec), rec.Dist, trusted); err == nil {
+			if _, err := SkeletonFromFlat(s, reindexSkeleton(sk.Tables(), tc.sel), trusted); err == nil {
 				t.Errorf("%s: accepted", tc.name)
 			}
 		}
@@ -234,17 +207,24 @@ func TestPathFinderFromFlatRejectsStateOrder(t *testing.T) {
 	pf := NewPathFinder(s)
 	cases := []struct {
 		name   string
-		mutate func(*PathFinderRecord)
+		mutate func(*PathFinderTables)
 	}{
-		{"states swapped", func(r *PathFinderRecord) { r.States[0], r.States[1] = r.States[1], r.States[0] }},
-		{"doors out of order", func(r *PathFinderRecord) { r.States[0], r.States[2] = r.States[2], r.States[0] }},
-		{"state repeated", func(r *PathFinderRecord) { r.States[1] = r.States[0] }},
+		{"states swapped", func(r *PathFinderTables) { swapStates(r.States, 0, 1) }},
+		{"doors out of order", func(r *PathFinderTables) { swapStates(r.States, 0, 2) }},
+		{"state repeated", func(r *PathFinderTables) { copy(r.States[2:4], r.States[0:2]) }},
 	}
 	for _, tc := range cases {
-		rec := pf.Export()
-		tc.mutate(rec)
-		if _, err := pathFinderFromRecord(s, rec); err == nil {
+		tb := pf.Tables()
+		tc.mutate(&tb)
+		if _, err := PathFinderFromFlat(s, tb); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
+}
+
+// swapStates swaps states i and j of an interleaved (door, partition)
+// state table.
+func swapStates(states []int32, i, j int) {
+	states[2*i], states[2*j] = states[2*j], states[2*i]
+	states[2*i+1], states[2*j+1] = states[2*j+1], states[2*i+1]
 }

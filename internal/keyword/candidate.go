@@ -2,7 +2,6 @@ package keyword
 
 import (
 	"cmp"
-	"math"
 	"slices"
 
 	"ikrq/internal/model"
@@ -330,62 +329,4 @@ func PerfectlyCovered(sims []float64) bool {
 		}
 	}
 	return len(sims) > 0
-}
-
-// RouteIWords computes RW for an item sequence (Definition 5): the union of
-// i-words of the partitions relevant to each item, where a door contributes
-// the partitions one can LEAVE through it and a point contributes its host
-// partition. It is the reference (non-incremental) implementation used by
-// tests and by result presentation; the search maintains coverage
-// incrementally via Absorb.
-func RouteIWords(x *Index, s *model.Space, doors []model.DoorID, pts ...model.PartitionID) map[IWordID]struct{} {
-	rw := make(map[IWordID]struct{})
-	add := func(v model.PartitionID) {
-		if v == model.NoPartition {
-			return
-		}
-		if w := x.P2I(v); w != NoIWord {
-			rw[w] = struct{}{}
-		}
-	}
-	for _, d := range doors {
-		for _, v := range s.Door(d).Leaveable() {
-			add(v)
-		}
-	}
-	for _, v := range pts {
-		add(v)
-	}
-	return rw
-}
-
-// RelevanceOfRoute scores an explicit route (door sequence plus the hosts of
-// its endpoints) against a compiled query; the reference implementation for
-// tests.
-func RelevanceOfRoute(x *Index, s *model.Space, q *Query, doors []model.DoorID, hosts ...model.PartitionID) float64 {
-	sims := make([]float64, q.Len())
-	for w := range RouteIWords(x, s, doors, hosts...) {
-		q.Absorb(sims, w)
-	}
-	return Relevance(sims)
-}
-
-// SimilarityHistogram summarizes the candidate-set similarity distribution
-// of a query — used by experiments to verify the "long-tailed Jaccard"
-// observation that makes the search insensitive to τ.
-func (q *Query) SimilarityHistogram(buckets int) []int {
-	h := make([]int, buckets)
-	for _, cs := range q.Sets {
-		for _, e := range cs.Entries {
-			b := int(e.Sim * float64(buckets))
-			if b >= buckets {
-				b = buckets - 1
-			}
-			if b < 0 || math.IsNaN(e.Sim) {
-				continue
-			}
-			h[b]++
-		}
-	}
-	return h
 }

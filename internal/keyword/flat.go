@@ -6,16 +6,16 @@ import (
 	"ikrq/internal/model"
 )
 
-// IndexFromFlat restores an Index from columnar tables: the word spellings,
-// the I2T mapping in CSR form (i2tOff row offsets into i2tVals) and the P2I
-// assignment. The i2t rows and p2i are adopted by reference — when the
-// caller hands views over an mmap'd snapshot, the match lists serve straight
-// from the page cache. Every stored ID is validated in every load (the
-// tables are O(words + edges + partitions), far from the bulk float tables
-// the trusted fast path exists for), and the derived mappings (T2I, I2P,
-// name lookups) are rebuilt in deterministic order: t2i rows by ascending
-// i-word, i2p rows by ascending partition.
-func IndexFromFlat(iwords, twords []string, i2tOff []int32, i2tVals []TWordID, p2i []IWordID) (*Index, error) {
+// IndexFromFlat restores an Index from its tables. The I2T rows and P2I
+// are adopted by reference — when the caller hands views over an mmap'd
+// snapshot, the match lists serve straight from the page cache. Every
+// stored ID is validated in every load (the tables are O(words + edges +
+// partitions), far from the bulk float tables the trusted fast path exists
+// for), and the derived mappings (T2I, I2P, name lookups) are rebuilt in
+// deterministic order: t2i rows by ascending i-word, i2p rows by ascending
+// partition.
+func IndexFromFlat(tb IndexTables) (*Index, error) {
+	iwords, twords, i2tOff, i2tVals, p2i := tb.IWords, tb.TWords, tb.I2TOff, tb.I2TVals, tb.P2I
 	if len(i2tOff) != len(iwords)+1 {
 		return nil, fmt.Errorf("keyword: flat index has %d i-words but %d I2T row offsets",
 			len(iwords), len(i2tOff))

@@ -1,33 +1,35 @@
 package keyword
 
-// IndexRecord is the flat, serializable form of an Index: the i-word and
-// t-word tables (IDs implied by position), the I2T edges and the P2I
-// assignment. It is the snapshot writer's input; IndexFromFlat restores
-// from the same tables laid out flat, deriving the inverse mappings (T2I,
-// I2P) and the name lookups deterministically, so a restored index is
-// structurally identical to the original — same IDs, same sorted mapping
-// slices.
-type IndexRecord struct {
+// IndexTables is the flat form of an Index, the one the snapshot writer
+// encodes and the reader hands IndexFromFlat: the i-word and t-word tables
+// (IDs implied by position), the I2T mapping in CSR form and the P2I
+// assignment. IndexFromFlat derives the inverse mappings (T2I, I2P) and the
+// name lookups deterministically, so a restored index is structurally
+// identical to the original — same IDs, same sorted mapping slices.
+type IndexTables struct {
 	IWords []string
 	TWords []string
-	// I2T[i] lists the t-word IDs of i-word i, sorted ascending.
-	I2T [][]TWordID
+	// I2TOff holds len(IWords)+1 row offsets into I2TVals: i-word i's
+	// t-words are I2TVals[I2TOff[i]:I2TOff[i+1]], sorted ascending.
+	I2TOff  []int32
+	I2TVals []TWordID
 	// P2I[v] is the i-word of partition v, or NoIWord.
 	P2I []IWordID
 }
 
-// Export captures the index as a record sharing no memory with the index.
-func (x *Index) Export() *IndexRecord {
-	rec := &IndexRecord{
+// Tables captures the index as tables sharing no memory with the index.
+func (x *Index) Tables() IndexTables {
+	t := IndexTables{
 		IWords: append([]string(nil), x.iwords...),
 		TWords: append([]string(nil), x.twords...),
-		I2T:    make([][]TWordID, len(x.i2t)),
+		I2TOff: make([]int32, len(x.i2t)+1),
 		P2I:    append([]IWordID(nil), x.p2i...),
 	}
-	for i := range x.i2t {
-		rec.I2T[i] = append([]TWordID(nil), x.i2t[i]...)
+	for i, row := range x.i2t {
+		t.I2TVals = append(t.I2TVals, row...)
+		t.I2TOff[i+1] = int32(len(t.I2TVals))
 	}
-	return rec
+	return t
 }
 
 // NumPartitions returns the number of partitions the index was built for

@@ -24,30 +24,9 @@ func recordIndex(t *testing.T) *Index {
 	return x
 }
 
-// i2tCSR lays a record's I2T rows out as the CSR tables the snapshot
-// reader hands IndexFromFlat.
-type i2tCSR struct {
-	off  []int32
-	vals []TWordID
-}
-
-func csrOf(rec *IndexRecord) *i2tCSR {
-	c := &i2tCSR{off: []int32{0}}
-	for _, row := range rec.I2T {
-		c.vals = append(c.vals, row...)
-		c.off = append(c.off, int32(len(c.vals)))
-	}
-	return c
-}
-
-func indexFromRecord(rec *IndexRecord) (*Index, error) {
-	c := csrOf(rec)
-	return IndexFromFlat(rec.IWords, rec.TWords, c.off, c.vals, rec.P2I)
-}
-
 func TestIndexRecordRoundTrip(t *testing.T) {
 	x := recordIndex(t)
-	got, err := indexFromRecord(x.Export())
+	got, err := IndexFromFlat(x.Tables())
 	if err != nil {
 		t.Fatalf("IndexFromFlat: %v", err)
 	}
@@ -91,12 +70,12 @@ func TestIndexRecordRoundTrip(t *testing.T) {
 
 func TestIndexRecordSharesNoMemory(t *testing.T) {
 	x := recordIndex(t)
-	rec := x.Export()
-	rec.IWords[0] = "mutated"
-	rec.I2T[0][0] = 99
-	rec.P2I[0] = 1
+	tb := x.Tables()
+	tb.IWords[0] = "mutated"
+	tb.I2TVals[0] = 99
+	tb.P2I[0] = 1
 	if x.IWord(0) == "mutated" || x.I2T(0)[0] == 99 || x.P2I(0) == 1 {
-		t.Fatal("Export shares memory with the index")
+		t.Fatal("Tables shares memory with the index")
 	}
 }
 
@@ -104,41 +83,25 @@ func TestIndexFromFlatRejectsBadInput(t *testing.T) {
 	x := recordIndex(t)
 	cases := []struct {
 		name   string
-		mutate func(*IndexRecord)
+		mutate func(*IndexTables)
 	}{
-		{"i2t row count mismatch", func(r *IndexRecord) { r.I2T = r.I2T[:1] }},
-		{"duplicate i-word", func(r *IndexRecord) { r.IWords[1] = r.IWords[0] }},
-		{"duplicate t-word", func(r *IndexRecord) { r.TWords[1] = r.TWords[0] }},
-		{"i-word/t-word clash", func(r *IndexRecord) { r.TWords[0] = r.IWords[0] }},
-		{"t-word id out of range", func(r *IndexRecord) { r.I2T[0][0] = 99 }},
-		{"negative t-word id", func(r *IndexRecord) { r.I2T[0][0] = -1 }},
-		{"unsorted i2t row", func(r *IndexRecord) { r.I2T[0][0], r.I2T[0][1] = r.I2T[0][1], r.I2T[0][0] }},
-		{"p2i out of range", func(r *IndexRecord) { r.P2I[0] = 99 }},
+		{"i2t row count mismatch", func(r *IndexTables) { r.I2TOff = r.I2TOff[:2] }},
+		{"duplicate i-word", func(r *IndexTables) { r.IWords[1] = r.IWords[0] }},
+		{"duplicate t-word", func(r *IndexTables) { r.TWords[1] = r.TWords[0] }},
+		{"i-word/t-word clash", func(r *IndexTables) { r.TWords[0] = r.IWords[0] }},
+		{"t-word id out of range", func(r *IndexTables) { r.I2TVals[0] = 99 }},
+		{"negative t-word id", func(r *IndexTables) { r.I2TVals[0] = -1 }},
+		{"unsorted i2t row", func(r *IndexTables) { r.I2TVals[0], r.I2TVals[1] = r.I2TVals[1], r.I2TVals[0] }},
+		{"p2i out of range", func(r *IndexTables) { r.P2I[0] = 99 }},
+		{"offsets start past zero", func(r *IndexTables) { r.I2TOff[0] = 1 }},
+		{"offsets end short of values", func(r *IndexTables) { r.I2TVals = append(r.I2TVals, 0) }},
+		{"row running backwards", func(r *IndexTables) { r.I2TOff[1], r.I2TOff[2] = r.I2TOff[2], r.I2TOff[1] }},
+		{"no offsets for the i-words", func(r *IndexTables) { r.I2TOff = nil }},
 	}
 	for _, tc := range cases {
-		rec := x.Export()
-		tc.mutate(rec)
-		if _, err := indexFromRecord(rec); err == nil {
-			t.Errorf("%s: accepted", tc.name)
-		}
-	}
-
-	// CSR defects a record cannot express: offsets that do not span the
-	// values table, and a row running backwards.
-	csrCases := []struct {
-		name   string
-		mutate func(*i2tCSR)
-	}{
-		{"offsets start past zero", func(c *i2tCSR) { c.off[0] = 1 }},
-		{"offsets end short of values", func(c *i2tCSR) { c.vals = append(c.vals, 0) }},
-		{"row running backwards", func(c *i2tCSR) { c.off[1], c.off[2] = c.off[2], c.off[1] }},
-		{"no offsets for the i-words", func(c *i2tCSR) { c.off = nil }},
-	}
-	for _, tc := range csrCases {
-		rec := x.Export()
-		c := csrOf(rec)
-		tc.mutate(c)
-		if _, err := IndexFromFlat(rec.IWords, rec.TWords, c.off, c.vals, rec.P2I); err == nil {
+		tb := x.Tables()
+		tc.mutate(&tb)
+		if _, err := IndexFromFlat(tb); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}

@@ -10,25 +10,22 @@ import (
 
 // SaveEngine writes e's immutable index layer to w in the current (flat)
 // container format, which OpenEngine can later serve zero-copy over an
-// mmap. The KoE* backend section (the hierarchical oracle) is included
-// exactly when the engine has built it — call Engine.Precompute first to
-// bake a snapshot that spares every future load the precomputation.
+// mmap. Each section is encoded straight from the layer's tables. The KoE*
+// backend section (the hierarchical oracle) is included exactly when the
+// engine has built it — call Engine.Precompute first to bake a snapshot
+// that spares every future load the precomputation.
 func SaveEngine(w io.Writer, e *search.Engine) error {
-	return Encode(w, exportEngine(e))
-}
-
-func exportEngine(e *search.Engine) *Snapshot {
-	snap := &Snapshot{
-		Space:      e.Space().Export(),
-		Derived:    e.Space().ExportDerived(),
-		Keywords:   e.Keywords().Export(),
-		PathFinder: e.PathFinder().Export(),
-		Skeleton:   e.Skeleton().Export(),
+	sections := []section{
+		{tagSpace, encodeSpace(e.Space().Export())},
+		{tagDerived, encodeDerived(e.Space().ExportDerived())},
+		{tagKeywords, encodeKeywords(e.Keywords().Tables())},
+		{tagPathFinder, encodePathFinder(e.PathFinder().Tables())},
+		{tagSkeleton, encodeSkeleton(e.Skeleton().Tables())},
 	}
 	if o, ok := e.DistanceSourceIfReady().(*graph.Oracle); ok {
-		snap.Oracle = o.Export()
+		sections = append(sections, section{tagOracle, encodeOracle(o.Tables())})
 	}
-	return snap
+	return writeFlat(w, sections)
 }
 
 // LoadEngine reads a snapshot from r into a heap image and assembles a

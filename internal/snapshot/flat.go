@@ -1,7 +1,6 @@
 package snapshot
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -15,15 +14,20 @@ import (
 )
 
 // This file is the flat container (format v3 on): a section directory up
-// front and payloads whose bulk arrays are stored little-endian in their
-// in-memory layout, 8-byte-aligned, so a loader can serve the big distance
-// tables as views straight over an mmap'd file (see
-// internal/snapshot/mapping and DESIGN.md §13) instead of decoding them
-// element by element. One reader, engineFromFlat, serves every load in one
-// of two trust modes:
+// front and payloads whose tables are stored little-endian in their
+// in-memory layout, each at an offset aligned to its element size, so a
+// loader can serve the big distance tables as typed views straight over
+// an mmap'd file (see internal/snapshot/mapping and DESIGN.md §13) instead
+// of decoding them element by element. Every flat section has one encoder
+// and one decoder over its layer's tables — graph.PathFinderTables,
+// graph.SkeletonTables, graph.OracleTables and keyword.IndexTables, which
+// the layer's Tables method returns and its FromFlat constructor takes, and
+// model.DerivedRecord, which Space.ExportDerived returns and
+// SpaceFromRecordDerived takes. One reader, engineFromFlat, serves every
+// load in one of two trust modes:
 //
 //   - trusted (OpenEngine over a real OS mapping on a little-endian host):
-//     bulk tables are aliased in place and handed to the FromFlat
+//     tables are views of the mapping handed to the FromFlat
 //     constructors, which keep every structural and index-safety check but
 //     skip the per-element value scans (and the bulk-section CRCs) that
 //     would fault in every page of the mapping — cold start stays
@@ -46,46 +50,23 @@ import (
 //	              at the last payload's end
 const flatMinReader uint16 = 4
 
-// hostLittleEndian gates the zero-copy path: flat arrays are stored
-// little-endian, so only LE hosts may alias them. On BE hosts alias decodes
-// each array into a fresh slice and the reader runs untrusted. A variable,
-// not a constant, so tests can drive the copy mode on any host.
+// hostLittleEndian gates the zero-copy path: flat tables are stored
+// little-endian, so only LE hosts may view them in place. On BE hosts view
+// decodes each table into a fresh slice and the reader runs untrusted. A
+// variable, not a constant, so tests can drive the copy mode on any host.
 var hostLittleEndian = func() bool {
 	var x uint16 = 1
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// Encode writes snap to w in the flat container format.
-func Encode(w io.Writer, snap *Snapshot) error {
-	if snap == nil || snap.Space == nil || snap.Keywords == nil ||
-		snap.PathFinder == nil || snap.Skeleton == nil {
-		return fmt.Errorf("snapshot: encode requires space, keyword, pathfinder and skeleton records")
-	}
-	type section struct {
-		tag     string
-		payload []byte
-	}
-	der := snap.Derived
-	if der == nil {
-		// Rebuild once at bake time so the loader never has to: the derived
-		// structures are a pure function of the space record.
-		s, err := model.SpaceFromRecord(snap.Space)
-		if err != nil {
-			return fmt.Errorf("snapshot: deriving space structures: %w", err)
-		}
-		der = s.ExportDerived()
-	}
-	sections := []section{
-		{tagSpace, encodeSpace(snap.Space)},
-		{tagDerived, encodeDerivedFlat(der)},
-		{tagKeywords, encodeKeywordsFlat(snap.Keywords)},
-		{tagPathFinder, encodePathFinderFlat(snap.PathFinder)},
-		{tagSkeleton, encodeSkeletonFlat(snap.Skeleton)},
-	}
-	if snap.Oracle != nil {
-		sections = append(sections, section{tagOracle, encodeOracleFlat(snap.Oracle)})
-	}
+// section is one payload of a bake, in directory order.
+type section struct {
+	tag     string
+	payload []byte
+}
 
+// writeFlat lays sections out as a flat container on w.
+func writeFlat(w io.Writer, sections []section) error {
 	var hdr writer
 	hdr.buf = append(hdr.buf, Magic...)
 	hdr.buf = append(hdr.buf, byte(Version), byte(Version>>8))
@@ -121,30 +102,29 @@ func Encode(w io.Writer, snap *Snapshot) error {
 	return nil
 }
 
-// --- payload encoders ---
+// --- flat sections: one encoder and one decoder each ---
+//
+// A decoder reads its tables through r, which records the first failure;
+// decodeSection checks it and that the payload was consumed exactly.
 
-func (w *writer) pad8() {
-	for len(w.buf)%8 != 0 {
-		w.buf = append(w.buf, 0)
+// decodeSection points r at sec's payload and decodes it with decode,
+// naming the section in any error. One reader walks every section of a
+// load.
+func decodeSection[T any](r *reader, sec *flatSection, decode func(r *reader) T) (T, error) {
+	*r = reader{b: sec.b}
+	t := decode(r)
+	if err := r.done(); err != nil {
+		var zero T
+		return zero, fmt.Errorf("section %s: %w", sec.tag, err)
 	}
+	return t, nil
 }
 
-func (w *writer) i32s(vs []int32) {
-	for _, v := range vs {
-		w.i32(v)
-	}
-}
-
-func (w *writer) f64s(vs []float64) {
-	for _, v := range vs {
-		w.f64(v)
-	}
-}
-
-// encodeDerivedFlat lays out the SPCD section: the P2D and D2P CSRs and the
-// self-loop table of the space, all native flat so the zero-copy loader can
-// alias them and skip the builder replay entirely (D2P appearing here too
-// lets that loader skip even materializing the record's per-door lists).
+// encodeDerived lays out the SPCD section: the P2D and D2P CSRs and the
+// self-loop table of the space, all flat so the trusted loader can view
+// them in place and skip the builder replay entirely (D2P appearing here
+// too lets that loader skip even materializing the record's per-door
+// lists).
 //
 //	u64 nParts, u64 nDoors, u64 nEnter, u64 nLeave, u64 nSelf
 //	enterOff  (nParts+1)×i32       leaveOff (nParts+1)×i32
@@ -153,120 +133,180 @@ func (w *writer) f64s(vs []float64) {
 //	doorEnterParts nEnter×i32      doorLeaveParts nLeave×i32
 //	selfOff   (nDoors+1)×i32       selfPart nSelf×i32
 //	pad to 8                       selfDist nSelf×f64
-func encodeDerivedFlat(der *model.DerivedRecord) []byte {
+func encodeDerived(der *model.DerivedRecord) []byte {
 	var w writer
 	w.u64(uint64(len(der.EnterOff) - 1))
 	w.u64(uint64(len(der.SelfLoopOff) - 1))
 	w.u64(uint64(len(der.EnterDoors)))
 	w.u64(uint64(len(der.LeaveDoors)))
 	w.u64(uint64(len(der.SelfLoopPart)))
-	w.i32s(der.EnterOff)
-	w.i32s(der.LeaveOff)
-	for _, d := range der.EnterDoors {
-		w.i32(int32(d))
-	}
-	for _, d := range der.LeaveDoors {
-		w.i32(int32(d))
-	}
-	w.i32s(der.DoorEnterOff)
-	w.i32s(der.DoorLeaveOff)
-	for _, v := range der.DoorEnterParts {
-		w.i32(int32(v))
-	}
-	for _, v := range der.DoorLeaveParts {
-		w.i32(int32(v))
-	}
-	w.i32s(der.SelfLoopOff)
-	for _, v := range der.SelfLoopPart {
-		w.i32(int32(v))
-	}
+	putTable(&w, der.EnterOff)
+	putTable(&w, der.LeaveOff)
+	putTable(&w, der.EnterDoors)
+	putTable(&w, der.LeaveDoors)
+	putTable(&w, der.DoorEnterOff)
+	putTable(&w, der.DoorLeaveOff)
+	putTable(&w, der.DoorEnterParts)
+	putTable(&w, der.DoorLeaveParts)
+	putTable(&w, der.SelfLoopOff)
+	putTable(&w, der.SelfLoopPart)
 	w.pad8()
-	w.f64s(der.SelfLoopDist)
+	putTable(&w, der.SelfLoopDist)
 	return w.buf
 }
 
-func encodeKeywordsFlat(rec *keyword.IndexRecord) []byte {
+func decodeDerived(r *reader) *model.DerivedRecord {
+	nP := r.count64(8) // each partition costs ≥ two 4-byte CSR offsets
+	nD, nE, nL, nS := int(r.u64()), int(r.u64()), int(r.u64()), int(r.u64())
+	if r.err == nil && nD > 1<<28 {
+		r.fail("implausible derived-space door count %d", nD)
+	}
+	der := &model.DerivedRecord{}
+	der.EnterOff = view[int32](r, nP+1)
+	der.LeaveOff = view[int32](r, nP+1)
+	der.EnterDoors = view[model.DoorID](r, nE)
+	der.LeaveDoors = view[model.DoorID](r, nL)
+	der.DoorEnterOff = view[int32](r, nD+1)
+	der.DoorLeaveOff = view[int32](r, nD+1)
+	der.DoorEnterParts = view[model.PartitionID](r, nE)
+	der.DoorLeaveParts = view[model.PartitionID](r, nL)
+	der.SelfLoopOff = view[int32](r, nD+1)
+	der.SelfLoopPart = view[model.PartitionID](r, nS)
+	r.pad8()
+	der.SelfLoopDist = view[float64](r, nS)
+	return der
+}
+
+// encodeKeywords lays out the KWRD section:
+//
+//	u64 nIWords, u64 nTWords, u64 nParts, u64 nEdges
+//	i2tOff (nIWords+1)×i32, pad to 8
+//	i2tVals nEdges×i32, pad to 8
+//	p2i nParts×i32, pad to 8
+//	the i-word then the t-word spellings, each a u32 length and its bytes
+func encodeKeywords(t keyword.IndexTables) []byte {
 	var w writer
-	edges := 0
-	for _, row := range rec.I2T {
-		edges += len(row)
-	}
-	w.u64(uint64(len(rec.IWords)))
-	w.u64(uint64(len(rec.TWords)))
-	w.u64(uint64(len(rec.P2I)))
-	w.u64(uint64(edges))
-	off := int32(0)
-	for _, row := range rec.I2T {
-		w.i32(off)
-		off += int32(len(row))
-	}
-	w.i32(off)
+	w.u64(uint64(len(t.IWords)))
+	w.u64(uint64(len(t.TWords)))
+	w.u64(uint64(len(t.P2I)))
+	w.u64(uint64(len(t.I2TVals)))
+	putTable(&w, t.I2TOff)
 	w.pad8()
-	for _, row := range rec.I2T {
-		for _, t := range row {
-			w.i32(int32(t))
-		}
-	}
+	putTable(&w, t.I2TVals)
 	w.pad8()
-	for _, v := range rec.P2I {
-		w.i32(int32(v))
-	}
+	putTable(&w, t.P2I)
 	w.pad8()
-	for _, s := range rec.IWords {
+	for _, s := range t.IWords {
 		w.str(s)
 	}
-	for _, s := range rec.TWords {
+	for _, s := range t.TWords {
 		w.str(s)
 	}
 	return w.buf
 }
 
-func encodePathFinderFlat(rec *graph.PathFinderRecord) []byte {
+func decodeKeywords(r *reader) (t keyword.IndexTables) {
+	nI := r.count64(4) // each i-word costs ≥ a 4-byte row offset
+	nT, nP, nE := int(r.u64()), int(r.u64()), int(r.u64())
+	t.I2TOff = view[int32](r, nI+1)
+	r.pad8()
+	t.I2TVals = view[keyword.TWordID](r, nE)
+	r.pad8()
+	t.P2I = view[keyword.IWordID](r, nP)
+	r.pad8()
+	t.IWords = r.strs(nI)
+	t.TWords = r.strs(nT)
+	return t
+}
+
+// encodePathFinder lays out the PATH section:
+//
+//	u64 nStates, u64 nArcs
+//	states nStates×(i32 door, i32 partition), arcCounts nStates×i32, pad to 8
+//	arcTo nArcs×i32, pad to 8
+//	arcW nArcs×f64
+func encodePathFinder(t graph.PathFinderTables) []byte {
 	var w writer
-	w.u64(uint64(len(rec.States)))
-	w.u64(uint64(len(rec.Arcs)))
-	for _, st := range rec.States {
-		w.i32(int32(st.Door))
-		w.i32(int32(st.Part))
-	}
-	w.i32s(rec.ArcCounts)
+	w.u64(uint64(len(t.ArcCounts)))
+	w.u64(uint64(len(t.ArcTo)))
+	putTable(&w, t.States)
+	putTable(&w, t.ArcCounts)
 	w.pad8()
-	for _, a := range rec.Arcs {
-		w.i32(int32(a.To))
-	}
+	putTable(&w, t.ArcTo)
 	w.pad8()
-	for _, a := range rec.Arcs {
-		w.f64(a.W)
-	}
+	putTable(&w, t.ArcW)
 	return w.buf
 }
 
-func encodeSkeletonFlat(rec *graph.SkeletonRecord) []byte {
+func decodePathFinder(r *reader) (t graph.PathFinderTables) {
+	nS := r.count64(8) // a state is an 8-byte (door, part) pair
+	nA := int(r.u64())
+	t.States = view[int32](r, 2*nS)
+	t.ArcCounts = view[int32](r, nS)
+	r.pad8()
+	t.ArcTo = view[int32](r, nA)
+	r.pad8()
+	t.ArcW = view[float64](r, nA)
+	return t
+}
+
+// encodeSkeleton lays out the SKEL section: u64 n, the n staircase doors
+// as i32, padding to 8, and δs2s as n² f64 row-major.
+func encodeSkeleton(t graph.SkeletonTables) []byte {
 	var w writer
-	w.u64(uint64(len(rec.Doors)))
-	for _, d := range rec.Doors {
-		w.i32(int32(d))
-	}
+	w.u64(uint64(len(t.Doors)))
+	putTable(&w, t.Doors)
 	w.pad8()
-	w.f64s(rec.Dist)
+	putTable(&w, t.Dist)
 	return w.buf
 }
 
-func encodeOracleFlat(rec *graph.OracleRecord) []byte {
-	var w writer
-	w.u64(uint64(len(rec.Hubs)))
-	w.u64(uint64(len(rec.HubOff)))
-	w.u64(uint64(len(rec.ToHub)))
-	for _, h := range rec.Hubs {
-		w.i32(int32(h))
+func decodeSkeleton(r *reader) (t graph.SkeletonTables) {
+	n := r.count64(4)
+	if r.err == nil && n > 1<<20 {
+		r.fail("skeleton door count %d is implausible", n)
 	}
+	t.Doors = view[model.DoorID](r, n)
+	r.pad8()
+	t.Dist = view[float64](r, n*n)
+	return t
+}
+
+// encodeOracle lays out the ORCL section:
+//
+//	u64 nHubs, u64 nHubOff, u64 nLabels
+//	hubs nHubs×i32, pad to 8
+//	hubOff nHubOff×i32, pad to 8
+//	toHub nLabels×f64, fromHub nLabels×f64, hubDist nHubs²×f64
+func encodeOracle(t graph.OracleTables) []byte {
+	var w writer
+	w.u64(uint64(len(t.Hubs)))
+	w.u64(uint64(len(t.HubOff)))
+	w.u64(uint64(len(t.ToHub)))
+	putTable(&w, t.Hubs)
 	w.pad8()
-	w.i32s(rec.HubOff)
+	putTable(&w, t.HubOff)
 	w.pad8()
-	w.f64s(rec.ToHub)
-	w.f64s(rec.FromHub)
-	w.f64s(rec.HubDist)
+	putTable(&w, t.ToHub)
+	putTable(&w, t.FromHub)
+	putTable(&w, t.HubDist)
 	return w.buf
+}
+
+func decodeOracle(r *reader) (t graph.OracleTables) {
+	nH := r.count64(4)
+	nOff, nT := int(r.u64()), int(r.u64())
+	if r.err == nil && nH > 1<<20 {
+		r.fail("oracle hub count %d is implausible", nH)
+	}
+	t.Hubs = view[graph.StateID](r, nH)
+	r.pad8()
+	t.HubOff = view[int32](r, nOff)
+	r.pad8()
+	t.ToHub = view[float64](r, nT)
+	t.FromHub = view[float64](r, nT)
+	t.HubDist = view[float64](r, nH*nH)
+	return t
 }
 
 // --- structural parse (both trust modes) ---
@@ -386,198 +426,12 @@ func (s *flatSection) checkCRC() error {
 	return nil
 }
 
-// --- per-section flat views ---
-
-type spcdFlat struct {
-	nP, nD, nE, nL, nS                         int
-	enterOff, leaveOff, enterDoors, leaveDoors []byte
-	doorEnterOff, doorLeaveOff                 []byte
-	doorEnterParts, doorLeaveParts             []byte
-	selfOff, selfPart, selfDist                []byte
-}
-
-func parseSpcdFlat(b []byte) (*spcdFlat, error) {
-	f := &reader{b: b}
-	v := &spcdFlat{}
-	v.nP = f.count64(8) // each partition costs ≥ two 4-byte CSR offsets
-	v.nD = int(f.u64())
-	v.nE = int(f.u64())
-	v.nL = int(f.u64())
-	v.nS = int(f.u64())
-	if f.err == nil && (v.nD < 0 || v.nD > 1<<28 || v.nE < 0 || v.nL < 0 || v.nS < 0) {
-		f.fail("negative or implausible derived-space counts")
-	}
-	v.enterOff = f.arr(v.nP+1, 4)
-	v.leaveOff = f.arr(v.nP+1, 4)
-	v.enterDoors = f.arr(v.nE, 4)
-	v.leaveDoors = f.arr(v.nL, 4)
-	v.doorEnterOff = f.arr(v.nD+1, 4)
-	v.doorLeaveOff = f.arr(v.nD+1, 4)
-	v.doorEnterParts = f.arr(v.nE, 4)
-	v.doorLeaveParts = f.arr(v.nL, 4)
-	v.selfOff = f.arr(v.nD+1, 4)
-	v.selfPart = f.arr(v.nS, 4)
-	f.pad8()
-	v.selfDist = f.arr(v.nS, 8)
-	if err := f.done(); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
-type kwrdFlat struct {
-	nI, nT, nP, nE             int
-	i2tOff, i2tVals, p2i, strs []byte
-}
-
-func parseKwrdFlat(b []byte) (*kwrdFlat, error) {
-	f := &reader{b: b}
-	v := &kwrdFlat{}
-	v.nI = f.count64(4) // each i-word costs ≥ a 4-byte row offset
-	v.nT = int(f.u64())
-	v.nP = int(f.u64())
-	v.nE = int(f.u64())
-	if f.err == nil && (v.nT < 0 || v.nP < 0 || v.nE < 0) {
-		f.fail("negative keyword counts")
-	}
-	v.i2tOff = f.arr(v.nI+1, 4)
-	f.pad8()
-	v.i2tVals = f.arr(v.nE, 4)
-	f.pad8()
-	v.p2i = f.arr(v.nP, 4)
-	f.pad8()
-	v.strs = f.rest()
-	if err := f.done(); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
-type pathFlat struct {
-	nS, nA                         int
-	states, arcCounts, arcTo, arcW []byte
-}
-
-func parsePathFlat(b []byte) (*pathFlat, error) {
-	f := &reader{b: b}
-	v := &pathFlat{}
-	v.nS = f.count64(8) // a state is an 8-byte (door, part) pair
-	v.nA = int(f.u64())
-	if f.err == nil && v.nA < 0 {
-		f.fail("negative arc count")
-	}
-	v.states = f.arr(v.nS, 8)
-	v.arcCounts = f.arr(v.nS, 4)
-	f.pad8()
-	v.arcTo = f.arr(v.nA, 4)
-	f.pad8()
-	v.arcW = f.arr(v.nA, 8)
-	if err := f.done(); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
-type skelFlat struct {
-	n           int
-	doors, dist []byte
-}
-
-func parseSkelFlat(b []byte) (*skelFlat, error) {
-	f := &reader{b: b}
-	v := &skelFlat{}
-	v.n = f.count64(4)
-	if f.err == nil && v.n > 1<<20 {
-		f.fail("skeleton door count %d is implausible", v.n)
-	}
-	v.doors = f.arr(v.n, 4)
-	f.pad8()
-	v.dist = f.arr(v.n*v.n, 8)
-	if err := f.done(); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
-type orclFlat struct {
-	nH, nOff, nT                          int
-	hubs, hubOff, toHub, fromHub, hubDist []byte
-}
-
-func parseOrclFlat(b []byte) (*orclFlat, error) {
-	f := &reader{b: b}
-	v := &orclFlat{}
-	v.nH = f.count64(4)
-	v.nOff = int(f.u64())
-	v.nT = int(f.u64())
-	if f.err == nil && (v.nOff < 0 || v.nT < 0 || v.nH > 1<<20) {
-		f.fail("oracle counts %d/%d/%d are implausible", v.nH, v.nOff, v.nT)
-	}
-	v.hubs = f.arr(v.nH, 4)
-	f.pad8()
-	v.hubOff = f.arr(v.nOff, 4)
-	f.pad8()
-	v.toHub = f.arr(v.nT, 8)
-	v.fromHub = f.arr(v.nT, 8)
-	v.hubDist = f.arr(v.nH*v.nH, 8)
-	if err := f.done(); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
 // --- assembly ---
 
-// decodeStrings decodes n length-prefixed strings from a codec-style blob.
-func decodeStrings(r *reader, n int) []string {
-	out := make([]string, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, r.str())
-	}
-	return out
-}
-
-// alias returns a window of the image as a []T. On little-endian hosts it
-// reinterprets the bytes in place without copying: the caller guarantees
-// the window was produced by reader.arr(n, sizeof(T)), and the alignment
-// recheck guards the construction (mapping bases are 8-aligned and flat
-// arrays sit at 8-aligned offsets, so it only fires on misuse). On
-// big-endian hosts it decodes the little-endian elements into a fresh
-// slice instead.
-func alias[T any](b []byte, n int) ([]T, error) {
-	if n == 0 {
-		return nil, nil
-	}
-	var t T
-	size, align := int(unsafe.Sizeof(t)), uintptr(unsafe.Alignof(t))
-	if len(b) < n*size {
-		return nil, fmt.Errorf("%w: %d-byte window cannot hold %d elements", ErrCorrupt, len(b), n)
-	}
-	if !hostLittleEndian {
-		// Every flat element type is a 4- or 8-byte integer or float, so
-		// storing the decoded bit pattern through a same-size pointer
-		// yields the native value.
-		out := make([]T, n)
-		for i := range out {
-			p := unsafe.Pointer(&out[i])
-			if size == 8 {
-				*(*uint64)(p) = binary.LittleEndian.Uint64(b[8*i:])
-			} else {
-				*(*uint32)(p) = binary.LittleEndian.Uint32(b[4*i:])
-			}
-		}
-		return out, nil
-	}
-	if uintptr(unsafe.Pointer(unsafe.SliceData(b)))%align != 0 {
-		return nil, fmt.Errorf("%w: misaligned flat array", ErrCorrupt)
-	}
-	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(b))), n), nil
-}
-
-// engineFromFlat assembles an engine whose bulk tables are views over the
-// image b (which must outlive the engine — the caller wires the lifetime
-// via Engine.SetMapping). It returns the engine plus the number of table
-// bytes served from the image rather than the heap.
+// engineFromFlat assembles an engine whose tables are views of the image b
+// (which must outlive the engine — the caller wires the lifetime via
+// Engine.SetMapping). It returns the engine plus the number of table bytes
+// served from the image rather than the heap.
 //
 // trusted picks the validation policy. Trusted loads CRC-verify only the
 // sections read in full anyway (space, keywords, pathfinder — their
@@ -594,199 +448,84 @@ func engineFromFlat(b []byte, trusted bool) (*search.Engine, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if !trusted {
-		for i := range img.all {
-			if err := img.all[i].checkCRC(); err != nil {
-				return nil, 0, err
-			}
+	for i := range img.all {
+		sec := &img.all[i]
+		if trusted && sec.tag != tagSpace && sec.tag != tagKeywords && sec.tag != tagPathFinder {
+			continue // a bulk section: checksumming it faults in every page
 		}
-	}
-	var aliased int64
-
-	spac := img.byTag[tagSpace]
-	if trusted {
-		if err := spac.checkCRC(); err != nil {
+		if err := sec.checkCRC(); err != nil {
 			return nil, 0, err
 		}
+	}
+
+	// With the baked derived structures the space comes up without the
+	// geometry-heavy builder replay — the largest single cost of a cold
+	// start — and the lite SPAC decode skips the per-door lists SPCD
+	// already carries. Untrusted loads (and streams from writers that omit
+	// SPCD) replay the full space record through the validating builder.
+	r := new(reader)
+	lite := trusted && img.byTag[tagDerived] != nil
+	srec, err := decodeSection(r, img.byTag[tagSpace], func(r *reader) *model.SpaceRecord {
+		return decodeSpace(r, lite)
+	})
+	if err != nil {
+		return nil, 0, err
 	}
 	var s *model.Space
-	if sec := img.byTag[tagDerived]; trusted && sec != nil {
-		// The baked derived structures let the space come up without the
-		// geometry-heavy builder replay — the largest single cost of a cold
-		// start. The CSR windows alias the mapping directly, and the lite
-		// SPAC decode skips the per-door lists SPCD already carries.
-		srec, err := decodeSpaceMode(spac.b, true)
-		if err != nil {
-			return nil, 0, fmt.Errorf("section %s: %w", tagSpace, err)
+	if lite {
+		der, derr := decodeSection(r, img.byTag[tagDerived], decodeDerived)
+		if derr != nil {
+			return nil, 0, derr
 		}
-		dv, err := parseSpcdFlat(sec.b)
-		if err != nil {
-			return nil, 0, fmt.Errorf("section %s: %w", tagDerived, err)
-		}
-		der := &model.DerivedRecord{}
-		if der.EnterOff, err = alias[int32](dv.enterOff, dv.nP+1); err != nil {
-			return nil, 0, err
-		}
-		if der.LeaveOff, err = alias[int32](dv.leaveOff, dv.nP+1); err != nil {
-			return nil, 0, err
-		}
-		if der.EnterDoors, err = alias[model.DoorID](dv.enterDoors, dv.nE); err != nil {
-			return nil, 0, err
-		}
-		if der.LeaveDoors, err = alias[model.DoorID](dv.leaveDoors, dv.nL); err != nil {
-			return nil, 0, err
-		}
-		if der.DoorEnterOff, err = alias[int32](dv.doorEnterOff, dv.nD+1); err != nil {
-			return nil, 0, err
-		}
-		if der.DoorLeaveOff, err = alias[int32](dv.doorLeaveOff, dv.nD+1); err != nil {
-			return nil, 0, err
-		}
-		if der.DoorEnterParts, err = alias[model.PartitionID](dv.doorEnterParts, dv.nE); err != nil {
-			return nil, 0, err
-		}
-		if der.DoorLeaveParts, err = alias[model.PartitionID](dv.doorLeaveParts, dv.nL); err != nil {
-			return nil, 0, err
-		}
-		if der.SelfLoopOff, err = alias[int32](dv.selfOff, dv.nD+1); err != nil {
-			return nil, 0, err
-		}
-		if der.SelfLoopPart, err = alias[model.PartitionID](dv.selfPart, dv.nS); err != nil {
-			return nil, 0, err
-		}
-		if der.SelfLoopDist, err = alias[float64](dv.selfDist, dv.nS); err != nil {
-			return nil, 0, err
-		}
-		if s, err = model.SpaceFromRecordDerived(srec, der); err != nil {
-			return nil, 0, fmt.Errorf("%w: restoring space: %w", ErrCorrupt, err)
-		}
+		s, err = model.SpaceFromRecordDerived(srec, der)
 	} else {
-		// Untrusted loads (and streams from writers that omit SPCD)
-		// replay the full space record through the validating builder.
-		srec, err := decodeSpaceMode(spac.b, false)
-		if err != nil {
-			return nil, 0, fmt.Errorf("section %s: %w", tagSpace, err)
-		}
-		if s, err = model.SpaceFromRecord(srec); err != nil {
-			return nil, 0, fmt.Errorf("%w: restoring space: %w", ErrCorrupt, err)
-		}
+		s, err = model.SpaceFromRecord(srec)
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("%w: restoring space: %w", ErrCorrupt, err)
 	}
 
-	kws := img.byTag[tagKeywords]
-	if trusted {
-		if err := kws.checkCRC(); err != nil {
-			return nil, 0, err
-		}
-	}
-	kw, err := parseKwrdFlat(kws.b)
-	if err != nil {
-		return nil, 0, fmt.Errorf("section %s: %w", tagKeywords, err)
-	}
-	sr := &reader{b: kw.strs}
-	iwords := decodeStrings(sr, kw.nI)
-	twords := decodeStrings(sr, kw.nT)
-	if err := sr.done(); err != nil {
-		return nil, 0, fmt.Errorf("section %s: %w", tagKeywords, err)
-	}
-	i2tOff, err := alias[int32](kw.i2tOff, kw.nI+1)
+	kt, err := decodeSection(r, img.byTag[tagKeywords], decodeKeywords)
 	if err != nil {
 		return nil, 0, err
 	}
-	i2tVals, err := alias[keyword.TWordID](kw.i2tVals, kw.nE)
-	if err != nil {
-		return nil, 0, err
-	}
-	p2i, err := alias[keyword.IWordID](kw.p2i, kw.nP)
-	if err != nil {
-		return nil, 0, err
-	}
-	x, err := keyword.IndexFromFlat(iwords, twords, i2tOff, i2tVals, p2i)
+	x, err := keyword.IndexFromFlat(kt)
 	if err != nil {
 		return nil, 0, fmt.Errorf("%w: restoring keyword index: %w", ErrCorrupt, err)
 	}
-	aliased += int64(len(kw.i2tVals) + len(kw.p2i))
 
-	ps := img.byTag[tagPathFinder]
-	if trusted {
-		if err := ps.checkCRC(); err != nil {
-			return nil, 0, err
-		}
-	}
-	pv, err := parsePathFlat(ps.b)
-	if err != nil {
-		return nil, 0, fmt.Errorf("section %s: %w", tagPathFinder, err)
-	}
-	states, err := alias[int32](pv.states, 2*pv.nS)
+	pt, err := decodeSection(r, img.byTag[tagPathFinder], decodePathFinder)
 	if err != nil {
 		return nil, 0, err
 	}
-	arcCounts, err := alias[int32](pv.arcCounts, pv.nS)
-	if err != nil {
-		return nil, 0, err
-	}
-	arcTo, err := alias[int32](pv.arcTo, pv.nA)
-	if err != nil {
-		return nil, 0, err
-	}
-	arcW, err := alias[float64](pv.arcW, pv.nA)
-	if err != nil {
-		return nil, 0, err
-	}
-	pf, err := graph.PathFinderFromFlat(s, states, arcCounts, arcTo, arcW)
+	pf, err := graph.PathFinderFromFlat(s, pt)
 	if err != nil {
 		return nil, 0, fmt.Errorf("%w: restoring state graph: %w", ErrCorrupt, err)
 	}
 
-	sv, err := parseSkelFlat(img.byTag[tagSkeleton].b)
-	if err != nil {
-		return nil, 0, fmt.Errorf("section %s: %w", tagSkeleton, err)
-	}
-	doors, err := alias[int32](sv.doors, sv.n)
+	st, err := decodeSection(r, img.byTag[tagSkeleton], decodeSkeleton)
 	if err != nil {
 		return nil, 0, err
 	}
-	dist, err := alias[float64](sv.dist, sv.n*sv.n)
-	if err != nil {
-		return nil, 0, err
-	}
-	sk, err := graph.SkeletonFromFlat(s, doors, dist, trusted)
+	sk, err := graph.SkeletonFromFlat(s, st, trusted)
 	if err != nil {
 		return nil, 0, fmt.Errorf("%w: restoring skeleton: %w", ErrCorrupt, err)
 	}
-	aliased += int64(len(sv.dist))
+	// The tables the engine keeps serving from the image.
+	aliased := int64(4*(len(kt.I2TVals)+len(kt.P2I)) + 8*len(st.Dist))
 
 	var ds graph.DistanceSource
 	if sec := img.byTag[tagOracle]; sec != nil {
-		ov, err := parseOrclFlat(sec.b)
-		if err != nil {
-			return nil, 0, fmt.Errorf("section %s: %w", tagOracle, err)
-		}
-		hubs, err := alias[graph.StateID](ov.hubs, ov.nH)
+		ot, err := decodeSection(r, sec, decodeOracle)
 		if err != nil {
 			return nil, 0, err
 		}
-		hubOff, err := alias[int32](ov.hubOff, ov.nOff)
-		if err != nil {
-			return nil, 0, err
-		}
-		toHub, err := alias[float64](ov.toHub, ov.nT)
-		if err != nil {
-			return nil, 0, err
-		}
-		fromHub, err := alias[float64](ov.fromHub, ov.nT)
-		if err != nil {
-			return nil, 0, err
-		}
-		hubDist, err := alias[float64](ov.hubDist, ov.nH*ov.nH)
-		if err != nil {
-			return nil, 0, err
-		}
-		orc, err := graph.OracleFromFlat(pf, hubs, hubOff, toHub, fromHub, hubDist, trusted)
+		orc, err := graph.OracleFromFlat(pf, ot, trusted)
 		if err != nil {
 			return nil, 0, fmt.Errorf("%w: restoring KoE* oracle: %w", ErrCorrupt, err)
 		}
 		ds = orc
-		aliased += int64(len(ov.toHub) + len(ov.fromHub) + len(ov.hubDist))
+		aliased += int64(8 * (len(ot.ToHub) + len(ot.FromHub) + len(ot.HubDist)))
 	}
 
 	e, err := search.NewEngineFromParts(s, x, pf, sk, ds)

@@ -70,19 +70,7 @@ func flatEquivalence(t *testing.T, eng *search.Engine, reqs []search.Request, ca
 		}
 	}
 
-	modes := []struct {
-		name string
-		load func() (*search.Engine, error)
-	}{
-		{"load", func() (*search.Engine, error) { return snapshot.LoadEngine(bytes.NewReader(data)) }},
-		{"trusted", func() (*search.Engine, error) { return snapshot.EngineFromFlatTrusted(data) }},
-		{"opened", func() (*search.Engine, error) { return snapshot.OpenEngine(path) }},
-		{"big-endian", func() (*search.Engine, error) {
-			defer snapshot.SetHostLittleEndian(false)()
-			return snapshot.OpenEngine(path)
-		}},
-	}
-	for _, m := range modes {
+	for _, m := range loadModes(data, path) {
 		e, err := m.load()
 		if err != nil {
 			t.Fatalf("%s: %v", m.name, err)
@@ -105,6 +93,80 @@ func flatEquivalence(t *testing.T, eng *search.Engine, reqs []search.Request, ca
 		if err := e.Close(); err != nil {
 			t.Fatalf("%s: Close: %v", m.name, err)
 		}
+	}
+}
+
+// loadMode is one way to assemble an engine from a bake.
+type loadMode struct {
+	name string
+	load func() (*search.Engine, error)
+}
+
+// loadModes lists the four ways a bake is served, over the stream data and
+// the same bytes written to path: LoadEngine (untrusted), the trusted
+// reader over an aligned heap copy, OpenEngine on the file, and OpenEngine
+// in the big-endian copy mode.
+func loadModes(data []byte, path string) []loadMode {
+	return []loadMode{
+		{"load", func() (*search.Engine, error) { return snapshot.LoadEngine(bytes.NewReader(data)) }},
+		{"trusted", func() (*search.Engine, error) { return snapshot.EngineFromFlatTrusted(data) }},
+		{"opened", func() (*search.Engine, error) { return snapshot.OpenEngine(path) }},
+		{"big-endian", func() (*search.Engine, error) {
+			defer snapshot.SetHostLittleEndian(false)()
+			return snapshot.OpenEngine(path)
+		}},
+	}
+}
+
+// TestRebakeIdentity is the encode/decode symmetry gate: a bake served in
+// each of the four load modes re-bakes to the same bytes, so the reader
+// hands every section's tables back exactly as the writer laid them out.
+// It covers the real mall with its oracle and the 2-floor synthetic mall
+// bare (no ORCL section).
+func TestRebakeIdentity(t *testing.T) {
+	realMall, _, realIdx, err := gen.RealMall(gen.RealConfig{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	realEng := search.NewEngine(realMall.Space, realIdx)
+	realEng.Precompute()
+	synth, _, synthIdx, err := gen.SyntheticMall(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bakes := []struct {
+		name string
+		eng  *search.Engine
+	}{
+		{"real mall with oracle", realEng},
+		{"2-floor synthetic bare", search.NewEngine(synth.Space, synthIdx)},
+	}
+	for _, bk := range bakes {
+		t.Run(bk.name, func(t *testing.T) {
+			data := snapshotBytes(t, bk.eng)
+			path := filepath.Join(t.TempDir(), "bake.ikrq")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range loadModes(data, path) {
+				e, err := m.load()
+				if err != nil {
+					t.Fatalf("%s: %v", m.name, err)
+				}
+				got := snapshotBytes(t, e)
+				if !bytes.Equal(got, data) {
+					at := 0
+					for at < min(len(got), len(data)) && got[at] == data[at] {
+						at++
+					}
+					t.Errorf("%s: re-bake differs from the original (%d vs %d bytes, first difference at byte %d)",
+						m.name, len(got), len(data), at)
+				}
+				if err := e.Close(); err != nil {
+					t.Fatalf("%s: Close: %v", m.name, err)
+				}
+			}
+		})
 	}
 }
 
@@ -456,6 +518,22 @@ func TestForgedSkeletonRejected(t *testing.T) {
 				t.Fatalf("trusted reader: got %v, want ErrCorrupt", err)
 			}
 		})
+	}
+}
+
+// TestKeywordCountOverflowRejected: a KWRD section whose t-word count is
+// far beyond what its payload can hold, with the CRC recomputed, fails with
+// ErrCorrupt in both trust modes instead of sizing a slice from the count.
+func TestKeywordCountOverflowRejected(t *testing.T) {
+	b := snapshotBytes(t, tinyEngine(t))
+	_, off, _ := dirEntry(t, b, "KWRD")
+	binary.LittleEndian.PutUint64(b[off+8:], 1<<60) // past the u64 i-word count
+	fixCRC(t, b, "KWRD")
+	if _, err := snapshot.LoadEngine(bytes.NewReader(b)); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("LoadEngine: got %v, want ErrCorrupt", err)
+	}
+	if _, err := snapshot.EngineFromFlatTrusted(b); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("trusted reader: got %v, want ErrCorrupt", err)
 	}
 }
 

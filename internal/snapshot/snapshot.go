@@ -35,8 +35,6 @@ package snapshot
 import (
 	"errors"
 
-	"ikrq/internal/graph"
-	"ikrq/internal/keyword"
 	"ikrq/internal/model"
 )
 
@@ -78,23 +76,6 @@ var (
 	// duplicate sections, counts or IDs that do not fit the payload.
 	ErrCorrupt = errors.New("snapshot: corrupt")
 )
-
-// Snapshot holds the records of one engine's index layer, the input of
-// Encode. Oracle is nil when the snapshot carries no baked KoE* backend.
-type Snapshot struct {
-	Space      *model.SpaceRecord
-	Keywords   *keyword.IndexRecord
-	PathFinder *graph.PathFinderRecord
-	Skeleton   *graph.SkeletonRecord
-	Oracle     *graph.OracleRecord
-
-	// Derived optionally carries the space's derived structures for the
-	// SPCD section, sparing the trusted loader the builder replay. When nil,
-	// Encode recomputes it from Space (deterministic, so the baked bytes
-	// are identical either way). The untrusted reader ignores SPCD: there
-	// the space is always rebuilt and revalidated from Space.
-	Derived *model.DerivedRecord
-}
 
 // --- space section ---
 
@@ -145,11 +126,10 @@ func encodeSpace(rec *model.SpaceRecord) []byte {
 	return w.buf
 }
 
-// decodeSpaceMode decodes the SPAC section. In lite mode it leaves the
+// decodeSpace decodes the SPAC section. In lite mode it leaves the
 // per-door enterable/leaveable lists nil: the trusted loader adopts those
 // from the SPCD CSRs instead, sparing one heap slice pair per door.
-func decodeSpaceMode(b []byte, lite bool) (*model.SpaceRecord, error) {
-	r := &reader{b: b}
+func decodeSpace(r *reader, lite bool) *model.SpaceRecord {
 	rec := &model.SpaceRecord{}
 	// Minimum encoded sizes: a partition is name-len(4) + kind(1) +
 	// bounds(32) + floor(4) = 41 bytes, a door pos(20) + stair(1) + two
@@ -203,8 +183,5 @@ func decodeSpaceMode(b []byte, lite bool) (*model.SpaceRecord, error) {
 		sw.Lift = r.u8() != 0
 		rec.Stairways = append(rec.Stairways, sw)
 	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return rec, nil
+	return rec
 }
