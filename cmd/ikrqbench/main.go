@@ -17,7 +17,8 @@
 // the per-query hot path of every Table III variant plus the graph
 // kernel, writing machine-readable per-variant ns/op, B/op and
 // allocs/op to the given file (the BENCH.json tracked at the repo root)
-// and a summary table to stdout. -benchdiff re-measures the same sweep and
+// and a summary table to stdout. -benchdiff re-measures the same sweep at
+// the baseline's GOMAXPROCS (warning when the Go minor version differs) and
 // exits non-zero if allocs/op drifted from the given baseline in either
 // direction (ns/op is printed but advisory — shared runners time too
 // noisily to gate on); CI runs it against the committed BENCH.json.
@@ -192,6 +193,11 @@ func mainImpl() int {
 		f.Close()
 		if err != nil {
 			return cli.Fail(os.Stderr, "ikrqbench", err)
+		}
+		procs, warning := bench.MatchBaseline(baseline)
+		fmt.Printf("benchdiff: measuring at the baseline's GOMAXPROCS=%d\n", procs)
+		if warning != "" {
+			fmt.Fprintln(os.Stderr, "ikrqbench: warning:", warning)
 		}
 		rep, err := bench.RunPerf(cfg)
 		if err != nil {

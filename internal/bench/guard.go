@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
+	"strings"
 )
 
 // This file is the bench-regression guard behind `ikrqbench -benchdiff`:
@@ -24,6 +26,35 @@ func ReadPerfReport(r io.Reader) (*PerfReport, error) {
 		return nil, fmt.Errorf("bench: decoding baseline report: %w", err)
 	}
 	return &rep, nil
+}
+
+// MatchBaseline sets GOMAXPROCS to the baseline's before a re-measure.
+// Pooled scratch comes from per-P sync.Pool caches, so allocs/op move with
+// the P count: an unchanged tree re-measured at GOMAXPROCS=2 against a
+// baseline recorded at 1 reads ToE\P's allocs/op 29 -> 45. It returns the
+// GOMAXPROCS in force and, when the running Go minor version differs from
+// the baseline's, a warning: runtime internals may change allocation
+// behavior across minors, which no setting can match.
+func MatchBaseline(baseline *PerfReport) (procs int, warning string) {
+	if baseline.GoMaxProcs > 0 {
+		runtime.GOMAXPROCS(baseline.GoMaxProcs)
+	}
+	if goMinor(baseline.GoVersion) != goMinor(runtime.Version()) {
+		warning = fmt.Sprintf("baseline measured with %s, running %s: allocation counts may differ across Go minor versions",
+			baseline.GoVersion, runtime.Version())
+	}
+	return runtime.GOMAXPROCS(0), warning
+}
+
+// goMinor cuts a Go version string after its minor version ("go1.24.0"
+// -> "go1.24"); a string without a patch part is returned whole.
+func goMinor(v string) string {
+	major, rest, ok := strings.Cut(v, ".")
+	if !ok {
+		return v
+	}
+	minor, _, _ := strings.Cut(rest, ".")
+	return major + "." + minor
 }
 
 // exactIterFloor is the baseline iteration count above which allocs/op are
@@ -84,10 +115,15 @@ func (d AllocDiff) String() string {
 // baseline and returns every per-variant, kernel-row and keyword-row
 // comparison plus the failing subset (rows the baseline lacks are not
 // compared). Reports from different suites or ToE\P caps measure different
-// work and refuse to compare.
+// work, and reports at different GOMAXPROCS count different pool
+// allocations: both refuse to compare.
 func DiffAllocs(baseline, current *PerfReport) (all []AllocDiff, regressed []AllocDiff, err error) {
 	if baseline.Suite != current.Suite {
 		return nil, nil, fmt.Errorf("bench: baseline suite %q vs current %q; not comparable", baseline.Suite, current.Suite)
+	}
+	if baseline.GoMaxProcs > 0 && baseline.GoMaxProcs != current.GoMaxProcs {
+		return nil, nil, fmt.Errorf("bench: baseline GOMAXPROCS %d vs current %d; per-P pools move allocs/op, so measure at the baseline's (MatchBaseline)",
+			baseline.GoMaxProcs, current.GoMaxProcs)
 	}
 	if baseline.CapExpansions != current.CapExpansions {
 		return nil, nil, fmt.Errorf("bench: baseline ToE\\P cap %d vs current %d; rerun with matching -quick/-cap",

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -86,9 +87,43 @@ func TestDiffAllocsRefusesMismatchedRuns(t *testing.T) {
 	if _, _, err := DiffAllocs(base, other); err == nil {
 		t.Error("cap mismatch accepted")
 	}
+	other = guardReport(map[string]int64{"ToE": 801}, 600)
+	other.GoMaxProcs = 2
+	if _, _, err := DiffAllocs(base, other); err == nil {
+		t.Error("GOMAXPROCS mismatch accepted")
+	}
 	other = guardReport(map[string]int64{"KoE": 122}, 600)
 	if _, _, err := DiffAllocs(base, other); err == nil {
 		t.Error("missing variant accepted")
+	}
+}
+
+// TestMatchBaseline: the re-measure runs at the baseline's GOMAXPROCS, and
+// only a Go minor version that differs from the baseline's draws a warning.
+func TestMatchBaseline(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	minor := goMinor(runtime.Version())
+	for _, tc := range []struct {
+		procs   int
+		version string
+		warn    bool
+	}{
+		{1, minor + ".99", false},
+		{2, minor, false},
+		{1, "go1.7.6", true},
+	} {
+		base := guardReport(nil, 600)
+		base.GoMaxProcs, base.GoVersion = tc.procs, tc.version
+		procs, warning := MatchBaseline(base)
+		if procs != tc.procs || runtime.GOMAXPROCS(0) != tc.procs {
+			t.Errorf("baseline at GOMAXPROCS=%d: measuring at %d (runtime %d)", tc.procs, procs, runtime.GOMAXPROCS(0))
+		}
+		if (warning != "") != tc.warn {
+			t.Errorf("baseline %s under %s: warning %q, want one: %v", tc.version, runtime.Version(), warning, tc.warn)
+		}
+	}
+	if got := goMinor("go1.24.0"); got != "go1.24" {
+		t.Errorf(`goMinor("go1.24.0") = %q, want "go1.24"`, got)
 	}
 }
 

@@ -262,7 +262,7 @@ func (c Costs) delay(d model.DoorID) float64 {
 // exhaust the graph (ShortestTreeWS, DistancesFromPoint, the hub sweep).
 func (pf *PathFinder) dijkstra(ws *Workspace, seeds []Seed, costs Costs, targets []StateID) {
 	pf.start(ws, seeds)
-	pf.settle(ws, pf.adj, costs, targets, nil)
+	pf.settle(ws, pf.adj, costs, targets, nil, NoStop)
 }
 
 // start begins a run on ws: the previous run's tables are invalidated and
@@ -311,8 +311,14 @@ func (pf *PathFinder) start(ws *Workspace, seeds []Seed) {
 // t ends at dist(t) ≥ du, and float addition is monotone, so fl(dist(t) +
 // leg(t)) ≥ fl(du + leg(t)) ≥ fl(du + minLeg) > best — no unsettled target
 // can beat or tie the best, whatever the list order. Callers of a point
-// search read only settled targets, and never resume it: its unsettled
-// targets stay marked.
+// search read only settled targets.
+//
+// stop is a distance stop (DistStop): the run also pauses once du is
+// beyond it, which is exact for the same reason — every unsettled target
+// ends at or beyond du, so beyond the stop too. A run paused by either stop
+// unmarks its unsettled targets, so it stays resumable: settle counts a
+// call's targets from the per-epoch marks, and a stale mark would end a
+// later call as soon as that target settled. NoStop never fires.
 //
 // Ties on distance break on the arrival state's ID. States are numbered in
 // strictly increasing (door, partition) order — NewPathFinder enumerates
@@ -326,7 +332,7 @@ func (pf *PathFinder) start(ws *Workspace, seeds []Seed) {
 // with it every settled dist/parent entry — is the seed kernel's,
 // independent of the queue's layout and of where a run pauses (the graph
 // oracles diff it against the seed kernel kept in the tests).
-func (pf *PathFinder) settle(ws *Workspace, adj [][]arc, costs Costs, targets []StateID, legs []float64) {
+func (pf *PathFinder) settle(ws *Workspace, adj [][]arc, costs Costs, targets []StateID, legs []float64, stop DistStop) {
 	remaining := 0
 	for _, t := range targets {
 		if t != NoState && ws.settled[t] != ws.epoch && ws.target[t] != ws.epoch {
@@ -374,11 +380,48 @@ func (pf *PathFinder) settle(ws *Workspace, adj [][]arc, costs Costs, targets []
 				best, minLeg = ws.pointStop(targets, legs)
 			}
 		}
-		if du+minLeg > best {
-			return // point stop: no unsettled target can beat or tie best
+		if du+minLeg > best || stop.Beyond(du) {
+			// No unsettled target can beat or tie best, or fit the stop.
+			for _, t := range targets {
+				if t != NoState && ws.settled[t] != ws.epoch {
+					ws.target[t] = 0 // epoch 0 is never live
+				}
+			}
+			return
 		}
 	}
 }
+
+// DistStop is a distance stop for a kernel run (StopAt). KoE reads a path
+// under one, with base the stamp's distance, rem a lower bound on the walk
+// after the target and cap the query's Δ: a target beyond it cannot yield a
+// route within Δ. Float addition is monotone, so once a settled distance is
+// beyond the stop every unsettled state is too.
+type DistStop struct{ base, rem, limit float64 }
+
+// SumSlack is the relative headroom that a test against Δ keeps when its
+// bound sums path lengths in another order than the route it guards. The
+// search splices a path by adding its hop lengths onto the stamp's
+// distance one by one, the kernel sums the same lengths from the seed, a
+// distance stop adds rem in between, and the oracle's labels sum a path
+// around a hub: orders whose float totals differ by about n·2⁻⁵² of the
+// total over n hops. A test exactly at Δ can then drop a route that ends
+// at Δ; strict distance stops and strict backend-bound tests did, with Δ
+// set to a route's distance. 2⁻³⁰ covers millions of hops and is far below
+// any distance that matters (2.4 µm at 2.5 km).
+const SumSlack = 0x1p-30
+
+// StopAt returns the distance stop beyond which a state at distance d from
+// the seeds has base + (rem + d) > cap, with SumSlack's headroom.
+func StopAt(base, rem, cap float64) DistStop {
+	return DistStop{base: base, rem: rem, limit: cap + cap*SumSlack}
+}
+
+// NoStop is the distance stop that never fires.
+var NoStop = DistStop{limit: math.Inf(1)}
+
+// Beyond reports whether distance d is beyond the stop.
+func (st DistStop) Beyond(d float64) bool { return st.base+(st.rem+d) > st.limit }
 
 // pointStop returns the point stop's two terms over targets and their
 // legs: the least dist+leg among settled targets and the least leg among
@@ -497,7 +540,7 @@ func (pf *PathFinder) ShortestTreeWS(ws *Workspace, seeds []Seed, costs Costs) *
 // its answer.
 func (pf *PathFinder) ShortestTreeToStatesWS(ws *Workspace, seeds []Seed, targets []StateID, legs []float64, costs Costs) *Tree {
 	pf.start(ws, seeds)
-	pf.settle(ws, pf.adj, costs, targets, legs)
+	pf.settle(ws, pf.adj, costs, targets, legs, NoStop)
 	ws.tree = Tree{pf: pf, ws: ws, epoch: ws.epoch, seeds: seeds}
 	return &ws.tree
 }

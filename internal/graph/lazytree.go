@@ -37,14 +37,15 @@ func (pf *PathFinder) LazyTreeWS(ws *Workspace, seeds []Seed, costs Costs) *Lazy
 	return lt
 }
 
-// resume runs the paused kernel until s settles; false means s is
-// unreachable from the seeds (the frontier drained first).
-func (lt *LazyTree) resume(s StateID) bool {
+// resume runs the paused kernel until s settles or the run settles a state
+// beyond stop; false means s did not settle (unreachable from the seeds, or
+// left beyond a stop that fired first).
+func (lt *LazyTree) resume(s StateID, stop DistStop) bool {
 	t := &lt.tree
 	if !t.settled(s) {
 		ws := t.ws
 		ws.tbuf = append(ws.tbuf[:0], s)
-		t.pf.settle(ws, t.pf.adj, lt.costs, ws.tbuf, nil)
+		t.pf.settle(ws, t.pf.adj, lt.costs, ws.tbuf, nil, stop)
 	}
 	return t.settled(s)
 }
@@ -54,10 +55,25 @@ func (lt *LazyTree) resume(s StateID) bool {
 // resuming the paused run as far as needed. ok is false when s is
 // unreachable.
 func (lt *LazyTree) AppendPathTo(dst []Hop, s StateID) ([]Hop, bool) {
-	if !lt.resume(s) {
-		return dst, false
+	dst, ok, _ := lt.AppendPathWithin(dst, s, NoStop)
+	return dst, ok
+}
+
+// AppendPathWithin is AppendPathTo under a distance stop: it reads s only
+// when s's distance is within stop, and resumes the run no further than the
+// first settled state beyond it. beyond reports that s lies beyond the stop
+// (or is unreachable, when the stop fired before the frontier drained); ok
+// is false then, and when s is unreachable. The paused run stays resumable
+// for any later read, s included.
+func (lt *LazyTree) AppendPathWithin(dst []Hop, s StateID, stop DistStop) (hops []Hop, ok, beyond bool) {
+	if !lt.resume(s, stop) {
+		return dst, false, lt.tree.ws.qMask != 0
 	}
-	return lt.tree.AppendPathTo(dst, s)
+	if stop.Beyond(lt.tree.Dist(s)) {
+		return dst, false, true
+	}
+	hops, ok = lt.tree.AppendPathTo(dst, s)
+	return hops, ok, false
 }
 
 // AppendPathIfAllowed is AppendPathTo on a zero-Costs run under the
@@ -77,7 +93,7 @@ func (lt *LazyTree) AppendPathIfAllowed(dst []Hop, s StateID, costs Costs) ([]Ho
 // Dist returns the run's distance to s, resuming as needed; +Inf when
 // unreachable.
 func (lt *LazyTree) Dist(s StateID) float64 {
-	if !lt.resume(s) {
+	if !lt.resume(s, NoStop) {
 		return math.Inf(1)
 	}
 	return lt.tree.Dist(s)

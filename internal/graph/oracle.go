@@ -182,7 +182,7 @@ func newOracleWorkers(pf *PathFinder, workers int) *Oracle {
 		// Backward: δ(· → hub) via the reverse graph fills the toHub
 		// column for hub's own floor.
 		pf.start(ws, seed[:])
-		pf.settle(ws, radj, Costs{}, nil, nil)
+		pf.settle(ws, radj, Costs{}, nil, nil, NoStop)
 		for _, a := range floorStates[f] {
 			o.toHub[o.stateOff[a]+local] = ws.distAt(a)
 		}

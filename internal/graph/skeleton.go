@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 
 	"ikrq/internal/geom"
 	"ikrq/internal/model"
@@ -162,6 +163,93 @@ func (sk *Skeleton) LowerBound(a, b geom.Point) float64 {
 				if v := da + s2s + tail[j]; v < best {
 					best = v
 				}
+			}
+		}
+	}
+	return best
+}
+
+// StairRow is a point p's share of every cross-floor bound from it, for a
+// query that bounds |p, b|L to many points b: row[j] is the least
+// |p, sdA| + δs2s(sdA, sj) over the staircase doors sdA on p's floor, for
+// every staircase door sj. Fill it with FillStairRow and read it with
+// BoundFrom. It owns its buffer, so a pooled row is refilled in place.
+type StairRow struct {
+	p   geom.Point
+	row []float64
+}
+
+// FillStairRow fills r for bounds from p.
+func (sk *Skeleton) FillStairRow(r *StairRow, p geom.Point) {
+	n := len(sk.doors)
+	r.p = p
+	r.row = slices.Grow(r.row[:0], n)[:n]
+	for j := range r.row {
+		r.row[j] = math.Inf(1)
+	}
+	a0, a1 := sk.floorDoors(p.Floor)
+	for i := a0; i < a1; i++ {
+		da := p.PlanarDist(sk.pos[i])
+		for j, s2s := range sk.d[i*n : (i+1)*n] {
+			if v := da + s2s; v < r.row[j] {
+				r.row[j] = v
+			}
+		}
+	}
+}
+
+// BoundFrom returns LowerBound(p, b) for r's point p, bit for bit: across
+// floors the least row[j] + |sj, b| over the staircase doors sj on b's
+// floor. Rounding is monotone, so fl(min_i x_i + t) = min_i fl(x_i + t):
+// each candidate keeps LowerBound's (da + δs2s) + db sum, and the row
+// takes the least over sdA before adding db instead of after.
+func (sk *Skeleton) BoundFrom(r *StairRow, b geom.Point) float64 {
+	if r.p.Floor == b.Floor {
+		return r.p.PlanarDist(b)
+	}
+	b0, b1 := sk.floorDoors(b.Floor)
+	best := math.Inf(1)
+	for j, g := range r.row[b0:b1] {
+		if v := g + b.PlanarDist(sk.pos[b0+j]); v < best {
+			best = v
+		}
+	}
+	return best
+}
+
+// StairLegs is a point p's planar legs to the staircase doors on its
+// floor, for a query that bounds |a, p|L from many points a. Fill it with
+// FillStairLegs and read it with BoundTo.
+type StairLegs struct {
+	p    geom.Point
+	legs []float64
+}
+
+// FillStairLegs fills l for bounds to p.
+func (sk *Skeleton) FillStairLegs(l *StairLegs, p geom.Point) {
+	b0, b1 := sk.floorDoors(p.Floor)
+	l.p = p
+	l.legs = l.legs[:0]
+	for j := b0; j < b1; j++ {
+		l.legs = append(l.legs, p.PlanarDist(sk.pos[j]))
+	}
+}
+
+// BoundTo returns LowerBound(a, p) for l's point p, bit for bit: the same
+// sums over the same pairs, with p's legs read instead of recomputed.
+func (sk *Skeleton) BoundTo(a geom.Point, l *StairLegs) float64 {
+	if a.Floor == l.p.Floor {
+		return a.PlanarDist(l.p)
+	}
+	a0, a1 := sk.floorDoors(a.Floor)
+	b0, b1 := sk.floorDoors(l.p.Floor)
+	n := len(sk.doors)
+	best := math.Inf(1)
+	for i := a0; i < a1; i++ {
+		da := a.PlanarDist(sk.pos[i])
+		for j, s2s := range sk.d[i*n+b0 : i*n+b1] {
+			if v := da + s2s + l.legs[j]; v < best {
+				best = v
 			}
 		}
 	}

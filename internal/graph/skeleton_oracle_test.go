@@ -22,6 +22,13 @@ import (
 // every door and each other.
 func TestSkeletonBoundOracle(t *testing.T) { bothMalls(t, boundOracle) }
 
+// TestStairRowBoundOracle checks the per-query staircase rows against
+// LowerBound, bit for bit, through both a StairRow and StairLegs: every
+// boundStride-th door and the query generator's start points, each to and
+// from every door, and to the generator's end points. Same-floor pairs are
+// checked too, since the rows answer them as well.
+func TestStairRowBoundOracle(t *testing.T) { bothMalls(t, stairRowOracle) }
+
 // TestPartitionBoundOracle checks the host-taking PartitionBound with the
 // hosts the searcher passes: Rule 3's bound from the query generator's
 // start points through every partition to its end points, and the via
@@ -130,4 +137,55 @@ func partitionBoundOracle(t *testing.T, mall *gen.Mall, qg *gen.QueryGen, cfg ge
 		}
 	}
 	t.Logf("%d bounds checked", checked)
+}
+
+func stairRowOracle(t *testing.T, mall *gen.Mall, qg *gen.QueryGen, cfg gen.QueryConfig) {
+	t.Helper()
+	s := mall.Space
+	sk := graph.NewSkeleton(s)
+	var row graph.StairRow
+	var legs graph.StairLegs
+	same, cross := 0, 0
+	check := func(a, b geom.Point) {
+		want := sk.LowerBound(a, b)
+		sk.FillStairRow(&row, a)
+		sk.FillStairLegs(&legs, b)
+		for _, got := range []float64{sk.BoundFrom(&row, b), sk.BoundTo(a, &legs)} {
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("|%v, %v|L from the staircase rows = %v (%#x), LowerBound %v (%#x)",
+					a, b, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+		if a.Floor == b.Floor {
+			same++
+		} else {
+			cross++
+		}
+	}
+	cfg.Instances = 8
+	reqs, err := qg.Instances(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doors := s.Doors()
+	var points []geom.Point
+	for i := 3; i < len(doors); i += boundStride {
+		points = append(points, doors[i].Pos)
+	}
+	for _, r := range reqs {
+		points = append(points, r.Ps)
+	}
+	for _, a := range points {
+		for _, d := range doors {
+			check(a, d.Pos)
+			check(d.Pos, a)
+		}
+		for _, r := range reqs {
+			check(a, r.Pt)
+		}
+	}
+	if same == 0 || cross == 0 {
+		t.Fatalf("%d same-floor and %d cross-floor pairs checked; want both", same, cross)
+	}
+	t.Logf("%d same-floor and %d cross-floor pairs checked", same, cross)
 }

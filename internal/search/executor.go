@@ -112,6 +112,15 @@ type execScratch struct {
 	lbToPt     memo[model.DoorID, float64]
 	doorHosts  memo[model.DoorID, model.PartitionID]
 
+	// psStairs and ptStairs back the searcher's per-query staircase rows
+	// (plain values, capacity retained across queries).
+	psStairs graph.StairRow
+	ptStairs graph.StairLegs
+
+	// seqRem backs a sequence query's Δ-bound memo (seqChain.rem), by
+	// kernel state; epoch-stamped like the memos above.
+	seqRem memo[graph.StateID, float64]
+
 	// ptStates/ptLegs back the searcher's KoE* backend-bound target tables
 	// (plain values, capacity retained across queries).
 	ptStates []graph.StateID
@@ -190,11 +199,15 @@ func (sc *execScratch) prepare(e *Engine, q *keyword.Query, req Request, opt Opt
 		bounds:       &sc.bounds,
 		lbToPtMemo:   &sc.lbToPt,
 		doorHosts:    &sc.doorHosts,
+		psStairs:     &sc.psStairs,
+		ptStairs:     &sc.ptStairs,
 		scratch:      sc,
 	}
 	sc.bounds.reset(e.s.NumPartitions())
 	sc.lbToPt.reset(nd)
 	sc.doorHosts.reset(nd)
+	e.sk.FillStairRow(&sc.psStairs, req.Ps)
+	e.sk.FillStairLegs(&sc.ptStairs, req.Pt)
 	sr.maxRho = q.MaxRelevance()
 	sr.cap = req.Delta * (1 + opt.SoftDeltaSlack)
 	sr.gamma = opt.PopularityWeight
@@ -340,14 +353,20 @@ func (a *arena[T]) alloc() *T {
 	}
 }
 
-// idSet is an epoch-stamped dense set of partition or door IDs — the
+// denseID is a key type of the per-query dense tables: partition, door or
+// kernel state IDs, all small non-negative integers.
+type denseID interface {
+	model.PartitionID | model.DoorID | graph.StateID
+}
+
+// idSet is an epoch-stamped dense set of IDs (denseID) — the
 // graph.Workspace trick applied to the searcher's bookkeeping. Membership
 // is mark[v] == epoch, so reset is one epoch bump instead of an O(n) clear
 // or a hash-map wipe, add/remove/contains are single array accesses, and
 // the mark array (plain uint32s, no references) needs no release-time
 // clearing. Epoch 0 is never live: reset starts at 1 and wraps back to 1
 // after an O(n) clear once per 2³² resets, and remove writes 0.
-type idSet[K model.PartitionID | model.DoorID] struct {
+type idSet[K denseID] struct {
 	mark  []uint32
 	epoch uint32
 }
@@ -379,7 +398,7 @@ func (s *idSet[K]) contains(v K) bool { return s.mark[v] == s.epoch }
 
 // memo is a per-ID table of values valid for one query: an ID's value is
 // set when the idSet holds it, so reset is O(1).
-type memo[K model.PartitionID | model.DoorID, V any] struct {
+type memo[K denseID, V any] struct {
 	set idSet[K]
 	val []V
 }

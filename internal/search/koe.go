@@ -186,13 +186,23 @@ func (sr *searcher) koeSeeds(si *stamp) []graph.Seed {
 // searcher's hop buffer); the caller consumes it before the next path is
 // requested.
 //
-// rem is findKoE's backend lower bound on the walk after the target. A
-// rejected static path still settled the exact static distance d of the
-// jump, and a recompute can only be longer — route doors are blocked,
-// overlay penalties only add — so a target with si.dist() + (rem + d) over
-// the cap is dropped here as a backend-bound prune: Rule 1 would drop
-// whatever the recompute returned (DESIGN.md §12).
+// rem is findKoE's backend lower bound on the walk after the target (0
+// without a backend), and every route through the target is at least
+// si.dist() + (rem + d) long, d the jump's length — a target with that sum
+// over the cap yields no stamp: Rule 1 (or the plain Δ check, when rem is 0)
+// would drop whatever its path spliced into (DESIGN.md §12). Two tests use
+// it. A rejected static path still settled the exact static distance d of
+// the jump, and a recompute can only be longer — route doors are blocked,
+// overlay penalties only add — so a target over the cap with it is dropped
+// before the recompute. And a read of the paused run stops at the cap: it
+// pauses once it settles a state that far, and drops the target unread.
+// Both count as backend-bound prunes, or as Δ prunes without a backend. The
+// distance-pruning ablation runs without either, like Rules 1–3.
 func (sr *searcher) koePath(si *stamp, from graph.StateID, seeds []graph.Seed, target graph.StateID, costs graph.Costs, rem float64) ([]graph.Hop, bool) {
+	stop := graph.NoStop
+	if !sr.opt.DisableDistancePruning {
+		stop = graph.StopAt(si.dist(), rem, sr.cap)
+	}
 	if sr.opt.Precompute && from != graph.NoState {
 		if from == target {
 			return nil, false
@@ -201,7 +211,7 @@ func (sr *searcher) koePath(si *stamp, from graph.StateID, seeds []graph.Seed, t
 		if ok {
 			return hops, true
 		}
-		if sr.bbSrc != nil && si.dist()+(rem+d) > sr.cap {
+		if sr.bbSrc != nil && stop.Beyond(d) {
 			sr.stats.PrunedBackend++
 			return nil, false
 		}
@@ -210,8 +220,15 @@ func (sr *searcher) koePath(si *stamp, from graph.StateID, seeds []graph.Seed, t
 	if sr.koeRun == nil {
 		sr.koeRun = sr.e.pf.LazyTreeWS(sr.ws, seeds, costs)
 	}
-	hops, ok := sr.koeRun.AppendPathTo(sr.hopBuf[:0], target)
+	hops, ok, beyond := sr.koeRun.AppendPathWithin(sr.hopBuf[:0], target, stop)
 	sr.hopBuf = hops[:0]
+	if beyond {
+		if sr.bbSrc != nil {
+			sr.stats.PrunedBackend++
+		} else {
+			sr.stats.PrunedDelta++
+		}
+	}
 	return hops, ok
 }
 

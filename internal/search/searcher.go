@@ -84,6 +84,13 @@ type searcher struct {
 	lbToPtMemo *memo[model.DoorID, float64]
 	doorHosts  *memo[model.DoorID, model.PartitionID]
 
+	// psStairs and ptStairs are ps's and pt's shares of the cross-floor
+	// skeleton bounds, filled once per query: Rule 2's screen bounds
+	// |ps, d|L and lbToPt bounds |d, pt|L from them, bit-identical to
+	// Skeleton.LowerBound.
+	psStairs *graph.StairRow
+	ptStairs *graph.StairLegs
+
 	// Reused per-expansion buffers. Their contents never survive one find
 	// or connect step: seedBuf holds the current expansion's Dijkstra
 	// seeds, hopBuf the path being spliced, esBuf the stamps returned to
@@ -154,6 +161,13 @@ func (sr *searcher) initBackendBound(stateBuf []graph.StateID, legBuf []float64)
 // only add), and the final leg is exact. min over entries keeps the bound
 // admissible; +Inf (no reachable entry) correctly prunes everything, since
 // no stamp through tm can complete at all.
+//
+// The bound is lowered by graph.SumSlack of the cap. Every test that reads
+// it sums it with the stamp's distance and compares the total against the
+// cap, while the route itself is summed hop by hop, and the backend sums a
+// path around its hubs: at the cap the two totals can differ in the last
+// ULPs, and an exact bound would then drop a route that ends exactly at Δ
+// (DESIGN.md §12).
 func (sr *searcher) backendRemaining(tm graph.StateID) float64 {
 	best := math.Inf(1)
 	for i, st := range sr.ptStates {
@@ -161,7 +175,7 @@ func (sr *searcher) backendRemaining(tm graph.StateID) float64 {
 			best = d
 		}
 	}
-	return best
+	return best - sr.cap*graph.SumSlack
 }
 
 // initKeyPartitions computes P ← (∪ I2P(κ(wQ).Wi)) \ v(ps) ∪ v(pt)
@@ -373,7 +387,7 @@ func (sr *searcher) screenDoor(d model.DoorID) bool {
 	if sr.dn[d] {
 		return true
 	}
-	if sr.e.sk.LowerBound(sr.req.Ps, sr.e.s.Door(d).Pos)+sr.ov.penalty(d)+sr.lbToPt(d) > sr.cap {
+	if sr.e.sk.BoundFrom(sr.psStairs, sr.e.s.Door(d).Pos)+sr.ov.penalty(d)+sr.lbToPt(d) > sr.cap {
 		sr.df[d] = true
 		sr.stats.PrunedRule2++
 		return false
@@ -389,7 +403,7 @@ func (sr *searcher) lbToPt(d model.DoorID) float64 {
 	if b, ok := sr.lbToPtMemo.get(d); ok {
 		return b
 	}
-	b := sr.e.sk.LowerBound(sr.e.s.Door(d).Pos, sr.req.Pt)
+	b := sr.e.sk.BoundTo(sr.e.s.Door(d).Pos, sr.ptStairs)
 	sr.lbToPtMemo.put(d, b)
 	return b
 }

@@ -22,6 +22,7 @@ package search
 // overlay (closures, delays) constrains the chained shortest paths.
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -93,19 +94,22 @@ type SequenceRoute struct {
 type SequenceStats struct {
 	Elapsed time.Duration
 
-	// Dijkstras counts chained shortest-path stages run; Prefixes the plan
+	// Dijkstras counts chained shortest-path stages run, finish stages only
+	// for the final prefixes the planner finished; Prefixes the plan
 	// prefixes materialized across layers.
 	Dijkstras int
 	Prefixes  int
 
 	// PrunedDelta counts prefixes discarded by the admissible Δ bound and
-	// completed plans past Δ; BeamDropped counts prefixes cut by Beam.
+	// finished plans past Δ; BeamDropped counts prefixes cut by Beam.
 	PrunedDelta int
 	BeamDropped int
 
 	// Plans is the number of feasible complete plans ranked (before top-k
-	// truncation). Truncated is set when Beam dropped prefixes, so the
-	// result may not be exact.
+	// truncation). The planner stops finishing final prefixes once the top
+	// k are decided, so Plans counts only the plans it finished, which can
+	// be fewer than the feasible plans the query has. Truncated is set when
+	// Beam dropped prefixes, so the result may not be exact.
 	Plans     int
 	Truncated bool
 }
@@ -230,6 +234,11 @@ type seqChain struct {
 	ws    *graph.Workspace // stage workspace for planning/evaluation
 	stats *SequenceStats
 
+	// rem memoises labelBound's remainder per state for the query (pooled
+	// scratch, epoch-stamped): every prefix that reaches a waypoint has
+	// the same entry states.
+	rem *memo[graph.StateID, float64]
+
 	// labels and hops are the planner's per-query record arenas: the entry
 	// labels of every kept prefix, and the door segment of every recorded
 	// label and plan. Both only grow, so spans and from links stay valid.
@@ -245,6 +254,7 @@ func newSeqChain(e *Engine, req *SequenceRequest, stats *SequenceStats, sc *exec
 		sc.ws = graph.NewWorkspace()
 	}
 	sc.ov.load(req.Conditions, e.s.NumDoors())
+	sc.seqRem.reset(e.pf.NumStates())
 	c := &seqChain{
 		e:      e,
 		req:    req,
@@ -253,6 +263,7 @@ func newSeqChain(e *Engine, req *SequenceRequest, stats *SequenceStats, sc *exec
 		ov:     sc.ov,
 		ws:     sc.ws,
 		stats:  stats,
+		rem:    &sc.seqRem,
 	}
 	c.costs = c.ov.costs(nil)
 	c.legQ = make([]*keyword.Query, len(req.Legs))
@@ -381,17 +392,29 @@ func (c *seqChain) finish(ws *graph.Workspace, seeds []graph.Seed, inPlace, poin
 func (c *seqChain) labelBound(src graph.DistanceSource, labels []seqLabel) float64 {
 	best := math.Inf(1)
 	for _, l := range labels {
-		rem := math.Inf(1)
-		for i, st := range c.ptState {
-			if d := src.Dist(l.state, st) + c.ptLegs[i]; d < rem {
-				rem = d
-			}
-		}
-		if b := l.dist + rem; b < best {
+		if b := l.dist + c.remaining(src, l.state); b < best {
 			best = b
 		}
 	}
 	return best
+}
+
+// remaining is labelBound's static bound from state s to pt, min over the
+// terminal entry states of Dist + the final leg. It depends on s alone
+// within a query, so it is computed once per state (the same operands in
+// the same order, so bit-identical to recomputing it).
+func (c *seqChain) remaining(src graph.DistanceSource, s graph.StateID) float64 {
+	if r, ok := c.rem.get(s); ok {
+		return r
+	}
+	r := math.Inf(1)
+	for i, st := range c.ptState {
+		if d := src.Dist(s, st) + c.ptLegs[i]; d < r {
+			r = d
+		}
+	}
+	c.rem.put(s, r)
+	return r
 }
 
 // record reports how a stage extending p reached state st: the labels-arena
@@ -464,8 +487,11 @@ func (e *Engine) sequenceUncached(ctx context.Context, sc *execScratch, req Sequ
 				if len(labels) == 0 {
 					continue // unreachable waypoint
 				}
+				// The bound sums oracle labels in another order than the
+				// stages sum the walk, so it keeps graph.SumSlack of headroom
+				// over Δ: a plan that ends exactly at Δ survives.
 				bound := c.labelBound(src, labels)
-				if bound > req.Delta {
+				if bound > req.Delta+req.Delta*graph.SumSlack {
 					c.labels = c.labels[:lo]
 					res.Stats.PrunedDelta++
 					continue
@@ -507,10 +533,19 @@ func (e *Engine) sequenceUncached(ctx context.Context, sc *execScratch, req Sequ
 		frontier = next
 	}
 
+	// Finish the final prefixes in descending optimistic ψ, and stop at the
+	// first one that cannot reach the k-th plan ranked so far: its plan
+	// would rank below it, and so would every later prefix's.
+	slices.SortStableFunc(frontier, func(a, b seqPrefix) int {
+		return cmp.Compare(c.optimisticPsi(&b), c.optimisticPsi(&a))
+	})
 	plans := make([]seqPlan, 0, len(frontier))
 	for _, p := range frontier {
 		if err := ctx.Err(); err != nil {
 			return nil, err
+		}
+		if len(plans) >= req.K && c.optimisticPsi(&p) < plans[req.K-1].psi {
+			break
 		}
 		seedBuf = c.prefixSeeds(seedBuf, &p)
 		dist, best, tree := c.finish(c.ws, seedBuf, p.inPlace, true)
@@ -528,10 +563,11 @@ func (e *Engine) sequenceUncached(ctx context.Context, sc *execScratch, req Sequ
 		if best != graph.NoState {
 			plan.from, plan.hops = c.record(tree, &p, best)
 		}
-		plans = append(plans, plan)
+		// Insert in rank order, so plans[k-1] is the k-th plan so far.
+		at, _ := slices.BinarySearchFunc(plans, plan, comparePlans)
+		plans = slices.Insert(plans, at, plan)
 	}
 	res.Stats.Plans = len(plans)
-	rankSequencePlans(plans)
 	if len(plans) > req.K {
 		plans = plans[:req.K]
 	}
@@ -544,20 +580,27 @@ func (e *Engine) sequenceUncached(ctx context.Context, sc *execScratch, req Sequ
 	return res, nil
 }
 
-// rankSequencePlans sorts plans by ψ descending, distance ascending, then
+// optimisticPsi is an upper bound on the ψ of any plan that finishes a
+// final prefix: the prefix's Σρ with its admissible distance bound. score
+// does not increase with distance, and the bound is lowered by
+// graph.SumSlack, since it sums its legs (oracle labels included) in
+// another order than the finish stage does and could otherwise exceed the
+// finished distance in the last ULP.
+func (c *seqChain) optimisticPsi(p *seqPrefix) float64 {
+	return score(c.req.Alpha, p.rhoSum, c.maxRho, p.bound-p.bound*graph.SumSlack, c.req.Delta)
+}
+
+// comparePlans orders plans by ψ descending, distance ascending, then
 // waypoint sequence ascending — a strict total order, since a plan is its
-// waypoint sequence. The exhaustive baseline ranks with the same comparator.
-func rankSequencePlans(plans []seqPlan) {
-	sort.Slice(plans, func(a, b int) bool {
-		pa, pb := &plans[a], &plans[b]
-		if pa.psi != pb.psi {
-			return pa.psi > pb.psi
-		}
-		if pa.dist != pb.dist {
-			return pa.dist < pb.dist
-		}
-		return slices.Compare(pa.waypoints, pb.waypoints) < 0
-	})
+// waypoint sequence. The planner and the exhaustive baseline rank by it.
+func comparePlans(a, b seqPlan) int {
+	if a.psi != b.psi {
+		return cmp.Compare(b.psi, a.psi)
+	}
+	if a.dist != b.dist {
+		return cmp.Compare(a.dist, b.dist)
+	}
+	return slices.Compare(a.waypoints, b.waypoints)
 }
 
 // recordedHops appends a plan's full door walk to dst, assembled from the

@@ -18,6 +18,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"ikrq/internal/graph"
@@ -92,7 +93,7 @@ func (e *Engine) ExhaustiveSequenceContext(ctx context.Context, req SequenceRequ
 		}
 	}
 	res.Stats.Plans = len(plans)
-	rankSequencePlans(plans)
+	slices.SortFunc(plans, comparePlans)
 	if len(plans) > req.K {
 		plans = plans[:req.K]
 	}
